@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.core.params import MeasuredParams
 from repro.util.validation import check_fraction, ensure_array
@@ -110,6 +109,8 @@ def fit_serial_growth(
         Pin the growth exponent (1.0 = linear) instead of fitting it —
         recommended with fewer than five points.
     """
+    from scipy.optimize import least_squares
+
     p, sp = _validate_curve(cores, speedups)
     log_measured = np.log(sp)
     s0 = max(1e-6, fit_amdahl(p, sp))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.communication import CommGrowth
 from repro.noc.routing import path_link_loads
@@ -76,33 +77,45 @@ class TrafficAnalysis:
         return float(self.max_link_load)
 
 
-def gather_pattern(mesh: Mesh2D, master: int = 0, x: int = 1) -> list[tuple[int, int]]:
+def _check_multiplier(x: int) -> None:
+    """Every pattern sends at least one element per pair; reject ``x < 1``
+    here rather than as an empty pattern or a division by zero later."""
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x!r}")
+
+
+def gather_pattern(mesh: Mesh2D, master: int = 0, x: int = 1) -> np.ndarray:
     """The serial reduction's traffic: every node sends ``x`` partial
-    elements to the master (Algorithm 1's communication side)."""
+    elements to the master (Algorithm 1's communication side).
+
+    Returns an ``(N, 2)`` int64 array of ``(src, master)`` rows, sources
+    ascending, each repeated ``x`` times.
+    """
+    _check_multiplier(x)
     mesh.validate_node(master)
-    return [
-        (src, master)
-        for src in range(mesh.n_nodes)
-        if src != master
-        for _ in range(x)
-    ]
+    srcs = np.arange(mesh.n_nodes, dtype=np.int64)
+    srcs = np.repeat(srcs[srcs != master], x)
+    return np.column_stack((srcs, np.full_like(srcs, master)))
 
 
-def all_to_all_pattern(mesh: Mesh2D, x: int = 1) -> list[tuple[int, int]]:
+def all_to_all_pattern(mesh: Mesh2D, x: int = 1) -> np.ndarray:
     """The privatised parallel reduction's traffic: every node sends its
     slice of every partial to the slice owners (Section V.E's
-    ``(nc−1)·x`` exchange, here one element per ordered pair when x = 1)."""
-    return [
-        (src, dst)
-        for src in range(mesh.n_nodes)
-        for dst in range(mesh.n_nodes)
-        if src != dst
-        for _ in range(x)
-    ]
+    ``(nc−1)·x`` exchange, here one element per ordered pair when x = 1).
+
+    Returns an ``(N, 2)`` int64 array of ordered ``(src, dst)`` rows with
+    ``src != dst``, source-major, each repeated ``x`` times.
+    """
+    _check_multiplier(x)
+    n = mesh.n_nodes
+    srcs, k = np.divmod(np.arange(n * (n - 1), dtype=np.int64), max(n - 1, 1))
+    dsts = k + (k >= srcs)  # skip the diagonal
+    return np.repeat(np.column_stack((srcs, dsts)), x, axis=0)
 
 
-def analyse_pattern(mesh: Mesh2D, pairs: list[tuple[int, int]]) -> TrafficAnalysis:
-    """Route a pattern with XY routing and collect link-load statistics."""
+def analyse_pattern(mesh: Mesh2D, pairs: ArrayLike) -> TrafficAnalysis:
+    """Route a pattern (any ``(N, 2)`` integer array-like of ``(src, dst)``
+    pairs) with XY routing and collect link-load statistics."""
     loads = path_link_loads(mesh, pairs)
     total_links = mesh.link_count()
     if not loads:
@@ -136,6 +149,7 @@ def contended_growcomm(pattern: str = "all_to_all", x: int = 1) -> CommGrowth:
         raise ValueError(
             f"pattern must be 'gather' or 'all_to_all', got {pattern!r}"
         )
+    _check_multiplier(x)
     cache: dict[int, float] = {}
 
     def fn(nc_arr: np.ndarray) -> np.ndarray:

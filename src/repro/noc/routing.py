@@ -9,9 +9,8 @@ exhaustive checker used by the test suite to prove the closed-form
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.noc.topology import Mesh2D, Topology, Torus2D
 
@@ -110,14 +109,48 @@ def verify_against_networkx(topology: Topology) -> bool:
     return True
 
 
-def path_link_loads(mesh: Mesh2D, pairs: Sequence[tuple[int, int]]) -> dict[tuple[int, int], int]:
+def path_link_loads(mesh: Mesh2D, pairs: ArrayLike) -> dict[tuple[int, int], int]:
     """Count how many of the given (src, dst) transfers cross each link
     under XY routing — used to study reduction-traffic hotspots around the
-    master core."""
+    master core.
+
+    ``pairs`` is any ``(N, 2)`` integer array-like.  Returns
+    ``{(u, v): count}`` with ``u < v`` for every link at least one transfer
+    crosses.  Loads are counted with difference arrays rather than by
+    walking each :func:`xy_route` path: the X leg covers columns
+    ``[min(c1, c2), max(c1, c2))`` of the source row, the Y leg rows
+    ``[min(r1, r2), max(r1, r2))`` of the destination column, so each leg
+    is a +1/−1 pair whose prefix sum along its axis is the per-link count.
+    """
+    arr = np.asarray(pairs, dtype=np.int64)
+    if arr.size == 0:
+        return {}
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"pairs must have shape (N, 2), got {arr.shape}")
+    bad = (arr < 0) | (arr >= mesh.n_nodes)
+    if bad.any():
+        node = int(arr[bad][0])
+        raise ValueError(f"node {node} out of range [0, {mesh.n_nodes})")
+    rows, cols = mesh.rows, mesh.cols
+    r1, c1 = np.divmod(arr[:, 0], cols)
+    r2, c2 = np.divmod(arr[:, 1], cols)
+
+    # horizontal link (r, c) joins nodes r·cols + c and r·cols + c + 1
+    horiz = np.zeros((rows, cols), dtype=np.int64)
+    np.add.at(horiz, (r1, np.minimum(c1, c2)), 1)
+    np.add.at(horiz, (r1, np.maximum(c1, c2)), -1)
+    horiz = np.cumsum(horiz, axis=1)[:, :-1]
+    # vertical link (r, c) joins nodes r·cols + c and (r + 1)·cols + c
+    vert = np.zeros((rows, cols), dtype=np.int64)
+    np.add.at(vert, (np.minimum(r1, r2), c2), 1)
+    np.add.at(vert, (np.maximum(r1, r2), c2), -1)
+    vert = np.cumsum(vert, axis=0)[:-1, :]
+
     loads: dict[tuple[int, int], int] = {}
-    for src, dst in pairs:
-        path = xy_route(mesh, src, dst)
-        for u, v in zip(path, path[1:]):
-            key = (min(u, v), max(u, v))
-            loads[key] = loads.get(key, 0) + 1
+    for r, c in zip(*np.nonzero(horiz)):
+        u = int(r) * cols + int(c)
+        loads[(u, u + 1)] = int(horiz[r, c])
+    for r, c in zip(*np.nonzero(vert)):
+        u = int(r) * cols + int(c)
+        loads[(u, u + cols)] = int(vert[r, c])
     return loads

@@ -20,6 +20,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -58,22 +60,28 @@ class Topology(ABC):
         bidirectional links (two simultaneous transfers per link)."""
         return 2 * self.link_count()
 
-    def average_hops(self) -> float:
-        """Mean hop distance over ordered pairs of distinct nodes.
+    def total_hops(self) -> int:
+        """Sum of hop distances over all ordered node pairs (exact).
 
-        Computed exactly from :meth:`hop_distance`; subclasses may override
-        with a closed form (all our closed forms are verified against this
-        in the tests).
+        The generic form loops over :meth:`hop_distance`; subclasses
+        override it with an exact integer closed form (each verified
+        against this loop in the tests).
         """
         n = self.n_nodes
-        if n == 1:
-            return 0.0
         total = 0
         for s in range(n):
             for d in range(n):
                 if s != d:
                     total += self.hop_distance(s, d)
-        return total / (n * (n - 1))
+        return total
+
+    def average_hops(self) -> float:
+        """Mean hop distance over ordered pairs of distinct nodes,
+        ``total_hops() / (n·(n−1))``."""
+        n = self.n_nodes
+        if n == 1:
+            return 0.0
+        return self.total_hops() / (n * (n - 1))
 
     def validate_node(self, node: int) -> int:
         """Bounds-check a node id."""
@@ -83,6 +91,19 @@ class Topology(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n_nodes={self.n_nodes})"
+
+
+def _line_pair_hops(k: int) -> int:
+    """Σ |a − b| over ordered pairs of positions on a k-node line."""
+    d = np.arange(1, k, dtype=np.int64)
+    return int((2 * (k - d) * d).sum())
+
+
+def _cycle_pair_hops(k: int) -> int:
+    """Σ min(|a − b|, k − |a − b|) over ordered pairs on a k-node cycle:
+    every node sees each offset d once, at distance min(d, k − d)."""
+    d = np.arange(k, dtype=np.int64)
+    return k * int(np.minimum(d, k - d).sum())
 
 
 @dataclass(frozen=True)
@@ -152,12 +173,11 @@ class Mesh2D(Topology):
         (r1, c1), (r2, c2) = self.coords(src), self.coords(dst)
         return abs(r1 - r2) + abs(c1 - c2)
 
-    def average_hops(self) -> float:
-        # closed form: E|Δrow| + E|Δcol| with E|Δ| = (k²−1)/(3k) per axis of
-        # size k, over ordered pairs of distinct nodes; fall back to the
-        # generic exact computation (cheap at CMP scales) to avoid a second
-        # formula to maintain.
-        return super().average_hops()
+    def total_hops(self) -> int:
+        # every row pair recurs for cols² node pairs, every column pair
+        # for rows² node pairs
+        return (self.cols**2 * _line_pair_hops(self.rows)
+                + self.rows**2 * _line_pair_hops(self.cols))
 
 
 class Torus2D(Topology):
@@ -200,6 +220,10 @@ class Torus2D(Topology):
         dc = abs(c1 - c2)
         return min(dr, self.rows - dr) + min(dc, self.cols - dc)
 
+    def total_hops(self) -> int:
+        return (self.cols**2 * _cycle_pair_hops(self.rows)
+                + self.rows**2 * _cycle_pair_hops(self.cols))
+
 
 class Ring(Topology):
     """A bidirectional ring (cheap links, long average distance ~ n/4)."""
@@ -220,6 +244,9 @@ class Ring(Topology):
         self.validate_node(dst)
         d = abs(src - dst)
         return min(d, self.n_nodes - d)
+
+    def total_hops(self) -> int:
+        return _cycle_pair_hops(self.n_nodes)
 
 
 class Hypercube(Topology):
@@ -273,10 +300,16 @@ class FullyConnected(Topology):
             for v in range(u + 1, self.n_nodes):
                 yield (u, v)
 
+    def link_count(self) -> int:
+        return self.n_nodes * (self.n_nodes - 1) // 2
+
     def hop_distance(self, src: int, dst: int) -> int:
         self.validate_node(src)
         self.validate_node(dst)
         return 0 if src == dst else 1
+
+    def total_hops(self) -> int:
+        return self.n_nodes * (self.n_nodes - 1)
 
 
 _NAMED = {

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.util.validation import check_positive_int
 from repro.workloads.base import (
@@ -123,6 +122,8 @@ class HopWorkload(ClusteringWorkloadBase):
             per_thread_reads=serial_only(n // 8),
             per_thread_writes=serial_only(20),
         ))
+
+        from scipy.spatial import cKDTree
 
         # ── tree build (parallel, imperfectly scalable) ──────────────────
         # each thread builds its subtree ((n/p)·levels work) but the top

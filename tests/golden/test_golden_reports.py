@@ -30,6 +30,8 @@ GOLDEN_DIR = Path(__file__).parent
 GOLDEN_CASES = {
     "table2": dict(scale=0.03, thread_counts=(1, 2, 4)),
     "fig4": {},
+    "ext-contention": {},
+    "ablation-topology": {},
 }
 
 fork_only = pytest.mark.skipif(

@@ -26,6 +26,43 @@ class TestPatterns:
         with pytest.raises(ValueError):
             gather_pattern(Mesh2D(4), master=4)
 
+    def test_patterns_are_int64_pair_arrays(self):
+        mesh = Mesh2D(9)
+        for pairs in (gather_pattern(mesh, 4, x=2), all_to_all_pattern(mesh, x=2)):
+            assert pairs.dtype == np.int64
+            assert pairs.ndim == 2 and pairs.shape[1] == 2
+
+    def test_pattern_rows_in_source_major_order(self):
+        mesh = Mesh2D(4)
+        assert [tuple(p) for p in gather_pattern(mesh, 2, x=2)] == [
+            (0, 2), (0, 2), (1, 2), (1, 2), (3, 2), (3, 2),
+        ]
+        assert [tuple(p) for p in all_to_all_pattern(mesh)] == [
+            (s, d) for s in range(4) for d in range(4) if s != d
+        ]
+
+    def test_single_node_patterns_are_empty(self):
+        assert gather_pattern(Mesh2D(1)).shape == (0, 2)
+        assert all_to_all_pattern(Mesh2D(1)).shape == (0, 2)
+
+
+class TestTrafficMultiplier:
+    """``x < 1`` used to surface late (ZeroDivisionError inside a sweep)
+    or not at all (empty patterns, a silent -0.0 growth)."""
+
+    @pytest.mark.parametrize("x", [0, -1])
+    def test_patterns_reject_x_below_one(self, x):
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            gather_pattern(Mesh2D(4), 0, x=x)
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            all_to_all_pattern(Mesh2D(4), x=x)
+
+    @pytest.mark.parametrize("pattern", ["gather", "all_to_all"])
+    @pytest.mark.parametrize("x", [0, -1])
+    def test_growcomm_rejects_x_below_one_eagerly(self, pattern, x):
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            contended_growcomm(pattern, x=x)
+
 
 class TestAnalysis:
     def test_gather_is_heavily_imbalanced(self):
