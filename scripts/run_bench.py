@@ -174,44 +174,56 @@ def check_regressions(rows: dict, baseline: dict, threshold: float = 0.25) -> li
 def collect_metrics(path: Path) -> None:
     """Run a small instrumented sweep and dump its metrics/spans as JSONL."""
     from repro import obs
-    from repro.experiments import simsweep
+    from repro.pipeline import clear_memo, get_disk_store, set_disk_store, simulate_breakdowns
+    from repro.workloads import default_workloads
 
     obs.set_enabled(True)
+    restore = get_disk_store()
     try:
         with tempfile.TemporaryDirectory(prefix="repro-obsbench-") as tmp:
-            simsweep.set_disk_store(tmp)
-            simsweep.clear_cache(memory_only=True)
-            wl = simsweep.default_workloads(0.03)["kmeans"]
-            simsweep.simulate_breakdowns(wl, (1, 2), n_cores=4, mem_scale=4)
-            simsweep.set_disk_store(None)
-            simsweep.clear_cache(memory_only=True)
+            set_disk_store(tmp)
+            clear_memo()
+            wl = default_workloads(0.03)["kmeans"]
+            simulate_breakdowns(wl, (1, 2), n_cores=4, mem_scale=4)
         obs.write_jsonl(path, meta={"command": "scripts/run_bench.py"})
     finally:
+        set_disk_store(restore)
+        clear_memo()
         obs.set_enabled(False)
         obs.reset()
         obs.RECORDER.clear()
 
 
-def time_sweep_cache() -> dict:
+def time_sweep_cache(scale: float = 0.05, threads: tuple = (1, 2, 4)) -> dict:
     """Cold vs disk-warm wall time for a small simulator sweep."""
-    from repro.experiments import simsweep
+    from repro.pipeline import (
+        clear_memo,
+        get_disk_store,
+        memo_info,
+        set_disk_store,
+        simulate_breakdowns,
+    )
+    from repro.workloads import default_workloads
 
-    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
-        simsweep.set_disk_store(tmp)
-        simsweep.clear_cache(memory_only=True)
-        wl = simsweep.default_workloads(0.05)["kmeans"]
-        threads = (1, 2, 4)
+    restore = get_disk_store()
+    try:
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
+            set_disk_store(tmp)
+            clear_memo()
+            wl = default_workloads(scale)["kmeans"]
 
-        t0 = time.perf_counter()
-        cold = simsweep.simulate_breakdowns(wl, threads, n_cores=4, mem_scale=4)
-        cold_s = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            cold = simulate_breakdowns(wl, threads, n_cores=4, mem_scale=4)
+            cold_s = time.perf_counter() - t0
 
-        simsweep.clear_cache(memory_only=True)  # drop memo, keep disk
-        t0 = time.perf_counter()
-        warm = simsweep.simulate_breakdowns(wl, threads, n_cores=4, mem_scale=4)
-        warm_s = time.perf_counter() - t0
-        info = simsweep.cache_info()
-        simsweep.set_disk_store(None)
+            clear_memo()  # drop memo, keep disk
+            t0 = time.perf_counter()
+            warm = simulate_breakdowns(wl, threads, n_cores=4, mem_scale=4)
+            warm_s = time.perf_counter() - t0
+            info = memo_info()
+    finally:
+        set_disk_store(restore)
+        clear_memo()
 
     assert {p: w.total for p, w in cold.items()} == {p: w.total for p, w in warm.items()}
     return {
@@ -228,9 +240,8 @@ def time_runall_precompute() -> dict:
     """The ``runall`` precompute pass: declare every experiment's units,
     measure the cross-experiment dedup ratio, and time resolving the
     union cold vs disk-warm."""
-    from repro.experiments import simsweep
     from repro.experiments.registry import SWEEP_DECLARATIONS, declare_units
-    from repro.pipeline import resolve_units
+    from repro.pipeline import clear_memo, get_disk_store, resolve_units, set_disk_store
 
     options = dict(scale=0.03, thread_counts=(1, 2, 16),
                    hw_thread_counts=(1, 2))
@@ -239,21 +250,23 @@ def time_runall_precompute() -> dict:
         units.extend(declare_units(eid, **options))
     unique = {u.key for u in units}
 
-    with tempfile.TemporaryDirectory(prefix="repro-runall-") as tmp:
-        simsweep.set_disk_store(tmp)
-        simsweep.clear_cache(memory_only=True)
+    restore = get_disk_store()
+    try:
+        with tempfile.TemporaryDirectory(prefix="repro-runall-") as tmp:
+            set_disk_store(tmp)
+            clear_memo()
 
-        t0 = time.perf_counter()
-        resolve_units(units)
-        cold_s = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            resolve_units(units)
+            cold_s = time.perf_counter() - t0
 
-        simsweep.clear_cache(memory_only=True)  # drop memos, keep disk
-        t0 = time.perf_counter()
-        resolve_units(units)
-        warm_s = time.perf_counter() - t0
-
-        simsweep.set_disk_store(None)
-        simsweep.clear_cache(memory_only=True)
+            clear_memo()  # drop the memo, keep disk
+            t0 = time.perf_counter()
+            resolve_units(units)
+            warm_s = time.perf_counter() - t0
+    finally:
+        set_disk_store(restore)
+        clear_memo()
 
     return {
         "experiments": len(SWEEP_DECLARATIONS),

@@ -336,13 +336,16 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.experiments import simsweep
+    from repro.pipeline import clear_memo, get_disk_store, memo_info
 
     if args.action == "clear":
-        simsweep.clear_cache(memory_only=args.memory_only)
+        clear_memo()
+        disk = get_disk_store()
+        if not args.memory_only and disk is not None:
+            disk.clear()
         print("sweep cache cleared" + (" (memory tier only)" if args.memory_only else ""))
         return 0
-    for k, v in simsweep.cache_info().items():
+    for k, v in memo_info().items():
         print(f"{k:15} {v}")
     return 0
 
@@ -550,9 +553,9 @@ def _print_reports(ids, args: argparse.Namespace, options=None) -> bool:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.no_sweep_cache:
-        from repro.experiments import simsweep
+        from repro.pipeline import set_disk_store
 
-        simsweep.set_disk_store(None)
+        set_disk_store(None)
     options = _gather_options(args)
     try:
         run_id = _resolve_run(args, options)
@@ -584,9 +587,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_runall(args: argparse.Namespace) -> int:
     if args.no_sweep_cache:
-        from repro.experiments import simsweep
+        from repro.pipeline import set_disk_store
 
-        simsweep.set_disk_store(None)
+        set_disk_store(None)
     from repro import engine
 
     options = _gather_options(args)
@@ -653,7 +656,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    from repro.experiments.simsweep import default_workloads, simulate_breakdowns
+    from repro.pipeline import simulate_breakdowns
+    from repro.workloads import default_workloads
     from repro.workloads.instrument import (
         extract_parameters,
         serial_growth_curve,
@@ -661,9 +665,9 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     )
 
     if args.no_sweep_cache:
-        from repro.experiments import simsweep
+        from repro.pipeline import set_disk_store
 
-        simsweep.set_disk_store(None)
+        set_disk_store(None)
     workloads = dict(default_workloads(args.scale))
     if args.workload == "histogram":
         from repro.workloads.histogram import HistogramWorkload

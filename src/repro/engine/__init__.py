@@ -4,11 +4,11 @@ A work-unit scheduler plus a fault-tolerant multiprocess worker pool
 that parallelizes experiment execution end to end while keeping reports
 **byte-identical** to serial runs (see ``docs/engine.md``):
 
-* experiments declare their sweeps as content-hashed
+* experiments declare their work as content-hashed
   :class:`~repro.engine.units.WorkUnit`\\ s (the hash doubles as the
-  on-disk sweep-cache key);
+  on-disk cache key);
 * the :class:`~repro.engine.scheduler.EngineSession` deduplicates units
-  within a batch and against both cache tiers, dispatches the misses
+  within a batch and against every cache tier, dispatches the misses
   across N worker processes, and merges results deterministically;
 * the :class:`~repro.engine.pool.WorkerPool` survives worker deaths —
   per-unit timeouts, bounded retry with backoff, and a killed worker
@@ -61,6 +61,7 @@ from repro.engine.pool import (
 )
 from repro.engine.scheduler import (
     EngineSession,
+    current_session,
     drain_on_signal,
     precompute,
     session,
@@ -79,6 +80,7 @@ __all__ = [
     "UnitFailure",
     "WorkUnit",
     "WorkerPool",
+    "current_session",
     "default_workers",
     "drain_on_signal",
     "new_run_id",

@@ -36,10 +36,9 @@ MODEL_EVAL_GRID = "model-eval-grid"
 
 
 def _run_sweep_point(spec: tuple) -> dict:
-    from repro.experiments import simsweep
+    from repro.pipeline import builders
 
-    workload, n_threads, mem_scale, config = spec
-    return simsweep.execute_sweep_point(workload, n_threads, mem_scale, config)
+    return builders.execute_sweep_point(spec)
 
 
 def _run_sim_program(spec: tuple) -> dict:

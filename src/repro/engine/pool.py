@@ -3,13 +3,17 @@
 Two implementations behind one interface (``run(units, on_result=...)``):
 
 * :class:`WorkerPool` — N long-lived worker *processes*.  The design
-  choice that buys fault tolerance is **one task queue per worker with
-  at most one unit outstanding**: the parent always knows exactly which
-  unit each worker holds, so a dead worker (``kill -9``, OOM, segfault,
-  per-unit timeout) loses *only* its in-flight unit.  That unit is
-  retried on a freshly spawned worker with bounded exponential backoff;
-  a unit that keeps killing workers eventually fails the run with
-  :class:`UnitFailure` instead of hanging it.
+  choice that buys fault tolerance is **one task queue and one result
+  pipe per worker with at most one unit outstanding**: the parent always
+  knows exactly which unit each worker holds, so a dead worker
+  (``kill -9``, OOM, segfault, per-unit timeout) loses *only* its
+  in-flight unit.  That unit is retried on a freshly spawned worker with
+  bounded exponential backoff; a unit that keeps killing workers
+  eventually fails the run with :class:`UnitFailure` instead of hanging
+  it.  Results never share a channel: a worker killed halfway through
+  sending one leaves a torn message on its own pipe (read as end of
+  file), never a lock or a partial frame that every other worker would
+  block on.
 * :class:`SerialPool` — same contract, current process, no dependencies.
   The scheduler degrades to it when ``multiprocessing`` is unavailable
   or refuses to start (:class:`PoolUnavailable`), when only one worker
@@ -29,7 +33,6 @@ and every later one is dropped.
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import time
 import traceback
 from collections import deque
@@ -37,6 +40,7 @@ from typing import Callable, Iterable
 
 try:  # gracefully degrade on platforms without multiprocessing
     import multiprocessing as _mp
+    from multiprocessing.connection import wait as _wait
 except ImportError:  # pragma: no cover - CPython always ships it
     _mp = None
 
@@ -115,8 +119,13 @@ def default_workers() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-def _worker_main(worker_id: int, task_q, result_q) -> None:
-    """Worker loop: one unit at a time until the ``None`` sentinel."""
+def _worker_main(task_q, result_conn) -> None:
+    """Worker loop: one unit at a time until the ``None`` sentinel.
+
+    Results go back over this worker's own pipe, sent synchronously (no
+    feeder thread), so ``send`` returning means the parent has the bytes
+    or will read them before end of file.
+    """
     if obs.enabled():
         # a forked worker inherits the parent's recorded series and spans;
         # drop them so drain() ships only this worker's own deltas
@@ -134,14 +143,24 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
             payload = execute(kind, spec)
             # piggyback this unit's metric/span delta on the result tuple;
             # drain() is None when observability is off, so the common case
-            # ships no extra bytes over the queue
-            result_q.put((worker_id, key, True, payload, obs.drain()))
+            # ships no extra bytes over the pipe
+            result_conn.send((key, True, payload, obs.drain()))
         except BaseException:  # noqa: BLE001 - full traceback to the parent
             try:
-                result_q.put((worker_id, key, False,
-                              traceback.format_exc(limit=30), obs.drain()))
-            except Exception:  # pragma: no cover - result queue gone
+                result_conn.send((key, False,
+                                  traceback.format_exc(limit=30), obs.drain()))
+            except Exception:  # pragma: no cover - parent went away
                 return
+
+
+def _close_channels(slot: "_WorkerSlot") -> None:
+    """Release the parent's ends of a worker's task queue and result pipe."""
+    try:
+        slot.task_q.close()
+        slot.task_q.cancel_join_thread()
+    except (OSError, AttributeError):
+        pass
+    slot.results.close()
 
 
 class SerialPool:
@@ -196,11 +215,12 @@ class SerialPool:
 class _WorkerSlot:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("proc", "task_q", "unit", "deadline", "started")
+    __slots__ = ("proc", "task_q", "results", "unit", "deadline", "started")
 
-    def __init__(self, proc, task_q):
+    def __init__(self, proc, task_q, results):
         self.proc = proc
         self.task_q = task_q
+        self.results = results  # read end of the worker's result pipe
         self.unit: "WorkUnit | None" = None  # the one in-flight unit
         self.deadline: "float | None" = None
         self.started: "float | None" = None  # dispatch time of that unit
@@ -234,7 +254,6 @@ class WorkerPool:
         self.drain_grace = float(drain_grace)
         self.events = events if events is not None else EventLog()
         self._ctx = None
-        self._result_q = None
         self._slots: dict[int, _WorkerSlot] = {}
         self._next_worker_id = 0
 
@@ -251,7 +270,6 @@ class WorkerPool:
                 self._ctx = _mp.get_context("fork")
             else:  # pragma: no cover - non-fork platforms
                 self._ctx = _mp.get_context()
-            self._result_q = self._ctx.Queue()
             for _ in range(self.n_workers):
                 self._spawn()
         except (OSError, ValueError, RuntimeError) as exc:
@@ -262,14 +280,20 @@ class WorkerPool:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_q = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, task_q, self._result_q),
+            args=(task_q, writer),
             name=f"repro-engine-worker-{worker_id}",
             daemon=True,
         )
-        proc.start()
-        self._slots[worker_id] = _WorkerSlot(proc, task_q)
+        try:
+            proc.start()
+        finally:
+            # the worker holds the only write end, so its death reads as
+            # end of file on ``reader`` (and later forks never inherit it)
+            writer.close()
+        self._slots[worker_id] = _WorkerSlot(proc, task_q, reader)
         self.events.emit("worker_started", worker=worker_id, pid=proc.pid)
         return worker_id
 
@@ -277,11 +301,7 @@ class WorkerPool:
         """Forget a dead worker's slot without respawning a replacement."""
         slot = self._slots.pop(worker_id, None)
         if slot is not None:
-            try:
-                slot.task_q.close()
-                slot.task_q.cancel_join_thread()
-            except (OSError, AttributeError):
-                pass
+            _close_channels(slot)
 
     def _replace(self, worker_id: int) -> None:
         """Respawn a dead/killed worker (its slot is already forgotten)."""
@@ -303,28 +323,19 @@ class WorkerPool:
             if slot.proc.is_alive():
                 slot.proc.kill()
                 slot.proc.join(1.0)
-            try:
-                slot.task_q.close()
-                slot.task_q.cancel_join_thread()
-            except (OSError, AttributeError):
-                pass
-        if self._result_q is not None:
-            try:
-                self._result_q.close()
-                self._result_q.cancel_join_thread()
-            except (OSError, AttributeError):
-                pass
-        if self._slots or self._result_q is not None:
+            _close_channels(slot)
+        if self._ctx is not None:
             self.events.emit("pool_closed", workers=len(self._slots))
         self._slots = {}
-        self._result_q = None
+        self._ctx = None
 
     def _teardown(self) -> None:
         for slot in self._slots.values():
             if slot.proc.is_alive():
                 slot.proc.kill()
+            _close_channels(slot)
         self._slots = {}
-        self._result_q = None
+        self._ctx = None
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -351,7 +362,7 @@ class WorkerPool:
             by_key.setdefault(u.key, u)
         if not by_key:
             return {}
-        if self._result_q is None:
+        if self._ctx is None:
             self._start()
         else:
             # top up workers abandoned by an earlier drained/failed batch
@@ -450,17 +461,27 @@ class WorkerPool:
                                     worker=worker_id, attempt=attempts[key],
                                 )
                                 break
-                # collect one result (short timeout keeps the loop responsive)
-                try:
-                    worker_id, key, ok, payload, delta = self._result_q.get(
-                        timeout=_POLL_S)
-                except (queue_mod.Empty, EOFError, OSError):
-                    pass
-                else:
+                # collect results (short timeout keeps the loop responsive)
+                readers = {slot.results: worker_id
+                           for worker_id, slot in self._slots.items()}
+                for conn in _wait(list(readers), timeout=_POLL_S):
+                    worker_id = readers[conn]
+                    slot = self._slots.get(worker_id)
+                    if slot is None:  # replaced while handling another reader
+                        continue
+                    try:
+                        key, ok, payload, delta = conn.recv()
+                    except (EOFError, OSError):
+                        # the worker is gone, possibly mid-send: only its
+                        # own pipe is torn, and its unit is retried
+                        if slot.proc.is_alive():
+                            slot.proc.kill()
+                        slot.proc.join(1.0)
+                        crashed(worker_id, slot, "process died")
+                        continue
                     obs.merge_delta(delta, worker=worker_id)
                     seconds = None
-                    slot = self._slots.get(worker_id)
-                    if slot is not None and slot.unit is not None and slot.unit.key == key:
+                    if slot.unit is not None and slot.unit.key == key:
                         if slot.started is not None:
                             seconds = time.monotonic() - slot.started
                         slot.unit = None

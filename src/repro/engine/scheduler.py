@@ -8,8 +8,8 @@ implements the scheduling contract:
 1. **dedupe within the batch** — units with equal content keys collapse
    to one execution;
 2. **dedupe against caches** — the caller supplies ``cache_get`` /
-   ``cache_put`` hooks (e.g. :mod:`repro.experiments.simsweep` checks
-   its in-process memo and the on-disk
+   ``cache_put`` hooks (:func:`repro.pipeline.runtime.cache_get` checks
+   the in-process memo and the on-disk
    :class:`~repro.experiments.store.SweepStore`); hits never reach a
    worker, and fresh results are written back *as they land*, so a
    concurrent run on another process benefits immediately;
@@ -27,10 +27,11 @@ event stream — a parallel flag can never make a run *fail*, only
 faster.
 
 :func:`session` is the convenience context manager the CLI uses: it
-installs the session as the ambient engine for
-:func:`repro.experiments.simsweep.simulate_breakdowns` and guarantees
-teardown.  :func:`precompute` warms both cache tiers for the declared
-sweeps of a set of experiments in one globally-deduplicated batch.
+installs the session as the ambient engine (:func:`current_session`),
+through which :func:`repro.pipeline.resolve_units` runs every cache
+miss, and guarantees teardown.  :func:`precompute` warms every cache
+tier for the declared units of a set of experiments in one
+globally-deduplicated batch.
 """
 
 from __future__ import annotations
@@ -55,9 +56,18 @@ from repro.engine.pool import (
 from repro.engine.units import WorkUnit
 from repro.util.logging import get_logger
 
-__all__ = ["EngineSession", "session", "precompute", "drain_on_signal"]
+__all__ = ["EngineSession", "session", "current_session", "precompute",
+           "drain_on_signal"]
 
 log = get_logger("engine")
+
+#: the ambient session :func:`session` installs (None = serial)
+_current: "EngineSession | None" = None
+
+
+def current_session() -> "EngineSession | None":
+    """The ambient engine session, or ``None`` when running serially."""
+    return _current
 
 
 def _serial_forced() -> bool:
@@ -386,9 +396,9 @@ def session(
 ) -> Iterator[EngineSession]:
     """An :class:`EngineSession`, installed as the ambient engine.
 
-    While the context is active, :func:`repro.experiments.simsweep
-    .simulate_breakdowns` routes its cache misses through the session's
-    worker pool, so *any* experiment driver parallelizes without code
+    While the context is active, :func:`current_session` returns it and
+    :func:`repro.pipeline.resolve_units` routes every cache miss through
+    its worker pool, so *any* experiment driver parallelizes without code
     changes.  ``event_log`` additionally appends every engine event to a
     JSONL file.  Pass ``install=False`` to drive the session manually.
 
@@ -414,19 +424,16 @@ def session(
             entries=len(journal), dropped=journal.dropped,
             tail_truncated=journal.tail_truncated,
         )
+    global _current
     if install:
-        from repro.experiments import simsweep
-
-        simsweep.set_engine(sess)
+        _current = sess
     try:
         with (drain_on_signal(sess) if drain_signals
               else contextlib.nullcontext()):
             yield sess
     finally:
         if install:
-            from repro.experiments import simsweep
-
-            simsweep.set_engine(None)
+            _current = None
         sess.close()
 
 

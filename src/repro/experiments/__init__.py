@@ -20,7 +20,20 @@ ablations     beyond-the-paper design-choice probes
 ============  ========================================================
 """
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 from repro.experiments.report import ExperimentReport
 
 __all__ = ["ExperimentReport", "EXPERIMENTS", "get_experiment", "run_experiment"]
+
+_REGISTRY_NAMES = ("EXPERIMENTS", "get_experiment", "run_experiment")
+
+
+def __getattr__(name: str):
+    # The registry imports every driver and the drivers import
+    # repro.pipeline, which itself imports this package's store and report
+    # modules.  Loading the registry on first use keeps either package
+    # importable first.
+    if name in _REGISTRY_NAMES:
+        from repro.experiments import registry
+
+        return getattr(registry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,9 +21,8 @@ from repro.core import merging, optimizer
 from repro.core.params import AppParams
 from repro.core.perf import PollackPerf
 from repro.experiments.report import ExperimentReport, PaperComparison, series_table
-from repro.experiments.simsweep import simulate_breakdowns, sweep_units
 from repro.noc.comm_cost import topology_growcomm
-from repro.pipeline import ExperimentSpec, Stage
+from repro.pipeline import ExperimentSpec, Stage, sim_sweep_units, simulate_breakdowns
 from repro.util.tables import TextTable
 from repro.workloads.datasets import make_blobs
 from repro.workloads.instrument import extract_parameters
@@ -60,7 +59,7 @@ def declare_units_reduction(
     """The reduction-strategy ablation's sweep as engine work units."""
     units = []
     for wl in _reduction_workloads(scale).values():
-        units.extend(sweep_units(wl, thread_counts, mem_scale=2))
+        units.extend(sim_sweep_units(wl, thread_counts, mem_scale=2))
     return units
 
 
@@ -91,7 +90,7 @@ def declare_units_machine(
     wl = _machine_workload(scale)
     units = []
     for cfg in _machine_variants(max(thread_counts)).values():
-        units.extend(sweep_units(wl, thread_counts, mem_scale=2, config=cfg))
+        units.extend(sim_sweep_units(wl, thread_counts, mem_scale=2, config=cfg))
     return units
 
 

@@ -26,9 +26,8 @@ from repro.core.scaled import (
     scaled_speedup_merging,
 )
 from repro.experiments.report import ExperimentReport, PaperComparison, series_table
-from repro.experiments.simsweep import simulate_breakdowns
 from repro.noc.contention import contended_growcomm
-from repro.pipeline import ExperimentSpec, Stage, sim_point_unit
+from repro.pipeline import ExperimentSpec, Stage, sim_point_unit, simulate_breakdowns
 from repro.util.tables import TextTable
 
 __all__ = [

@@ -17,14 +17,16 @@ import numpy as np
 from repro.core import measured as measured_model
 from repro.core.accuracy import evaluate_accuracy
 from repro.experiments.report import ExperimentReport, PaperComparison, series_table
-from repro.experiments.simsweep import default_workloads, simulate_breakdowns, sweep_units
 from repro.pipeline import (
     ExperimentSpec,
     Stage,
     breakdown_from_payload,
     hardware_units,
     resolve_units,
+    sim_sweep_units,
+    simulate_breakdowns,
 )
+from repro.workloads import default_workloads
 from repro.workloads.instrument import (
     extract_parameters,
     serial_growth_curve,
@@ -43,7 +45,7 @@ def declare_sim_units(
     Table II's, which is exactly why the engine's global dedup pays off."""
     units = []
     for workload in default_workloads(scale).values():
-        units.extend(sweep_units(workload, thread_counts, mem_scale=mem_scale))
+        units.extend(sim_sweep_units(workload, thread_counts, mem_scale=mem_scale))
     return units
 
 

@@ -8,7 +8,7 @@ Two kinds of artefact live here:
   ``run --json`` flag); ``raw`` objects (numpy arrays, dataclasses) stay
   in-process;
 * **sweep results** — a content-addressed on-disk store
-  (:class:`SweepStore`) used by :mod:`repro.experiments.simsweep` as the
+  (:class:`SweepStore`) used by :mod:`repro.pipeline.runtime` as the
   second cache tier, so repeated Table II / Fig 2 sweeps are free across
   CLI invocations.  Keys are SHA-256 hashes of a canonical JSON
   description of everything the result depends on; corrupt or truncated

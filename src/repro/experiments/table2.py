@@ -4,8 +4,8 @@ Sweeps kmeans, fuzzy and hop across core counts on the simulator, extracts
 (f, fcon, fred, fored) with the paper's methodology, and prints them next
 to the paper's values.  Absolute serial percentages depend on the dataset
 scale (our default sweep uses scaled-down data; see
-:mod:`repro.experiments.simsweep`); the comparisons assert the *structure*:
-serial fractions are tiny, the reduction share is substantial, and the
+:func:`repro.workloads.default_workloads`); the comparisons assert the
+*structure*: serial fractions are tiny, the reduction share is substantial, and the
 overhead slope is positive (superlinear for hop).
 """
 
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from repro.core.params import TABLE2
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.experiments.simsweep import default_workloads, simulate_breakdowns, sweep_units
-from repro.pipeline import ExperimentSpec, Stage
+from repro.pipeline import ExperimentSpec, Stage, sim_sweep_units, simulate_breakdowns
 from repro.util.tables import TextTable
+from repro.workloads import default_workloads
 from repro.workloads.instrument import extract_parameters
 
 __all__ = ["run", "declare_units", "SPEC"]
@@ -30,7 +30,7 @@ def declare_units(
     :func:`run`'s defaults so the keys match what the driver will ask for)."""
     units = []
     for workload in default_workloads(scale).values():
-        units.extend(sweep_units(workload, thread_counts, mem_scale=mem_scale))
+        units.extend(sim_sweep_units(workload, thread_counts, mem_scale=mem_scale))
     return units
 
 

@@ -10,8 +10,7 @@ roughly unchanged; hop's parallel fraction drops on the larger set.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.experiments.simsweep import simulate_breakdowns, sweep_units
-from repro.pipeline import ExperimentSpec, Stage
+from repro.pipeline import ExperimentSpec, Stage, sim_sweep_units, simulate_breakdowns
 from repro.util.tables import TextTable
 from repro.workloads.datasets import make_blobs, make_particles
 from repro.workloads.fuzzy import FuzzyCMeansWorkload
@@ -31,7 +30,7 @@ def declare_units(
     :func:`run`'s defaults so the keys match what the driver will ask for)."""
     units = []
     for workload in _variants(scale).values():
-        units.extend(sweep_units(
+        units.extend(sim_sweep_units(
             workload, thread_counts, n_cores=max(thread_counts), mem_scale=mem_scale
         ))
     return units

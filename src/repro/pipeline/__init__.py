@@ -7,7 +7,8 @@ over any expensive backend (simulator sweeps and trace programs,
 hardware-model and wall-clock executions, model-layer evaluations), and
 an *assemble* function builds the report from warm caches.
 :func:`resolve_units` is the one execution substrate all of them share:
-memo -> disk store -> engine pool -> inline, in that order.
+memo -> disk store -> engine pool -> inline, in that order, for every
+unit kind (:func:`simulate_breakdowns` is the sweep-point shorthand).
 """
 
 from repro.pipeline.builders import (
@@ -16,6 +17,7 @@ from repro.pipeline.builders import (
     MODEL_EVAL,
     MODEL_EVAL_GRID,
     SIM_PROGRAM,
+    SWEEP_POINT,
     breakdown_from_payload,
     hardware_model_units,
     hardware_process_units,
@@ -30,8 +32,11 @@ from repro.pipeline.runtime import (
     cache_get,
     cache_put,
     clear_memo,
+    get_disk_store,
     memo_info,
     resolve_units,
+    set_disk_store,
+    simulate_breakdowns,
 )
 from repro.pipeline.spec import (
     ExperimentSpec,
@@ -45,6 +50,7 @@ __all__ = [
     "Stage",
     "accepted_options",
     "filter_kwargs",
+    "SWEEP_POINT",
     "SIM_PROGRAM",
     "HARDWARE_MODEL",
     "HARDWARE_PROCESS",
@@ -60,8 +66,11 @@ __all__ = [
     "model_eval_grid_unit",
     "breakdown_from_payload",
     "resolve_units",
+    "simulate_breakdowns",
     "cache_get",
     "cache_put",
     "clear_memo",
     "memo_info",
+    "set_disk_store",
+    "get_disk_store",
 ]

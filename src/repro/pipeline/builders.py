@@ -5,9 +5,10 @@ This module generalises unit construction over every expensive backend
 an experiment can touch:
 
 ``sweep-point``
-    One simulator run of a workload's own execution trace (delegates to
-    :mod:`repro.experiments.simsweep`, whose keys double as the disk
-    cache's).
+    One simulator run of a workload's own execution trace at one thread
+    count, measured per phase (:func:`sim_sweep_units`; resolve and
+    decode a whole sweep with
+    :func:`~repro.pipeline.runtime.simulate_breakdowns`).
 ``sim-program``
     One simulator run of a *hand-built* trace program (false-sharing
     layouts, locked-vs-privatised reductions).  The spec names the
@@ -38,16 +39,21 @@ and (where applicable) the disk-cache key coincide by construction.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 from dataclasses import asdict
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.engine.units import WorkUnit
 from repro.experiments.store import SweepStore
 from repro.hardware.machine_model import XEON_E5520, HardwareMachineModel
+from repro.simx import MachineConfig
 from repro.workloads.instrument import PhaseBreakdown
 
 __all__ = [
+    "SWEEP_POINT",
     "SIM_PROGRAM",
     "HARDWARE_MODEL",
     "HARDWARE_PROCESS",
@@ -61,7 +67,10 @@ __all__ = [
     "hardware_process_units",
     "model_eval_unit",
     "model_eval_grid_unit",
+    "workload_descriptor",
+    "breakdown_to_payload",
     "breakdown_from_payload",
+    "execute_sweep_point",
     "execute_sim_program",
     "execute_hardware_model",
     "execute_hardware_process",
@@ -69,11 +78,16 @@ __all__ = [
     "execute_model_eval_grid",
 ]
 
+SWEEP_POINT = "sweep-point"
 SIM_PROGRAM = "sim-program"
 HARDWARE_MODEL = "hardware-model"
 HARDWARE_PROCESS = "hardware-process"
 MODEL_EVAL = "model-eval"
 MODEL_EVAL_GRID = "model-eval-grid"
+
+#: bump whenever simulator *timing semantics* change, so persisted sweep
+#: results from older code can never satisfy a lookup.
+_SIM_VERSION = 1
 
 #: bump when :func:`repro.hardware.executor.model_breakdown`'s pricing
 #: semantics change, so persisted hardware-model results can never
@@ -95,18 +109,102 @@ def func_ref(fn: Callable) -> str:
     return f"{fn.__module__}:{fn.__qualname__}"
 
 
-def breakdown_from_payload(payload: dict) -> PhaseBreakdown:
-    """Rebuild a phase breakdown from a unit payload (strict: resolved
-    payloads come from the engine or a validated cache tier)."""
-    from repro.experiments import simsweep
+_BREAKDOWN_FIELDS = ("n_threads", "total", "init", "parallel", "reduction", "serial")
 
-    restored = simsweep._breakdown_from_payload(payload)
-    if restored is None:
-        raise ValueError(f"malformed breakdown payload: {payload!r}")
-    return restored
+#: kinds whose payload is a :class:`PhaseBreakdown`; a cached one that
+#: does not decode is a miss, not a crash at assemble time
+BREAKDOWN_KINDS = frozenset({SWEEP_POINT, HARDWARE_MODEL, HARDWARE_PROCESS})
+
+
+def breakdown_to_payload(b: PhaseBreakdown) -> dict:
+    return {f: getattr(b, f) for f in _BREAKDOWN_FIELDS}
+
+
+def breakdown_from_payload(payload: dict) -> PhaseBreakdown:
+    """Rebuild a phase breakdown from a unit payload; ``ValueError`` on a
+    malformed one."""
+    try:
+        return PhaseBreakdown(
+            n_threads=int(payload["n_threads"]),
+            **{f: float(payload[f]) for f in _BREAKDOWN_FIELDS[1:]},
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed breakdown payload: {payload!r}") from exc
+
+
+# ── workload identity ─────────────────────────────────────────────────────
+
+
+def _dataset_descriptor(ds) -> dict:
+    """Full identity of a dataset: label, shape, and a content digest.
+
+    The digest covers the actual array bytes, so two datasets that differ
+    only in their generator seed (same label, same shape) still key
+    differently — without it, Table IV's dim/center/base variants (equal
+    N, equal name) would silently share one cache entry.
+    """
+    digest = hashlib.sha256()
+    shape: dict = {}
+    for field in ("points", "positions", "masses"):
+        arr = getattr(ds, field, None)
+        if arr is not None:
+            digest.update(np.ascontiguousarray(arr).tobytes())
+            shape[field] = list(np.asarray(arr).shape)
+    for field in ("n_centers", "n_groups_hint"):
+        v = getattr(ds, field, None)
+        if v is not None:
+            shape[field] = int(v)
+    return {
+        "label": getattr(ds, "label", ""),
+        "shape": shape,
+        "digest": digest.hexdigest(),
+    }
+
+
+#: workload knobs that change simulation results and so belong in the key
+_WORKLOAD_KNOBS = (
+    "n_items", "n_bins", "seed", "max_iterations", "tolerance",
+    "n_neighbors", "reduction_strategy",
+)
+
+
+def workload_descriptor(workload) -> dict:
+    """Everything that identifies a workload for caching purposes: its
+    name, its algorithmic knobs, and the exact dataset content."""
+    desc: dict = {"name": workload.name}
+    ds = getattr(workload, "dataset", None)
+    if ds is not None:
+        desc["dataset"] = _dataset_descriptor(ds)
+    for knob in _WORKLOAD_KNOBS:
+        v = getattr(workload, knob, None)
+        if v is not None:
+            desc[knob] = v
+    return desc
 
 
 # ── simulator sweeps ──────────────────────────────────────────────────────
+
+
+def sim_point_unit(workload, p: int, mem_scale: int, config) -> WorkUnit:
+    """One sweep point: ``workload`` on ``p`` threads of ``config``.
+
+    The key is :meth:`SweepStore.key_for` over everything the result
+    depends on — workload identity, thread count, ``mem_scale``, the full
+    :class:`~repro.simx.MachineConfig` and :data:`_SIM_VERSION` — so the
+    engine's dedup identity and the disk-cache key coincide by
+    construction, and any configuration change is a different unit.
+    """
+    key = SweepStore.key_for({
+        "sim_version": _SIM_VERSION,
+        "workload": workload_descriptor(workload),
+        "threads": p,
+        "mem_scale": mem_scale,
+        "machine": asdict(config),
+    })
+    return WorkUnit(
+        kind=SWEEP_POINT, key=key, spec=(workload, p, mem_scale, config),
+        label=f"{workload.name}@p={p}",
+    )
 
 
 def sim_sweep_units(
@@ -116,21 +214,23 @@ def sim_sweep_units(
     mem_scale: int = 2,
     config=None,
 ) -> "list[WorkUnit]":
-    """A :func:`~repro.experiments.simsweep.simulate_breakdowns` sweep as
-    units (same defaults, same keys)."""
-    from repro.experiments import simsweep
-
-    return simsweep.sweep_units(
-        workload, thread_counts, n_cores=n_cores, mem_scale=mem_scale, config=config
-    )
+    """One sweep point per thread count; ``config`` defaults to
+    ``MachineConfig.baseline`` with ``n_cores`` cores."""
+    if config is None:
+        config = MachineConfig.baseline(n_cores=n_cores)
+    return [sim_point_unit(workload, p, mem_scale, config) for p in thread_counts]
 
 
-def sim_point_unit(workload, p: int, mem_scale: int, config) -> WorkUnit:
-    """A single sweep point — for experiments whose machine configuration
-    varies per point (ACMP vs symmetric, the crossover design sweep)."""
-    from repro.experiments import simsweep
+def execute_sweep_point(spec: tuple) -> dict:
+    """Run one sweep point on the simulator and distill its per-phase
+    breakdown."""
+    from repro.simx import Machine
+    from repro.workloads.instrument import breakdown_from_simulation
+    from repro.workloads.tracegen import program_from_execution
 
-    return simsweep._unit_for(workload, p, mem_scale, config)
+    workload, p, mem_scale, config = spec
+    prog = program_from_execution(workload.execute(p), mem_scale=mem_scale)
+    return breakdown_to_payload(breakdown_from_simulation(Machine(config).run(prog)))
 
 
 # ── hand-built trace programs ─────────────────────────────────────────────
@@ -144,12 +244,10 @@ def sim_program_unit(builder: Callable, kwargs: dict, config,
     :class:`~repro.simx.TraceProgram`; it crosses the process boundary by
     reference, its kwargs as plain data.
     """
-    from repro.experiments import simsweep
-
     ref = func_ref(builder)
     key = SweepStore.key_for({
         "kind": SIM_PROGRAM,
-        "sim_version": simsweep._SIM_VERSION,
+        "sim_version": _SIM_VERSION,
         "builder": ref,
         "kwargs": dict(sorted(kwargs.items())),
         "machine": asdict(config),
@@ -192,14 +290,12 @@ def hardware_model_units(
     model: HardwareMachineModel = XEON_E5520,
 ) -> "list[WorkUnit]":
     """Deterministic machine-model executions, one unit per thread count."""
-    from repro.experiments import simsweep
-
     units = []
     for p in thread_counts:
         key = SweepStore.key_for({
             "kind": HARDWARE_MODEL,
             "hw_model_version": _HW_MODEL_VERSION,
-            "workload": simsweep.workload_descriptor(workload),
+            "workload": workload_descriptor(workload),
             "threads": int(p),
             "model": asdict(model),
         })
@@ -211,22 +307,19 @@ def hardware_model_units(
 
 
 def execute_hardware_model(spec: tuple) -> dict:
-    from repro.experiments import simsweep
     from repro.hardware.executor import model_breakdown
 
     workload, p, model = spec
-    return simsweep._breakdown_to_payload(model_breakdown(workload, p, model))
+    return breakdown_to_payload(model_breakdown(workload, p, model))
 
 
 def hardware_process_units(workload, thread_counts: Iterable[int]) -> "list[WorkUnit]":
     """Wall-clock runs on the actual host — journaled, never disk-cached."""
-    from repro.experiments import simsweep
-
     units = []
     for p in thread_counts:
         key = SweepStore.key_for({
             "kind": HARDWARE_PROCESS,
-            "workload": simsweep.workload_descriptor(workload),
+            "workload": workload_descriptor(workload),
             "threads": int(p),
         })
         units.append(WorkUnit(
@@ -237,11 +330,10 @@ def hardware_process_units(workload, thread_counts: Iterable[int]) -> "list[Work
 
 
 def execute_hardware_process(spec: tuple) -> dict:
-    from repro.experiments import simsweep
     from repro.hardware.executor import process_breakdown
 
     workload, p = spec
-    return simsweep._breakdown_to_payload(process_breakdown(workload, p))
+    return breakdown_to_payload(process_breakdown(workload, p))
 
 
 def hardware_units(

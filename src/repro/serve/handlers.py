@@ -324,16 +324,13 @@ class ServeApp:
     def metrics(self) -> str:
         """The Prometheus exposition, with the pipeline tiers' counters
         mirrored in as gauges so one scrape shows every cache tier."""
-        from repro.experiments import simsweep
         from repro.pipeline import memo_info
 
         tiers = obs.gauge("serve_pipeline_tier", "pipeline cache-tier counters "
                           "as seen at scrape time", labels=("tier", "event"))
         for event, value in memo_info().items():
-            tiers.set(float(value), tier="memo", event=event)
-        for event in ("memory_hits", "disk_hits", "misses"):
-            tiers.set(float(simsweep.cache_info().get(event, 0)),
-                      tier="sweep", event=event)
+            if isinstance(value, (int, float)):  # not disk_path/journal_path
+                tiers.set(float(value), tier="memo", event=event)
         return obs.render_prometheus()
 
     def experiments(self) -> list:

@@ -66,4 +66,38 @@ __all__ = [
     "parallel_reduce",
     "PhaseBreakdown",
     "extract_parameters",
+    "default_workloads",
 ]
+
+#: paper dataset attributes (kmeans/fuzzy: N, D, C; hop: particles)
+_PAPER_N = 17695
+_PAPER_HOP_N = 61440
+
+
+def default_workloads(scale: float = 0.15, max_iterations: int = 4) -> dict:
+    """The three paper workloads at ``scale`` times the paper's data size.
+
+    The paper uses the full MineBench datasets; a pure-Python simulator
+    prices those in minutes, so the drivers default to scaled-down data.
+    The extracted quantities are *fractions and growth slopes*, stable
+    under dataset scaling (Table IV's argument); the absolute serial
+    percentage shifts with scale, which EXPERIMENTS.md records.
+    """
+    if not (0 < scale <= 1.0):
+        raise ValueError(f"scale must be in (0, 1], got {scale}")
+    n = max(200, int(_PAPER_N * scale))
+    n_hop = max(400, int(_PAPER_HOP_N * scale * 0.25))
+    return {
+        "kmeans": KMeansWorkload(
+            make_blobs(n, 9, 8, seed=11, label="kmeans-base"),
+            max_iterations=max_iterations, tolerance=1e-12,
+        ),
+        "fuzzy": FuzzyCMeansWorkload(
+            make_blobs(n, 9, 8, seed=21, label="fuzzy-base"),
+            max_iterations=max_iterations, tolerance=1e-12,
+        ),
+        "hop": HopWorkload(
+            make_particles(n_hop, n_halos=16, seed=31, label="hop-default"),
+            n_neighbors=12,
+        ),
+    }

@@ -1,20 +1,20 @@
 """Suite-wide fixtures.
 
-The simulator-sweep cache (`repro.experiments.simsweep`) has an on-disk
-tier that defaults to ``.repro-cache/sweeps`` under the current directory.
-Tests must never read a developer's warm cache (stale hits would mask
-simulator changes) nor clear it (``clear_cache()`` wipes the disk tier by
-contract), so the whole suite runs against a throwaway store.
+The unit cache (`repro.pipeline.runtime`) has an on-disk tier that
+defaults to ``.repro-cache/sweeps`` under the current directory.  Tests
+must never read a developer's warm cache (stale hits would mask
+simulator changes) nor clear it (``repro cache clear`` wipes the disk
+tier), so the whole suite runs against a throwaway store.
 """
 
 import pytest
 
-from repro.experiments import simsweep
+from repro import pipeline
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_sweep_cache(tmp_path_factory):
-    simsweep.set_disk_store(tmp_path_factory.mktemp("sweep-cache"))
-    simsweep.clear_cache(memory_only=True)
+    pipeline.set_disk_store(tmp_path_factory.mktemp("sweep-cache"))
+    pipeline.clear_memo()
     yield
-    simsweep.set_disk_store(None)
+    pipeline.set_disk_store(None)

@@ -2,7 +2,8 @@
 
 The crash executors SIGKILL their own process — indistinguishable from
 an OOM kill — *before* reporting anything, so the parent only learns
-about it from process liveness.  A marker file records "this unit
+about it from process liveness; ``_kill_mid_send`` kills its process
+while the result is half written.  A marker file records "this unit
 already killed one worker", making the retry succeed.
 """
 
@@ -10,6 +11,8 @@ import json
 import multiprocessing as mp
 import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -45,12 +48,37 @@ def _crash_once_sweep_point(spec):
     if marker and not os.path.exists(marker):
         open(marker, "w").close()
         os.kill(os.getpid(), signal.SIGKILL)
-    from repro.engine.executors import _run_sweep_point
+    from repro.pipeline.builders import execute_sweep_point
 
-    return _run_sweep_point(spec)
+    return execute_sweep_point(spec)
+
+
+#: far larger than a pipe buffer, so sending it blocks until the parent reads
+_BLOB = "x" * (8 << 20)
+
+
+def _kill_mid_send(spec):
+    """Return a multi-MiB payload; on the first attempt a second thread
+    SIGKILLs this process while the main thread is still sending it.
+
+    ``fired`` is created just before the kill, so the parent can hold off
+    reading until the worker is dead with its result half written.
+    """
+    marker, fired = spec
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+
+        def kill_soon():
+            time.sleep(0.3)  # the main thread is blocked mid-send by now
+            open(fired, "w").close()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        threading.Thread(target=kill_soon, daemon=True).start()
+    return {"blob": _BLOB}
 
 
 register_executor("t-ft-echo", _echo)
+register_executor("t-kill-mid-send", _kill_mid_send)
 register_executor("t-crash-once", _crash_once)
 register_executor("t-crash-always", _crash_always)
 register_executor("t-crash-once-sweep", _crash_once_sweep_point)
@@ -75,6 +103,43 @@ class TestWorkerKill:
         assert pool.events.count("worker_restarted") >= 1
         assert pool.events.count("unit_retry") >= 1
 
+    def test_worker_killed_mid_send_loses_only_its_unit(self, tmp_path):
+        """A worker SIGKILLed while its multi-MiB result is half sent must
+        not wedge the pool: every other unit settles and the killed one
+        is retried on a fresh worker."""
+        fired = tmp_path / "fired"
+        units = [unit("t-ft-echo", "k0", 0),
+                 unit("t-kill-mid-send", "victim", str(tmp_path / "killed"),
+                      str(fired))]
+        units += [unit("t-ft-echo", f"k{i}", i) for i in range(1, 6)]
+
+        def on_result(key, payload):
+            if key == "k0":
+                # stop reading results until the victim is dead mid-send
+                deadline = time.monotonic() + 30
+                while not fired.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.2)
+
+        out = {}
+
+        def run():
+            with WorkerPool(2, unit_timeout=60.0, max_retries=2,
+                            backoff=0.01) as pool:
+                out["pool"] = pool
+                out["results"] = pool.run(units, on_result=on_result)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(120)
+        assert not runner.is_alive(), "pool wedged after a mid-send kill"
+        results, pool = out["results"], out["pool"]
+        assert fired.exists()
+        assert results["victim"] == {"blob": _BLOB}
+        assert all(results[f"k{i}"] == {"value": i} for i in range(6))
+        assert pool.events.count("worker_crashed") >= 1
+        assert pool.events.count("unit_retry") >= 1
+
     def test_repeated_crashes_exhaust_retry_budget(self):
         with WorkerPool(2, unit_timeout=60.0, max_retries=1, backoff=0.01) as pool:
             with pytest.raises(UnitFailure, match="retry budget"):
@@ -86,37 +151,37 @@ class TestWorkerKill:
     ):
         """Kill a worker during a real table2 sweep; the run must complete
         and produce a report identical to an undisturbed serial run."""
-        from repro import engine
-        from repro.experiments import simsweep
+        from repro import engine, pipeline
         from repro.experiments.registry import run_experiment
+        from repro.pipeline import builders
 
         options = dict(scale=0.03, thread_counts=(1, 2))
 
-        restore = simsweep.get_disk_store()
+        restore = pipeline.get_disk_store()
         try:
-            simsweep.set_disk_store(tmp_path / "serial-store")
-            simsweep.clear_cache(memory_only=True)
+            pipeline.set_disk_store(tmp_path / "serial-store")
+            pipeline.clear_memo()
             serial = run_experiment("table2", **options)
 
             # reroute the first declared unit through the crashing executor
             monkeypatch.setenv(
                 "REPRO_TEST_CRASH_MARKER", str(tmp_path / "killed")
             )
-            real_unit_for = simsweep._unit_for
+            real_point_unit = builders.sim_point_unit
             wrapped = {"done": False}
 
-            def crashing_unit_for(workload, p, mem_scale, config):
-                u = real_unit_for(workload, p, mem_scale, config)
+            def crashing_point_unit(workload, p, mem_scale, config):
+                u = real_point_unit(workload, p, mem_scale, config)
                 if not wrapped["done"]:
                     wrapped["done"] = True
                     u = WorkUnit(kind="t-crash-once-sweep", key=u.key,
                                  spec=u.spec, label=u.label)
                 return u
 
-            monkeypatch.setattr(simsweep, "_unit_for", crashing_unit_for)
+            monkeypatch.setattr(builders, "sim_point_unit", crashing_point_unit)
 
-            simsweep.set_disk_store(tmp_path / "engine-store")
-            simsweep.clear_cache(memory_only=True)
+            pipeline.set_disk_store(tmp_path / "engine-store")
+            pipeline.clear_memo()
             with engine.session(2, max_retries=2, backoff=0.01) as sess:
                 parallel = run_experiment("table2", **options)
 
@@ -129,5 +194,5 @@ class TestWorkerKill:
                 == json.dumps(report_to_dict(serial), sort_keys=True)
             )
         finally:
-            simsweep.set_disk_store(restore)
-            simsweep.clear_cache(memory_only=True)
+            pipeline.set_disk_store(restore)
+            pipeline.clear_memo()

@@ -12,7 +12,7 @@ import pytest
 
 from repro import engine
 from repro.cli import main
-from repro.experiments import simsweep
+from repro import pipeline
 from repro.experiments.registry import run_experiment
 from repro.experiments.store import report_to_dict
 
@@ -25,17 +25,17 @@ fork_only = pytest.mark.skipif(
 @pytest.fixture
 def fresh_store(tmp_path):
     """Point the sweep cache at per-phase throwaway dirs; restore after."""
-    restore = simsweep.get_disk_store()
+    restore = pipeline.get_disk_store()
 
     def switch(name):
-        simsweep.set_disk_store(tmp_path / name)
-        simsweep.clear_cache(memory_only=True)
+        pipeline.set_disk_store(tmp_path / name)
+        pipeline.clear_memo()
 
     try:
         yield switch
     finally:
-        simsweep.set_disk_store(restore)
-        simsweep.clear_cache(memory_only=True)
+        pipeline.set_disk_store(restore)
+        pipeline.clear_memo()
 
 
 def as_bytes(report) -> str:

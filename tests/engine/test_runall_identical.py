@@ -15,7 +15,7 @@ import multiprocessing as mp
 import pytest
 
 from repro import engine
-from repro.experiments import simsweep
+from repro import pipeline
 from repro.experiments.registry import filter_options, run_experiment
 from repro.experiments.store import report_to_dict
 
@@ -63,14 +63,14 @@ def _reports(ids):
 @fork_only
 def test_runall_parallel_matches_serial_for_every_experiment(tmp_path):
     ids = _runall_ids()
-    restore = simsweep.get_disk_store()
+    restore = pipeline.get_disk_store()
     try:
-        simsweep.set_disk_store(tmp_path / "serial")
-        simsweep.clear_cache(memory_only=True)
+        pipeline.set_disk_store(tmp_path / "serial")
+        pipeline.clear_memo()
         serial = _reports(ids)
 
-        simsweep.set_disk_store(tmp_path / "parallel")
-        simsweep.clear_cache(memory_only=True)
+        pipeline.set_disk_store(tmp_path / "parallel")
+        pipeline.clear_memo()
         with engine.session(2) as sess:
             engine.precompute(sess, ids, OPTIONS)
             parallel = _reports(ids)
@@ -82,5 +82,5 @@ def test_runall_parallel_matches_serial_for_every_experiment(tmp_path):
         for eid in ids:
             assert parallel[eid] == serial[eid], f"{eid} diverged"
     finally:
-        simsweep.set_disk_store(restore)
-        simsweep.clear_cache(memory_only=True)
+        pipeline.set_disk_store(restore)
+        pipeline.clear_memo()

@@ -96,12 +96,10 @@ class TestDegradation:
 
 class TestSessionWiring:
     def test_session_installs_ambient_engine(self):
-        from repro.experiments import simsweep
-
-        assert simsweep.get_engine() is None
+        assert engine.current_session() is None
         with engine.session(1) as sess:
-            assert simsweep.get_engine() is sess
-        assert simsweep.get_engine() is None
+            assert engine.current_session() is sess
+        assert engine.current_session() is None
 
     def test_event_log_written_as_jsonl(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -115,12 +113,12 @@ class TestSessionWiring:
 class TestPrecompute:
     def test_precompute_dedups_across_experiments(self, tmp_path):
         """table2 and fig2 declare the same sweep — it must run once."""
-        from repro.experiments import simsweep
+        from repro import pipeline
 
-        restore = simsweep.get_disk_store()
+        restore = pipeline.get_disk_store()
         try:
-            simsweep.set_disk_store(tmp_path / "store")
-            simsweep.clear_cache(memory_only=True)
+            pipeline.set_disk_store(tmp_path / "store")
+            pipeline.clear_memo()
             with engine.session(1) as sess:
                 declared = engine.precompute(
                     sess, ["table2", "fig2", "fig4"],
@@ -134,5 +132,5 @@ class TestPrecompute:
             assert sess.stats["deduped"] == 6
             assert sess.stats["executed"] == 13
         finally:
-            simsweep.set_disk_store(restore)
-            simsweep.clear_cache(memory_only=True)
+            pipeline.set_disk_store(restore)
+            pipeline.clear_memo()

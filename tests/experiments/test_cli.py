@@ -244,6 +244,51 @@ class TestCommands:
         assert "merge" in outputs[0] and "invalidations" in outputs[0]
 
 
+class TestCacheCommand:
+    @pytest.fixture
+    def warm_store(self, tmp_path):
+        """A private disk tier holding one sweep point."""
+        from repro import pipeline
+        from repro.workloads import default_workloads
+
+        restore = pipeline.get_disk_store()
+        pipeline.set_disk_store(tmp_path / "sweeps")
+        pipeline.clear_memo()
+        wl = default_workloads(0.03)["kmeans"]
+        pipeline.simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        yield pipeline.get_disk_store()
+        pipeline.set_disk_store(restore)
+        pipeline.clear_memo()
+
+    @staticmethod
+    def _info(capsys) -> dict:
+        assert main(["cache", "info"]) == 0
+        rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+        return {k: v.strip() for k, v in rows}
+
+    def test_info_prints_every_tier(self, capsys, warm_store):
+        info = self._info(capsys)
+        assert {"memory_hits", "disk_hits", "misses",
+                "disk_entries", "disk_path"} <= set(info)
+        assert info["misses"] == "1"
+        assert info["disk_entries"] == "1"
+        assert info["disk_path"] == str(warm_store.root)
+
+    def test_clear_memory_only_keeps_disk_entries(self, capsys, warm_store):
+        assert main(["cache", "clear", "--memory-only"]) == 0
+        assert "memory tier only" in capsys.readouterr().out
+        info = self._info(capsys)
+        assert info["memory_entries"] == "0" and info["misses"] == "0"
+        assert info["disk_entries"] == "1"
+        assert len(warm_store) == 1
+
+    def test_clear_empties_disk_entries(self, capsys, warm_store):
+        assert main(["cache", "clear"]) == 0
+        assert "sweep cache cleared" in capsys.readouterr().out
+        assert self._info(capsys)["disk_entries"] == "0"
+        assert len(warm_store) == 0
+
+
 class TestVersion:
     def test_version_flag_prints_and_exits(self, capsys):
         from repro.cli import version_string

@@ -11,7 +11,7 @@ one — trips the guard, naming the experiment.
 
 import pytest
 
-from repro.experiments import simsweep
+from repro import pipeline
 from repro.experiments.registry import (
     SPECS,
     SWEEP_DECLARATIONS,
@@ -59,9 +59,9 @@ def warmed(tmp_path_factory):
     """Resolve every declared unit of every declaring experiment into a
     fresh store, exactly as ``runall``'s precompute pass would."""
     root = tmp_path_factory.mktemp("coverage-store")
-    restore = simsweep.get_disk_store()
-    simsweep.set_disk_store(root)
-    simsweep.clear_cache(memory_only=True)
+    restore = pipeline.get_disk_store()
+    pipeline.set_disk_store(root)
+    pipeline.clear_memo()
     try:
         for eid in sorted(SWEEP_DECLARATIONS):
             units = declare_units(eid, **OPTIONS)
@@ -69,8 +69,8 @@ def warmed(tmp_path_factory):
             resolve_units(units)
         yield
     finally:
-        simsweep.set_disk_store(restore)
-        simsweep.clear_cache(memory_only=True)
+        pipeline.set_disk_store(restore)
+        pipeline.clear_memo()
 
 
 @pytest.fixture
@@ -100,12 +100,12 @@ def test_guard_trips_on_cold_caches(warmed, monkeypatch, tmp_path):
     """Sanity-check the instrument itself: with an empty store the guard
     must fire, proving the forbidden paths are really intercepted."""
     monkeypatch.setattr(Machine, "run", _forbid)
-    restore = simsweep.get_disk_store()
+    restore = pipeline.get_disk_store()
     try:
-        simsweep.set_disk_store(tmp_path / "cold")
-        simsweep.clear_cache(memory_only=True)
+        pipeline.set_disk_store(tmp_path / "cold")
+        pipeline.clear_memo()
         with pytest.raises(InlineSimulationForbidden):
             run_experiment("table2", **filter_options("table2", OPTIONS))
     finally:
-        simsweep.set_disk_store(restore)
-        simsweep.clear_cache(memory_only=True)
+        pipeline.set_disk_store(restore)
+        pipeline.clear_memo()

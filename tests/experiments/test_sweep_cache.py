@@ -1,10 +1,10 @@
 """Property tests for the two-tier simulation sweep cache.
 
 Covers the on-disk :class:`~repro.experiments.store.SweepStore` and its
-integration in :mod:`repro.experiments.simsweep`: round-trips restore an
+integration in :mod:`repro.pipeline.runtime`: round-trips restore an
 equal ``PhaseBreakdown``, any configuration change changes the key (no
-stale hits), and corrupt or truncated cache files behave as misses, never
-as crashes.
+stale hits), and corrupt, truncated or malformed cache entries behave as
+misses, never as crashes.
 """
 
 import json
@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import simsweep
+from repro import pipeline
 from repro.experiments.store import SweepStore
+from repro.pipeline import clear_memo, memo_info, simulate_breakdowns
 from repro.simx import MachineConfig
+from repro.workloads import default_workloads
 
 payloads = st.dictionaries(
     st.text(min_size=1, max_size=12),
@@ -37,14 +39,14 @@ def store(tmp_path):
 
 
 @pytest.fixture
-def isolated_simsweep(tmp_path):
-    """Point simsweep at a fresh disk store; restore the suite's after."""
-    saved = simsweep._disk_store
-    simsweep.set_disk_store(tmp_path / "sweeps")
-    simsweep.clear_cache(memory_only=True)
-    yield simsweep
-    simsweep.clear_cache(memory_only=True)
-    simsweep._disk_store = saved
+def isolated_store(tmp_path):
+    """Point the pipeline at a fresh disk store; restore the suite's after."""
+    saved = pipeline.get_disk_store()
+    pipeline.set_disk_store(tmp_path / "sweeps")
+    clear_memo()
+    yield pipeline.get_disk_store()
+    clear_memo()
+    pipeline.set_disk_store(saved)
 
 
 class TestSweepStoreRoundTrip:
@@ -168,60 +170,88 @@ class TestCorruptEntriesAreMisses:
 
 class TestSimsweepDiskTier:
     def _workload(self):
-        return simsweep.default_workloads(0.03)["kmeans"]
+        return default_workloads(0.03)["kmeans"]
 
-    def test_disk_hit_restores_equal_breakdown(self, isolated_simsweep):
+    def test_disk_hit_restores_equal_breakdown(self, isolated_store):
         wl = self._workload()
-        a = simsweep.simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        simsweep.clear_cache(memory_only=True)  # drop memo, keep disk
-        b = simsweep.simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        assert simsweep.cache_info()["disk_hits"] == 1
-        assert a[1] is not b[1]
+        a = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        clear_memo()  # drop memo, keep disk
+        b = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        assert memo_info()["disk_hits"] == 1
+        assert memo_info()["executed"] == 0  # served, not re-simulated
         assert asdict(a[1]) == asdict(b[1])
 
-    def test_corrupt_disk_entry_falls_back_to_simulation(self, isolated_simsweep, tmp_path):
+    def test_corrupt_disk_entry_falls_back_to_simulation(self, isolated_store):
         wl = self._workload()
-        a = simsweep.simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        store = simsweep._get_disk()
-        for f in store.root.glob("*.json"):
+        a = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        for f in isolated_store.root.glob("*.json"):
             f.write_text("{ truncated")
-        simsweep.clear_cache(memory_only=True)
-        b = simsweep.simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        assert simsweep.cache_info()["misses"] == 1  # re-simulated
+        clear_memo()
+        b = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        assert memo_info()["misses"] == 1  # re-simulated
         assert asdict(a[1]) == asdict(b[1])
 
-    def test_clear_cache_clears_disk_tier(self, isolated_simsweep):
+    def test_clear_cache_clears_disk_tier(self, isolated_store):
         wl = self._workload()
-        simsweep.simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        assert simsweep.cache_info()["disk_entries"] == 1
-        simsweep.clear_cache()
-        assert simsweep.cache_info()["disk_entries"] == 0
-        simsweep.simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        assert simsweep.cache_info()["misses"] == 1  # nothing survived
+        simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        assert memo_info()["disk_entries"] == 1
+        clear_memo()
+        isolated_store.clear()
+        assert memo_info()["disk_entries"] == 0
+        simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        assert memo_info()["misses"] == 1  # nothing survived
 
-    def test_clear_cache_memory_only_keeps_disk(self, isolated_simsweep):
+    def test_clear_cache_memory_only_keeps_disk(self, isolated_store):
         wl = self._workload()
-        simsweep.simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        simsweep.clear_cache(memory_only=True)
-        assert simsweep.cache_info()["memory_entries"] == 0
-        assert simsweep.cache_info()["disk_entries"] == 1
+        simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        clear_memo()
+        assert memo_info()["memory_entries"] == 0
+        assert memo_info()["disk_entries"] == 1
 
-    def test_disabled_disk_tier_still_simulates(self, isolated_simsweep):
-        simsweep.set_disk_store(None)
+    def test_disabled_disk_tier_still_simulates(self, isolated_store):
+        pipeline.set_disk_store(None)
         wl = self._workload()
-        out = simsweep.simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        out = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
         assert out[1].total > 0
-        assert simsweep.cache_info()["disk_entries"] == 0
+        assert memo_info()["disk_entries"] == 0
 
-    def test_machine_config_is_part_of_the_memo_key(self, isolated_simsweep):
+    def test_machine_config_is_part_of_the_memo_key(self, isolated_store):
         wl = self._workload()
-        a = simsweep.simulate_breakdowns(
+        a = simulate_breakdowns(
             wl, (1,), n_cores=2, mem_scale=8,
             config=MachineConfig.baseline(n_cores=2),
         )
-        b = simsweep.simulate_breakdowns(
+        b = simulate_breakdowns(
             wl, (1,), n_cores=2, mem_scale=8,
             config=replace(MachineConfig.baseline(n_cores=2), coherence_protocol="msi"),
         )
-        assert simsweep.cache_info()["misses"] == 2  # no cross-config hit
-        assert a[1] is not b[1]
+        assert memo_info()["misses"] == 2  # no cross-config hit
+        assert memo_info()["executed"] == 2
+
+
+class TestMalformedPayloadIsAMiss:
+    """A stored entry that is well formed on disk but does not decode as a
+    breakdown reads as a miss and re-executes, for every breakdown kind."""
+
+    def _assert_reexecutes(self, store, unit):
+        payload = pipeline.resolve_units([unit])[unit.key]
+        good = pipeline.breakdown_from_payload(payload)
+        broken = {k: v for k, v in payload.items() if k != "serial"}
+        store.put(unit.key, broken)
+        assert store.get(unit.key) == broken  # a valid envelope
+        clear_memo()
+        again = pipeline.resolve_units([unit])[unit.key]
+        info = memo_info()
+        assert (info["disk_hits"], info["misses"], info["executed"]) == (0, 1, 1)
+        assert pipeline.breakdown_from_payload(again) == good
+        assert store.get(unit.key) == payload  # repaired on the way
+
+    def test_sweep_point(self, isolated_store):
+        wl = default_workloads(0.03)["kmeans"]
+        [unit] = pipeline.sim_sweep_units(wl, (1,), n_cores=2, mem_scale=8)
+        self._assert_reexecutes(isolated_store, unit)
+
+    def test_hardware_model(self, isolated_store):
+        wl = default_workloads(0.03)["kmeans"]
+        [unit] = pipeline.hardware_model_units(wl, (2,))
+        self._assert_reexecutes(isolated_store, unit)

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro import engine
-from repro.experiments import simsweep
+from repro import pipeline
 from repro.experiments.registry import run_experiment
 from repro.experiments.store import report_to_dict
 
@@ -53,17 +53,17 @@ def _regen() -> bool:
 @pytest.fixture
 def fresh_store(tmp_path):
     """Per-phase throwaway sweep stores so every phase really executes."""
-    restore = simsweep.get_disk_store()
+    restore = pipeline.get_disk_store()
 
     def switch(name):
-        simsweep.set_disk_store(tmp_path / name)
-        simsweep.clear_cache(memory_only=True)
+        pipeline.set_disk_store(tmp_path / name)
+        pipeline.clear_memo()
 
     try:
         yield switch
     finally:
-        simsweep.set_disk_store(restore)
-        simsweep.clear_cache(memory_only=True)
+        pipeline.set_disk_store(restore)
+        pipeline.clear_memo()
 
 
 @pytest.mark.parametrize("experiment_id", sorted(GOLDEN_CASES))

@@ -9,7 +9,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.experiments import simsweep
+from repro import pipeline
 from repro.simx import Machine, MachineConfig
 from repro.simx.trace import Compute, Load, PhaseBegin, PhaseEnd, ThreadTrace, TraceProgram
 
@@ -21,14 +21,14 @@ fork_only = pytest.mark.skipif(
 
 @pytest.fixture
 def fresh_store(tmp_path):
-    restore = simsweep.get_disk_store()
-    simsweep.set_disk_store(tmp_path / "store")
-    simsweep.clear_cache(memory_only=True)
+    restore = pipeline.get_disk_store()
+    pipeline.set_disk_store(tmp_path / "store")
+    pipeline.clear_memo()
     try:
         yield
     finally:
-        simsweep.set_disk_store(restore)
-        simsweep.clear_cache(memory_only=True)
+        pipeline.set_disk_store(restore)
+        pipeline.clear_memo()
 
 
 def _simple_program(n_rounds=50):

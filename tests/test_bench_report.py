@@ -1,4 +1,5 @@
-"""``scripts/run_bench.py`` report regeneration keeps unmeasured sections.
+"""``scripts/run_bench.py``: report regeneration keeps unmeasured
+sections, and the sweep-cache helpers run.
 
 A run without ``--distributed``/``--sched``/``--serve``/``--fuzz-iters``
 must not drop those sections from the report it overwrites.
@@ -57,3 +58,24 @@ def test_previous_report_missing_or_corrupt(run_bench, tmp_path):
     good = tmp_path / "good.json"
     good.write_text('{"serve": {"qps": 1}}')
     assert run_bench.read_previous(good) == {"serve": {"qps": 1}}
+
+
+def test_sweep_cache_timing_helpers(run_bench, tmp_path):
+    """``time_sweep_cache`` and ``collect_metrics`` run a tiny sweep in a
+    temporary store and leave the suite's store and memo as they were."""
+    from repro import obs, pipeline
+
+    restore = pipeline.get_disk_store()
+    row = run_bench.time_sweep_cache(scale=0.03, threads=(1, 2))
+    # counters cover the warm pass: served from disk, nothing simulated
+    assert row["disk_hits"] == 2 and row["misses"] == 0
+    assert row["hit_rate"] == 1.0
+    assert row["cold_seconds"] > 0 and row["disk_warm_seconds"] > 0
+
+    out = tmp_path / "metrics.jsonl"
+    run_bench.collect_metrics(out)
+    families = {m["name"] for m in obs.read_jsonl(out)["metrics"]}
+    assert {"sweep_cache_lookups_total", "simx_runs_total"} <= families
+
+    assert pipeline.get_disk_store() is restore
+    assert pipeline.memo_info()["memory_entries"] == 0

@@ -84,7 +84,7 @@ class TestEndToEnd:
     def test_extracted_fored_larger_than_kmeans(self):
         """The whole point of the workload: the histogram's merge-dominated
         profile lands at a much higher reduction share than kmeans."""
-        from repro.experiments.simsweep import simulate_breakdowns
+        from repro.pipeline import simulate_breakdowns
         from repro.workloads.datasets import make_blobs
         from repro.workloads.instrument import extract_parameters
         from repro.workloads.kmeans import KMeansWorkload
