@@ -242,17 +242,11 @@ def scrape_cache_stats(host: str, port: int) -> dict:
     for (name, labels), value in metrics.items():
         if name == "serve_evaluations_total":
             evals[dict(labels).get("kind", "?")] = int(value)
-    batches = _metric_sum(metrics, "serve_batch_points_count")
-    points = _metric_sum(metrics, "serve_batch_points_sum")
     return {
         "lru_hits": int(hits),
         "lru_misses": int(misses),
         "lru_hit_rate": round(hits / lookups, 4) if lookups else None,
-        "coalesced": int(_metric_sum(metrics, "serve_coalesced_total")),
         "evaluations": evals,
-        "batches": int(batches),
-        "batched_points": int(points),
-        "points_per_batch": round(points / batches, 2) if batches else None,
         "requests_seen": int(_metric_sum(metrics, "serve_requests_total")),
     }
 
@@ -455,9 +449,7 @@ def main(argv: "list[str] | None" = None) -> int:
           f"({report['qps']:,} qps, {report['errors']} errors)")
     print(f"  latency p50 {lat['p50']}ms  p90 {lat['p90']}ms  "
           f"p99 {lat['p99']}ms  max {lat['max']}ms")
-    print(f"  lru hit rate {f'{hit:.1%}' if hit is not None else 'n/a'}  "
-          f"coalesced {cache['coalesced']}  "
-          f"points/batch {cache['points_per_batch']}")
+    print(f"  lru hit rate {f'{hit:.1%}' if hit is not None else 'n/a'}")
 
     failures = []
     if args.check:

@@ -1,18 +1,15 @@
 """``repro.serve`` — the speedup model as an async query service.
 
 The ROADMAP's serving item, realised: a stdlib-only asyncio HTTP/JSON
-server that answers Eq 1–8 model queries at high QPS on top of the same
+server that answers Eq 1–8 model queries at high QPS from the vectorized
+:mod:`repro.core.gridkernels`, and paper reports through the same
 execution substrate every experiment uses (``repro.pipeline``'s
-journal → memo → disk tiers), fronted by the serving-specific machinery
-this package adds:
+journal → memo → disk tiers):
 
-* :mod:`repro.serve.lru` — a bounded response LRU plus single-flight
-  de-duplication (N identical concurrent queries → one evaluation);
-* :mod:`repro.serve.batcher` — a micro-batcher folding every point query
-  that arrives within one event-loop tick into a single vectorized
-  ``model-eval-grid`` kernel invocation;
-* :mod:`repro.serve.queries` — the module-level evaluators those grid
-  units reference (point batches, size sweeps, optimal-(r, rl) search);
+* :mod:`repro.serve.lru` — the bounded response LRU, the server's only
+  cache for model queries (``--cache-size`` bounds their memory);
+* :mod:`repro.serve.queries` — the module-level evaluators a query runs
+  on an LRU miss (points, size sweeps, optimal-(r, rl) search);
 * :mod:`repro.serve.handlers` — endpoint logic and obs instrumentation
   (request counters, latency histograms, per-tier cache counters);
 * :mod:`repro.serve.server` — minimal HTTP/1.1 framing with keep-alive.
@@ -22,17 +19,14 @@ Start it with ``repro-merging serve``; benchmark it with
 ``docs/serving.md`` for the endpoint and schema reference.
 """
 
-from repro.serve.batcher import MicroBatcher
 from repro.serve.handlers import ServeApp
-from repro.serve.lru import LRUCache, SingleFlight
+from repro.serve.lru import LRUCache
 from repro.serve.server import BackgroundServer, run, serve_forever
 
 __all__ = [
     "BackgroundServer",
     "LRUCache",
-    "MicroBatcher",
     "ServeApp",
-    "SingleFlight",
     "run",
     "serve_forever",
 ]

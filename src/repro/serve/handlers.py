@@ -1,10 +1,9 @@
 """Endpoint logic for ``repro serve`` — parse, resolve, respond.
 
 The HTTP framing lives in :mod:`repro.serve.server`; this module is the
-application: a :class:`ServeApp` owning the serving cache tier
-(:class:`~repro.serve.lru.LRUCache` + :class:`~repro.serve.lru
-.SingleFlight`), the point-query :class:`~repro.serve.batcher
-.MicroBatcher`, and one async handler per route.
+application: a :class:`ServeApp` owning the serving cache tier (one
+bounded :class:`~repro.serve.lru.LRUCache`) and one async handler per
+route.
 
 Endpoints (see ``docs/serving.md`` for schemas):
 
@@ -12,18 +11,22 @@ Endpoints (see ``docs/serving.md`` for schemas):
 ``GET /healthz``        liveness + version + cache occupancy
 ``GET /metrics``        Prometheus text exposition of the obs registry
 ``GET /v1/experiments`` the experiment registry (id, description, options)
-``POST /v1/eval``       one point query (Eqs 1–8) via the micro-batcher
+``POST /v1/eval``       one point query (Eqs 1–8), evaluated inline
 ``POST /v1/sweep``      power-of-two size sweeps for a list of points
 ``POST /v1/optimize``   optimal-(r, rl) design search
 ``GET /v1/report/<id>`` a paper table/figure report, byte-identical to
                         ``repro run <id>`` output
 =====================  ====================================================
 
-Every query answer flows LRU → single-flight → (batcher or thread) →
-:func:`repro.pipeline.resolve_units` / :func:`~repro.experiments.registry
-.run_experiment`, so the journal → memo → disk tiers keep working exactly
-as they do for the CLI, and a warm server answers repeats without any
-evaluation at all.
+Every model query flows LRU → kernel: a point query runs its
+:mod:`repro.serve.queries` evaluator inline on the event loop (about
+0.1 ms, with no ``await`` between the LRU miss and the ``put``, so N
+concurrent identical points evaluate once); a sweep or optimize query,
+whose cost grows with the client's point list, runs it off-loop in
+``asyncio.to_thread``.  The LRU is the only cache these answers enter,
+so ``--cache-size`` bounds their memory.  Reports go through
+:func:`~repro.experiments.registry.run_experiment` and its journal →
+memo → disk tiers, exactly as ``repro run`` does.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ import time
 from repro import obs
 from repro.experiments.store import SweepStore
 from repro.serve import queries
-from repro.serve.batcher import MicroBatcher
-from repro.serve.lru import LRUCache, SingleFlight
+from repro.serve.lru import LRUCache
 
 __all__ = ["ServeApp", "HttpError", "json_response"]
 
@@ -57,9 +59,6 @@ _LATENCY = obs.histogram(
 _CACHE = obs.counter(
     "serve_cache_lookups_total", "serving-tier cache lookups",
     labels=("tier", "result"),
-)
-_COALESCED = obs.counter(
-    "serve_coalesced_total", "queries coalesced onto an in-flight identical one",
 )
 _EVALS = obs.counter(
     "serve_evaluations_total", "underlying evaluations by query kind",
@@ -114,15 +113,13 @@ class ServeApp:
 
     def __init__(self, cache_size: int = 4096):
         self.lru = LRUCache(cache_size)
-        self.flight = SingleFlight()
-        self.batcher = MicroBatcher()
         self.started_at = time.time()
         self.requests = 0
 
     # ── the cache frontend ────────────────────────────────────────────────
 
     async def cached(self, kind: str, description: dict, factory) -> dict:
-        """LRU → single-flight → ``factory`` for one content-hashed query.
+        """LRU → ``factory`` for one content-hashed query.
 
         ``description`` must canonically describe everything the response
         depends on; its hash is the cache identity (the same scheme as
@@ -134,15 +131,8 @@ class ServeApp:
             _CACHE.inc(tier="lru", result="hit")
             return hit  # type: ignore[return-value]
         _CACHE.inc(tier="lru", result="miss")
-        before = self.flight.coalesced
-
-        async def compute():
-            _EVALS.inc(kind=kind)
-            return await factory()
-
-        result = await self.flight.do(key, compute)
-        if self.flight.coalesced > before:
-            _COALESCED.inc(self.flight.coalesced - before)
+        _EVALS.inc(kind=kind)
+        result = await factory()
         self.lru.put(key, result)
         return result  # type: ignore[return-value]
 
@@ -166,27 +156,31 @@ class ServeApp:
         group = (model, n, growth, perf)
 
         async def factory():
+            # inline, no await: nothing can interleave between the LRU
+            # miss and the put, so concurrent identical points evaluate once
             try:
-                speedup = await self.batcher.submit(group, point)
+                speedup = queries.eval_point_batch(
+                    *group, **{k: [v] for k, v in point.items()})["speedup"][0]
             except queries.QueryError as exc:
                 raise HttpError(400, str(exc)) from None
             return {"model": model, "n": n, "growth": growth, "perf": perf,
-                    **point, "speedup": speedup}
+                    **point, "speedup": float(speedup)}
 
         return await self.cached(
             "point", {"endpoint": "eval", "group": list(group), "point": point},
             factory,
         )
 
-    async def _resolve_grid(self, fn, kwargs: dict, label: str) -> dict:
-        """One grid work unit through the pipeline tiers, off-loop."""
-        from repro.pipeline import model_eval_grid_unit, resolve_units
-
-        unit = model_eval_grid_unit(fn, kwargs, label=label)
+    @staticmethod
+    async def _evaluate(fn, kwargs: dict) -> dict:
+        """``fn(**kwargs)`` off-loop, its arrays lowered to lists."""
+        # function-level import: repro.pipeline loads the simulator, which
+        # a server that only answers point queries never needs
+        from repro.pipeline.builders import _plainify
 
         def run():
             try:
-                return resolve_units([unit])[unit.key]
+                return _plainify(fn(**kwargs))
             except queries.QueryError as exc:
                 raise HttpError(400, str(exc)) from None
 
@@ -212,8 +206,7 @@ class ServeApp:
                 kwargs[name] = [_require_number(p, name) for p in points]
 
         async def factory():
-            payload = await self._resolve_grid(
-                queries.eval_sweep, kwargs, f"serve-sweep:{model}x{len(points)}")
+            payload = await self._evaluate(queries.eval_sweep, kwargs)
             return {"model": model, "n": n, "growth": growth, "perf": perf,
                     "sizes": payload["sizes"], "speedup": payload["speedup"]}
 
@@ -239,9 +232,7 @@ class ServeApp:
             kwargs["r_choices"] = [float(c) for c in choices]
 
         async def factory():
-            payload = await self._resolve_grid(
-                queries.search_optimal, kwargs,
-                f"serve-optimize:x{len(points)}")
+            payload = await self._evaluate(queries.search_optimal, kwargs)
             return {"n": kwargs["n"], "growth": kwargs["growth"],
                     "perf": kwargs["perf"], **payload}
 
@@ -316,9 +307,6 @@ class ServeApp:
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "requests": self.requests,
             "lru": self.lru.info(),
-            "inflight": self.flight.inflight(),
-            "batches": {"count": self.batcher.batches,
-                        "points": self.batcher.points},
         }
 
     def metrics(self) -> str:

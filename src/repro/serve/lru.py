@@ -1,31 +1,19 @@
-"""The serving cache tier: a bounded LRU plus single-flight coalescing.
+"""The serving cache tier: a bounded response LRU.
 
-``repro.serve`` answers queries through the same resolution substrate as
-every experiment (journal → memo → disk store → execution, see
-:mod:`repro.pipeline.runtime`), but a query server needs one more tier in
-front of all of those: an in-memory, bounded, *request-shaped* cache.
-The pipeline memo stores unit payloads keyed by unit hash; the
+A query server needs an in-memory, bounded, *request-shaped* cache: the
 :class:`LRUCache` here stores finished *response* objects keyed by the
 content hash of the whole query, so a repeated query costs a dict lookup
-and no model evaluation at all.
+and no model evaluation at all.  It is the only cache model queries
+enter — they never reach the pipeline memo — so its ``maxsize`` (``repro
+serve --cache-size``) bounds the memory their answers hold.
 
-:class:`SingleFlight` is the companion de-duplicator: when N identical
-queries are in flight concurrently, the first becomes the *leader* and
-actually computes; the rest coalesce onto the leader's future and wake
-with the same result.  Together they give the classic serving guarantee:
-*at most one underlying evaluation per distinct query, no matter how many
-clients ask at once* (proved by ``tests/serve/test_singleflight.py``).
-
-Both classes are event-loop-local by design: they are only touched from
-the server's asyncio thread, so neither takes a lock.
+The cache is event-loop-local by design: it is only touched from the
+server's asyncio thread, so it takes no lock.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Awaitable, Callable
-
-__all__ = ["LRUCache", "SingleFlight"]
+__all__ = ["LRUCache"]
 
 
 class LRUCache:
@@ -86,50 +74,3 @@ class LRUCache:
             "evictions": self.evictions,
             "hit_rate": self.hits / total if total else 0.0,
         }
-
-
-class SingleFlight:
-    """Coalesce concurrent identical computations onto one future.
-
-    ``do(key, factory)`` runs ``factory()`` at most once per key at any
-    moment: the first caller (the leader) awaits the factory directly,
-    every concurrent caller with the same key awaits the leader's future
-    instead.  Once the flight lands (result or exception) the key is
-    released, so a *later* call computes afresh — single-flight is about
-    concurrency, not memoisation; pair it with :class:`LRUCache` for the
-    latter.
-    """
-
-    def __init__(self):
-        self._inflight: "dict[str, asyncio.Future]" = {}
-        self.coalesced = 0
-        self.flights = 0
-
-    def inflight(self) -> int:
-        """How many distinct keys are currently being computed."""
-        return len(self._inflight)
-
-    async def do(self, key: str, factory: Callable[[], Awaitable]) -> object:
-        """Return ``factory()``'s result, computing it at most once per
-        key among concurrent callers."""
-        existing = self._inflight.get(key)
-        if existing is not None:
-            self.coalesced += 1
-            # shield: a cancelled follower must not cancel the shared flight
-            return await asyncio.shield(existing)
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = fut
-        self.flights += 1
-        try:
-            result = await factory()
-        except BaseException as exc:
-            if not fut.cancelled():
-                fut.set_exception(exc)
-                fut.exception()  # mark retrieved: followers may be zero
-            raise
-        else:
-            if not fut.cancelled():
-                fut.set_result(result)
-            return result
-        finally:
-            self._inflight.pop(key, None)

@@ -1,18 +1,16 @@
 """Query evaluators: the serving layer's entry points into Eqs 1–8.
 
-Every expensive thing the server computes is expressed as a module-level
-function here, so a query can become one ``model-eval-grid``
-:class:`~repro.engine.units.WorkUnit` (function *reference* + plain-data
-kwargs) and resolve through the standard pipeline tiers — the server adds
-its LRU/single-flight tier in front but never bypasses the substrate.
+Every model query the server answers is one call of a module-level
+function here, taking plain-data kwargs (floats, strings, parallel lists
+of floats) and returning a dict of numpy arrays; the server runs it on an
+LRU miss and caches the response.
 
 Three evaluators, one per query family:
 
-* :func:`eval_point_batch` — a whole micro-batch of point queries as one
-  vectorized :mod:`repro.core.gridkernels` call.  Kernels are elementwise
-  over the point axis, so each answer is bit-identical to evaluating the
-  point alone — batch composition can never change a response (proved by
-  ``tests/serve/test_batcher.py``).
+* :func:`eval_point_batch` — a batch of point queries as one vectorized
+  :mod:`repro.core.gridkernels` call.  Kernels are elementwise over the
+  point axis, so each answer is bit-identical to evaluating the point
+  alone; the server's ``/v1/eval`` passes one-element lists.
 * :func:`eval_sweep` — one or more parameter points swept across the
   power-of-two size grid (a Fig-4/Fig-5-shaped curve per point).
 * :func:`search_optimal` — the optimal-(r, rl) design search: best

@@ -1,19 +1,24 @@
 """ServeApp endpoint logic: routing, validation, the LRU tier's
-no-reevaluation guarantee, and report byte-identity with ``repro run``."""
+no-reevaluation guarantee and memory bound, and report byte-identity with
+``repro run``."""
 
 import asyncio
 import json
 
 import numpy as np
+import pytest
 
 from repro import obs
 from repro.core import gridkernels
 from repro.experiments.registry import run_experiment
 from repro.pipeline import memo_info
-from repro.serve import ServeApp
+from repro.serve import ServeApp, queries
 
 _EVAL_BODY = {"model": "merging-symmetric", "f": 0.99, "fcon_share": 0.6,
               "fored_share": 0.8, "r": 32}
+#: one in-range value per model parameter, for building any model's query
+_PARAMS = {"f": 0.975, "fcon_share": 0.3, "fored_share": 0.5, "r": 4.0,
+           "rl": 16.0, "p": 64.0}
 
 
 def _request(app, method, path, params=None, body=b""):
@@ -68,6 +73,20 @@ class TestRouting:
         assert status == 400
         assert "fcon_share" in json.loads(payload)["error"]
 
+    @pytest.mark.parametrize("path,body", [
+        ("/v1/eval", {**_EVAL_BODY, "f": 1.5}),
+        ("/v1/sweep", {"model": "merging-symmetric",
+                       "points": [{"f": 1.5, "fcon_share": 0.6,
+                                   "fored_share": 0.8}]}),
+        ("/v1/optimize", {"points": [{"f": 1.5, "fcon_share": 0.6,
+                                      "fored_share": 0.8}]}),
+    ], ids=["eval", "sweep", "optimize"])
+    def test_out_of_range_parameter_is_400(self, path, body):
+        """A kernel range check is the client's error, not the server's."""
+        status, _, payload = _request(ServeApp(), "POST", path, body=body)
+        assert status == 400
+        assert "error" in json.loads(payload)
+
     def test_unknown_report_is_404(self):
         status, _, _ = _request(ServeApp(), "GET", "/v1/report/nope")
         assert status == 404
@@ -88,6 +107,20 @@ class TestEval:
             np.array([0.99]), np.array([0.6]), np.array([0.8]), 256,
             np.array([32.0]))[0]
         assert json.loads(payload)["speedup"] == float(direct)
+
+    @pytest.mark.parametrize("model", sorted(queries.MODELS))
+    def test_every_model_matches_one_point_batch(self, model):
+        """The served answer is exactly the one-point kernel evaluation."""
+        spec = queries.MODELS[model]
+        body = {"model": model,
+                **{name: _PARAMS[name] for name in spec["required"]}}
+        status, _, payload = _request(ServeApp(), "POST", "/v1/eval",
+                                      body=body)
+        assert status == 200
+        point = {name: [body.get(name, 1.0)]
+                 for name in (*spec["required"], *spec["optional"])}
+        direct = queries.eval_point_batch(model, 256, None, None, **point)
+        assert json.loads(payload)["speedup"] == float(direct["speedup"][0])
 
     def test_sweep_curve_matches_direct_kernel(self):
         body = {"model": "hm-symmetric", "n": 64,
@@ -126,12 +159,12 @@ class TestEval:
 class TestCacheTier:
     def test_repeat_query_is_lru_hit_with_no_new_evaluation(self):
         """The acceptance criterion: a repeated identical query is served
-        from the in-memory tier — hit counter up, executed count flat."""
+        from the in-memory tier — hit counter up, evaluations flat."""
         obs.set_enabled(True)
         app = ServeApp()
         status, _, first = _request(app, "POST", "/v1/eval", body=_EVAL_BODY)
         assert status == 200
-        executed_after_first = memo_info()["executed"]
+        assert _metric_value("serve_evaluations_total", kind="point") == 1
         hits_before = app.lru.hits
 
         status, _, second = _request(app, "POST", "/v1/eval",
@@ -139,12 +172,13 @@ class TestCacheTier:
         assert status == 200
         assert second == first  # byte-identical response
         assert app.lru.hits == hits_before + 1
-        assert memo_info()["executed"] == executed_after_first
+        assert _metric_value("serve_evaluations_total", kind="point") == 1
         assert _metric_value("serve_cache_lookups_total",
                              tier="lru", result="hit") == 1
 
     def test_concurrent_identical_queries_evaluate_once(self):
-        """N identical in-flight queries coalesce onto one evaluation."""
+        """N identical concurrent point queries evaluate once: the first
+        evaluates and caches with no await in between, the rest hit."""
         obs.set_enabled(True)
         app = ServeApp()
 
@@ -154,9 +188,28 @@ class TestCacheTier:
 
         results = asyncio.run(scenario())
         assert all(r == results[0] for r in results)
-        assert app.flight.flights == 1
-        assert app.flight.coalesced == 7
         assert _metric_value("serve_evaluations_total", kind="point") == 1
+        assert app.lru.hits == 7
+        assert _metric_value("serve_cache_lookups_total",
+                             tier="lru", result="hit") == 7
+
+    def test_model_queries_stay_within_the_lru_bound(self):
+        """Distinct eval/sweep/optimize misses land in the LRU alone: the
+        pipeline memo does not grow, so --cache-size bounds their memory."""
+        app = ServeApp(cache_size=8)
+        entries = memo_info()["memory_entries"]
+        for i in range(12):
+            f = 0.9 + i / 1000
+            for path, body in (
+                    ("/v1/eval", {**_EVAL_BODY, "f": f}),
+                    ("/v1/sweep", {"model": "hm-symmetric",
+                                   "points": [{"f": f}]}),
+                    ("/v1/optimize", {"points": [{"f": f, "fcon_share": 0.6,
+                                                  "fored_share": 0.8}]})):
+                status, _, _ = _request(app, "POST", path, body=body)
+                assert status == 200
+        assert memo_info()["memory_entries"] == entries
+        assert len(app.lru) <= 8
 
     def test_cache_size_zero_disables_the_tier(self):
         app = ServeApp(cache_size=0)
