@@ -18,9 +18,12 @@ then alternates two regimes:
   cache state and coherence counters through an inlined private-line
   protocol (L1 hit, or miss filled from L2/memory), until it parks at
   its next sync point (or bails on an eviction hazard);
-* **global order** — among parked threads, sync ops execute one at a
-  time in ``(clock, tid)`` order — exactly the reference scheduler's
-  earliest-runnable-first order — through the full protocol paths.
+* **global order** — parked threads wait on a ``(clock, tid)`` heap and
+  their sync ops execute one at a time in heap order — exactly the
+  reference scheduler's earliest-runnable-first order — through the full
+  protocol paths; after each op only the threads it made runnable (the
+  dispatcher, barrier releasees, a lock's next holder) re-advance, in
+  ascending tid order.
 
 Why this is cycle- and stats-identical to the reference interleaving:
 
@@ -31,19 +34,16 @@ Why this is cycle- and stats-identical to the reference interleaving:
   victim, and whether an eviction happens at all, depend on concurrent
   remote invalidations, so the offending op is parked and executed at
   its exact global position;
-* ``DirectoryEntry.in_l2`` is sticky, so L2-structural effects of
-  reordered fills are unobservable in any reported counter.  Stronger:
-  every ``l2.insert`` call site in the protocol also sets ``in_l2``, so
-  ``l2.touch(line) is not None`` implies ``e.in_l2`` and the reference
-  condition ``l2.touch(line) is not None or e.in_l2`` is equivalent to
-  ``e.in_l2`` alone.  The batch private path therefore skips the L2
-  arrays entirely and consults/sets only the directory flag — L2 LRU
-  order and the L2 ``Cache`` object's hit/miss tallies (which no result
-  field reports) are the only state that diverges;
+* L2 residency is the sticky ``DirectoryEntry.in_l2`` bit alone (the
+  controller keeps no L2 arrays), and a private line's bit changes only
+  through its own thread's accesses, so early fills see the reference's
+  L2 state;
 * :class:`~repro.simx.coherence.CoherenceStats` are sums and
   :class:`~repro.simx.stats.PhaseStats` spans are min/max over per-thread
   clocks that themselves evolve identically, so attribution is
-  order-independent;
+  order-independent; the reference runs ops in ``(clock, tid, position)``
+  order, so sorting phases by their earliest such key restores its
+  first-seen key order;
 * sync ops execute in the reference global order by construction: when
   every thread is parked, each parked clock equals its reference value
   (private timing is counter-exact), and the reference scheduler would
@@ -57,7 +57,8 @@ default); equivalence with the reference engine is enforced by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -117,19 +118,20 @@ class _Seg:
 
     ``kinds[j]`` / ``args[j]`` drive the hot loop without isinstance
     dispatch; ``ops`` is kept only to rebuild the tail after a hazard
-    bail.  Pure-compute segments carry their instruction counts as a
-    numpy array (``carr``) so the whole run prices as one vectorised
-    ceil-sum.
+    bail.  ``lead`` counts the compute ops before the first load/store
+    (all of them in a pure-compute segment).  Pure-compute segments carry
+    their instruction counts as a numpy array (``carr``) so the whole run
+    prices as one vectorised ceil-sum.
     """
 
-    __slots__ = ("kinds", "args", "ops", "n_mem", "carr", "total_instr")
+    __slots__ = ("kinds", "args", "ops", "lead", "carr", "total_instr")
 
-    def __init__(self, kinds: tuple, args: tuple, ops: tuple, n_mem: int):
+    def __init__(self, kinds: tuple, args: tuple, ops: tuple):
         self.kinds = kinds
         self.args = args
         self.ops = ops
-        self.n_mem = n_mem
-        if n_mem == 0 and len(args) >= _VEC_MIN:
+        self.lead = next((j for j, k in enumerate(kinds) if k != _COMPUTE), len(kinds))
+        if self.lead == len(args) >= _VEC_MIN:
             self.carr = np.asarray(args, dtype=np.float64)
             self.total_instr = int(sum(args))
         else:
@@ -178,16 +180,15 @@ def compile_batch(program: TraceProgram, line_size: int) -> BatchProgram:
         kinds: list = []
         args: list = []
         run: list = []
-        n_mem = 0
 
         def flush() -> None:
-            nonlocal n_mem, n_bursts, n_fused, kinds, args, run
+            nonlocal n_bursts, n_fused, kinds, args, run
             if run:
-                out.append(_Seg(tuple(kinds), tuple(args), tuple(run), n_mem))
+                out.append(_Seg(tuple(kinds), tuple(args), tuple(run)))
                 if len(run) >= 2:
                     n_bursts += 1
                     n_fused += len(run)
-            kinds, args, run, n_mem = [], [], [], 0
+            kinds, args, run = [], [], []
 
         for op in ops:
             t = type(op)
@@ -199,7 +200,6 @@ def compile_batch(program: TraceProgram, line_size: int) -> BatchProgram:
                 kinds.append(_LOAD if t is Load else _STORE)
                 args.append(op.addr)
                 run.append(op)
-                n_mem += 1
             else:
                 flush()
                 out.append(op)
@@ -253,14 +253,21 @@ def run_batch(config: MachineConfig, program: TraceProgram):
     ]
 
     stats = PhaseStats()
+    # protocol events land straight in their phase's bucket (the run's
+    # totals are the buckets' sum); ``first_*`` hold each phase's earliest
+    # load/store and PhaseBegin key, to restore the reference key order
     phase_coherence: dict[str, CoherenceStats] = {}
+    first_access: dict[str, tuple] = {}
+    first_begin: dict[str, tuple] = {}
     barrier_arrivals: dict[int, dict[int, int]] = {}
     lock_holder: dict[int, int] = {}
     lock_waiters: dict[int, list[int]] = {}
+    # parked threads keyed ``(clock, tid)``: a parked clock never changes,
+    # so an entry stays valid until its thread is dispatched
+    heap: list[tuple[int, int]] = []
     ops_executed = 0
     burst_fallbacks = 0
 
-    st = coherence.stats
     np_ceil = np.ceil
     ceil = math.ceil
 
@@ -272,11 +279,14 @@ def run_batch(config: MachineConfig, program: TraceProgram):
     l2_lat = config.l2.hit_latency
     mem_lat = config.memory_latency
     line_size = config.line_size
-    # uncontended bus: every request costs the same; mesh: deterministic
-    # per (core, line), memoised per core (ContendedBus is gated upstream)
-    bus_lat = interconnect.latency if type(interconnect) is BusInterconnect else None
-    req_memos: list = [{} for _ in range(program.n_threads)]
-    mesh_req = interconnect.request_latency
+    # request latency is deterministic per (core, home bank): an
+    # uncontended bus is one bank at a fixed latency (ContendedBus is
+    # gated upstream), a mesh reads its precomputed table
+    if type(interconnect) is BusInterconnect:
+        req_table = ((interconnect.latency,),) * program.n_threads
+    else:
+        req_table = interconnect.request_table
+    n_banks = len(req_table[0])
     M_ST, E_ST, S_ST, INV = (
         MesiState.MODIFIED, MesiState.EXCLUSIVE, MesiState.SHARED, MesiState.INVALID,
     )
@@ -284,33 +294,32 @@ def run_batch(config: MachineConfig, program: TraceProgram):
     # can skip the eviction-hazard scan with one membership test
     shared_set_idx = frozenset(l % config.l1d.n_sets for l in shared_lines)
 
-    def snap() -> tuple:
-        return (st.reads, st.writes, st.l1_hits, st.l1_misses, st.l2_hits,
-                st.memory_fetches, st.cache_to_cache, st.invalidations,
-                st.upgrades, st.writebacks)
-
-    def charge(phase: str, before: tuple) -> None:
-        """Attribute protocol-event deltas since ``before`` to a phase."""
-        after = snap()
-        if after == before:
-            return
-        b = phase_coherence.setdefault(phase, CoherenceStats())
-        b.reads += after[0] - before[0]
-        b.writes += after[1] - before[1]
-        b.l1_hits += after[2] - before[2]
-        b.l1_misses += after[3] - before[3]
-        b.l2_hits += after[4] - before[4]
-        b.memory_fetches += after[5] - before[5]
-        b.cache_to_cache += after[6] - before[6]
-        b.invalidations += after[7] - before[7]
-        b.upgrades += after[8] - before[8]
-        b.writebacks += after[9] - before[9]
+    def bucket(phase: str, at: tuple) -> CoherenceStats:
+        """The phase's protocol-event bucket, for a load or store that
+        starts at ``at = (clock, tid)``."""
+        b = phase_coherence.get(phase)
+        if b is None:
+            b = phase_coherence[phase] = CoherenceStats()
+            first_access[phase] = at
+        elif at < first_access[phase]:
+            first_access[phase] = at
+        return b
 
     def advance(ctx: _Thread) -> None:
         """Eagerly run a thread's segments until it parks or finishes."""
         nonlocal ops_executed, burst_fallbacks
         entries = ctx.entries
         n_entries = len(entries)
+        i = ctx.ip
+        if i < n_entries:
+            t = type(entries[i])
+            if t is not _Seg and t is not PhaseBegin and t is not PhaseEnd:
+                # already at a sync point: park without the setup below
+                ctx.pending = entries[i]
+                ctx.ip = i + 1
+                ctx.state = _PENDING
+                heappush(heap, (ctx.clock, ctx.tid))
+                return
         core = cores[ctx.tid]
         tid = ctx.tid
         denom = core.config.effective_ipc * core.perf_factor
@@ -318,8 +327,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
         l1_sets = l1._sets
         n_sets = l1.n_sets
         ways = l1.ways
-        req_memo = req_memos[tid]
-        i = ctx.ip
+        req_row = req_table[tid]
         while i < n_entries:
             e = entries[i]
             t = type(e)
@@ -334,14 +342,13 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                     i += 1
                     continue
                 phase = ctx.current_phase()
-                before = snap() if e.n_mem else None
                 busy = 0
                 n_loads = 0
                 n_stores = 0
                 instr = 0
                 executed = 0
                 bailed = False
-                # per-segment tallies, flushed to the shared counters once
+                # per-segment tallies, flushed to the phase bucket once
                 d_l1h = d_l1m = d_l2h = d_mem = d_upg = d_wb = d_ev = 0
                 for k, a in zip(e.kinds, e.args):
                     if k == _COMPUTE:
@@ -353,8 +360,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                     # latencies of CoherenceController.read/write on the
                     # same L1 + directory state (a private line never has
                     # a remote owner or sharer), minus the per-op call
-                    # overhead and the (unobservable, see module
-                    # docstring) L2 arrays
+                    # overhead
                     line = a // line_size
                     set_idx = line % n_sets
                     s = l1_sets[set_idx]
@@ -386,13 +392,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                             # SHARED → upgrade; a private line has no
                             # remote sharers, so nothing to invalidate
                             d_upg += 1
-                            if bus_lat is not None:
-                                busy += hit_lat + bus_lat
-                            else:
-                                rl = req_memo.get(line)
-                                if rl is None:
-                                    rl = req_memo[line] = mesh_req(tid, line)
-                                busy += hit_lat + rl
+                            busy += hit_lat + req_row[line % n_banks]
                             ent.state = M_ST
                             de = directory[line]
                             de.owner = tid
@@ -416,13 +416,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                     de = directory.get(line)
                     if de is None:
                         de = directory[line] = DirectoryEntry()
-                    if bus_lat is not None:
-                        lat = hit_lat + bus_lat
-                    else:
-                        rl = req_memo.get(line)
-                        if rl is None:
-                            rl = req_memo[line] = mesh_req(tid, line)
-                        lat = hit_lat + rl
+                    lat = hit_lat + req_row[line % n_banks]
                     if de.in_l2:
                         d_l2h += 1
                         lat += l2_lat
@@ -469,13 +463,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                         if victim.state is M_ST:
                             d_wb += 1
                             ve.in_l2 = True
-                            if bus_lat is not None:
-                                lat += bus_lat
-                            else:
-                                rl = req_memo.get(vline)
-                                if rl is None:
-                                    rl = req_memo[vline] = mesh_req(tid, vline)
-                                lat += rl
+                            lat += req_row[vline % n_banks]
                         if ve.owner == tid:
                             ve.owner = None
                         ve.sharers.discard(tid)
@@ -489,22 +477,25 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                 core.instructions_retired += instr + n_loads + n_stores
                 core.loads += n_loads
                 core.stores += n_stores
-                if busy:
-                    stats.add_busy(phase, tid, busy)
-                    ctx.clock += busy
                 if n_loads or n_stores:
                     l1.hits += d_l1h
                     l1.misses += d_l1m
                     l1.evictions += d_ev
-                    st.reads += n_loads
-                    st.writes += n_stores
-                    st.l1_hits += d_l1h
-                    st.l1_misses += d_l1m
-                    st.l2_hits += d_l2h
-                    st.memory_fetches += d_mem
-                    st.upgrades += d_upg
-                    st.writebacks += d_wb
-                    charge(phase, before)
+                    at = ctx.clock
+                    if e.lead:
+                        at += sum(ceil(a / denom) for a in e.args[:e.lead])
+                    b = bucket(phase, (at, tid))
+                    b.reads += n_loads
+                    b.writes += n_stores
+                    b.l1_hits += d_l1h
+                    b.l1_misses += d_l1m
+                    b.l2_hits += d_l2h
+                    b.memory_fetches += d_mem
+                    b.upgrades += d_upg
+                    b.writebacks += d_wb
+                if busy:
+                    stats.add_busy(phase, tid, busy)
+                    ctx.clock += busy
                 ops_executed += executed
                 if bailed:
                     # park: the offending op must run at its global order
@@ -514,20 +505,20 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                     ctx.pending = e.ops[executed]
                     tail = executed + 1
                     if tail < len(e.ops):
-                        entries[i] = _Seg(
-                            e.kinds[tail:], e.args[tail:], e.ops[tail:],
-                            sum(1 for k in e.kinds[tail:] if k != _COMPUTE),
-                        )
+                        entries[i] = _Seg(e.kinds[tail:], e.args[tail:], e.ops[tail:])
                     else:
                         i += 1
                     ctx.ip = i
                     ctx.state = _PENDING
+                    heappush(heap, (ctx.clock, tid))
                     return
                 i += 1
             elif t is PhaseBegin:
                 ops_executed += 1
                 ctx.phase_stack.append(e.phase)
                 stats.note_begin(e.phase, ctx.clock)
+                at = (ctx.clock, tid, i)
+                first_begin[e.phase] = min(first_begin.get(e.phase, at), at)
                 i += 1
             elif t is PhaseEnd:
                 ops_executed += 1
@@ -544,6 +535,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                 ctx.pending = e
                 ctx.ip = i + 1
                 ctx.state = _PENDING
+                heappush(heap, (ctx.clock, tid))
                 return
         ctx.ip = i
         if ctx.held_locks:
@@ -556,105 +548,103 @@ def run_batch(config: MachineConfig, program: TraceProgram):
             )
         ctx.state = _DONE
 
-    def release_barrier(bid: int) -> None:
-        arrivals = barrier_arrivals.pop(bid)
-        release = max(arrivals.values()) + config.barrier_release_latency
-        for tid, arrived_at in arrivals.items():
-            ctx = threads[tid]
-            stats.add_wait(ctx.current_phase(), tid, release - arrived_at)
-            ctx.clock = release
-            ctx.state = _RUNNABLE
-
     def dispatch_sync(ctx: _Thread, op) -> None:
         """One globally-ordered op through the full protocol path —
-        semantics identical to the reference scheduler's ``step``."""
+        semantics identical to the reference scheduler's ``step``.  Only
+        the threads this op makes runnable are re-advanced, in ascending
+        tid order."""
         nonlocal ops_executed
         ops_executed += 1
         t = type(op)
+        tid = ctx.tid
         if t is Load or t is Store:
             phase = ctx.current_phase()
-            before = snap()
-            core = cores[ctx.tid]
+            coherence.stats = bucket(phase, (ctx.clock, tid))
+            core = cores[tid]
+            core.instructions_retired += 1
             if t is Load:
-                cycles = core.load_cycles(op.addr, ctx.clock)
+                core.loads += 1
+                cycles = coherence.read(tid, op.addr, ctx.clock)
             else:
-                cycles = core.store_cycles(op.addr, ctx.clock)
-            charge(phase, before)
-            stats.add_busy(phase, ctx.tid, cycles)
+                core.stores += 1
+                cycles = coherence.write(tid, op.addr, ctx.clock)
+            stats.add_busy(phase, tid, cycles)
             ctx.clock += cycles
-            ctx.state = _RUNNABLE
+            advance(ctx)
         elif t is Barrier:
             arrivals = barrier_arrivals.setdefault(op.barrier_id, {})
-            if ctx.tid in arrivals:
+            if tid in arrivals:
                 raise TraceError(
-                    f"thread {ctx.tid} hit barrier {op.barrier_id} twice "
+                    f"thread {tid} hit barrier {op.barrier_id} twice "
                     "before release"
                 )
-            arrivals[ctx.tid] = ctx.clock
+            arrivals[tid] = ctx.clock
             ctx.state = _AT_BARRIER
             if len(arrivals) == program.n_threads:
-                release_barrier(op.barrier_id)
+                del barrier_arrivals[op.barrier_id]
+                release = max(arrivals.values()) + config.barrier_release_latency
+                for w, arrived_at in arrivals.items():
+                    r = threads[w]
+                    stats.add_wait(r.current_phase(), w, release - arrived_at)
+                    r.clock = release
+                for w in sorted(arrivals):
+                    advance(threads[w])
         elif t is Lock:
             if op.lock_id not in lock_holder:
-                lock_holder[op.lock_id] = ctx.tid
+                lock_holder[op.lock_id] = tid
                 ctx.held_locks.add(op.lock_id)
                 cycles = config.lock_acquire_latency
-                stats.add_busy(ctx.current_phase(), ctx.tid, cycles)
+                stats.add_busy(ctx.current_phase(), tid, cycles)
                 ctx.clock += cycles
-                ctx.state = _RUNNABLE
+                advance(ctx)
             else:
-                lock_waiters.setdefault(op.lock_id, []).append(ctx.tid)
+                lock_waiters.setdefault(op.lock_id, []).append(tid)
                 ctx.state = _WAIT_LOCK
         elif t is Unlock:
-            if lock_holder.get(op.lock_id) != ctx.tid:
+            if lock_holder.get(op.lock_id) != tid:
                 raise TraceError(
-                    f"thread {ctx.tid} unlocked lock {op.lock_id} it does not hold"
+                    f"thread {tid} unlocked lock {op.lock_id} it does not hold"
                 )
             del lock_holder[op.lock_id]
             ctx.held_locks.discard(op.lock_id)
-            ctx.state = _RUNNABLE
             waiters = lock_waiters.get(op.lock_id)
-            if waiters:
-                next_tid = waiters.pop(0)
-                w = threads[next_tid]
-                wait = max(w.clock, ctx.clock) - w.clock
-                stats.add_wait(w.current_phase(), next_tid, wait)
-                w.clock = max(w.clock, ctx.clock)
-                lock_holder[op.lock_id] = next_tid
-                w.held_locks.add(op.lock_id)
-                cycles = config.lock_acquire_latency
-                stats.add_busy(w.current_phase(), next_tid, cycles)
-                w.clock += cycles
-                w.state = _RUNNABLE
+            if not waiters:
+                advance(ctx)
+                return
+            next_tid = waiters.pop(0)
+            w = threads[next_tid]
+            wait = max(w.clock, ctx.clock) - w.clock
+            stats.add_wait(w.current_phase(), next_tid, wait)
+            w.clock = max(w.clock, ctx.clock)
+            lock_holder[op.lock_id] = next_tid
+            w.held_locks.add(op.lock_id)
+            cycles = config.lock_acquire_latency
+            stats.add_busy(w.current_phase(), next_tid, cycles)
+            w.clock += cycles
+            for r in ((ctx, w) if tid < next_tid else (w, ctx)):
+                advance(r)
         else:  # pragma: no cover - exhaustive over sync ops
             raise TraceError(f"unknown op {op!r}")
 
     # epoch loop: eager-advance everyone, then drain sync ops in the
-    # reference global order, re-advancing threads as they unblock
+    # reference global order; advance() parks each thread on the heap
     for ctx in threads:
         advance(ctx)
-    while True:
-        pending = [t for t in threads if t.state == _PENDING]
-        if not pending:
-            if all(t.state == _DONE for t in threads):
-                break
-            states = {0: "runnable", 1: "pending", 2: "barrier", 3: "lock", 4: "done"}
-            stuck = {
-                t.tid: states[t.state] for t in threads if t.state != _DONE
-            }
-            raise DeadlockError(
-                f"no runnable threads; blocked: {stuck} "
-                f"(pending barriers: {list(barrier_arrivals)}, "
-                f"held locks: {lock_holder})"
-            )
-        nxt = min(pending, key=lambda t: (t.clock, t.tid))
-        op = nxt.pending
-        nxt.pending = None
-        dispatch_sync(nxt, op)
-        for ctx in threads:
-            if ctx.state == _RUNNABLE:
-                advance(ctx)
+    while heap:
+        ctx = threads[heappop(heap)[1]]
+        dispatch_sync(ctx, ctx.pending)
+    if any(t.state != _DONE for t in threads):
+        states = {_AT_BARRIER: "barrier", _WAIT_LOCK: "lock"}
+        stuck = {t.tid: states[t.state] for t in threads if t.state != _DONE}
+        raise DeadlockError(
+            f"no runnable threads; blocked: {stuck} "
+            f"(pending barriers: {list(barrier_arrivals)}, "
+            f"held locks: {lock_holder})"
+        )
 
+    totals = CoherenceStats(*map(sum, zip(*map(astuple, phase_coherence.values()))))
+    phase_coherence = dict(sorted(phase_coherence.items(), key=lambda kv: first_access[kv[0]]))
+    stats.spans = dict(sorted(stats.spans.items(), key=lambda kv: first_begin[kv[0]]))
     return SimulationResult(
         program_name=program.name,
         n_threads=program.n_threads,
@@ -662,7 +652,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
         total_cycles=max(t.clock for t in threads),
         thread_cycles=tuple(t.clock for t in threads),
         phase_stats=stats,
-        coherence=coherence.stats,
+        coherence=totals,
         instructions=tuple(c.instructions_retired for c in cores),
         coherence_by_phase=phase_coherence,
         engine="batch",

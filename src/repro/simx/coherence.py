@@ -1,6 +1,9 @@
 """Directory-based MESI coherence across private L1s and a shared L2.
 
-The :class:`CoherenceController` owns all the caches and the directory; the
+The :class:`CoherenceController` owns the private L1s and the directory; the
+shared L2 is modelled by the directory's sticky ``in_l2`` bit (set on the
+first fill or writeback, never cleared: the L2 is assumed large enough to
+keep every line the program touches, so it holds no arrays).  The
 core timing model calls :meth:`read` / :meth:`write` with a core id and a
 line address and receives the access latency, with every protocol action
 (upgrades, invalidations, cache-to-cache transfers, writebacks) both applied
@@ -68,7 +71,6 @@ class CoherenceController:
     def __init__(self, config: MachineConfig, interconnect: "Interconnect | None" = None):
         self.config = config
         self.l1s = [Cache(config.l1d) for _ in range(config.n_cores)]
-        self.l2 = Cache(config.l2)
         self.directory: dict[int, DirectoryEntry] = {}
         self.interconnect = interconnect or build_interconnect(config)
         self.stats = CoherenceStats()
@@ -95,8 +97,7 @@ class CoherenceController:
         if e.owner is not None or self.l1s[core].contains(nxt):
             return  # never steal or duplicate owned lines
         had_sharers = bool(e.sharers)
-        if not e.in_l2 and not had_sharers:
-            self.l2.insert(nxt, MesiState.EXCLUSIVE)
+        if not had_sharers:
             e.in_l2 = True
         if had_sharers or self.config.coherence_protocol == "msi":
             state = MesiState.SHARED
@@ -124,7 +125,6 @@ class CoherenceController:
             # dirty writeback into L2; writebacks drain from the store
             # buffer in the background, so they use uncontended timing
             self.stats.writebacks += 1
-            self.l2.insert(line, MesiState.MODIFIED)
             e.in_l2 = True
             latency += self.interconnect.request_latency(core, line)
         if e.owner == core:
@@ -161,7 +161,6 @@ class CoherenceController:
             if had_line is not None and had_line.state is MesiState.MODIFIED:
                 # dirty data flows to the requester / L2 first
                 self.stats.writebacks += 1
-                self.l2.insert(line, MesiState.MODIFIED)
                 e.in_l2 = True
             if l1.invalidate(line):
                 self.stats.invalidations += 1
@@ -196,7 +195,6 @@ class CoherenceController:
                 latency += cfg.remote_l1_latency
                 latency += self.interconnect.core_to_core_latency(core, e.owner)
                 self.l1s[e.owner].set_state(line, MesiState.SHARED)
-                self.l2.insert(line, MesiState.SHARED)
                 e.in_l2 = True
                 e.sharers = {e.owner}
                 e.owner = None
@@ -208,13 +206,12 @@ class CoherenceController:
             e.sharers = ({e.owner} if e.owner is not None else set()) | set(e.sharers)
             e.owner = None
 
-        if self.l2.touch(line) is not None or e.in_l2:
+        if e.in_l2:
             self.stats.l2_hits += 1
             latency += cfg.l2.hit_latency
         else:
             self.stats.memory_fetches += 1
             latency += cfg.l2.hit_latency + self._memory_latency(line)
-            self.l2.insert(line, MesiState.EXCLUSIVE)
             e.in_l2 = True
 
         if e.sharers or cfg.coherence_protocol == "msi":
@@ -266,13 +263,12 @@ class CoherenceController:
             self.stats.cache_to_cache += 1
             latency += cfg.remote_l1_latency
             latency += self.interconnect.core_to_core_latency(core, e.owner)
-        elif self.l2.touch(line) is not None or e.in_l2:
+        elif e.in_l2:
             self.stats.l2_hits += 1
             latency += cfg.l2.hit_latency
         else:
             self.stats.memory_fetches += 1
             latency += cfg.l2.hit_latency + self._memory_latency(line)
-            self.l2.insert(line, MesiState.EXCLUSIVE)
             e.in_l2 = True
         latency += self._invalidate_remotes(line, keep=core)
         latency += self._install_l1(core, line, MesiState.MODIFIED)

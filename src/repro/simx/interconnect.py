@@ -12,6 +12,8 @@ Two models, matching the paper's settings:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.noc.topology import Mesh2D
 from repro.simx.config import MachineConfig
 
@@ -79,7 +81,8 @@ class MeshInterconnect(Interconnect):
     """A 2D mesh of tiles with a banked shared L2.
 
     The home bank of a line is ``line_addr % n_cores``; request latency is
-    ``2 × hops × hop_latency`` (request + reply).
+    ``2 × hops × hop_latency`` (request + reply), precomputed once as
+    ``request_table[core][bank]``.
     """
 
     def __init__(self, n_cores: int, hop_latency: int):
@@ -87,14 +90,18 @@ class MeshInterconnect(Interconnect):
             raise ValueError(f"hop_latency must be >= 0, got {hop_latency}")
         self.mesh = Mesh2D(n_cores)
         self.hop_latency = hop_latency
+        row, col = np.divmod(np.arange(self.mesh.n_nodes), self.mesh.cols)
+        hops = np.abs(row[:, None] - row) + np.abs(col[:, None] - col)
+        self.request_table = tuple(map(tuple, (2 * hop_latency * hops).tolist()))
 
     def home_bank(self, line_addr: int) -> int:
         """The tile holding this line's L2 bank."""
         return line_addr % self.mesh.n_nodes
 
     def request_latency(self, core: int, line_addr: int, now: int = 0) -> int:
-        hops = self.mesh.hop_distance(core, self.home_bank(line_addr))
-        return 2 * hops * self.hop_latency
+        if not 0 <= core < self.mesh.n_nodes:
+            raise ValueError(f"core {core} out of range [0, {self.mesh.n_nodes})")
+        return self.request_table[core][line_addr % self.mesh.n_nodes]
 
     def core_to_core_latency(self, src: int, dst: int) -> int:
         return self.mesh.hop_distance(src, dst) * self.hop_latency

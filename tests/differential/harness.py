@@ -52,6 +52,7 @@ def run_two(cfg: MachineConfig, program: TraceProgram):
 
 
 def assert_identical(got, ref):
+    assert got.n_ops == ref.n_ops
     assert got.total_cycles == ref.total_cycles
     assert got.thread_cycles == ref.thread_cycles
     assert got.instructions == ref.instructions
@@ -62,4 +63,6 @@ def assert_identical(got, ref):
     assert {p: dict(t) for p, t in gs.wait.items() if any(t.values())} == \
            {p: dict(t) for p, t in rs.wait.items() if any(t.values())}
     assert gs.spans == rs.spans
+    assert list(gs.spans) == list(rs.spans)  # key order too
     assert got.coherence_by_phase == ref.coherence_by_phase
+    assert list(got.coherence_by_phase) == list(ref.coherence_by_phase)

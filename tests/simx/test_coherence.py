@@ -121,7 +121,7 @@ class TestEvictions:
         c.write(0, 8 * 64)
         c.write(0, 16 * 64)  # evicts line 0
         assert c.stats.writebacks >= 1
-        assert c.l2.contains(0) or c.directory[0].in_l2
+        assert c.directory[0].in_l2  # L2 residency is the sticky directory bit
 
     def test_evicted_line_refetch_hits_l2(self):
         c = controller()

@@ -47,6 +47,20 @@ class TestMesh:
         assert mesh.core_to_core_latency(0, 15) == 6 * 3
         assert mesh.core_to_core_latency(5, 5) == 0
 
+    @pytest.mark.parametrize("n", [4, 8, 16, 64])
+    def test_request_table_matches_hop_distance(self, n):
+        mesh = MeshInterconnect(n, hop_latency=3)
+        for core in range(n):
+            for line in range(2 * n + 1):
+                want = 2 * mesh.mesh.hop_distance(core, line % n) * 3
+                assert mesh.request_table[core][line % n] == want
+                assert mesh.request_latency(core, line) == want
+
+    @pytest.mark.parametrize("core", [-1, 16, 100])
+    def test_invalid_core_raises(self, core):
+        with pytest.raises(ValueError):
+            MeshInterconnect(16, hop_latency=2).request_latency(core, 0)
+
 
 class TestBuild:
     def test_builds_from_config(self):
