@@ -18,3 +18,10 @@ def _isolated_sweep_cache(tmp_path_factory):
     pipeline.clear_memo()
     yield
     pipeline.set_disk_store(None)
+
+
+@pytest.fixture
+def needs_scipy():
+    """Skip the test where the optional scipy extra is not installed: the
+    declared dependencies are numpy only, and CI's test job runs on them."""
+    pytest.importorskip("scipy")

@@ -34,6 +34,7 @@ class TestFitAmdahl:
             fit_amdahl([1, 2, 4], [1, -1, 2])
 
 
+@pytest.mark.usefixtures("needs_scipy")
 class TestFitSerialGrowth:
     def test_roundtrip_linear_growth(self):
         k = TABLE2["kmeans"]
@@ -93,6 +94,7 @@ class TestFitSerialGrowth:
         assert fit.serial_time(1.0) == pytest.approx(fit.serial)
 
 
+@pytest.mark.usefixtures("needs_scipy")
 class TestToMeasuredParams:
     def test_roundtrip_through_record(self):
         k = TABLE2["kmeans"]

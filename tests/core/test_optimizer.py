@@ -77,6 +77,7 @@ class TestDesignGrid:
                 assert q.cores == pytest.approx((256 - q.rl) / q.r + 1)
 
 
+@pytest.mark.usefixtures("needs_scipy")
 class TestContinuousOptimum:
     def test_at_least_as_good_as_grid(self):
         p = AppParams(f=0.99, fcon_share=0.6, fored_share=0.8)

@@ -9,6 +9,7 @@ from repro.workloads.datasets import (
     make_blobs,
     make_particles,
 )
+from repro.workloads.neighbors import knn
 
 
 class TestMakeBlobs:
@@ -66,9 +67,7 @@ class TestMakeParticles:
         ds = make_particles(2000, n_halos=3, seed=1, background_fraction=0.3)
         # clustered particles concentrate: median nearest-neighbour distance
         # is much smaller than a uniform distribution's expectation
-        from scipy.spatial import cKDTree
-
-        d, _ = cKDTree(ds.positions).query(ds.positions, k=2)
+        d, _ = knn(ds.positions, 2)
         nn = d[:, 1]
         uniform_expectation = 0.55 / (2000 ** (1 / 3))
         assert np.median(nn) < uniform_expectation
