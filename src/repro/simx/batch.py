@@ -218,9 +218,21 @@ def compile_batch(program: TraceProgram, line_size: int) -> BatchProgram:
 _RUNNABLE, _PENDING, _AT_BARRIER, _WAIT_LOCK, _DONE = range(5)
 
 
+_UNATTRIBUTED = "(unattributed)"
+
+#: entry types a thread runs inline; anything else is a sync op
+_INLINE = frozenset((_Seg, PhaseBegin, PhaseEnd))
+
+
 @dataclass
 class _Thread:
-    """Batch-scheduler bookkeeping for one thread."""
+    """Batch-scheduler bookkeeping for one thread.
+
+    ``phase`` is the innermost open phase.  ``busy`` and ``bucket`` are
+    that phase's busy-cycle map and protocol-event bucket, fetched on
+    first use and dropped at every phase change, so an access pays no
+    lookups after the phase's first one.
+    """
 
     tid: int
     entries: list
@@ -230,9 +242,27 @@ class _Thread:
     pending: object = None
     phase_stack: list = field(default_factory=list)
     held_locks: set = field(default_factory=set)
+    phase: str = _UNATTRIBUTED
+    busy: "dict | None" = None
+    bucket: "CoherenceStats | None" = None
 
-    def current_phase(self) -> str:
-        return self.phase_stack[-1] if self.phase_stack else "(unattributed)"
+    def enter(self, phase: str) -> None:
+        self.phase_stack.append(phase)
+        self.phase = phase
+        self.busy = self.bucket = None
+
+    def leave(self) -> None:
+        self.phase_stack.pop()
+        self.phase = self.phase_stack[-1] if self.phase_stack else _UNATTRIBUTED
+        self.busy = self.bucket = None
+
+    def charge_busy(self, stats: PhaseStats, cycles: int) -> None:
+        """Add busy cycles to the current phase (none for zero cycles)."""
+        if cycles:
+            busy = self.busy
+            if busy is None:
+                busy = self.busy = stats.busy[self.phase]
+            busy[self.tid] += cycles
 
 
 def run_batch(config: MachineConfig, program: TraceProgram):
@@ -270,6 +300,8 @@ def run_batch(config: MachineConfig, program: TraceProgram):
 
     np_ceil = np.ceil
     ceil = math.ceil
+    read = coherence.read
+    write = coherence.write
 
     # hoisted machine facts for the inlined private-access path
     directory = coherence.directory
@@ -294,15 +326,23 @@ def run_batch(config: MachineConfig, program: TraceProgram):
     # can skip the eviction-hazard scan with one membership test
     shared_set_idx = frozenset(l % config.l1d.n_sets for l in shared_lines)
 
-    def bucket(phase: str, at: tuple) -> CoherenceStats:
-        """The phase's protocol-event bucket, for a load or store that
-        starts at ``at = (clock, tid)``."""
+    def bucket(ctx: _Thread, clock: int) -> CoherenceStats:
+        """The thread's current-phase protocol-event bucket, for a load or
+        store that starts at ``clock``.  A thread's clock never falls, so
+        its first access in a phase entry is its earliest one there and
+        later accesses reuse the cached bucket without a key check."""
+        b = ctx.bucket
+        if b is not None:
+            return b
+        phase = ctx.phase
+        at = (clock, ctx.tid)
         b = phase_coherence.get(phase)
         if b is None:
             b = phase_coherence[phase] = CoherenceStats()
             first_access[phase] = at
         elif at < first_access[phase]:
             first_access[phase] = at
+        ctx.bucket = b
         return b
 
     def advance(ctx: _Thread) -> None:
@@ -312,8 +352,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
         n_entries = len(entries)
         i = ctx.ip
         if i < n_entries:
-            t = type(entries[i])
-            if t is not _Seg and t is not PhaseBegin and t is not PhaseEnd:
+            if type(entries[i]) not in _INLINE:
                 # already at a sync point: park without the setup below
                 ctx.pending = entries[i]
                 ctx.ip = i + 1
@@ -336,12 +375,11 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                     # pure compute, long enough to price as one ceil-sum
                     busy = int(np_ceil(e.carr / denom).sum())
                     core.instructions_retired += e.total_instr
-                    stats.add_busy(ctx.current_phase(), tid, busy)
+                    ctx.charge_busy(stats, busy)
                     ctx.clock += busy
                     ops_executed += len(e.args)
                     i += 1
                     continue
-                phase = ctx.current_phase()
                 busy = 0
                 n_loads = 0
                 n_stores = 0
@@ -484,7 +522,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                     at = ctx.clock
                     if e.lead:
                         at += sum(ceil(a / denom) for a in e.args[:e.lead])
-                    b = bucket(phase, (at, tid))
+                    b = bucket(ctx, at)
                     b.reads += n_loads
                     b.writes += n_stores
                     b.l1_hits += d_l1h
@@ -494,7 +532,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                     b.upgrades += d_upg
                     b.writebacks += d_wb
                 if busy:
-                    stats.add_busy(phase, tid, busy)
+                    ctx.charge_busy(stats, busy)
                     ctx.clock += busy
                 ops_executed += executed
                 if bailed:
@@ -515,7 +553,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                 i += 1
             elif t is PhaseBegin:
                 ops_executed += 1
-                ctx.phase_stack.append(e.phase)
+                ctx.enter(e.phase)
                 stats.note_begin(e.phase, ctx.clock)
                 at = (ctx.clock, tid, i)
                 first_begin[e.phase] = min(first_begin.get(e.phase, at), at)
@@ -527,7 +565,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                         f"thread {tid}: PhaseEnd({e.phase!r}) does not match "
                         f"open phases {ctx.phase_stack}"
                     )
-                ctx.phase_stack.pop()
+                ctx.leave()
                 stats.note_end(e.phase, ctx.clock)
                 i += 1
             else:
@@ -558,19 +596,32 @@ def run_batch(config: MachineConfig, program: TraceProgram):
         t = type(op)
         tid = ctx.tid
         if t is Load or t is Store:
-            phase = ctx.current_phase()
-            coherence.stats = bucket(phase, (ctx.clock, tid))
+            clock = ctx.clock
+            b = ctx.bucket
+            coherence.stats = b if b is not None else bucket(ctx, clock)
             core = cores[tid]
             core.instructions_retired += 1
             if t is Load:
                 core.loads += 1
-                cycles = coherence.read(tid, op.addr, ctx.clock)
+                cycles = read(tid, op.addr, clock)
             else:
                 core.stores += 1
-                cycles = coherence.write(tid, op.addr, ctx.clock)
-            stats.add_busy(phase, tid, cycles)
-            ctx.clock += cycles
-            advance(ctx)
+                cycles = write(tid, op.addr, clock)
+            if cycles:  # ctx.charge_busy, inlined
+                busy = ctx.busy
+                if busy is None:
+                    busy = ctx.busy = stats.busy[ctx.phase]
+                busy[tid] += cycles
+                ctx.clock = clock + cycles
+            i = ctx.ip
+            entries = ctx.entries
+            if i < len(entries) and type(entries[i]) not in _INLINE:
+                # the next entry is a sync op too: park without advance()
+                ctx.pending = entries[i]
+                ctx.ip = i + 1
+                heappush(heap, (ctx.clock, tid))
+            else:
+                advance(ctx)
         elif t is Barrier:
             arrivals = barrier_arrivals.setdefault(op.barrier_id, {})
             if tid in arrivals:
@@ -585,7 +636,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                 release = max(arrivals.values()) + config.barrier_release_latency
                 for w, arrived_at in arrivals.items():
                     r = threads[w]
-                    stats.add_wait(r.current_phase(), w, release - arrived_at)
+                    stats.add_wait(r.phase, w, release - arrived_at)
                     r.clock = release
                 for w in sorted(arrivals):
                     advance(threads[w])
@@ -594,7 +645,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                 lock_holder[op.lock_id] = tid
                 ctx.held_locks.add(op.lock_id)
                 cycles = config.lock_acquire_latency
-                stats.add_busy(ctx.current_phase(), tid, cycles)
+                ctx.charge_busy(stats, cycles)
                 ctx.clock += cycles
                 advance(ctx)
             else:
@@ -614,12 +665,12 @@ def run_batch(config: MachineConfig, program: TraceProgram):
             next_tid = waiters.pop(0)
             w = threads[next_tid]
             wait = max(w.clock, ctx.clock) - w.clock
-            stats.add_wait(w.current_phase(), next_tid, wait)
+            stats.add_wait(w.phase, next_tid, wait)
             w.clock = max(w.clock, ctx.clock)
             lock_holder[op.lock_id] = next_tid
             w.held_locks.add(op.lock_id)
             cycles = config.lock_acquire_latency
-            stats.add_busy(w.current_phase(), next_tid, cycles)
+            w.charge_busy(stats, cycles)
             w.clock += cycles
             for r in ((ctx, w) if tid < next_tid else (w, ctx)):
                 advance(r)

@@ -29,12 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.simx.cache import Cache, MesiState
+from repro.simx.cache import Cache, CacheLine, MesiState
 from repro.simx.config import MachineConfig
 from repro.simx.dram import DramModel
 from repro.simx.interconnect import Interconnect, build_interconnect
 
 __all__ = ["CoherenceController", "CoherenceStats", "DirectoryEntry"]
+
+_MODIFIED, _EXCLUSIVE, _SHARED, _INVALID = (
+    MesiState.MODIFIED, MesiState.EXCLUSIVE, MesiState.SHARED, MesiState.INVALID,
+)
 
 
 @dataclass
@@ -66,7 +70,16 @@ class CoherenceStats:
 
 
 class CoherenceController:
-    """All caches plus the MESI directory for one simulated machine."""
+    """All caches plus the MESI directory for one simulated machine.
+
+    Both engines call :meth:`read` / :meth:`write` for every access the
+    protocol must see, so the entry points test L1 hits and drop remote
+    copies on the L1 sets directly (the ``OrderedDict`` per set that
+    :class:`Cache` keeps) and look each directory entry up once per
+    access.  The protocol is pinned by
+    ``tests/simx/test_coherence_oracle.py`` against a frozen copy of the
+    controller written over :class:`Cache`'s public methods.
+    """
 
     def __init__(self, config: MachineConfig, interconnect: "Interconnect | None" = None):
         self.config = config
@@ -83,6 +96,17 @@ class CoherenceController:
                 row_hit_latency=config.dram_row_hit_latency,
                 row_miss_latency=config.dram_row_miss_latency,
             )
+        # per-access constants, read once
+        self._line_size = config.line_size
+        self._hit_lat = config.l1d.hit_latency
+        self._l2_lat = config.l2.hit_latency
+        self._remote_lat = config.remote_l1_latency
+        self._inv_lat = config.invalidation_latency
+        self._msi = config.coherence_protocol == "msi"
+        self._prefetch = config.prefetch_next_line
+        self._l1_sets = [l1._sets for l1 in self.l1s]
+        self._n_sets = config.l1d.n_sets
+        self._ways = config.l1d.ways
 
     def _memory_latency(self, line: int) -> int:
         """Latency of one main-memory line fetch (flat or banked)."""
@@ -99,16 +123,16 @@ class CoherenceController:
         had_sharers = bool(e.sharers)
         if not had_sharers:
             e.in_l2 = True
-        if had_sharers or self.config.coherence_protocol == "msi":
+        if had_sharers or self._msi:
             state = MesiState.SHARED
         else:
             state = MesiState.EXCLUSIVE
-        self._install_l1(core, nxt, state)
+        self._install_l1(core, nxt, state, e)
 
     # ── helpers ───────────────────────────────────────────────────────────
     def line_of(self, addr: int) -> int:
         """Byte address → line address."""
-        return addr // self.config.line_size
+        return addr // self._line_size
 
     def _entry(self, line: int) -> DirectoryEntry:
         e = self.directory.get(line)
@@ -117,161 +141,189 @@ class CoherenceController:
             self.directory[line] = e
         return e
 
-    def _handle_l1_eviction(self, core: int, line: int, state: MesiState) -> int:
+    def _handle_l1_eviction(self, core: int, victim: CacheLine) -> int:
         """Directory bookkeeping and latency for an evicted L1 line."""
-        e = self._entry(line)
+        e = self._entry(victim.line_addr)
         latency = 0
-        if state is MesiState.MODIFIED:
+        if victim.state is _MODIFIED:
             # dirty writeback into L2; writebacks drain from the store
             # buffer in the background, so they use uncontended timing
             self.stats.writebacks += 1
             e.in_l2 = True
-            latency += self.interconnect.request_latency(core, line)
+            latency += self.interconnect.request_latency(core, victim.line_addr)
         if e.owner == core:
             e.owner = None
         e.sharers.discard(core)
         return latency
 
-    def _install_l1(self, core: int, line: int, state: MesiState) -> int:
-        """Insert into the core's L1, handling any eviction; returns extra
-        latency caused by a dirty eviction."""
-        result = self.l1s[core].insert(line, state)
+    def _install_l1(self, core: int, line: int, state: MesiState, e: DirectoryEntry) -> int:
+        """Fill a line the core just missed on into its L1 and record it in
+        the line's directory entry ``e``; returns extra latency caused by
+        a dirty eviction.
+
+        The fill is :meth:`Cache.insert` on the set itself, less its
+        hit case (the caller missed): drop any stale INVALID entry, evict
+        the set's LRU valid line if the set is full, append the line."""
+        s = self._l1_sets[core][line % self._n_sets]
+        s.pop(line, None)
         latency = 0
-        if result.evicted is not None:
-            latency += self._handle_l1_eviction(
-                core, result.evicted.line_addr, result.evicted.state
-            )
-        e = self._entry(line)
-        if state in (MesiState.MODIFIED, MesiState.EXCLUSIVE):
-            e.owner = core
-            e.sharers = {core}
-        else:
+        while len(s) >= self._ways:
+            _, old = s.popitem(last=False)
+            if old.state is not _INVALID:
+                self.l1s[core].evictions += 1
+                latency = self._handle_l1_eviction(core, old)
+                break
+        s[line] = CacheLine(line, state)
+        if state is _SHARED:
             e.owner = None
             e.sharers.add(core)
+        else:
+            e.owner = core
+            e.sharers = {core}
         return latency
 
-    def _invalidate_remotes(self, line: int, keep: int) -> int:
-        """Invalidate every remote copy of a line; returns total latency."""
-        e = self._entry(line)
+    def _invalidate_remotes(self, line: int, keep: int, e: DirectoryEntry) -> int:
+        """Invalidate every remote copy of a line (directory entry ``e``);
+        returns total latency."""
+        owner = e.owner
+        sharers = e.sharers
+        if (owner is None or owner == keep) and (
+            not sharers or (len(sharers) == 1 and keep in sharers)
+        ):
+            return 0  # no remote copy: nothing to invalidate
+        victims = set(sharers)
+        if owner is not None:
+            victims.add(owner)
+        victims.discard(keep)
+        stats = self.stats
+        slot = line % self._n_sets
         latency = 0
-        victims = (e.sharers | ({e.owner} if e.owner is not None else set())) - {keep}
         for core in sorted(victims):
-            l1 = self.l1s[core]
-            had_line = l1.lookup(line)
-            if had_line is not None and had_line.state is MesiState.MODIFIED:
-                # dirty data flows to the requester / L2 first
-                self.stats.writebacks += 1
-                e.in_l2 = True
-            if l1.invalidate(line):
-                self.stats.invalidations += 1
-                latency += self.config.invalidation_latency
-        e.sharers &= {keep}
-        if e.owner is not None and e.owner != keep:
+            ln = self._l1_sets[core][slot].pop(line, None)
+            if ln is not None and ln.state is not _INVALID:
+                if ln.state is _MODIFIED:
+                    # dirty data flows to the requester / L2 first
+                    stats.writebacks += 1
+                    e.in_l2 = True
+                stats.invalidations += 1
+                latency += self._inv_lat
+        if keep in sharers:
+            e.sharers = {keep}
+        else:
+            sharers.clear()
+        if owner is not None and owner != keep:
             e.owner = None
         return latency
+
+    def _fill_latency(self, line: int, e: DirectoryEntry) -> int:
+        """L2 hit, or L2 miss plus a memory fetch that sets ``in_l2``."""
+        if e.in_l2:
+            self.stats.l2_hits += 1
+            return self._l2_lat
+        self.stats.memory_fetches += 1
+        e.in_l2 = True
+        return self._l2_lat + self._memory_latency(line)
 
     # ── protocol entry points ────────────────────────────────────────────
     def read(self, core: int, addr: int, now: int = 0) -> int:
         """Perform a load; returns its latency in cycles."""
-        self.stats.reads += 1
-        line = self.line_of(addr)
+        stats = self.stats
+        stats.reads += 1
+        line = addr // self._line_size
         l1 = self.l1s[core]
-        cfg = self.config
+        s = self._l1_sets[core][line % self._n_sets]
+        ln = s.get(line)
+        if ln is not None and ln.state is not _INVALID:
+            s.move_to_end(line)
+            l1.hits += 1
+            stats.l1_hits += 1
+            return self._hit_lat
+        l1.misses += 1
+        stats.l1_misses += 1
+        latency = self._hit_lat + self.interconnect.request_latency(core, line, now)
+        e = self.directory.get(line)
+        if e is None:
+            e = self.directory[line] = DirectoryEntry()
 
-        if l1.touch(line) is not None:
-            self.stats.l1_hits += 1
-            return cfg.l1d.hit_latency
-
-        self.stats.l1_misses += 1
-        latency = cfg.l1d.hit_latency + self.interconnect.request_latency(core, line, now)
-        e = self._entry(line)
-
-        if e.owner is not None and e.owner != core:
-            owner_line = self.l1s[e.owner].lookup(line)
-            if owner_line is not None and owner_line.state is MesiState.MODIFIED:
+        owner = e.owner
+        if owner is not None and owner != core:
+            owner_line = self.l1s[owner].lookup(line)
+            if owner_line is not None and owner_line.state is _MODIFIED:
                 # cache-to-cache transfer; owner writes back and both share
-                self.stats.cache_to_cache += 1
-                self.stats.writebacks += 1
-                latency += cfg.remote_l1_latency
-                latency += self.interconnect.core_to_core_latency(core, e.owner)
-                self.l1s[e.owner].set_state(line, MesiState.SHARED)
+                stats.cache_to_cache += 1
+                stats.writebacks += 1
+                latency += self._remote_lat
+                latency += self.interconnect.core_to_core_latency(core, owner)
+                owner_line.state = _SHARED
                 e.in_l2 = True
-                e.sharers = {e.owner}
+                e.sharers = {owner}
                 e.owner = None
-                latency += self._install_l1(core, line, MesiState.SHARED)
-                return latency
+                return latency + self._install_l1(core, line, _SHARED, e)
             # remote E: downgrade silently, serve from L2/remote
             if owner_line is not None:
-                self.l1s[e.owner].set_state(line, MesiState.SHARED)
-            e.sharers = ({e.owner} if e.owner is not None else set()) | set(e.sharers)
+                owner_line.state = _SHARED
+            e.sharers.add(owner)
             e.owner = None
 
-        if e.in_l2:
-            self.stats.l2_hits += 1
-            latency += cfg.l2.hit_latency
+        latency += self._fill_latency(line, e)
+        if e.sharers or self._msi:
+            new_state = _SHARED  # MSI has no Exclusive state
         else:
-            self.stats.memory_fetches += 1
-            latency += cfg.l2.hit_latency + self._memory_latency(line)
-            e.in_l2 = True
-
-        if e.sharers or cfg.coherence_protocol == "msi":
-            new_state = MesiState.SHARED  # MSI has no Exclusive state
-        else:
-            new_state = MesiState.EXCLUSIVE
-        latency += self._install_l1(core, line, new_state)
-        if cfg.prefetch_next_line:
+            new_state = _EXCLUSIVE
+        latency += self._install_l1(core, line, new_state, e)
+        if self._prefetch:
             self._prefetch_next(core, line)
         return latency
 
     def write(self, core: int, addr: int, now: int = 0) -> int:
         """Perform a store; returns its latency in cycles."""
-        self.stats.writes += 1
-        line = self.line_of(addr)
+        stats = self.stats
+        stats.writes += 1
+        line = addr // self._line_size
         l1 = self.l1s[core]
-        cfg = self.config
-        resident = l1.touch(line)
+        s = self._l1_sets[core][line % self._n_sets]
+        resident = s.get(line)
 
-        if resident is not None:
-            self.stats.l1_hits += 1
-            if resident.state is MesiState.MODIFIED:
-                return cfg.l1d.hit_latency
-            if resident.state is MesiState.EXCLUSIVE:
-                l1.set_state(line, MesiState.MODIFIED)
-                e = self._entry(line)
+        if resident is not None and resident.state is not _INVALID:
+            s.move_to_end(line)
+            l1.hits += 1
+            stats.l1_hits += 1
+            state = resident.state
+            if state is _MODIFIED:
+                return self._hit_lat
+            e = self.directory[line]
+            if state is _EXCLUSIVE:
+                resident.state = _MODIFIED
                 e.owner = core
                 e.sharers = {core}
-                return cfg.l1d.hit_latency
+                return self._hit_lat
             # SHARED → upgrade: invalidate the other sharers
-            self.stats.upgrades += 1
-            latency = cfg.l1d.hit_latency + self.interconnect.request_latency(core, line, now)
-            latency += self._invalidate_remotes(line, keep=core)
-            l1.set_state(line, MesiState.MODIFIED)
-            e = self._entry(line)
+            stats.upgrades += 1
+            latency = self._hit_lat + self.interconnect.request_latency(core, line, now)
+            latency += self._invalidate_remotes(line, core, e)
+            resident.state = _MODIFIED
             e.owner = core
             e.sharers = {core}
             return latency
 
         # write miss: read-for-ownership
-        self.stats.l1_misses += 1
-        latency = cfg.l1d.hit_latency + self.interconnect.request_latency(core, line, now)
-        e = self._entry(line)
-        had_remote_m = e.owner is not None and e.owner != core and (
-            (rl := self.l1s[e.owner].lookup(line)) is not None
-            and rl.state is MesiState.MODIFIED
-        )
-        if had_remote_m:
-            self.stats.cache_to_cache += 1
-            latency += cfg.remote_l1_latency
-            latency += self.interconnect.core_to_core_latency(core, e.owner)
-        elif e.in_l2:
-            self.stats.l2_hits += 1
-            latency += cfg.l2.hit_latency
+        l1.misses += 1
+        stats.l1_misses += 1
+        latency = self._hit_lat + self.interconnect.request_latency(core, line, now)
+        e = self.directory.get(line)
+        if e is None:
+            e = self.directory[line] = DirectoryEntry()
+        owner = e.owner
+        if owner is not None and owner != core and (
+            (rl := self.l1s[owner].lookup(line)) is not None and rl.state is _MODIFIED
+        ):
+            stats.cache_to_cache += 1
+            latency += self._remote_lat
+            latency += self.interconnect.core_to_core_latency(core, owner)
         else:
-            self.stats.memory_fetches += 1
-            latency += cfg.l2.hit_latency + self._memory_latency(line)
-            e.in_l2 = True
-        latency += self._invalidate_remotes(line, keep=core)
-        latency += self._install_l1(core, line, MesiState.MODIFIED)
+            latency += self._fill_latency(line, e)
+        latency += self._invalidate_remotes(line, core, e)
+        latency += self._install_l1(core, line, _MODIFIED, e)
         return latency
 
     # ── invariants (exercised by property tests) ─────────────────────────

@@ -82,7 +82,8 @@ class MeshInterconnect(Interconnect):
 
     The home bank of a line is ``line_addr % n_cores``; request latency is
     ``2 × hops × hop_latency`` (request + reply), precomputed once as
-    ``request_table[core][bank]``.
+    ``request_table[core][bank]``, and a cache-to-cache transfer costs
+    ``hops × hop_latency``, precomputed as ``transfer_table[src][dst]``.
     """
 
     def __init__(self, n_cores: int, hop_latency: int):
@@ -93,6 +94,7 @@ class MeshInterconnect(Interconnect):
         row, col = np.divmod(np.arange(self.mesh.n_nodes), self.mesh.cols)
         hops = np.abs(row[:, None] - row) + np.abs(col[:, None] - col)
         self.request_table = tuple(map(tuple, (2 * hop_latency * hops).tolist()))
+        self.transfer_table = tuple(map(tuple, (hop_latency * hops).tolist()))
 
     def home_bank(self, line_addr: int) -> int:
         """The tile holding this line's L2 bank."""
@@ -104,7 +106,10 @@ class MeshInterconnect(Interconnect):
         return self.request_table[core][line_addr % self.mesh.n_nodes]
 
     def core_to_core_latency(self, src: int, dst: int) -> int:
-        return self.mesh.hop_distance(src, dst) * self.hop_latency
+        n = self.mesh.n_nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"cores ({src}, {dst}) out of range [0, {n})")
+        return self.transfer_table[src][dst]
 
 
 def build_interconnect(config: MachineConfig) -> Interconnect:

@@ -9,6 +9,13 @@ Programs are deadlock-free by construction: every thread shares one
 barrier/phase skeleton, lock sections are emitted whole (acquire and
 release in the same step, never across a barrier) and never nested.
 
+The ``nested-phases`` mix targets phase attribution rather than traffic:
+accesses before any phase (charged to ``(unattributed)``), an ``outer``
+phase re-entered every round with inner phases nested in it, and shared
+accesses after each inner ``PhaseEnd`` that must charge ``outer`` again.
+It has its own builder, so adding it left the other mixes' random draws,
+and therefore the pinned seed corpora, unchanged.
+
 Address space (64-byte lines): each thread owns 16 private lines at
 ``(0x1000 + tid*0x100 + idx) * 64``; 8 lines at ``idx * 64`` are touched
 by every thread; false-sharing stores hit distinct bytes of those same
@@ -40,7 +47,7 @@ LINE = 64
 
 #: op-mix profiles: weights for (compute, private, shared, reduction,
 #: false-sharing) emission
-MIXES = ("private", "shared", "reduction", "false-sharing", "mixed")
+MIXES = ("private", "shared", "reduction", "false-sharing", "mixed", "nested-phases")
 
 _WEIGHTS = {
     "private": (4, 10, 1, 0, 0),
@@ -48,6 +55,7 @@ _WEIGHTS = {
     "reduction": (3, 4, 1, 6, 0),
     "false-sharing": (3, 3, 1, 0, 8),
     "mixed": (4, 4, 3, 2, 2),
+    "nested-phases": (2, 3, 5, 2, 1),
 }
 _KINDS = ("compute", "private", "shared", "reduction", "false-sharing")
 
@@ -88,6 +96,8 @@ def generate_program(
         raise ValueError(f"unknown mix {mix!r}; expected one of {MIXES}")
     rng = random.Random((seed << 5) ^ 0xD1FF)
     weights = _WEIGHTS[mix]
+    if mix == "nested-phases":
+        return _nested_program(rng, weights, f"fuzz-{mix}-{seed}", max_threads)
     n_threads = rng.randint(1, max_threads)
     n_rounds = rng.randint(1, 3)
     per_thread: list[list] = [[] for _ in range(n_threads)]
@@ -110,4 +120,56 @@ def generate_program(
     return TraceProgram(
         f"fuzz-{mix}-{seed}",
         [ThreadTrace(tid, ops) for tid, ops in enumerate(per_thread)],
+    )
+
+
+def _steps(rng: random.Random, ops: list, tid: int, weights, lo: int, hi: int) -> None:
+    for _ in range(rng.randint(lo, hi)):
+        _emit(rng, ops, tid, rng.choices(_KINDS, weights)[0])
+
+
+def _shared_access(rng: random.Random, ops: list) -> None:
+    addr = rng.randrange(8) * LINE
+    ops.append(Store(addr) if rng.random() < 0.5 else Load(addr))
+
+
+def _nested_program(
+    rng: random.Random, weights, name: str, max_threads: int
+) -> TraceProgram:
+    """Rounds of ``outer`` ⊃ inner phases, with unattributed edges.
+
+    Each thread opens with accesses outside any phase; every round
+    re-enters ``outer`` and nests one or two inner phases (sometimes a
+    second ``outer``) inside it; each inner ``PhaseEnd`` is followed by
+    a shared access charged to ``outer``.
+    """
+    n_threads = rng.randint(1, max_threads)
+    n_rounds = rng.randint(2, 3)
+    per_thread: list[list] = [[] for _ in range(n_threads)]
+    for tid in range(n_threads):
+        _shared_access(rng, per_thread[tid])
+        _steps(rng, per_thread[tid], tid, weights, 0, 4)
+    for rnd in range(n_rounds):
+        inners = [
+            rng.choice(("init", "merge", "reduction", "outer"))
+            for _ in range(rng.randint(1, 2))
+        ]
+        for tid in range(n_threads):
+            ops = per_thread[tid]
+            ops.append(PhaseBegin("outer"))
+            _steps(rng, ops, tid, weights, 0, 4)
+            for inner in inners:
+                ops.append(PhaseBegin(inner))
+                _steps(rng, ops, tid, weights, 0, 6)
+                ops.append(PhaseEnd(inner))
+                _shared_access(rng, ops)
+                _steps(rng, ops, tid, weights, 0, 3)
+            ops.append(PhaseEnd("outer"))
+            if rng.random() < 0.5:
+                _shared_access(rng, ops)
+        if n_threads > 1:
+            for tid in range(n_threads):
+                per_thread[tid].append(Barrier(rnd))
+    return TraceProgram(
+        name, [ThreadTrace(tid, ops) for tid, ops in enumerate(per_thread)]
     )

@@ -16,7 +16,7 @@ import pytest
 from tests.differential.gen import MIXES, generate_program
 from tests.differential.harness import CONFIG_RING, assert_identical, run_two
 
-#: seeds per mix; 5 mixes x 408 = 2040 programs (the acceptance bar is
+#: seeds per mix; 6 mixes x 408 = 2448 programs (the acceptance bar is
 #: 2000).  Override with REPRO_DIFF_SEEDS for longer CI fuzz runs.
 SEEDS_PER_MIX = int(os.environ.get("REPRO_DIFF_SEEDS", "408"))
 _CHUNK = 51

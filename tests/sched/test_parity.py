@@ -23,7 +23,7 @@ from repro.simx import Machine
 from tests.differential.gen import MIXES, generate_program
 from tests.differential.harness import CONFIG_RING, assert_identical
 
-#: seeds per mix; 5 mixes x 408 = 2040 programs (the acceptance bar is
+#: seeds per mix; 6 mixes x 408 = 2448 programs (the acceptance bar is
 #: 2000).  Override with REPRO_SCHED_SEEDS for longer CI runs.
 SEEDS_PER_MIX = int(os.environ.get("REPRO_SCHED_SEEDS", "408"))
 _CHUNK = 51

@@ -56,10 +56,24 @@ class TestMesh:
                 assert mesh.request_table[core][line % n] == want
                 assert mesh.request_latency(core, line) == want
 
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 64])
+    def test_transfer_table_matches_hop_distance(self, n):
+        # 8 and 12 lay out as non-square grids (2x4, 3x4)
+        mesh = MeshInterconnect(n, hop_latency=3)
+        for src in range(n):
+            for dst in range(n):
+                want = mesh.mesh.hop_distance(src, dst) * 3
+                assert mesh.core_to_core_latency(src, dst) == want
+
     @pytest.mark.parametrize("core", [-1, 16, 100])
     def test_invalid_core_raises(self, core):
         with pytest.raises(ValueError):
             MeshInterconnect(16, hop_latency=2).request_latency(core, 0)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (16, 0), (0, 16)])
+    def test_invalid_transfer_core_raises(self, pair):
+        with pytest.raises(ValueError):
+            MeshInterconnect(16, hop_latency=2).core_to_core_latency(*pair)
 
 
 class TestBuild:
