@@ -113,8 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--no-sweep-cache", action="store_true",
                        help="skip the on-disk simulation sweep cache")
     run_p.add_argument("--parallel", type=int, default=None, metavar="N",
-                       help="run simulator sweeps on N worker processes "
-                            "(reports stay byte-identical to serial runs)")
+                       help="run simulator sweeps on N local worker "
+                            "processes (reports stay byte-identical to "
+                            "serial runs)")
     run_p.add_argument("--event-log", metavar="PATH", default=None,
                        help="with --parallel: append engine events "
                             "(dispatch, cache hits, crashes, ETA) as JSONL")
@@ -140,9 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "seconds (default: wait indefinitely)")
     run_p.add_argument("--lease-timeout", type=float, default=600.0,
                        metavar="S",
-                       help="with --listen: re-issue a unit whose worker "
-                            "has not reported back within S seconds "
-                            "(default: 600)")
+                       help="re-issue a unit whose worker has not reported "
+                            "back within S seconds; with --parallel the "
+                            "local worker holding it is also killed and "
+                            "respawned (default: 600)")
 
     runall_p = sub.add_parser(
         "runall",
@@ -181,9 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "worker connects within S seconds")
     runall_p.add_argument("--lease-timeout", type=float, default=600.0,
                           metavar="S",
-                          help="with --listen: re-issue a unit whose "
-                               "worker has not reported back within S "
-                               "seconds (default: 600)")
+                          help="re-issue a unit whose worker has not "
+                               "reported back within S seconds; with "
+                               "--parallel the local worker holding it is "
+                               "also killed and respawned (default: 600)")
 
     pred = sub.add_parser("predict", help="speedup prediction for custom parameters")
     pred.add_argument("--f", type=float, required=True, help="parallel fraction")
@@ -362,22 +365,12 @@ def _metrics_context(args: argparse.Namespace):
     if path is None:
         yield None
         return
-    import os
-
     from repro import obs
 
-    obs.set_enabled(True)
-    # spawn-method engine workers re-import in a fresh process; the env
-    # var is how the enable switch reaches them (fork inherits it anyway)
-    prior_env = os.environ.get("REPRO_OBS")
-    os.environ["REPRO_OBS"] = "1"
+    obs.set_enabled(True)  # local engine workers inherit the switch
     try:
         yield path
     finally:
-        if prior_env is None:
-            os.environ.pop("REPRO_OBS", None)
-        else:
-            os.environ["REPRO_OBS"] = prior_env
         obs.set_enabled(False)
         out = obs.write_jsonl(path, meta={"command": args.command})
         obs.reset()

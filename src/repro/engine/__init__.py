@@ -1,7 +1,7 @@
 """``repro.engine`` — parallel experiment orchestration.
 
-A work-unit scheduler plus a fault-tolerant multiprocess worker pool
-that parallelizes experiment execution end to end while keeping reports
+A work-unit scheduler plus a fault-tolerant worker pool that
+parallelizes experiment execution end to end while keeping reports
 **byte-identical** to serial runs (see ``docs/engine.md``):
 
 * experiments declare their work as content-hashed
@@ -10,10 +10,11 @@ that parallelizes experiment execution end to end while keeping reports
 * the :class:`~repro.engine.scheduler.EngineSession` deduplicates units
   within a batch and against every cache tier, dispatches the misses
   across N worker processes, and merges results deterministically;
-* the :class:`~repro.engine.pool.WorkerPool` survives worker deaths —
-  per-unit timeouts, bounded retry with backoff, and a killed worker
-  loses only its single in-flight unit — degrading to in-process serial
-  execution when ``multiprocessing`` is unavailable;
+* the :class:`~repro.engine.remote.RemotePool` leases units to its
+  workers and survives their deaths — a lease deadline per unit,
+  bounded retry with backoff, and a killed worker loses only its one
+  lease — degrading to in-process serial execution
+  (:class:`~repro.engine.pool.SerialPool`) when workers cannot start;
 * everything observable flows through an
   :class:`~repro.engine.events.EventLog` (progress, ETA, cache hits,
   crashes), mirrored to ``repro.util.logging`` and optionally to JSONL;
@@ -24,11 +25,12 @@ that parallelizes experiment execution end to end while keeping reports
   resume hint), and ``--resume`` replays the journal as a cache tier
   ahead of the sweep store — proven by the fault-injection harness in
   :mod:`repro.engine.chaos`;
-* execution is **location-transparent**: ``--listen`` swaps the process
-  pool for the :class:`~repro.engine.remote.RemotePool`, whose workers
-  (``repro worker --connect``) lease units over a socket protocol with
-  journal-before-acknowledge durability and at-most-once settle — the
-  same byte-identity and resume guarantees across machines.
+* execution is **location-transparent**: one lease protocol, with
+  journal-before-acknowledge durability and at-most-once settle, runs
+  over two transports — ``--parallel N`` starts N local worker
+  subprocesses on private socketpairs, and ``--listen`` accepts
+  ``repro worker --connect`` processes over TCP — with the same
+  byte-identity and resume guarantees on one machine or many.
 
 Typical use is via the CLI (``repro run <id> --parallel N``,
 ``repro runall``) or::
@@ -56,7 +58,6 @@ from repro.engine.pool import (
     RunInterrupted,
     SerialPool,
     UnitFailure,
-    WorkerPool,
     default_workers,
 )
 from repro.engine.scheduler import (
@@ -79,7 +80,6 @@ __all__ = [
     "SerialPool",
     "UnitFailure",
     "WorkUnit",
-    "WorkerPool",
     "current_session",
     "default_workers",
     "drain_on_signal",

@@ -4,8 +4,8 @@ Imported lazily by :func:`repro.engine.units.resolve_executor` — in the
 parent on the serial path, or inside a worker process on first miss —
 so worker startup does not pay for the experiments stack until a unit
 actually needs it.  Executors must be pure functions of their spec and
-return a JSON-serialisable dict (the payload crosses the result queue
-and may be persisted in the sweep store).
+return a JSON-serialisable dict (the payload crosses the worker
+protocol as JSON and may be persisted in the sweep store).
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 A *run* is one CLI invocation (``repro run table2 --run-id nightly``)
 whose settled work units must survive the death of the whole process —
 ``kill -9``, OOM, a full disk, a power-cycled CI runner.  The engine's
-:class:`~repro.engine.pool.WorkerPool` already tolerates *worker* deaths
-within a run; this module makes the run itself recoverable:
+worker pool (:class:`~repro.engine.remote.RemotePool`) already tolerates
+*worker* deaths within a run — a dead worker loses only its lease; this
+module makes the run itself, coordinator included, recoverable:
 
 * every settled ``(unit key → payload)`` is appended to a per-run JSONL
   **journal** before it is offered to any cache tier (write-ahead

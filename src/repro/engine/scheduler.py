@@ -20,11 +20,15 @@ callers rebuild their outputs in *their own* iteration order — the
 completion order of workers never leaks into a report.  A parallel run
 is byte-identical to a serial one by construction.
 
-Degradation: if worker processes cannot start (restricted platforms,
-``multiprocessing`` missing) or ``REPRO_ENGINE_SERIAL`` is set, the
-session falls back to in-process serial execution and says so on the
-event stream — a parallel flag can never make a run *fail*, only
-faster.
+Pool: one :class:`~repro.engine.remote.RemotePool` runs every parallel
+batch — N local worker subprocesses for ``n_workers=N``, or TCP
+workers for ``listen`` — and one worker or ``REPRO_ENGINE_SERIAL`` means
+the in-process :class:`~repro.engine.pool.SerialPool`.
+
+Degradation: if workers cannot start (or no TCP worker connects within
+``worker_timeout``), the session falls back to in-process serial
+execution for whatever has not settled, and says so on the event stream
+— a parallel flag can never make a run *fail*, only faster.
 
 :func:`session` is the convenience context manager the CLI uses: it
 installs the session as the ambient engine (:func:`current_session`),
@@ -50,7 +54,6 @@ from repro.engine.pool import (
     PoolUnavailable,
     RunInterrupted,
     SerialPool,
-    WorkerPool,
     default_workers,
 )
 from repro.engine.units import WorkUnit
@@ -83,11 +86,9 @@ class EngineSession:
         self,
         n_workers: "int | None" = None,
         *,
-        unit_timeout: "float | None" = 600.0,
         max_retries: int = 2,
         backoff: float = 0.25,
         max_backoff: float = 5.0,
-        start_method: "str | None" = None,
         events: "EventLog | None" = None,
         journal: "RunJournal | None" = None,
         run_id: "str | None" = None,
@@ -97,11 +98,9 @@ class EngineSession:
         worker_timeout: "float | None" = None,
     ):
         self.n_workers = default_workers() if n_workers is None else max(1, int(n_workers))
-        self.unit_timeout = unit_timeout
         self.max_retries = max_retries
         self.backoff = backoff
         self.max_backoff = max_backoff
-        self.start_method = start_method
         self.drain_grace = drain_grace
         self.listen = listen
         self.lease_timeout = lease_timeout
@@ -156,6 +155,7 @@ class EngineSession:
 
         return RemotePool(
             self.listen,
+            local_workers=0 if self.listen is not None else self.n_workers,
             lease_timeout=self.lease_timeout,
             max_retries=self.max_retries,
             backoff=self.backoff,
@@ -166,30 +166,29 @@ class EngineSession:
             worker_timeout=self.worker_timeout,
         )
 
-    def _make_pool(self) -> "WorkerPool | SerialPool":
-        if self.listen is not None and not _serial_forced():
-            return self._make_remote_pool()
-        if self.n_workers <= 1 or _serial_forced():
+    def _serial(self) -> bool:
+        return _serial_forced() or (self.listen is None and self.n_workers <= 1)
+
+    def _make_pool(self):
+        if self._serial():
             reason = ("REPRO_ENGINE_SERIAL is set" if _serial_forced()
                       else "single worker requested")
             self.events.emit("serial_fallback", reason=reason)
             return SerialPool(events=self.events, should_stop=self._stop.is_set)
-        return WorkerPool(
-            self.n_workers,
-            unit_timeout=self.unit_timeout,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            max_backoff=self.max_backoff,
-            start_method=self.start_method,
-            events=self.events,
-            should_stop=self._stop.is_set,
-            drain_grace=self.drain_grace,
-        )
+        return self._make_remote_pool()
 
     def _degrade(self, reason: str) -> SerialPool:
         self.events.emit("serial_fallback", reason=reason)
+        self._pool.close()
         self._pool = SerialPool(events=self.events, should_stop=self._stop.is_set)
         return self._pool
+
+    @property
+    def workers(self) -> int:
+        """Width of the pool that runs (or will run) this session's misses."""
+        if self._pool is not None:
+            return self._pool.n_workers
+        return 1 if self._serial() else self.n_workers
 
     # ── scheduling ────────────────────────────────────────────────────────
 
@@ -257,15 +256,17 @@ class EngineSession:
             raise exc
 
         total = len(misses)
-        done = 0
+        settled: dict[str, dict] = {}
         started = time.monotonic()
+        if self._pool is None:
+            self._pool = self._make_pool()
         self.events.emit("batch_start", units=len(units), unique=len(unique),
                          cache_hits=len(results), to_execute=total,
-                         workers=self.n_workers)
+                         workers=self.workers)
 
         def on_result(key: str, payload: dict) -> None:
-            nonlocal done
-            done += 1
+            settled[key] = payload
+            done = len(settled)
             self._journal_record(key, payload)  # write-ahead: journal first
             cache_write(unique[key], payload)
             elapsed = time.monotonic() - started
@@ -273,15 +274,16 @@ class EngineSession:
             self.events.emit("progress", done=done, total=total,
                              elapsed_s=round(elapsed, 2), eta_s=round(eta, 2))
 
-        if self._pool is None:
-            self._pool = self._make_pool()
-        with obs.span("engine.batch", to_execute=total, workers=self.n_workers):
+        with obs.span("engine.batch", to_execute=total, workers=self.workers):
             try:
                 executed = self._pool.run(misses, on_result=on_result)
             except PoolUnavailable as exc:
-                # no unit ran (startup failed before dispatch): rerun serially
-                executed = self._degrade(str(exc)).run(misses,
-                                                       on_result=on_result)
+                # whatever settled was delivered through on_result (and
+                # journaled); run the rest serially
+                rest = [u for u in misses if u.key not in settled]
+                executed = dict(settled)
+                executed.update(self._degrade(str(exc)).run(
+                    rest, on_result=on_result))
             except RunInterrupted as exc:
                 if self._stop_reason:  # the pool only sees a flag; name it
                     exc.reason = self._stop_reason
@@ -308,7 +310,7 @@ class EngineSession:
         s = self.stats
         parts = [
             f"{s['units']} unit(s): {s['cache_hits']} cache hit(s), "
-            f"{s['executed']} executed on {self.n_workers} worker(s)"
+            f"{s['executed']} executed on {self.workers} worker(s)"
         ]
         if s["journal_hits"]:
             parts.append(f"{s['journal_hits']} replayed from the run journal")
@@ -462,7 +464,7 @@ def precompute(
         units.extend(declare_units(eid, **dict(options or {})))
     if units:
         log.info("precomputing %d declared work unit(s) on %d worker(s)",
-                 len(units), sess.n_workers)
+                 len(units), sess.workers)
         sess.run_units(units, cache_get=runtime.cache_get,
                        cache_put=runtime.cache_put)
     return len(units)

@@ -12,14 +12,18 @@ independent piece of computation:
 * ``kind`` names the executor that knows how to run the unit.  Executors
   are plain functions ``spec -> payload`` registered per kind; the
   payload must be a JSON-serialisable dict so it can round-trip through
-  the result queue and the disk store.
+  the worker protocol and the disk store.
 * ``spec`` is the executor's argument tuple.  It crosses the process
   boundary by pickling, so everything in it must be picklable.
 
 Executor resolution is lazy: worker processes look a kind up at
 execution time, importing :mod:`repro.engine.executors` (the built-ins)
-on first miss.  Extra kinds registered in the parent before the pool
-starts are inherited by workers under the default ``fork`` start method.
+on first miss.  Extra kinds are registered by importing the module that
+defines them: a local worker process imports, by module name, the
+defining module of every extra executor registered in the coordinator
+when it starts (:func:`executor_modules`).  An executor defined in
+``__main__`` (a script or ``python -c``) therefore cannot run on a
+worker; define it in an importable module.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["WorkUnit", "register_executor", "resolve_executor", "execute"]
+__all__ = ["WorkUnit", "register_executor", "resolve_executor", "execute",
+           "executor_modules"]
 
 #: kind -> executor(spec) -> JSON-serialisable payload dict
 _EXECUTORS: dict[str, Callable[[tuple], dict]] = {}
@@ -58,6 +63,15 @@ class WorkUnit:
 def register_executor(kind: str, fn: Callable[[tuple], dict]) -> None:
     """Register (or replace) the executor for ``kind``."""
     _EXECUTORS[kind] = fn
+
+
+def executor_modules() -> "list[str]":
+    """Modules a fresh worker process must import to know every executor
+    registered here.  The built-ins load on demand, and ``__main__`` is
+    not importable by name, so neither is listed."""
+    modules = {getattr(fn, "__module__", None) for fn in _EXECUTORS.values()}
+    return sorted(m for m in modules
+                  if m and m not in ("__main__", "repro.engine.executors"))
 
 
 def resolve_executor(kind: str) -> Callable[[tuple], dict]:

@@ -17,7 +17,8 @@ Three output shapes for one registry + span recorder:
 
 :func:`drain` and :func:`merge_delta` are the worker-process shuttle:
 a worker drains its registry+recorder into a plain dict after each work
-unit, ships it over the result queue, and the parent folds it back in.
+unit, ships it in the unit's result frame, and the coordinator folds it
+back in.
 """
 
 from __future__ import annotations

@@ -1,24 +1,13 @@
 """Pool-level fault injection: killed and hung workers mid-run.
 
 Exercises the chaos executors (registered at import of
-``repro.engine.chaos``) against a real :class:`WorkerPool`: the pool
+``repro.engine.chaos``) against real local worker processes: the pool
 must retry the unit on a fresh worker and still deliver every result.
-Fork-only, like the other pool tests — the chaos executors are
-registered in the parent and inherited by forked workers.
 """
 
-import multiprocessing as mp
-
-import pytest
-
 from repro.engine.chaos import HANG_ONCE, KILL_ONCE
-from repro.engine.pool import WorkerPool
+from repro.engine.remote import RemotePool
 from repro.engine.units import WorkUnit, register_executor
-
-fork_only = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="pool tests rely on fork-inherited executors",
-)
 
 
 def _echo(spec):
@@ -28,12 +17,11 @@ def _echo(spec):
 register_executor("ch-echo", _echo)
 
 
-@fork_only
 class TestWorkerKill:
     def test_sigkilled_worker_retries_and_completes(self, tmp_path):
         unit = WorkUnit(kind=KILL_ONCE, key="victim",
                         spec=(str(tmp_path / "marker"), 7), label="victim")
-        with WorkerPool(2, unit_timeout=60.0, max_retries=2,
+        with RemotePool(local_workers=2, lease_timeout=60.0, max_retries=2,
                         backoff=0.01) as pool:
             results = pool.run([unit])
         assert results == {"victim": {"value": 7}}
@@ -48,7 +36,7 @@ class TestWorkerKill:
             WorkUnit(kind="ch-echo", key=f"b{i}", spec=(i,), label=f"b{i}")
             for i in range(6)
         ]
-        with WorkerPool(3, unit_timeout=60.0, max_retries=2,
+        with RemotePool(local_workers=3, lease_timeout=60.0, max_retries=2,
                         backoff=0.01) as pool:
             results = pool.run([victim] + bystanders)
         assert results["victim"] == {"value": 1}
@@ -56,12 +44,11 @@ class TestWorkerKill:
             assert results[f"b{i}"] == {"value": 2 * i}
 
 
-@fork_only
 class TestUnitHang:
     def test_hung_unit_times_out_then_succeeds(self, tmp_path):
         unit = WorkUnit(kind=HANG_ONCE, key="sloth",
                         spec=(str(tmp_path / "marker"), 60.0, 5), label="sloth")
-        with WorkerPool(1, unit_timeout=1.0, max_retries=2,
+        with RemotePool(local_workers=1, lease_timeout=1.0, max_retries=2,
                         backoff=0.01) as pool:
             results = pool.run([unit])
         assert results == {"sloth": {"value": 5}}

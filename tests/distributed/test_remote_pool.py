@@ -193,6 +193,25 @@ class TestSchedulerIntegration:
         finally:
             sess.close()
 
+    def test_summary_counts_the_remote_workers_not_the_request(self):
+        from repro.engine.scheduler import EngineSession
+
+        sess = EngineSession(1, listen="127.0.0.1:0")
+        try:
+            start_worker(sess.remote_address, name="w1")
+            start_worker(sess.remote_address, name="w2")
+            deadline = time.monotonic() + 15.0
+            while (sess.events.count("worker_connected") < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            sess.run_units([unit("rt-echo", f"k{i}", i) for i in range(4)])
+            [start] = [e for e in sess.events.events
+                       if e.kind == "batch_start"]
+            assert start.data["workers"] == 2
+            assert "4 executed on 2 worker(s)" in sess.summary()
+        finally:
+            sess.close()
+
     def test_session_listen_degrades_serially_on_worker_timeout(self):
         from repro.engine.scheduler import EngineSession
 

@@ -8,22 +8,19 @@ already killed one worker", making the retry succeed.
 """
 
 import json
-import multiprocessing as mp
 import os
 import signal
+import struct
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.engine.pool import UnitFailure, WorkerPool
+from repro.engine.pool import UnitFailure
+from repro.engine.remote import RemotePool
 from repro.engine.units import WorkUnit, register_executor
 from repro.experiments.store import report_to_dict
-
-fork_only = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="fault-tolerance tests rely on fork-inherited test executors",
-)
 
 
 def _echo(spec):
@@ -53,27 +50,35 @@ def _crash_once_sweep_point(spec):
     return execute_sweep_point(spec)
 
 
-#: far larger than a pipe buffer, so sending it blocks until the parent reads
+#: far larger than a socket buffer, so sending it takes many writes
 _BLOB = "x" * (8 << 20)
 
 
 def _kill_mid_send(spec):
-    """Return a multi-MiB payload; on the first attempt a second thread
-    SIGKILLs this process while the main thread is still sending it.
+    """Return a multi-MiB payload; on the first attempt, SIGKILL this
+    process once half of the result frame is written.
 
-    ``fired`` is created just before the kill, so the parent can hold off
-    reading until the worker is dead with its result half written.
+    A profile hook catches ``send_frame`` at its ``sendall`` call, writes
+    the first half of the frame itself and kills the process, so the
+    coordinator is left holding a torn frame.  ``fired`` is created just
+    before the kill, so the coordinator can hold off settling other results
+    until the worker is dead with its result half written.
     """
     marker, fired = spec
     if not os.path.exists(marker):
         open(marker, "w").close()
 
-        def kill_soon():
-            time.sleep(0.3)  # the main thread is blocked mid-send by now
-            open(fired, "w").close()
-            os.kill(os.getpid(), signal.SIGKILL)
+        def kill_in_frame(frame, event, arg):
+            if (event == "c_call" and getattr(arg, "__name__", "") == "sendall"
+                    and frame.f_code.co_name == "send_frame"
+                    and len(frame.f_locals["body"]) > len(_BLOB)):
+                body = frame.f_locals["body"]
+                blob = struct.pack(">I", len(body)) + body
+                frame.f_locals["sock"].sendall(blob[: len(blob) // 2])
+                open(fired, "w").close()
+                os.kill(os.getpid(), signal.SIGKILL)
 
-        threading.Thread(target=kill_soon, daemon=True).start()
+        sys.setprofile(kill_in_frame)
     return {"blob": _BLOB}
 
 
@@ -88,13 +93,12 @@ def unit(kind, key, *spec):
     return WorkUnit(kind=kind, key=key, spec=spec, label=key)
 
 
-@fork_only
 class TestWorkerKill:
     def test_killed_worker_loses_only_inflight_unit(self, tmp_path):
         marker = str(tmp_path / "killed")
         units = [unit("t-ft-echo", f"k{i}", i) for i in range(6)]
         units.insert(3, unit("t-crash-once", "victim", marker, 42))
-        with WorkerPool(2, unit_timeout=60.0, max_retries=2, backoff=0.01) as pool:
+        with RemotePool(local_workers=2, lease_timeout=60.0, max_retries=2, backoff=0.01) as pool:
             results = pool.run(units)
         # every unit completed, including the one whose worker was killed
         assert results["victim"] == {"value": 42}
@@ -115,7 +119,7 @@ class TestWorkerKill:
 
         def on_result(key, payload):
             if key == "k0":
-                # stop reading results until the victim is dead mid-send
+                # hold off settling until the victim is dead mid-send
                 deadline = time.monotonic() + 30
                 while not fired.exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
@@ -124,7 +128,7 @@ class TestWorkerKill:
         out = {}
 
         def run():
-            with WorkerPool(2, unit_timeout=60.0, max_retries=2,
+            with RemotePool(local_workers=2, lease_timeout=60.0, max_retries=2,
                             backoff=0.01) as pool:
                 out["pool"] = pool
                 out["results"] = pool.run(units, on_result=on_result)
@@ -141,7 +145,7 @@ class TestWorkerKill:
         assert pool.events.count("unit_retry") >= 1
 
     def test_repeated_crashes_exhaust_retry_budget(self):
-        with WorkerPool(2, unit_timeout=60.0, max_retries=1, backoff=0.01) as pool:
+        with RemotePool(local_workers=2, lease_timeout=60.0, max_retries=1, backoff=0.01) as pool:
             with pytest.raises(UnitFailure, match="retry budget"):
                 pool.run([unit("t-crash-always", "doomed")])
         assert pool.events.count("worker_crashed") >= 2

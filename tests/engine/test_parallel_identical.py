@@ -6,7 +6,6 @@ what any report contains.
 """
 
 import json
-import multiprocessing as mp
 
 import pytest
 
@@ -15,11 +14,6 @@ from repro.cli import main
 from repro import pipeline
 from repro.experiments.registry import run_experiment
 from repro.experiments.store import report_to_dict
-
-fork_only = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="worker-pool tests need the fork start method",
-)
 
 
 @pytest.fixture
@@ -42,7 +36,6 @@ def as_bytes(report) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True)
 
 
-@fork_only
 def test_table2_parallel_report_is_byte_identical(fresh_store):
     options = dict(scale=0.03, thread_counts=(1, 2, 4))
     fresh_store("serial")
@@ -53,6 +46,8 @@ def test_table2_parallel_report_is_byte_identical(fresh_store):
         parallel = run_experiment("table2", **options)
 
     assert sess.stats["executed"] == 9  # the pool really did the work
+    assert sess.events.count("worker_started") == 2
+    assert sess.events.count("serial_fallback") == 0
     assert parallel.render() == serial.render()
     assert as_bytes(parallel) == as_bytes(serial)
 
@@ -63,19 +58,28 @@ def test_fig4_parallel_report_is_byte_identical(fresh_store):
     no-op on the report."""
     fresh_store("fig4")
     serial = run_experiment("fig4")
+    fresh_store("fig4-parallel")  # else the memo answers the parallel run
     with engine.session(2) as sess:
         parallel = run_experiment("fig4")
     assert sess.stats["units"] == 1
+    assert sess.events.count("worker_started") == 2
+    assert sess.events.count("serial_fallback") == 0
     assert as_bytes(parallel) == as_bytes(serial)
 
 
 def test_cli_run_fig4_parallel_json_identical(tmp_path, capsys):
     """`repro run fig4 --parallel 4` writes the same JSON as a serial run."""
     assert main(["run", "fig4", "--json", str(tmp_path / "serial")]) == 0
+    pipeline.clear_memo()  # else the memo answers the parallel run
+    events = tmp_path / "events.jsonl"
     assert main([
         "run", "fig4", "--parallel", "4", "--json", str(tmp_path / "parallel"),
+        "--event-log", str(events),
     ]) == 0
     capsys.readouterr()
     serial = (tmp_path / "serial" / "fig4.json").read_bytes()
     parallel = (tmp_path / "parallel" / "fig4.json").read_bytes()
     assert parallel == serial
+    kinds = [json.loads(line)["kind"] for line in events.read_text().splitlines()]
+    assert kinds.count("worker_started") == 4
+    assert "serial_fallback" not in kinds

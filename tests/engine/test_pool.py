@@ -1,12 +1,10 @@
 """Worker-pool behaviour: execution, errors, timeouts.
 
-Test executors are registered at import time in the *parent*; worker
-processes inherit them under the ``fork`` start method (the pool's
-default on platforms that have it), so pool tests skip where only
-``spawn`` exists.
+Test executors are registered at import time in this module; local
+worker processes import it by name when they start, which registers
+them there too.
 """
 
-import multiprocessing as mp
 import os
 import time
 
@@ -17,14 +15,9 @@ from repro.engine.pool import (
     RunInterrupted,
     SerialPool,
     UnitFailure,
-    WorkerPool,
 )
+from repro.engine.remote import RemotePool
 from repro.engine.units import WorkUnit, register_executor
-
-fork_only = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="pool tests rely on fork-inherited test executors",
-)
 
 
 def _echo(spec):
@@ -107,17 +100,16 @@ class TestSerialPool:
         assert exc_info.value.pending == 3
 
 
-@fork_only
 class TestWorkerPool:
     def test_parallel_execution(self):
-        with WorkerPool(3, unit_timeout=60.0) as pool:
+        with RemotePool(local_workers=3, lease_timeout=60.0) as pool:
             results = pool.run([unit("t-echo", f"k{i}", i) for i in range(10)])
         assert results == {f"k{i}": {"value": 2 * i} for i in range(10)}
         assert pool.events.count("worker_started") == 3
         assert pool.events.count("unit_done") == 10
 
     def test_pool_reusable_across_batches(self):
-        with WorkerPool(2, unit_timeout=60.0) as pool:
+        with RemotePool(local_workers=2, lease_timeout=60.0) as pool:
             first = pool.run([unit("t-echo", "a", 1)])
             second = pool.run([unit("t-echo", "b", 2)])
         assert first == {"a": {"value": 2}}
@@ -126,12 +118,12 @@ class TestWorkerPool:
         assert pool.events.count("worker_started") == 2
 
     def test_executor_exception_fails_fast(self):
-        with WorkerPool(2, unit_timeout=60.0) as pool:
+        with RemotePool(local_workers=2, lease_timeout=60.0) as pool:
             with pytest.raises(UnitFailure, match="ValueError"):
                 pool.run([unit("t-boom", "bad", 3)])
 
     def test_unit_timeout_exhausts_retries(self):
-        with WorkerPool(1, unit_timeout=0.5, max_retries=0, backoff=0.01) as pool:
+        with RemotePool(local_workers=1, lease_timeout=0.5, max_retries=0, backoff=0.01) as pool:
             started = time.monotonic()
             with pytest.raises(UnitFailure, match="retry budget"):
                 pool.run([unit("t-nap", "slow", 30)])
@@ -140,7 +132,7 @@ class TestWorkerPool:
 
     def test_unit_timeout_then_retry_succeeds(self, tmp_path):
         marker = str(tmp_path / "tried")
-        with WorkerPool(1, unit_timeout=1.0, max_retries=2, backoff=0.01) as pool:
+        with RemotePool(local_workers=1, lease_timeout=1.0, max_retries=2, backoff=0.01) as pool:
             results = pool.run([unit("t-nap-once", "flaky", marker, 9)])
         assert results == {"flaky": {"value": 9}}
         assert pool.events.count("unit_timeout") >= 1
@@ -151,13 +143,12 @@ class TestWorkerPool:
         """A failed batch must not leave dirty slots: the next batch on
         the same pool runs normally (regression: in-flight bookkeeping
         survived the UnitFailure raise and mis-saw busy workers)."""
-        with WorkerPool(2, unit_timeout=60.0) as pool:
+        with RemotePool(local_workers=2, lease_timeout=60.0) as pool:
             with pytest.raises(UnitFailure):
                 pool.run([unit("t-boom", "bad", 1)] +
                          [unit("t-echo", f"k{i}", i) for i in range(4)])
-            # every slot must be idle again
-            assert all(s.unit is None and s.deadline is None
-                       and s.started is None for s in pool._slots.values())
+            # no lease may be left outstanding
+            assert pool._batch is None
             results = pool.run([unit("t-echo", "after", 21)])
         assert results == {"after": {"value": 42}}
 
@@ -167,7 +158,7 @@ class TestWorkerPool:
         obs.set_enabled(True)
         try:
             obs.reset()
-            with WorkerPool(2, unit_timeout=60.0) as pool:
+            with RemotePool(local_workers=2, lease_timeout=60.0) as pool:
                 with pytest.raises(UnitFailure):
                     pool.run([unit("t-boom", "bad", 1)] +
                              [unit("t-echo", f"g{i}", i) for i in range(3)])
@@ -179,7 +170,7 @@ class TestWorkerPool:
 
     def test_stop_request_drains_and_reports_state(self):
         stop = {"flag": False}
-        with WorkerPool(2, unit_timeout=60.0, backoff=0.01,
+        with RemotePool(local_workers=2, lease_timeout=60.0, backoff=0.01,
                         should_stop=lambda: stop["flag"],
                         drain_grace=5.0) as pool:
             def on_result(key, payload):
@@ -202,7 +193,7 @@ class TestWorkerPool:
         events = EventLog()
         victim = WorkUnit(kind=KILL_ONCE, key="victim",
                           spec=(str(tmp_path / "marker"), 1), label="victim")
-        with WorkerPool(2, unit_timeout=60.0, max_retries=2,
+        with RemotePool(local_workers=2, lease_timeout=60.0, max_retries=2,
                         backoff=30.0, max_backoff=30.0,  # retry parks for 30s
                         events=events,
                         should_stop=lambda: events.count("unit_retry") > 0,
@@ -216,7 +207,7 @@ class TestWorkerPool:
 
     def test_pool_reusable_after_drain(self):
         stop = {"flag": False}
-        with WorkerPool(2, unit_timeout=60.0, backoff=0.01,
+        with RemotePool(local_workers=2, lease_timeout=60.0, backoff=0.01,
                         should_stop=lambda: stop["flag"],
                         drain_grace=5.0) as pool:
             def on_result(key, payload):

@@ -7,21 +7,16 @@ capped by ``max_backoff`` so a flaky unit can never push the retry
 schedule toward unbounded waits.
 """
 
-import multiprocessing as mp
 import os
 import signal
 import time
 
 import pytest
 
-from repro.engine.pool import UnitFailure, WorkerPool
+from repro.engine.pool import UnitFailure
+from repro.engine.remote import RemotePool
 from repro.engine.scheduler import EngineSession
 from repro.engine.units import WorkUnit, register_executor
-
-fork_only = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="relies on fork-inherited test executors",
-)
 
 
 def _suicide(spec):
@@ -35,12 +30,11 @@ def _doomed(key="doomed"):
     return WorkUnit(kind="t-backoff-suicide", key=key, spec=(), label=f"unit:{key}")
 
 
-@fork_only
 class TestRetryBackoff:
     def test_failure_is_structured_not_a_hang(self):
         """Exhausting retries raises UnitFailure carrying key/label/reason."""
         started = time.monotonic()
-        with WorkerPool(2, unit_timeout=30.0, max_retries=2,
+        with RemotePool(local_workers=2, lease_timeout=30.0, max_retries=2,
                         backoff=0.01, max_backoff=0.05) as pool:
             with pytest.raises(UnitFailure) as exc_info:
                 pool.run([_doomed()])
@@ -58,7 +52,7 @@ class TestRetryBackoff:
 
     def test_backoff_delays_are_capped(self):
         """Every scheduled retry delay obeys min(backoff * 2^k, max_backoff)."""
-        with WorkerPool(2, unit_timeout=30.0, max_retries=4,
+        with RemotePool(local_workers=2, lease_timeout=30.0, max_retries=4,
                         backoff=0.02, max_backoff=0.05) as pool:
             with pytest.raises(UnitFailure):
                 pool.run([_doomed()])
@@ -70,14 +64,14 @@ class TestRetryBackoff:
         assert all(d <= pool.max_backoff for d in delays)
 
     def test_max_backoff_never_below_base_backoff(self):
-        pool = WorkerPool(1, backoff=0.5, max_backoff=0.1)
+        pool = RemotePool(local_workers=1, backoff=0.5, max_backoff=0.1)
         assert pool.max_backoff == 0.5
 
     def test_session_forwards_max_backoff_to_pool(self):
         sess = EngineSession(2, max_retries=1, backoff=0.01, max_backoff=0.07)
         try:
             pool = sess._make_pool()
-            assert isinstance(pool, WorkerPool)
+            assert isinstance(pool, RemotePool)
             assert pool.max_backoff == 0.07
         finally:
             sess.close()
@@ -87,7 +81,7 @@ class TestRetryBackoff:
         doomed unit truly exhausted its budget — with retries disabled the
         first crash surfaces immediately."""
         started = time.monotonic()
-        with WorkerPool(2, unit_timeout=30.0, max_retries=0,
+        with RemotePool(local_workers=2, lease_timeout=30.0, max_retries=0,
                         backoff=0.01, max_backoff=0.05) as pool:
             with pytest.raises(UnitFailure, match="retry budget 0"):
                 pool.run([_doomed()])

@@ -10,19 +10,12 @@ flow through the same declare/assemble substrate.
 """
 
 import json
-import multiprocessing as mp
-
-import pytest
 
 from repro import engine
 from repro import pipeline
 from repro.experiments.registry import filter_options, run_experiment
 from repro.experiments.store import report_to_dict
 
-fork_only = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="worker-pool tests need the fork start method",
-)
 
 #: one option set for the whole batch, exactly as ``repro runall`` passes
 #: it — each driver/stage receives only the knobs it accepts.  fig2 needs
@@ -60,7 +53,6 @@ def _reports(ids):
     }
 
 
-@fork_only
 def test_runall_parallel_matches_serial_for_every_experiment(tmp_path):
     ids = _runall_ids()
     restore = pipeline.get_disk_store()
@@ -79,6 +71,8 @@ def test_runall_parallel_matches_serial_for_every_experiment(tmp_path):
         # dedup collapsed the table2/fig2 shared sweep to single units
         assert sess.stats["executed"] > 0
         assert sess.stats["deduped"] > 0
+        assert sess.events.count("worker_started") == 2
+        assert sess.events.count("serial_fallback") == 0
         for eid in ids:
             assert parallel[eid] == serial[eid], f"{eid} diverged"
     finally:

@@ -13,7 +13,6 @@ To regenerate after an intentional change, see ``tests/golden/README.md``
 """
 
 import json
-import multiprocessing as mp
 import os
 from pathlib import Path
 
@@ -33,11 +32,6 @@ GOLDEN_CASES = {
     "ext-contention": {},
     "ablation-topology": {},
 }
-
-fork_only = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="the parallel phase needs the fork start method",
-)
 
 
 def canonical_bytes(report) -> bytes:
@@ -84,7 +78,6 @@ def test_serial_run_matches_golden(experiment_id, fresh_store):
     )
 
 
-@fork_only
 @pytest.mark.parametrize("experiment_id", sorted(GOLDEN_CASES))
 def test_parallel2_run_matches_golden(experiment_id, fresh_store):
     """--parallel 2 must reproduce the same bytes as the golden serial run."""
@@ -92,9 +85,14 @@ def test_parallel2_run_matches_golden(experiment_id, fresh_store):
     if _regen() and not path.exists():
         pytest.skip("regenerating: serial test writes the file")
     fresh_store(f"{experiment_id}-parallel")
-    with engine.session(2):
+    with engine.session(2) as sess:
         report = run_experiment(experiment_id, **GOLDEN_CASES[experiment_id])
     assert canonical_bytes(report) == path.read_bytes()
+    # every executed unit ran on two real workers, not a silent serial
+    # fallback; an experiment that declares no units starts none
+    assert sess.events.count("serial_fallback") == 0
+    assert sess.events.count("worker_started") == (
+        2 if sess.stats["executed"] else 0)
 
 
 def test_golden_files_are_valid_reports():

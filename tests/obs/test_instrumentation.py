@@ -3,7 +3,7 @@
 counters, histograms and spans covering the simulator, pool and cache
 layers, and ``repro stats`` must render them."""
 
-import multiprocessing as mp
+import json
 
 import pytest
 
@@ -12,11 +12,6 @@ from repro.cli import main
 from repro import pipeline
 from repro.simx import Machine, MachineConfig
 from repro.simx.trace import Compute, Load, PhaseBegin, PhaseEnd, ThreadTrace, TraceProgram
-
-fork_only = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="worker metric shuttle is exercised via the fork start method",
-)
 
 
 @pytest.fixture
@@ -66,15 +61,19 @@ class TestSimulatorAccounting:
         assert s.attrs["program"] == "probe"
 
 
-@fork_only
 def test_cli_metrics_out_covers_all_layers(tmp_path, capsys, fresh_store):
     """The acceptance command, end to end, through the real CLI."""
     out = tmp_path / "m.jsonl"
+    events = tmp_path / "events.jsonl"
     rc = main([
         "run", "table2", "--scale", "0.03",
         "--parallel", "2", "--metrics-out", str(out),
+        "--event-log", str(events),
     ])
     assert rc == 0
+    kinds = [json.loads(line)["kind"] for line in events.read_text().splitlines()]
+    assert kinds.count("worker_started") == 2
+    assert "serial_fallback" not in kinds
     assert "[metrics written to" in capsys.readouterr().out
     assert not obs.enabled()  # the context restored the disabled default
 
@@ -98,8 +97,8 @@ def test_cli_metrics_out_covers_all_layers(tmp_path, capsys, fresh_store):
     assert any("worker" in s.get("attrs", {}) for s in data["spans"]
                if s["name"] == "simx.run")
 
-    # the sweep executed on workers: runs == executed units and no
-    # double counting from fork-inherited parent series
+    # the sweep executed on workers: runs == executed units, each
+    # counted once
     runs = next(m for m in data["metrics"] if m["name"] == "simx_runs_total")
     total_runs = sum(s["value"] for s in runs["series"])
     units = next(m for m in data["metrics"] if m["name"] == "engine_units_total")

@@ -1,11 +1,14 @@
-"""Importing the CLI and the server, and a cold ``runall``, load no scipy.
+"""Importing the CLI and the server, and a cold ``runall``, load no scipy;
+importing the CLI loads no ``multiprocessing``.
 
 Nothing ``runall`` reaches needs scipy: HOP's neighbour search is numpy
 (``workloads.neighbors``), and the only scipy users left,
 ``core.fitting.fit_serial_growth`` and
 ``core.optimizer.best_symmetric_continuous``, import it lazily and are
-not called.  Each check runs in a fresh interpreter, where no other test
-can have loaded scipy already.
+not called.  The engine's local workers are plain subprocesses, so
+``multiprocessing`` is left to the one executor that uses it
+(``hardware.executor``), which imports it lazily.  Each check runs in a
+fresh interpreter, where no other test can have loaded either already.
 """
 
 import os
@@ -59,3 +62,17 @@ def test_cold_runall_loads_no_scipy(tmp_path):
     loaded = _loaded_scipy(COLD_RUNALL, [str(tmp_path / "reports")], env,
                            cwd=tmp_path, timeout=600)
     assert not loaded, f"a cold runall loaded {len(loaded)} scipy modules: {loaded[:5]}"
+
+
+def test_cli_import_loads_no_multiprocessing():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import repro.cli, sys; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'multiprocessing'))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", (
+        f"importing repro.cli loaded {proc.stdout.strip()}")
