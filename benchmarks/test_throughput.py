@@ -5,6 +5,9 @@ must stay O(microseconds)) and the discrete-event simulator's
 operations-per-second (which bounds feasible dataset scales).
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.core import merging
@@ -67,15 +70,19 @@ def test_conclusions_grid_vectorized(benchmark):
 
 
 def test_conclusions_grid_scalar(benchmark):
-    """The same 48 points through the per-point scalar optimisers — the
-    baseline the vectorized kernel is measured against."""
+    """The same 48 points through the frozen per-point scalar optimisers
+    (``tests/core/reference_models.py``, the model oracle) — the baseline
+    the vectorized kernel is measured against."""
     from repro.experiments import conclusions
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.core.reference_models import conclusions as reference
 
     pts = [(p.f, p.fcon_share, p.fored_share) for p in conclusions._grid()]
     benchmark.extra_info["n_points"] = len(pts)
 
     def sweep():
-        return [conclusions.evaluate_point(f, c, o, 256) for f, c, o in pts]
+        return [reference.evaluate_point(f, c, o, 256) for f, c, o in pts]
 
     rows = benchmark(sweep)
     assert len(rows) == len(pts)

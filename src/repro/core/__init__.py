@@ -12,12 +12,10 @@ Quick tour
 from repro.core import (
     accuracy,
     amdahl,
-    bandwidth,
     classes,
     communication,
     critical,
     energy,
-    fitting,
     gridkernels,
     growth,
     hill_marty,
@@ -29,8 +27,6 @@ from repro.core import (
     perf,
     requirements,
     scaled,
-    sensitivity,
-    uncore,
 )
 from repro.core.classes import TABLE3_CLASSES, AppClass
 from repro.core.growth import LINEAR, LOG, PARALLEL, GrowthFunction, resolve_growth
@@ -41,12 +37,10 @@ __all__ = [
     # submodules
     "accuracy",
     "amdahl",
-    "bandwidth",
     "classes",
     "communication",
     "critical",
     "energy",
-    "fitting",
     "gridkernels",
     "growth",
     "hill_marty",
@@ -58,8 +52,6 @@ __all__ = [
     "perf",
     "requirements",
     "scaled",
-    "sensitivity",
-    "uncore",
     # common types/constants
     "AppParams",
     "MeasuredParams",

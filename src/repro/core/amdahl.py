@@ -6,23 +6,18 @@ and the remaining ``s = 1 - f`` stays serial,
 
     speedup(p) = 1 / (s + f / p)
 
-which approaches ``1 / s`` as ``p → ∞``.  All functions are vectorised over
-``p``.
+which approaches ``1 / s`` as ``p → ∞``.  :func:`speedup` is vectorised
+over ``p`` and evaluates :func:`repro.core.gridkernels.amdahl_speedup`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.validation import check_fraction, ensure_array
+from repro.core.gridkernels import amdahl_speedup
+from repro.util.validation import check_fraction
 
-__all__ = [
-    "speedup",
-    "speedup_limit",
-    "efficiency",
-    "serial_fraction_from_speedup",
-    "cores_for_target_speedup",
-]
+__all__ = ["speedup", "speedup_limit"]
 
 
 def speedup(f: float, p: "float | np.ndarray") -> "float | np.ndarray":
@@ -44,7 +39,7 @@ def speedup(f: float, p: "float | np.ndarray") -> "float | np.ndarray":
     arr = np.asarray(p, dtype=np.float64)
     if np.any(arr < 1):
         raise ValueError(f"processor count p must be >= 1, got {p!r}")
-    out = 1.0 / ((1.0 - f) + f / arr)
+    out = amdahl_speedup(f, arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -53,46 +48,3 @@ def speedup_limit(f: float) -> float:
     check_fraction(f, "f")
     s = 1.0 - f
     return float("inf") if s == 0.0 else 1.0 / s
-
-
-def efficiency(f: float, p: "float | np.ndarray") -> "float | np.ndarray":
-    """Parallel efficiency ``speedup(p) / p`` in (0, 1]."""
-    arr = np.asarray(p, dtype=np.float64)
-    out = speedup(f, arr) / arr
-    return float(out) if arr.ndim == 0 else out
-
-
-def serial_fraction_from_speedup(measured_speedup: float, p: int) -> float:
-    """Invert Amdahl's Law (the Karp–Flatt metric).
-
-    Given a measured speedup on ``p`` processors, return the serial fraction
-    that Amdahl's Law would attribute to the application::
-
-        s = (p / speedup - 1) / (p - 1)
-
-    Useful for sanity-checking simulator output against the model.
-    """
-    if p < 2:
-        raise ValueError(f"p must be >= 2 to infer a serial fraction, got {p}")
-    if not (0 < measured_speedup <= p):
-        raise ValueError(
-            f"measured speedup must be in (0, p], got {measured_speedup} for p={p}"
-        )
-    return (p / measured_speedup - 1.0) / (p - 1.0)
-
-
-def cores_for_target_speedup(f: float, target: float) -> float:
-    """Minimum processor count achieving ``target`` speedup, or ``inf``.
-
-    Solves ``1 / (s + f/p) >= target`` for p.  Returns ``inf`` when the
-    target exceeds the asymptotic limit ``1/s``.
-    """
-    check_fraction(f, "f")
-    if target <= 0:
-        raise ValueError(f"target speedup must be > 0, got {target}")
-    if target <= 1.0:
-        return 1.0
-    s = 1.0 - f
-    if target >= speedup_limit(f):
-        return float("inf")
-    return f / (1.0 / target - s)

@@ -34,28 +34,37 @@ parallelised, communication still grows as ``sqrt(nc)/2`` on a mesh.
 
 Validated anchors: Fig 7(a) peak 46.6 at r = 8; Fig 7(b) peak 51.6 at
 rl = 32, r = 4 (DESIGN.md §1).
+
+The growth laws (:data:`MESH_COMM`, :data:`PARALLEL_COMP`, ...) live in
+:mod:`repro.core.growth` and the equations in
+:mod:`repro.core.gridkernels`; this module re-exports the former and
+validates its input before evaluating the latter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
+from repro.core import gridkernels
+from repro.core.gridkernels import power_of_two_sizes
+from repro.core.growth import (
+    LINEAR_COMP,
+    LOG_COMP,
+    MESH_COMM,
+    PARALLEL_COMP,
+    GrowthFunction,
+    mesh_growcomm,
+)
 from repro.core.params import AppParams
 from repro.core.perf import PerfLaw, resolve_perf_law
 from repro.util.validation import check_positive_int
 
 __all__ = [
-    "CommGrowth",
     "mesh_growcomm",
     "MESH_COMM",
-    "CompGrowth",
     "PARALLEL_COMP",
     "LINEAR_COMP",
     "LOG_COMP",
-    "serial_term_comm",
     "speedup_symmetric_comm",
     "speedup_asymmetric_comm",
     "sweep_symmetric_comm",
@@ -63,87 +72,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CommGrowth:
-    """Communication growth law ``growcomm(nc)`` for a topology."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, nc: "float | np.ndarray") -> "float | np.ndarray":
-        arr = np.asarray(nc, dtype=np.float64)
-        if np.any(arr < 1):
-            raise ValueError(f"core count nc must be >= 1, got {nc!r}")
-        out = self.fn(arr)
-        return float(out) if np.asarray(nc).ndim == 0 else out
-
-
-def mesh_growcomm(nc: np.ndarray) -> np.ndarray:
-    """Eq 8's asymptotic form: ``sqrt(nc) / 2`` (zero extra cost at nc=1).
-
-    The exact pre-simplification expression divides out identically for
-    nc > 1; at nc = 1 there is no communication at all, so the growth is 0
-    (the factor ``1 + growcomm`` then charges exactly the single-core
-    communication fraction).
-    """
-    arr = np.asarray(nc, dtype=np.float64)
-    return np.where(arr > 1.0, np.sqrt(arr) / 2.0, 0.0)
-
-
-#: The paper's 2D-mesh communication growth (Eq 8).
-MESH_COMM = CommGrowth("mesh2d", mesh_growcomm)
-
-
-@dataclass(frozen=True)
-class CompGrowth:
-    """Computation growth law ``growcomp(nc)``: *extra* reduction work
-    relative to one core (the model charges ``fcomp · (1 + growcomp)``)."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, nc: "float | np.ndarray") -> "float | np.ndarray":
-        arr = np.asarray(nc, dtype=np.float64)
-        if np.any(arr < 1):
-            raise ValueError(f"core count nc must be >= 1, got {nc!r}")
-        out = self.fn(arr)
-        return float(out) if np.asarray(nc).ndim == 0 else out
-
-
-#: Privatised parallel reduction: total computation stays x (no extra work).
-PARALLEL_COMP = CompGrowth("parallel", lambda nc: np.zeros_like(np.asarray(nc, dtype=float)))
-#: Serial accumulation: nc partials instead of 1 → extra work nc - 1.
-LINEAR_COMP = CompGrowth("linear", lambda nc: np.asarray(nc, dtype=float) - 1.0)
-#: Tree reduction: log2(nc) combining rounds of extra work.
-LOG_COMP = CompGrowth("log", lambda nc: np.maximum(np.log2(np.asarray(nc, dtype=float)), 0.0))
-
-
-def serial_term_comm(
-    params: AppParams,
-    nc: "float | np.ndarray",
-    perf_serial: "float | np.ndarray",
-    comp: CompGrowth = PARALLEL_COMP,
-    comm: CommGrowth = MESH_COMM,
-) -> np.ndarray:
-    """The communication-aware serial cost (common body of Eqs 6 and 7).
-
-    ``perf_serial`` is ``perf(r)`` for symmetric chips or ``perf(rl)`` for
-    asymmetric ones; the communication half is charged at wire speed
-    regardless of core size.
-    """
-    nc_arr = np.asarray(nc, dtype=np.float64)
-    ps = np.asarray(perf_serial, dtype=np.float64)
-    compute = (params.fcon + params.fcomp * (1.0 + np.asarray(comp(nc_arr)))) / ps
-    communicate = params.fcomm * (1.0 + np.asarray(comm(nc_arr)))
-    return compute + communicate
-
-
 def speedup_symmetric_comm(
     params: AppParams,
     n: int,
     r: "float | np.ndarray",
-    comp: CompGrowth = PARALLEL_COMP,
-    comm: CommGrowth = MESH_COMM,
+    comp: GrowthFunction = PARALLEL_COMP,
+    comm: GrowthFunction = MESH_COMM,
     perf: "str | PerfLaw | None" = None,
 ) -> "float | np.ndarray":
     """Communication-aware symmetric-CMP speedup (Eq 6 serial part plugged
@@ -153,10 +87,7 @@ def speedup_symmetric_comm(
     arr = np.asarray(r, dtype=np.float64)
     if np.any(arr <= 0) or np.any(arr > n):
         raise ValueError(f"core size r must be in (0, n], got {r!r}")
-    pr = np.asarray(law(arr), dtype=np.float64)
-    nc = n / arr
-    serial = serial_term_comm(params, nc, pr, comp, comm)
-    out = 1.0 / (serial + params.f * arr / (pr * n))
+    out = gridkernels.comm_symmetric(params.f, params.fcon_share, n, arr, comp, comm, law)
     return float(out) if np.asarray(r).ndim == 0 else out
 
 
@@ -165,8 +96,8 @@ def speedup_asymmetric_comm(
     n: int,
     rl: "float | np.ndarray",
     r: float = 1.0,
-    comp: CompGrowth = PARALLEL_COMP,
-    comm: CommGrowth = MESH_COMM,
+    comp: GrowthFunction = PARALLEL_COMP,
+    comm: GrowthFunction = MESH_COMM,
     perf: "str | PerfLaw | None" = None,
 ) -> "float | np.ndarray":
     """Communication-aware asymmetric-CMP speedup (Eq 7)."""
@@ -179,25 +110,20 @@ def speedup_asymmetric_comm(
         raise ValueError(f"small-core size r must be in (0, n], got {r}")
     if np.any(arr < r):
         raise ValueError(f"large core rl must be at least as big as small cores r={r}")
-    prl = np.asarray(law(arr), dtype=np.float64)
-    pr = float(law(r))
-    n_small = (n - arr) / r
-    nc = n_small + 1.0
-    serial = serial_term_comm(params, nc, prl, comp, comm)
-    out = 1.0 / (serial + params.f / (pr * n_small + prl))
+    out = gridkernels.comm_asymmetric(
+        params.f, params.fcon_share, n, arr, r, comp, comm, law
+    )
     return float(out) if np.asarray(rl).ndim == 0 else out
 
 
 def sweep_symmetric_comm(
     params: AppParams,
     n: int,
-    comp: CompGrowth = PARALLEL_COMP,
-    comm: CommGrowth = MESH_COMM,
+    comp: GrowthFunction = PARALLEL_COMP,
+    comm: GrowthFunction = MESH_COMM,
     perf: "str | PerfLaw | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fig 7(a)-style sweep over power-of-two core sizes."""
-    from repro.core.merging import power_of_two_sizes
-
     sizes = power_of_two_sizes(n)
     return sizes, np.asarray(speedup_symmetric_comm(params, n, sizes, comp, comm, perf))
 
@@ -206,13 +132,11 @@ def sweep_asymmetric_comm(
     params: AppParams,
     n: int,
     r: float = 1.0,
-    comp: CompGrowth = PARALLEL_COMP,
-    comm: CommGrowth = MESH_COMM,
+    comp: GrowthFunction = PARALLEL_COMP,
+    comm: GrowthFunction = MESH_COMM,
     perf: "str | PerfLaw | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fig 7(b)-style sweep over power-of-two large-core sizes."""
-    from repro.core.merging import power_of_two_sizes
-
     sizes = power_of_two_sizes(n)
     sizes = sizes[sizes >= r]
     return sizes, np.asarray(

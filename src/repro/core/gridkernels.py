@@ -1,47 +1,45 @@
-"""Vectorized array kernels for Eqs 1–8 over whole parameter grids.
+"""Eqs 1–8: the one implementation of the paper's analytical models.
 
-The scalar model stack (:mod:`repro.core.amdahl`, :mod:`~repro.core.hill_marty`,
-:mod:`~repro.core.merging`, :mod:`~repro.core.communication`) evaluates one
-:class:`~repro.core.params.AppParams` at a time — a design-space sweep such as
-the conclusions experiment's 48-point grid resolves 48 separate calls, each
-of which re-runs every power-of-two optimisation from scratch.  This module
-re-expresses the same equations as numpy kernels over *raw broadcastable
-arrays* of ``(f, fcon_share, fored_share, r, rl)``, so a full Fig-4/Fig-5
-design-space sweep — or the whole conclusions grid — is one vectorized call.
+Every equation is a numpy kernel over *raw broadcastable arrays* of
+``(f, fcon_share, fored_share, r, rl)``, so a full Fig-4/Fig-5 design-space
+sweep — or the whole conclusions grid — is one vectorized call.  The scalar
+API (:mod:`repro.core.amdahl`, :mod:`~repro.core.hill_marty`,
+:mod:`~repro.core.merging`, :mod:`~repro.core.communication`) is a view onto
+these kernels: each public function validates its input, resolves the
+growth and performance laws, makes one 0-d or broadcast call here and
+converts the result.  The oracle is a frozen copy of the earlier
+independent scalar implementation, ``tests/core/reference_models.py``;
+``tests/differential/test_model_oracles.py`` and
+``tests/core/test_model_reductions.py`` hold both the kernels and the
+scalar API to it bit for bit, which the byte-exact golden reports
+(``tests/golden``) depend on.
 
-Contract with the scalar stack (enforced by ``tests/differential/`` and the
-grid-vs-scalar cases in ``tests/core/test_model_reductions.py``):
-
-* **bit-identity** — every kernel performs the *same float64 operations in
-  the same order* as its scalar counterpart, so results agree exactly (not
-  merely to tolerance).  The byte-exact golden reports (``tests/golden``)
-  depend on this: fig4/fig5 now assemble from grid payloads.
 * **edge shapes** — kernels accept any broadcastable shapes, including
   singleton axes and empty grids (a size-0 axis yields a size-0 result).
 * **f = 1.0** — unlike :class:`~repro.core.params.AppParams` (which forbids
   a zero serial fraction), the raw-array kernels accept ``f == 1.0``; the
   serial term is simply 0.
+* **rl < r** — Eqs 5 and 7 *compute* such points rather than reject them,
+  so reducers can evaluate a rectangular ``(rl, r)`` grid and mask them;
+  the scalar API rejects them.
 
 Design-space reducers (:func:`best_symmetric_grid`, :func:`best_asymmetric_grid`,
-:func:`conclusions_grid`) mirror the scalar optimisers' grids and tie-breaking
-exactly: ``np.argmax`` picks the first maximum just as the scalar loop does,
-and the asymmetric small-core choice keeps the *earliest* ``r`` on ties
-(strict ``>`` update, like :func:`repro.core.merging.best_asymmetric`).
+:func:`conclusions_grid`) keep the scalar optimisers' grids and tie-breaking:
+``np.argmax`` picks the first maximum, and the asymmetric small-core choice
+keeps the *earliest* ``r`` on ties (strict ``>`` update).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.communication import (
+from repro.core.growth import (
     MESH_COMM,
     PARALLEL_COMP,
-    CommGrowth,
-    CompGrowth,
+    GrowthFunction,
     mesh_growcomm,
+    resolve_growth,
 )
-from repro.core.growth import GrowthFunction, resolve_growth
-from repro.core.merging import power_of_two_sizes
 from repro.core.perf import PerfLaw, resolve_perf_law
 from repro.util.validation import check_positive_int
 
@@ -56,12 +54,24 @@ __all__ = [
     "comm_symmetric",
     "comm_asymmetric",
     "mesh_growcomm",
+    "power_of_two_sizes",
     "best_symmetric_grid",
     "best_asymmetric_grid",
     "hm_best_symmetric_grid",
     "hm_best_asymmetric_grouped_grid",
     "conclusions_grid",
 ]
+
+
+def power_of_two_sizes(n: int, maximum: "int | None" = None) -> np.ndarray:
+    """The paper's sweep grid: core sizes 1, 2, 4, ..., up to ``maximum``
+    (default ``n``)."""
+    n = check_positive_int(n, "n")
+    cap = n if maximum is None else min(n, maximum)
+    return np.array(
+        [2**k for k in range(int(np.log2(cap)) + 1) if 2**k <= cap],
+        dtype=np.float64,
+    )
 
 
 def _as_f64(value, name: str, lo: "float | None" = None,
@@ -237,10 +247,14 @@ def _comm_serial(
     fred: np.ndarray,
     nc: np.ndarray,
     perf_serial: np.ndarray,
-    comp: CompGrowth,
-    comm: CommGrowth,
+    comp: GrowthFunction,
+    comm: GrowthFunction,
 ) -> np.ndarray:
-    """Common serial body of Eqs 6–7 (mirrors ``serial_term_comm``)."""
+    """The communication-aware serial cost, common body of Eqs 6–7.
+
+    ``perf_serial`` is ``perf(r)`` for symmetric chips or ``perf(rl)`` for
+    asymmetric ones; the communication half is charged at wire speed
+    regardless of core size."""
     fcomp = fred / 2.0
     fcomm = fred / 2.0
     compute = (fcon + fcomp * (1.0 + np.asarray(comp.fn(nc)))) / perf_serial
@@ -253,8 +267,8 @@ def comm_symmetric(
     fcon_share: "float | np.ndarray",
     n: int,
     r: "float | np.ndarray",
-    comp: CompGrowth = PARALLEL_COMP,
-    comm: CommGrowth = MESH_COMM,
+    comp: GrowthFunction = PARALLEL_COMP,
+    comm: GrowthFunction = MESH_COMM,
     perf: "str | PerfLaw | None" = None,
 ) -> np.ndarray:
     """Eq 6 over a broadcastable ``(f, fcon_share, r)`` grid (the reduction
@@ -282,8 +296,8 @@ def comm_asymmetric(
     n: int,
     rl: "float | np.ndarray",
     r: "float | np.ndarray" = 1.0,
-    comp: CompGrowth = PARALLEL_COMP,
-    comm: CommGrowth = MESH_COMM,
+    comp: GrowthFunction = PARALLEL_COMP,
+    comm: GrowthFunction = MESH_COMM,
     perf: "str | PerfLaw | None" = None,
 ) -> np.ndarray:
     """Eq 7 over a broadcastable ``(f, fcon_share, rl, r)`` grid."""
@@ -325,8 +339,8 @@ def best_symmetric_grid(
     growth: "str | GrowthFunction | None" = None,
     perf: "str | PerfLaw | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Vectorized :func:`repro.core.merging.best_symmetric`: returns
-    ``(r*, speedup*)`` arrays over the broadcast parameter grid."""
+    """The Eq 4 optimum over the power-of-two grid: returns ``(r*,
+    speedup*)`` arrays over the broadcast parameter grid."""
     sizes = power_of_two_sizes(n)
     f, con, ored = np.broadcast_arrays(
         np.asarray(f, dtype=np.float64),
@@ -348,9 +362,9 @@ def best_asymmetric_grid(
     growth: "str | GrowthFunction | None" = None,
     perf: "str | PerfLaw | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Vectorized :func:`repro.core.merging.best_asymmetric`: returns
-    ``(rl*, r*, speedup*)`` arrays.  Ties keep the earliest ``r_choice``
-    (strict ``>`` update), matching the scalar loop."""
+    """The Eq 5 optimum over the power-of-two ``rl`` grid and the given
+    small-core choices: returns ``(rl*, r*, speedup*)`` arrays.  Ties keep
+    the earliest ``r_choice`` (strict ``>`` update)."""
     sizes = power_of_two_sizes(n)
     f, con, ored = np.broadcast_arrays(
         np.asarray(f, dtype=np.float64),
@@ -383,7 +397,7 @@ def hm_best_symmetric_grid(
     n: int = 256,
     perf: "str | PerfLaw | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Vectorized :func:`repro.core.hill_marty.best_symmetric`."""
+    """The Eq 2 optimum over the power-of-two grid: ``(r*, speedup*)``."""
     sizes = power_of_two_sizes(n)
     f = np.asarray(f, dtype=np.float64)
     sp = hm_symmetric(f[..., None], n, sizes, perf)
@@ -396,8 +410,8 @@ def hm_best_asymmetric_grouped_grid(
     r_choices: "tuple[float, ...]" = (1.0, 4.0, 16.0),
     perf: "str | PerfLaw | None" = None,
 ) -> np.ndarray:
-    """The constant-serial asymmetric reference maximised over the same
-    ``(rl, r)`` grids as :func:`repro.core.optimizer.compare_architectures`."""
+    """The constant-serial asymmetric reference (grouped Eq 3) maximised
+    over the same ``(rl, r)`` grids as :func:`best_asymmetric_grid`."""
     sizes = power_of_two_sizes(n)
     f = np.asarray(f, dtype=np.float64)
     best = np.full(f.shape, -np.inf)
@@ -417,9 +431,8 @@ def conclusions_grid(
     n: int = 256,
 ) -> "dict[str, np.ndarray]":
     """All conclusions-experiment metrics for a whole parameter grid in one
-    vectorized call — the array counterpart of
-    :func:`repro.experiments.conclusions.evaluate_point` (which runs three
-    scalar optimisations per point)."""
+    vectorized call: the Hill–Marty and Eq 4 symmetric optima, and the
+    asymmetric-over-symmetric ratios under Eqs 4–5 and under Eqs 2–3."""
     hm_r, hm_sp = hm_best_symmetric_grid(f, n)
     ours_r, ours_sp = best_symmetric_grid(f, fcon_share, fored_share, n)
     _, _, asym_sp = best_asymmetric_grid(f, fcon_share, fored_share, n)

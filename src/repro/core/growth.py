@@ -9,7 +9,7 @@ depends on how the reduction is implemented:
 * **log** — a binary combining tree: cost ∝ log2(nc).
 * **parallel** — privatised reduction where each of the nc threads combines
   x/nc elements: the *computation* does not grow at all (x/nc · nc = x);
-  only communication grows (handled by :mod:`repro.core.communication`).
+  only communication grows (the Eq 6–8 laws at the bottom of this module).
 * **superlinear** — observed for `hop`, whose merging phase is memory-bound
   and grows faster than linearly (modelled as nc^alpha with alpha > 1).
 
@@ -18,6 +18,12 @@ Conventions (validated against the paper's numeric anchors; see DESIGN.md):
 ``nc = n/r`` for symmetric CMPs and ``nc = (n - rl)/r + 1`` for asymmetric
 CMPs (the large core participates).  ``grow_linear(nc) = nc`` exactly (not
 nc−1), which reproduces Fig 4(c)'s 104.5 peak to three significant digits.
+
+The communication-aware model (Section V.E, Eqs 6–8) splits the reduction
+into a computation and a communication half, each with its own law of the
+same type: ``growcomp`` is the *extra* computation relative to one core
+(:data:`PARALLEL_COMP`, :data:`LINEAR_COMP`, :data:`LOG_COMP`) and
+``growcomm`` the network's (:data:`MESH_COMM`, Eq 8).
 """
 
 from __future__ import annotations
@@ -39,6 +45,11 @@ __all__ = [
     "LOG",
     "PARALLEL",
     "resolve_growth",
+    "mesh_growcomm",
+    "MESH_COMM",
+    "PARALLEL_COMP",
+    "LINEAR_COMP",
+    "LOG_COMP",
 ]
 
 
@@ -138,3 +149,30 @@ def resolve_growth(spec: "str | GrowthFunction | None") -> GrowthFunction:
     raise ValueError(
         f"unknown growth function {spec!r}; expected one of {sorted(_NAMED)} or 'poly:<alpha>'"
     )
+
+
+# ── Eqs 6–8: communication and computation growth of a split reduction ──
+
+
+def mesh_growcomm(nc: np.ndarray) -> np.ndarray:
+    """Eq 8's asymptotic form: ``sqrt(nc) / 2`` (zero extra cost at nc=1).
+
+    For a parallel reduction of ``x`` elements the 2D mesh carries
+    ``2(nc-1)·x`` messages over ``sqrt(nc) - 1`` hops on average, with
+    ``4·sqrt(nc)(sqrt(nc) - 1)`` link-transfers per unit time, which
+    simplifies to ≈ ``sqrt(nc) / 2`` for nc > 1.  At nc = 1 there is no
+    communication at all, so the growth is 0 (the factor ``1 + growcomm``
+    then charges exactly the single-core communication fraction).
+    """
+    arr = np.asarray(nc, dtype=np.float64)
+    return np.where(arr > 1.0, np.sqrt(arr) / 2.0, 0.0)
+
+
+#: The paper's 2D-mesh communication growth (Eq 8).
+MESH_COMM = GrowthFunction("mesh2d", mesh_growcomm)
+#: Privatised parallel reduction: total computation stays x (no extra work).
+PARALLEL_COMP = GrowthFunction("parallel", lambda nc: np.zeros_like(np.asarray(nc, dtype=float)))
+#: Serial accumulation: nc partials instead of 1 → extra work nc - 1.
+LINEAR_COMP = GrowthFunction("linear", lambda nc: np.asarray(nc, dtype=float) - 1.0)
+#: Tree reduction: log2(nc) combining rounds of extra work.
+LOG_COMP = GrowthFunction("log", lambda nc: np.maximum(np.log2(np.asarray(nc, dtype=float)), 0.0))

@@ -17,16 +17,17 @@ equivalents (BCEs):
 These are the *constant-serial-section* baselines that the paper's extended
 model (:mod:`repro.core.merging`) corrects.  We additionally provide the
 generalised asymmetric form used implicitly by the paper's Fig 5 Amdahl
-curves (small cores of ``r`` BCEs rather than 1), and Hill–Marty's dynamic
-CMP as an extension.
+curves (small cores of ``r`` BCEs rather than 1).
 
-All speedup functions are vectorised over their core-size argument.
+All speedup functions are vectorised over their core-size argument and
+evaluate the :mod:`repro.core.gridkernels` kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import gridkernels
 from repro.core.perf import PerfLaw, resolve_perf_law
 from repro.util.validation import check_fraction, check_positive_int
 
@@ -34,17 +35,21 @@ __all__ = [
     "speedup_symmetric",
     "speedup_asymmetric",
     "speedup_asymmetric_grouped",
-    "speedup_dynamic",
     "best_symmetric",
-    "best_asymmetric",
 ]
 
 
-def _as_r_array(r: "float | np.ndarray", name: str) -> np.ndarray:
+def _as_r_array(r: "float | np.ndarray", name: str, n: int, label: str) -> np.ndarray:
     arr = np.asarray(r, dtype=np.float64)
     if np.any(arr <= 0):
         raise ValueError(f"{name} must be > 0, got {r!r}")
+    if np.any(arr > n):
+        raise ValueError(f"{label} must be <= n={n}")
     return arr
+
+
+def _out(value: np.ndarray, r: "float | np.ndarray") -> "float | np.ndarray":
+    return float(value) if np.asarray(r).ndim == 0 else value
 
 
 def speedup_symmetric(
@@ -70,12 +75,8 @@ def speedup_symmetric(
     check_fraction(f, "f")
     n = check_positive_int(n, "n")
     law = resolve_perf_law(perf)
-    arr = _as_r_array(r, "r")
-    if np.any(arr > n):
-        raise ValueError(f"core size r must be <= n={n}")
-    pr = np.asarray(law(arr), dtype=np.float64)
-    out = 1.0 / ((1.0 - f) / pr + f * arr / (pr * n))
-    return float(out) if np.asarray(r).ndim == 0 else out
+    arr = _as_r_array(r, "r", n, "core size r")
+    return _out(gridkernels.hm_symmetric(f, n, arr, law), r)
 
 
 def speedup_asymmetric(
@@ -93,12 +94,8 @@ def speedup_asymmetric(
     check_fraction(f, "f")
     n = check_positive_int(n, "n")
     law = resolve_perf_law(perf)
-    arr = _as_r_array(rl, "rl")
-    if np.any(arr > n):
-        raise ValueError(f"large-core size rl must be <= n={n}")
-    prl = np.asarray(law(arr), dtype=np.float64)
-    out = 1.0 / ((1.0 - f) / prl + f / (prl + n - arr))
-    return float(out) if np.asarray(rl).ndim == 0 else out
+    arr = _as_r_array(rl, "rl", n, "large-core size rl")
+    return _out(gridkernels.hm_asymmetric(f, n, arr, law), rl)
 
 
 def speedup_asymmetric_grouped(
@@ -118,59 +115,17 @@ def speedup_asymmetric_grouped(
     check_fraction(f, "f")
     n = check_positive_int(n, "n")
     law = resolve_perf_law(perf)
-    arr = _as_r_array(rl, "rl")
-    if np.any(arr > n):
-        raise ValueError(f"large-core size rl must be <= n={n}")
+    arr = _as_r_array(rl, "rl", n, "large-core size rl")
     if r <= 0 or r > n:
         raise ValueError(f"small-core size r must be in (0, n], got {r}")
-    prl = np.asarray(law(arr), dtype=np.float64)
-    pr = float(law(r))
-    parallel_throughput = pr * (n - arr) / r + prl
-    out = 1.0 / ((1.0 - f) / prl + f / parallel_throughput)
-    return float(out) if np.asarray(rl).ndim == 0 else out
-
-
-def speedup_dynamic(
-    f: float,
-    n: int,
-    r: "float | np.ndarray",
-    perf: "str | PerfLaw | None" = None,
-) -> "float | np.ndarray":
-    """Hill–Marty *dynamic* CMP: serial sections run as one fused ``r``-BCE
-    core, parallel sections use all ``n`` BCEs.  An optimistic upper bound,
-    included for the ablation study (not evaluated in the paper).
-    """
-    check_fraction(f, "f")
-    n = check_positive_int(n, "n")
-    law = resolve_perf_law(perf)
-    arr = _as_r_array(r, "r")
-    if np.any(arr > n):
-        raise ValueError(f"dynamic core size r must be <= n={n}")
-    pr = np.asarray(law(arr), dtype=np.float64)
-    out = 1.0 / ((1.0 - f) / pr + f / n)
-    return float(out) if np.asarray(r).ndim == 0 else out
-
-
-def _power_of_two_sizes(n: int) -> np.ndarray:
-    """Core sizes 1, 2, 4, ..., n (the paper's sweep grid)."""
-    return np.array([2**k for k in range(int(np.log2(n)) + 1) if 2**k <= n], dtype=np.float64)
+    return _out(gridkernels.hm_asymmetric_grouped(f, n, arr, r, law), rl)
 
 
 def best_symmetric(
     f: float, n: int, perf: "str | PerfLaw | None" = None
 ) -> tuple[float, float]:
     """Return ``(r*, speedup*)`` maximising Eq 2 over power-of-two core sizes."""
-    sizes = _power_of_two_sizes(check_positive_int(n, "n"))
-    sp = np.asarray(speedup_symmetric(f, n, sizes, perf))
-    i = int(np.argmax(sp))
-    return float(sizes[i]), float(sp[i])
-
-
-def best_asymmetric(
-    f: float, n: int, perf: "str | PerfLaw | None" = None
-) -> tuple[float, float]:
-    """Return ``(rl*, speedup*)`` maximising Eq 3 over power-of-two sizes."""
-    sizes = _power_of_two_sizes(check_positive_int(n, "n"))
-    sp = np.asarray(speedup_asymmetric(f, n, sizes, perf))
-    i = int(np.argmax(sp))
-    return float(sizes[i]), float(sp[i])
+    check_fraction(f, "f")
+    n = check_positive_int(n, "n")
+    r, sp = gridkernels.hm_best_symmetric_grid(f, n, resolve_perf_law(perf))
+    return float(r), float(sp)

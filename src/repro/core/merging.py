@@ -23,6 +23,9 @@ Conventions validated against the paper's reported peaks (DESIGN.md §1):
 with ``n = 256``, ``perf = sqrt`` and Table III parameters these expressions
 reproduce 104.5 / 67.1 / 36.2 / 47.6 / 64.2 / 43.3 / 22.6 to the paper's
 reported precision.
+
+The functions here validate their input and evaluate the
+:mod:`repro.core.gridkernels` kernels and reducers.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import gridkernels
+from repro.core.gridkernels import power_of_two_sizes
 from repro.core.growth import GrowthFunction, resolve_growth
 from repro.core.params import AppParams
 from repro.core.perf import PerfLaw, resolve_perf_law
 from repro.util.validation import check_positive_int
 
 __all__ = [
-    "serial_term_symmetric",
     "speedup_symmetric",
     "speedup_asymmetric",
     "sweep_symmetric",
@@ -50,17 +54,6 @@ __all__ = [
 ]
 
 
-def power_of_two_sizes(n: int, maximum: "int | None" = None) -> np.ndarray:
-    """The paper's sweep grid: core sizes 1, 2, 4, ..., up to ``maximum``
-    (default ``n``)."""
-    n = check_positive_int(n, "n")
-    cap = n if maximum is None else min(n, maximum)
-    return np.array(
-        [2**k for k in range(int(np.log2(cap)) + 1) if 2**k <= cap],
-        dtype=np.float64,
-    )
-
-
 def _as_positive_array(value: "float | np.ndarray", name: str, upper: float) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if np.any(arr <= 0):
@@ -70,24 +63,9 @@ def _as_positive_array(value: "float | np.ndarray", name: str, upper: float) -> 
     return arr
 
 
-def serial_term_symmetric(
-    params: AppParams,
-    n: int,
-    r: "float | np.ndarray",
-    growth: "str | GrowthFunction | None" = None,
-) -> "float | np.ndarray":
-    """The numerator-of-serial-cost ``fcon + fcred + fored·grow(n/r)``.
-
-    Exposed separately because the model-accuracy analysis (Fig 2(d)) and
-    the hardware validation compare this quantity against measured serial
-    time directly.
-    """
-    n = check_positive_int(n, "n")
-    g = resolve_growth(growth)
-    arr = _as_positive_array(r, "r", n)
-    nc = n / arr
-    out = params.fcon + params.fcred + params.fored * np.asarray(g(nc), dtype=np.float64)
-    return float(out) if np.asarray(r).ndim == 0 else out
+def _check_small_core(r: float, n: int) -> None:
+    if r <= 0 or r > n:
+        raise ValueError(f"small-core size r must be in (0, n], got {r}")
 
 
 def speedup_symmetric(
@@ -114,10 +92,11 @@ def speedup_symmetric(
     """
     n = check_positive_int(n, "n")
     law = resolve_perf_law(perf)
+    g = resolve_growth(growth)
     arr = _as_positive_array(r, "r", n)
-    pr = np.asarray(law(arr), dtype=np.float64)
-    serial = np.asarray(serial_term_symmetric(params, n, arr, growth), dtype=np.float64)
-    out = 1.0 / (serial / pr + params.f * arr / (pr * n))
+    out = gridkernels.merging_symmetric(
+        params.f, params.fcon_share, params.fored_share, n, arr, g, law
+    )
     return float(out) if np.asarray(r).ndim == 0 else out
 
 
@@ -151,17 +130,12 @@ def speedup_asymmetric(
     law = resolve_perf_law(perf)
     g = resolve_growth(growth)
     arr = _as_positive_array(rl, "rl", n)
-    if r <= 0 or r > n:
-        raise ValueError(f"small-core size r must be in (0, n], got {r}")
+    _check_small_core(r, n)
     if np.any(arr < r):
         raise ValueError(f"large core rl must be at least as big as small cores r={r}")
-    prl = np.asarray(law(arr), dtype=np.float64)
-    pr = float(law(r))
-    n_small = (n - arr) / r
-    nc = n_small + 1.0  # reduction participants: small cores + the large core
-    serial = params.fcon + params.fcred + params.fored * np.asarray(g(nc), dtype=np.float64)
-    parallel_throughput = pr * n_small + prl
-    out = 1.0 / (serial / prl + params.f / parallel_throughput)
+    out = gridkernels.merging_asymmetric(
+        params.f, params.fcon_share, params.fored_share, n, arr, r, g, law
+    )
     return float(out) if np.asarray(rl).ndim == 0 else out
 
 
@@ -240,9 +214,11 @@ def best_symmetric(
     perf: "str | PerfLaw | None" = None,
 ) -> SymmetricDesign:
     """The speedup-maximising symmetric design over the power-of-two grid."""
-    sizes, sp = sweep_symmetric(params, n, growth, perf)
-    i = int(np.argmax(sp))
-    return SymmetricDesign(r=float(sizes[i]), speedup=float(sp[i]), n=n)
+    r, sp = gridkernels.best_symmetric_grid(
+        params.f, params.fcon_share, params.fored_share, n,
+        resolve_growth(growth), resolve_perf_law(perf),
+    )
+    return SymmetricDesign(r=float(r), speedup=float(sp), n=n)
 
 
 def best_asymmetric(
@@ -254,15 +230,10 @@ def best_asymmetric(
 ) -> AsymmetricDesign:
     """The speedup-maximising asymmetric design over the power-of-two
     ``rl`` grid and the given small-core choices (paper: r in {1, 4, 16})."""
-    best: AsymmetricDesign | None = None
     for r in r_choices:
-        sizes, sp = sweep_asymmetric(params, n, r, growth, perf)
-        if sizes.size == 0:
-            continue
-        i = int(np.argmax(sp))
-        cand = AsymmetricDesign(rl=float(sizes[i]), r=float(r), speedup=float(sp[i]), n=n)
-        if best is None or cand.speedup > best.speedup:
-            best = cand
-    if best is None:
-        raise ValueError("no feasible asymmetric design for the given r_choices")
-    return best
+        _check_small_core(r, check_positive_int(n, "n"))
+    rl, r, sp = gridkernels.best_asymmetric_grid(
+        params.f, params.fcon_share, params.fored_share, n, tuple(r_choices),
+        resolve_growth(growth), resolve_perf_law(perf),
+    )
+    return AsymmetricDesign(rl=float(rl), r=float(r), speedup=float(sp), n=n)

@@ -15,10 +15,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core import communication as comm_mod
-from repro.core import hill_marty, merging
+from repro.core import gridkernels, merging
 from repro.core.growth import GrowthFunction, resolve_growth
 from repro.core.params import AppParams
 from repro.core.perf import PerfLaw, resolve_perf_law
+from repro.util.validation import check_fraction
 
 __all__ = [
     "DesignComparison",
@@ -27,7 +28,6 @@ __all__ = [
     "optimal_r_map",
     "optimal_design_grid",
     "pareto_front",
-    "best_symmetric_continuous",
 ]
 
 
@@ -68,22 +68,18 @@ def compare_architectures(
     """
     sym = merging.best_symmetric(params, n, growth, perf)
     asym = merging.best_asymmetric(params, n, tuple(r_choices), growth, perf)
-    _, hm_sym = hill_marty.best_symmetric(params.f, n, perf)
+    law = resolve_perf_law(perf)
+    _, hm_sym = gridkernels.hm_best_symmetric_grid(params.f, n, law)
     # Amdahl's asymmetric reference uses the same grouped form as Eq 5 but
     # with a constant serial section; maximise over the same (rl, r) grid.
-    hm_asym = -np.inf
-    for r in r_choices:
-        sizes = merging.power_of_two_sizes(n)
-        sizes = sizes[sizes >= r]
-        sp = np.asarray(
-            hill_marty.speedup_asymmetric_grouped(params.f, n, sizes, float(r), perf)
-        )
-        hm_asym = max(hm_asym, float(sp.max()))
+    hm_asym = gridkernels.hm_best_asymmetric_grouped_grid(
+        params.f, n, tuple(r_choices), law
+    )
     return DesignComparison(
         params=params,
         symmetric=sym,
         asymmetric=asym,
-        amdahl_symmetric=hm_sym,
+        amdahl_symmetric=float(hm_sym),
         amdahl_asymmetric=float(hm_asym),
     )
 
@@ -116,14 +112,13 @@ def optimal_r_map(
     paper's conclusion (b) — "a shift towards fewer and more capable cores" —
     appears as the optimal r growing along the fored axis.
     """
-    cons = list(fcon_shares)
-    ores = list(fored_shares)
-    out = np.empty((len(cons), len(ores)), dtype=np.float64)
-    for i, c in enumerate(cons):
-        for j, o in enumerate(ores):
-            p = AppParams(f=f, fcon_share=c, fored_share=o)
-            out[i, j] = merging.best_symmetric(p, n, growth, perf).r
-    return out
+    check_fraction(f, "f", inclusive=False)
+    cons = np.array([check_fraction(c, "fcon_share") for c in fcon_shares], dtype=np.float64)
+    ores = np.array([check_fraction(o, "fored_share") for o in fored_shares], dtype=np.float64)
+    r, _ = gridkernels.best_symmetric_grid(
+        f, cons[:, None], ores[None, :], n, resolve_growth(growth), resolve_perf_law(perf)
+    )
+    return r
 
 
 @dataclass(frozen=True)
@@ -176,40 +171,6 @@ def optimal_design_grid(
             points.append(GridPoint("asym", float(r), float(rl), float(sp), cores))
     points.sort(key=lambda pt: pt.speedup, reverse=True)
     return points
-
-
-def best_symmetric_continuous(
-    params: AppParams,
-    n: int = 256,
-    growth: "str | GrowthFunction | None" = None,
-    perf: "str | PerfLaw | None" = None,
-) -> merging.SymmetricDesign:
-    """The speedup-maximising symmetric design over *continuous* core
-    sizes (the model is smooth in r; the paper samples powers of two).
-
-    Optimises over ``log2 r`` with scipy's bounded scalar minimiser, then
-    polishes against the grid optimum, so the result is never worse than
-    :func:`repro.core.merging.best_symmetric`.
-    """
-    from scipy.optimize import minimize_scalar
-
-    g = resolve_growth(growth)
-    law = resolve_perf_law(perf)
-
-    def negative_speedup(log2_r: float) -> float:
-        r = float(2.0**log2_r)
-        return -float(merging.speedup_symmetric(params, n, r, g, law))
-
-    result = minimize_scalar(
-        negative_speedup, bounds=(0.0, np.log2(n)), method="bounded",
-        options={"xatol": 1e-6},
-    )
-    r_cont = float(2.0 ** float(result.x))
-    sp_cont = -float(result.fun)
-    grid_best = merging.best_symmetric(params, n, g, law)
-    if grid_best.speedup > sp_cont:
-        return grid_best
-    return merging.SymmetricDesign(r=r_cont, speedup=sp_cont, n=n)
 
 
 def pareto_front(points: Sequence[GridPoint]) -> list[GridPoint]:

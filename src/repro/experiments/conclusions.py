@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import gridkernels, hill_marty, merging, optimizer
+from repro.core import gridkernels
 from repro.core.params import AppParams
 from repro.experiments.report import ExperimentReport, PaperComparison
 from repro.pipeline import ExperimentSpec, Stage, model_eval_grid_unit, resolve_units
 from repro.util.tables import TextTable
 
-__all__ = ["run", "declare_units", "evaluate_point", "evaluate_grid", "SPEC"]
+__all__ = ["run", "declare_units", "evaluate_grid", "SPEC"]
 
 
 def _grid():
@@ -34,33 +34,12 @@ def _grid():
                 yield AppParams(f=f, fcon_share=con, fored_share=ored)
 
 
-def evaluate_point(f: float, fcon_share: float, fored_share: float, n: int) -> dict:
-    """All three conclusions' metrics at one grid point (the expensive
-    part of the sweep: three optimizations over every design of n BCEs)."""
-    p = AppParams(f=f, fcon_share=fcon_share, fored_share=fored_share)
-    hm_r, hm_sp = hill_marty.best_symmetric(p.f, n)
-    ours = merging.best_symmetric(p, n)
-    cmp_ = optimizer.compare_architectures(p, n)
-    return {
-        "hm_r": float(hm_r),
-        "hm_speedup": float(hm_sp),
-        "ours_r": float(ours.r),
-        "ours_speedup": float(ours.speedup),
-        "acmp_ratio": float(cmp_.acmp_speedup_ratio),
-        "amdahl_ratio": float(cmp_.amdahl_speedup_ratio),
-    }
-
-
 def evaluate_grid(f: list, fcon_share: list, fored_share: list, n: int) -> dict:
     """All grid points' conclusion metrics in one vectorized call.
 
-    Takes parallel per-point parameter lists and returns the same metric
-    names as :func:`evaluate_point`, each as a parallel list.  Values are
-    bit-identical to the per-point path (the :mod:`repro.core.gridkernels`
-    contract), so reports assembled from either are byte-equal.
+    Takes parallel per-point parameter lists and returns, for each metric
+    of :func:`repro.core.gridkernels.conclusions_grid`, a parallel array.
     """
-    import numpy as np
-
     return gridkernels.conclusions_grid(
         np.asarray(f, dtype=np.float64),
         np.asarray(fcon_share, dtype=np.float64),

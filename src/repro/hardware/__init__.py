@@ -11,11 +11,8 @@ two-socket Xeon E5520 machine (8 cores).  This package provides:
   model or, optionally, on the *actual* host using ``multiprocessing``
   with real timers (``backend="process"``), for users who want Fig 2(c) on
   their own silicon.
-* :mod:`repro.hardware.calibration` — compares simulator- and
-  hardware-derived growth curves and parameters.
 """
 
-from repro.hardware.calibration import compare_growth_curves
 from repro.hardware.executor import execute_workload
 from repro.hardware.machine_model import HardwareMachineModel, XEON_E5520
 
@@ -23,5 +20,4 @@ __all__ = [
     "HardwareMachineModel",
     "XEON_E5520",
     "execute_workload",
-    "compare_growth_curves",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.communication import CommGrowth
+from repro.core.growth import GrowthFunction
 from repro.noc.topology import Topology, resolve_topology
 
 __all__ = [
@@ -66,8 +66,8 @@ def growcomm_for(topology: Topology, x: int = 1, broadcast_back: bool = True) ->
 
 def topology_growcomm(
     name: str, x: int = 1, broadcast_back: bool = True, name_suffix: str = ""
-) -> CommGrowth:
-    """Build a :class:`~repro.core.communication.CommGrowth` whose values
+) -> GrowthFunction:
+    """Build a :class:`~repro.core.growth.GrowthFunction` whose values
     come from exact per-topology computation.
 
     The returned growth law evaluates the topology at each requested core
@@ -89,4 +89,4 @@ def topology_growcomm(
         return out.reshape(np.asarray(nc_arr, dtype=np.float64).shape)
 
     label = f"{name}{name_suffix}" if name_suffix else name
-    return CommGrowth(label, fn)
+    return GrowthFunction(label, fn)

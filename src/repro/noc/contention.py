@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.core.communication import CommGrowth
+from repro.core.growth import GrowthFunction
 from repro.noc.routing import path_link_loads
 from repro.noc.topology import Mesh2D
 
@@ -137,8 +137,8 @@ def analyse_pattern(mesh: Mesh2D, pairs: ArrayLike) -> TrafficAnalysis:
     )
 
 
-def contended_growcomm(pattern: str = "all_to_all", x: int = 1) -> CommGrowth:
-    """A :class:`CommGrowth` priced by the bottleneck link, not aggregate
+def contended_growcomm(pattern: str = "all_to_all", x: int = 1) -> GrowthFunction:
+    """A ``growcomm`` :class:`GrowthFunction` priced by the bottleneck link, not aggregate
     capacity.
 
     ``pattern`` is ``"gather"`` (serial reduction) or ``"all_to_all"``
@@ -174,4 +174,4 @@ def contended_growcomm(pattern: str = "all_to_all", x: int = 1) -> CommGrowth:
             out[i] = cache[k]
         return out.reshape(np.asarray(nc_arr, dtype=np.float64).shape)
 
-    return CommGrowth(f"mesh-contended-{pattern}", fn)
+    return GrowthFunction(f"mesh-contended-{pattern}", fn)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import gridkernels
-from repro.core.merging import power_of_two_sizes
+from repro.core.gridkernels import power_of_two_sizes
 
 __all__ = [
     "QueryError",

@@ -1,7 +1,7 @@
 """Exact k-nearest neighbours of a point set among itself, numpy only.
 
-:func:`knn` answers the query ``cKDTree(points).query(points, k)`` without
-scipy: the same neighbour indices and bit-identical distances.
+:func:`knn` answers the query ``cKDTree(points).query(points, k)`` with
+numpy alone: the same neighbour indices and bit-identical distances.
 
 Points are binned into a uniform grid of cubic cells.  A query's
 candidates are the points in the 3×3×3 block of cells around its own

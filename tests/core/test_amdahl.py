@@ -54,53 +54,3 @@ class TestSpeedupLimit:
         f = 0.98
         assert amdahl.speedup(f, 10**9) < amdahl.speedup_limit(f)
         assert amdahl.speedup(f, 10**9) == pytest.approx(amdahl.speedup_limit(f), rel=1e-6)
-
-
-class TestEfficiency:
-    def test_efficiency_is_one_on_single_processor(self):
-        assert amdahl.efficiency(0.8, 1) == pytest.approx(1.0)
-
-    def test_efficiency_decreases_with_processors(self):
-        e = amdahl.efficiency(0.95, np.array([1, 2, 4, 8, 16]))
-        assert np.all(np.diff(e) < 0)
-
-    def test_efficiency_bounded(self):
-        e = amdahl.efficiency(0.99, np.array([2, 64, 1024]))
-        assert np.all((0 < e) & (e <= 1))
-
-
-class TestKarpFlatt:
-    def test_roundtrip_with_speedup(self):
-        f = 0.97
-        for p in (2, 8, 32):
-            sp = amdahl.speedup(f, p)
-            s = amdahl.serial_fraction_from_speedup(sp, p)
-            assert s == pytest.approx(1 - f, rel=1e-9)
-
-    def test_perfect_speedup_gives_zero_serial(self):
-        assert amdahl.serial_fraction_from_speedup(8.0, 8) == pytest.approx(0.0)
-
-    def test_rejects_single_processor(self):
-        with pytest.raises(ValueError):
-            amdahl.serial_fraction_from_speedup(1.0, 1)
-
-    def test_rejects_superlinear(self):
-        with pytest.raises(ValueError):
-            amdahl.serial_fraction_from_speedup(9.0, 8)
-
-
-class TestCoresForTarget:
-    def test_unreachable_target_is_infinite(self):
-        assert amdahl.cores_for_target_speedup(0.99, 200) == float("inf")
-
-    def test_trivial_target(self):
-        assert amdahl.cores_for_target_speedup(0.5, 1.0) == 1.0
-
-    def test_inverse_of_speedup(self):
-        f = 0.99
-        p = amdahl.cores_for_target_speedup(f, 50.0)
-        assert amdahl.speedup(f, p) == pytest.approx(50.0, rel=1e-9)
-
-    def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError):
-            amdahl.cores_for_target_speedup(0.9, 0.0)

@@ -6,6 +6,7 @@ import pytest
 from repro.core import communication as comm
 from repro.core import merging
 from repro.core.params import AppParams
+from repro.core.perf import PerfLaw
 
 
 def moderate_nonemb() -> AppParams:
@@ -88,22 +89,32 @@ class TestPaperAnchorsFig7:
 
 class TestModelStructure:
     def test_communication_term_not_scaled_by_perf(self):
-        # doubling core performance must not shrink the comm share: compare
-        # serial terms at the same nc but different perf_serial.
+        # a faster core must not shrink the comm share: compare serial
+        # terms at the same nc = 64 (r = 4 on 256 BCEs) under perf laws
+        # with perf(4) = 1 and perf(4) = 4.
         p = moderate_nonemb()
-        t_slow = comm.serial_term_comm(p, 64.0, 1.0)
-        t_fast = comm.serial_term_comm(p, 64.0, 4.0)
+
+        def serial_term(perf, perf4):
+            sp = float(comm.speedup_symmetric_comm(p, 256, 4.0, perf=perf))
+            return 1.0 / sp - p.f * 4.0 / (perf4 * 256)
+
+        t_slow = serial_term(PerfLaw("flat", lambda r: np.ones_like(r)), 1.0)
+        t_fast = serial_term(PerfLaw("linear", lambda r: r), 4.0)
         comm_part = p.fcomm * (1.0 + float(comm.MESH_COMM(64.0)))
         # the fast core reduces only the compute part:
-        assert float(t_fast) > comm_part
-        assert float(t_slow) - float(t_fast) == pytest.approx(
+        assert t_fast > comm_part
+        assert t_slow - t_fast == pytest.approx(
             (p.fcon + p.fcomp) * (1.0 - 1.0 / 4.0)
         )
 
     def test_single_core_serial_term_recovers_full_serial_fraction(self):
+        # r = n → nc = 1: no extra computation, no communication growth,
+        # so Eq 6 charges exactly Eq 2's serial section at perf(n) for
+        # the compute half and at wire speed for the comm half
         p = moderate_nonemb()
-        t = comm.serial_term_comm(p, 1.0, 1.0)
-        assert float(t) == pytest.approx(p.serial)
+        sp = float(comm.speedup_symmetric_comm(p, 256, 256.0))
+        expected = 1.0 / ((p.fcon + p.fcomp) / 16.0 + p.fcomm + p.f / 16.0)
+        assert sp == pytest.approx(expected)
 
     def test_linear_comp_growth_costs_more_than_parallel(self):
         p = moderate_nonemb()

@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import merging
-from repro.core.bandwidth import speedup_symmetric_bw
 from repro.core.critical import CriticalParams, speedup_symmetric_cs
 from repro.core.mix import WorkloadMix, mix_speedup
 from repro.core.params import AppParams
-from repro.core.uncore import speedup_symmetric_uncore
 
 fractions = st.floats(min_value=0.5, max_value=0.9999, allow_nan=False)
 shares = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -29,20 +27,6 @@ def app_params(draw):
 
 
 class TestNeutralKnobsRecoverEq4:
-    @settings(max_examples=40)
-    @given(p=app_params(), r=core_sizes)
-    def test_bandwidth_zero_beta(self, p, r):
-        assert float(speedup_symmetric_bw(p, 256, r, beta=0.0)) == float(
-            merging.speedup_symmetric(p, 256, r)
-        )
-
-    @settings(max_examples=40)
-    @given(p=app_params(), r=core_sizes)
-    def test_uncore_zero_tau(self, p, r):
-        assert float(speedup_symmetric_uncore(p, 256, r, tau=0.0)) == float(
-            merging.speedup_symmetric(p, 256, r)
-        )
-
     @settings(max_examples=40)
     @given(p=app_params(), r=core_sizes)
     def test_critical_zero_share(self, p, r):
@@ -64,18 +48,6 @@ class TestKnobsOnlyHurt:
     @settings(max_examples=40)
     @given(
         p=app_params(), r=core_sizes,
-        b1=st.floats(min_value=0.0, max_value=0.1),
-        b2=st.floats(min_value=0.0, max_value=0.1),
-    )
-    def test_bandwidth_monotone(self, p, r, b1, b2):
-        lo, hi = sorted([b1, b2])
-        assert float(speedup_symmetric_bw(p, 256, r, hi)) <= float(
-            speedup_symmetric_bw(p, 256, r, lo)
-        ) + 1e-9
-
-    @settings(max_examples=40)
-    @given(
-        p=app_params(), r=core_sizes,
         c1=st.floats(min_value=0.0, max_value=0.5),
         c2=st.floats(min_value=0.0, max_value=0.5),
     )
@@ -84,15 +56,6 @@ class TestKnobsOnlyHurt:
         sp_lo = float(speedup_symmetric_cs(CriticalParams(p, lo), 256, r))
         sp_hi = float(speedup_symmetric_cs(CriticalParams(p, hi), 256, r))
         assert sp_hi <= sp_lo + 1e-9
-
-    @settings(max_examples=40)
-    @given(p=app_params(), tau=st.floats(min_value=0.0, max_value=8.0))
-    def test_uncore_bounded_by_best_free_design(self, p, tau):
-        # a taxed design can beat the same-r free design (fewer cores →
-        # smaller merge) but never the free *optimum*
-        taxed = float(speedup_symmetric_uncore(p, 256, 1.0, tau))
-        free_best = merging.best_symmetric(p, 256).speedup
-        assert taxed <= free_best + 1e-9
 
 
 class TestMixBounds:

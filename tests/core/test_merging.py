@@ -71,7 +71,8 @@ class TestPaperAnchors:
         sym = merging.best_symmetric(p, 256)
         assert curve_r1.max() < sym.speedup
         # while plain Amdahl predicts the opposite ordering:
-        _, hm_asym = hill_marty.best_asymmetric(p.f, 256)
+        hm_asym = hill_marty.speedup_asymmetric(
+            p.f, 256, merging.power_of_two_sizes(256)).max()
         _, hm_sym = hill_marty.best_symmetric(p.f, 256)
         assert hm_asym > hm_sym
 
@@ -127,8 +128,10 @@ class TestSymmetricModel:
 
     def test_serial_term_at_single_core_equals_serial_fraction(self):
         p = params_for(0.99, 0.60, 0.80)
-        # r = n → one core → serial cost is fcon + fcred + fored·grow(1) = s
-        assert merging.serial_term_symmetric(p, 256, 256.0) == pytest.approx(p.serial)
+        # r = n → one core → serial cost is fcon + fcred + fored·grow(1) = s,
+        # so Eq 4 charges exactly Eq 2's constant serial section
+        assert merging.speedup_symmetric(p, 256, 256.0) == pytest.approx(
+            hill_marty.speedup_symmetric(p.f, 256, 256.0))
 
     def test_rejects_invalid_sizes(self):
         p = params_for(0.99, 0.6, 0.8)

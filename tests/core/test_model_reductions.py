@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 from repro.core import amdahl, communication, gridkernels, hill_marty, merging
-from repro.core.communication import MESH_COMM, PARALLEL_COMP
-from repro.core.growth import PolynomialGrowth, resolve_growth
+from repro.core.growth import MESH_COMM, PARALLEL_COMP, PolynomialGrowth, resolve_growth
 from repro.core.params import AppParams
+from tests.core import reference_models as ref
 
 _SEED = 20260806
 _N_CASES = 60
@@ -138,11 +138,12 @@ def test_grid_is_deterministic():
     assert a == b
 
 
-# ── vectorized kernels vs the scalar stack (Eqs 1–8) ─────────────────────
+# ── vectorized kernels and the scalar API vs the frozen stack (Eqs 1–8) ──
 #
 # tests/differential/test_model_oracles.py sweeps random parameter points;
 # the classes below pin the *shape* contract of repro.core.gridkernels on
-# the same randomized grid: broadcasting matches per-point scalar calls
+# the same randomized grid: a broadcast kernel call and every per-point
+# scalar call equal the frozen scalar stack (tests/core/reference_models.py)
 # bit-exactly, singleton and empty axes behave, and the raw-array kernels
 # accept the f = 1.0 / r = rl edges the scalar AppParams path forbids.
 
@@ -162,7 +163,8 @@ def _broadcast_cases(seed=_SEED + 2, n_cases=12):
 
 @pytest.mark.parametrize("n,fs,c,o,growth", _broadcast_cases())
 class TestGridMatchesScalarUnderBroadcast:
-    """A 2-D ``(f, r)`` broadcast equals the scalar call at every cell."""
+    """A 2-D ``(f, r)`` broadcast and the scalar call both equal the
+    frozen scalar stack at every cell."""
 
     def test_eq1_amdahl(self, n, fs, c, o, growth):
         ps = np.array([1.0, 2.0, float(n)])
@@ -170,7 +172,9 @@ class TestGridMatchesScalarUnderBroadcast:
         assert grid.shape == (len(fs), len(ps))
         for i, f in enumerate(fs):
             for j, p in enumerate(ps):
-                assert grid[i, j] == amdahl.speedup(float(f), float(p))
+                oracle = ref.amdahl.speedup(float(f), float(p))
+                assert grid[i, j] == oracle
+                assert amdahl.speedup(float(f), float(p)) == oracle
 
     def test_eq2_symmetric(self, n, fs, c, o, growth):
         sizes = merging.power_of_two_sizes(n)
@@ -178,16 +182,18 @@ class TestGridMatchesScalarUnderBroadcast:
         assert grid.shape == (len(fs), len(sizes))
         for i, f in enumerate(fs):
             for j, r in enumerate(sizes):
-                assert grid[i, j] == hill_marty.speedup_symmetric(
-                    float(f), n, float(r))
+                oracle = ref.hill_marty.speedup_symmetric(float(f), n, float(r))
+                assert grid[i, j] == oracle
+                assert hill_marty.speedup_symmetric(float(f), n, float(r)) == oracle
 
     def test_eq3_asymmetric(self, n, fs, c, o, growth):
         sizes = merging.power_of_two_sizes(n)
         grid = gridkernels.hm_asymmetric(fs[:, None], n, sizes)
         for i, f in enumerate(fs):
             for j, rl in enumerate(sizes):
-                assert grid[i, j] == hill_marty.speedup_asymmetric(
-                    float(f), n, float(rl))
+                oracle = ref.hill_marty.speedup_asymmetric(float(f), n, float(rl))
+                assert grid[i, j] == oracle
+                assert hill_marty.speedup_asymmetric(float(f), n, float(rl)) == oracle
 
     def test_eq4_merging_symmetric(self, n, fs, c, o, growth):
         sizes = merging.power_of_two_sizes(n)
@@ -195,8 +201,11 @@ class TestGridMatchesScalarUnderBroadcast:
         for i, f in enumerate(fs):
             params = AppParams(f=float(f), fcon_share=c, fored_share=o)
             for j, r in enumerate(sizes):
-                assert grid[i, j] == merging.speedup_symmetric(
+                oracle = ref.merging.speedup_symmetric(
                     params, n, float(r), growth=growth)
+                assert grid[i, j] == oracle
+                assert merging.speedup_symmetric(
+                    params, n, float(r), growth=growth) == oracle
 
     def test_eq5_merging_asymmetric(self, n, fs, c, o, growth):
         sizes = merging.power_of_two_sizes(n)
@@ -205,8 +214,11 @@ class TestGridMatchesScalarUnderBroadcast:
         for i, f in enumerate(fs):
             params = AppParams(f=float(f), fcon_share=c, fored_share=o)
             for j, rl in enumerate(sizes):
-                assert grid[i, j] == merging.speedup_asymmetric(
+                oracle = ref.merging.speedup_asymmetric(
                     params, n, float(rl), r=1.0, growth=growth)
+                assert grid[i, j] == oracle
+                assert merging.speedup_asymmetric(
+                    params, n, float(rl), r=1.0, growth=growth) == oracle
 
     def test_eq6_and_7_communication(self, n, fs, c, o, growth):
         sizes = merging.power_of_two_sizes(n)
@@ -215,10 +227,16 @@ class TestGridMatchesScalarUnderBroadcast:
         for i, f in enumerate(fs):
             params = AppParams(f=float(f), fcon_share=c, fored_share=o)
             for j, r in enumerate(sizes):
-                assert sym[i, j] == communication.speedup_symmetric_comm(
+                sym_oracle = ref.communication.speedup_symmetric_comm(
                     params, n, float(r), PARALLEL_COMP, MESH_COMM)
-                assert asym[i, j] == communication.speedup_asymmetric_comm(
+                asym_oracle = ref.communication.speedup_asymmetric_comm(
                     params, n, float(r))
+                assert sym[i, j] == sym_oracle
+                assert asym[i, j] == asym_oracle
+                assert communication.speedup_symmetric_comm(
+                    params, n, float(r), PARALLEL_COMP, MESH_COMM) == sym_oracle
+                assert communication.speedup_asymmetric_comm(
+                    params, n, float(r)) == asym_oracle
 
 
 class TestGridEdgeShapes:
@@ -292,4 +310,7 @@ class TestGridAcceptsEdgesTheScalarPathForbids:
                 0.97, 0.4, 0.6, 64, size, size, "linear")
             scalar = merging.speedup_asymmetric(
                 params, 64, size, r=size, growth="linear")
-            assert grid == scalar
+            oracle = ref.merging.speedup_asymmetric(
+                params, 64, size, r=size, growth="linear")
+            assert grid == oracle
+            assert scalar == oracle

@@ -77,39 +77,6 @@ class TestDesignGrid:
                 assert q.cores == pytest.approx((256 - q.rl) / q.r + 1)
 
 
-@pytest.mark.usefixtures("needs_scipy")
-class TestContinuousOptimum:
-    def test_at_least_as_good_as_grid(self):
-        p = AppParams(f=0.99, fcon_share=0.6, fored_share=0.8)
-        from repro.core import merging
-
-        grid = merging.best_symmetric(p, 256)
-        cont = optimizer.best_symmetric_continuous(p, 256)
-        assert cont.speedup >= grid.speedup - 1e-9
-
-    def test_continuous_optimum_near_grid_optimum(self):
-        p = AppParams(f=0.999, fcon_share=0.6, fored_share=0.1)
-        from repro.core import merging
-
-        grid = merging.best_symmetric(p, 256)
-        cont = optimizer.best_symmetric_continuous(p, 256)
-        # within one octave of the power-of-two winner
-        assert grid.r / 2 <= cont.r <= grid.r * 2
-
-    def test_stationary_point(self):
-        # the continuous optimum is a local maximum: neighbours are worse
-        from repro.core import merging
-
-        p = AppParams(f=0.99, fcon_share=0.6, fored_share=0.8)
-        cont = optimizer.best_symmetric_continuous(p, 256)
-        if 1.0 < cont.r < 256.0:
-            for factor in (0.99, 1.01):
-                nearby = float(
-                    merging.speedup_symmetric(p, 256, cont.r * factor)
-                )
-                assert nearby <= cont.speedup + 1e-9
-
-
 class TestParetoFront:
     def test_front_is_monotone(self):
         p = AppParams(f=0.999, fcon_share=0.6, fored_share=0.1)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import amdahl, communication as comm, hill_marty, merging
-from repro.core.growth import LINEAR, LOG, PARALLEL
+from repro.core.growth import LINEAR, LOG, PARALLEL, GrowthFunction
 from repro.core.params import AppParams
 
 fractions = st.floats(min_value=0.5, max_value=0.99999, allow_nan=False)
@@ -113,7 +113,7 @@ class TestCommunicationInvariants:
         # communication term; dropping the comm term recovers something at
         # least as fast as keeping it.
         n = 256
-        no_comm = comm.CommGrowth("none", lambda nc: np.zeros_like(np.asarray(nc, float)))
+        no_comm = GrowthFunction("none", lambda nc: np.zeros_like(np.asarray(nc, float)))
         with_mesh = float(comm.speedup_symmetric_comm(p, n, r, comm=comm.MESH_COMM))
         without = float(comm.speedup_symmetric_comm(p, n, r, comm=no_comm))
         assert with_mesh <= without + 1e-9

@@ -1,11 +1,14 @@
-"""Grid-vs-scalar model oracles: the vectorized kernels are bit-exact.
+"""Model oracles: the kernels and the scalar API equal the frozen stack.
 
-``repro.core.gridkernels`` promises *bit-identity* with the scalar model
-stack (same float64 operations in the same order), which is what lets the
-fig4/fig5/conclusions experiments assemble their byte-exact golden
-reports from one grid call.  Every check here therefore asserts exact
-equality (``np.array_equal`` / ``==``), never closeness, across hundreds
-of randomized parameter points per equation.
+``repro.core.gridkernels`` is the one implementation of Eqs 1–8 and the
+scalar API (``amdahl``, ``hill_marty``, ``merging``, ``communication``,
+``optimizer``) is a thin view onto it.  The oracle is
+``tests/core/reference_models.py``, a frozen copy of the scalar stack that
+evaluated each equation on its own.  Both the kernels and the scalar API
+must equal it *bit for bit* (same float64 operations in the same order),
+which is what keeps the golden reports byte-exact.  Every check here
+therefore asserts exact equality (``np.array_equal`` / ``==``), never
+closeness, across hundreds of randomized parameter points per equation.
 """
 
 import random
@@ -13,10 +16,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import amdahl, communication, gridkernels, hill_marty, merging
-from repro.core.communication import LINEAR_COMP, LOG_COMP, MESH_COMM, PARALLEL_COMP
+from repro.core import amdahl, communication, gridkernels, hill_marty, merging, optimizer
+from repro.core.growth import LINEAR_COMP, LOG_COMP, MESH_COMM, PARALLEL_COMP
 from repro.core.params import AppParams
 from repro.experiments import conclusions
+from tests.core import reference_models as ref
 
 _SEED = 20260808
 
@@ -38,7 +42,9 @@ GROWTHS = ("linear", "log")
 
 
 def _sizes(n):
-    return merging.power_of_two_sizes(n)
+    sizes = merging.power_of_two_sizes(n)
+    assert np.array_equal(sizes, ref.merging.power_of_two_sizes(n))
+    return sizes
 
 
 class TestEq1Amdahl:
@@ -47,8 +53,10 @@ class TestEq1Amdahl:
         fs = np.array([rng.uniform(0.0, 1.0) for _ in range(50)])
         ps = np.array([float(rng.randrange(1, 512)) for _ in range(50)])
         grid = gridkernels.amdahl_speedup(fs, ps)
+        oracle = np.array([ref.amdahl.speedup(f, p) for f, p in zip(fs, ps)])
         scalar = np.array([amdahl.speedup(f, p) for f, p in zip(fs, ps)])
-        assert np.array_equal(grid, scalar)
+        assert np.array_equal(grid, oracle)
+        assert np.array_equal(scalar, oracle)
 
 
 class TestEq2And3HillMarty:
@@ -58,7 +66,9 @@ class TestEq2And3HillMarty:
         for f, _, _ in POINTS[:20]:
             grid = gridkernels.hm_symmetric(f, n, sizes)
             scalar = hill_marty.speedup_symmetric(f, n, sizes)
-            assert np.array_equal(grid, np.asarray(scalar))
+            oracle = ref.hill_marty.speedup_symmetric(f, n, sizes)
+            assert np.array_equal(grid, oracle)
+            assert np.array_equal(scalar, oracle)
 
     @pytest.mark.parametrize("n", NS)
     def test_asymmetric(self, n):
@@ -66,7 +76,9 @@ class TestEq2And3HillMarty:
         for f, _, _ in POINTS[:20]:
             grid = gridkernels.hm_asymmetric(f, n, sizes)
             scalar = hill_marty.speedup_asymmetric(f, n, sizes)
-            assert np.array_equal(grid, np.asarray(scalar))
+            oracle = ref.hill_marty.speedup_asymmetric(f, n, sizes)
+            assert np.array_equal(grid, oracle)
+            assert np.array_equal(scalar, oracle)
 
     def test_asymmetric_grouped(self):
         n = 256
@@ -76,7 +88,9 @@ class TestEq2And3HillMarty:
                 feasible = sizes[sizes >= r]
                 grid = gridkernels.hm_asymmetric_grouped(f, n, feasible, r)
                 scalar = hill_marty.speedup_asymmetric_grouped(f, n, feasible, r)
-                assert np.array_equal(grid, np.asarray(scalar))
+                oracle = ref.hill_marty.speedup_asymmetric_grouped(f, n, feasible, r)
+                assert np.array_equal(grid, oracle)
+                assert np.array_equal(scalar, oracle)
 
 
 class TestEq4And5Merging:
@@ -88,7 +102,9 @@ class TestEq4And5Merging:
             params = AppParams(f=f, fcon_share=c, fored_share=o)
             grid = gridkernels.merging_symmetric(f, c, o, n, sizes, growth)
             scalar = merging.speedup_symmetric(params, n, sizes, growth)
-            assert np.array_equal(grid, np.asarray(scalar))
+            oracle = ref.merging.speedup_symmetric(params, n, sizes, growth)
+            assert np.array_equal(grid, oracle)
+            assert np.array_equal(scalar, oracle)
 
     @pytest.mark.parametrize("growth", GROWTHS)
     def test_asymmetric(self, growth):
@@ -104,7 +120,11 @@ class TestEq4And5Merging:
                 scalar = merging.speedup_asymmetric(
                     params, n, feasible, r, growth
                 )
-                assert np.array_equal(grid, np.asarray(scalar))
+                oracle = ref.merging.speedup_asymmetric(
+                    params, n, feasible, r, growth
+                )
+                assert np.array_equal(grid, oracle)
+                assert np.array_equal(scalar, oracle)
 
 
 class TestEq6To8Communication:
@@ -119,7 +139,11 @@ class TestEq6To8Communication:
             scalar = communication.speedup_symmetric_comm(
                 params, n, sizes, comp, MESH_COMM
             )
-            assert np.array_equal(grid, np.asarray(scalar))
+            oracle = ref.communication.speedup_symmetric_comm(
+                params, n, sizes, comp, MESH_COMM
+            )
+            assert np.array_equal(grid, oracle)
+            assert np.array_equal(scalar, oracle)
 
     def test_asymmetric(self):
         n = 256
@@ -132,7 +156,11 @@ class TestEq6To8Communication:
                 scalar = communication.speedup_asymmetric_comm(
                     params, n, feasible, r
                 )
-                assert np.array_equal(grid, np.asarray(scalar))
+                oracle = ref.communication.speedup_asymmetric_comm(
+                    params, n, feasible, r
+                )
+                assert np.array_equal(grid, oracle)
+                assert np.array_equal(scalar, oracle)
 
     def test_eq8_mesh_growth(self):
         rng = random.Random(_SEED + 8)
@@ -141,6 +169,7 @@ class TestEq6To8Communication:
         scalar = np.array([float(np.sqrt(x) / 2.0) if x > 1.0 else 0.0
                            for x in nc])
         assert np.array_equal(grid, scalar)
+        assert np.array_equal(grid, ref.communication.mesh_growcomm(nc))
 
 
 class TestDesignSpaceReducers:
@@ -151,10 +180,12 @@ class TestDesignSpaceReducers:
         o = np.array([p[2] for p in POINTS])
         best_r, best_sp = gridkernels.best_symmetric_grid(f, c, o, n)
         for i, (fv, cv, ov) in enumerate(POINTS):
-            d = merging.best_symmetric(AppParams(f=fv, fcon_share=cv,
-                                                 fored_share=ov), n)
+            params = AppParams(f=fv, fcon_share=cv, fored_share=ov)
+            d = ref.merging.best_symmetric(params, n)
             assert best_r[i] == d.r
             assert best_sp[i] == d.speedup
+            scalar = merging.best_symmetric(params, n)
+            assert (scalar.r, scalar.speedup, scalar.n) == (d.r, d.speedup, d.n)
 
     def test_best_asymmetric_matches_scalar_optimiser(self):
         n = 256
@@ -163,11 +194,41 @@ class TestDesignSpaceReducers:
         o = np.array([p[2] for p in POINTS])
         best_rl, best_r, best_sp = gridkernels.best_asymmetric_grid(f, c, o, n)
         for i, (fv, cv, ov) in enumerate(POINTS):
-            d = merging.best_asymmetric(AppParams(f=fv, fcon_share=cv,
-                                                  fored_share=ov), n)
+            params = AppParams(f=fv, fcon_share=cv, fored_share=ov)
+            d = ref.merging.best_asymmetric(params, n)
             assert best_rl[i] == d.rl
             assert best_r[i] == d.r
             assert best_sp[i] == d.speedup
+            scalar = merging.best_asymmetric(params, n)
+            assert (scalar.rl, scalar.r, scalar.speedup, scalar.n) == (
+                d.rl, d.r, d.speedup, d.n)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_hill_marty_best_symmetric_matches_frozen_loop(self, n):
+        for f, _, _ in POINTS:
+            assert hill_marty.best_symmetric(f, n) == ref.hill_marty.best_symmetric(f, n)
+
+    @pytest.mark.parametrize("growth", GROWTHS)
+    def test_compare_architectures_matches_frozen_loops(self, growth):
+        for f, c, o in POINTS[:24]:
+            params = AppParams(f=f, fcon_share=c, fored_share=o)
+            got = optimizer.compare_architectures(params, 256, growth=growth)
+            want = ref.optimizer.compare_architectures(params, 256, growth=growth)
+            assert got.amdahl_symmetric == want.amdahl_symmetric
+            assert got.amdahl_asymmetric == want.amdahl_asymmetric
+            assert got.acmp_speedup_ratio == want.acmp_speedup_ratio
+            assert got.amdahl_speedup_ratio == want.amdahl_speedup_ratio
+            assert (got.symmetric.r, got.asymmetric.rl, got.asymmetric.r) == (
+                want.symmetric.r, want.asymmetric.rl, want.asymmetric.r)
+
+    @pytest.mark.parametrize("growth", GROWTHS)
+    def test_optimal_r_map_matches_frozen_loop(self, growth):
+        cons = [p[1] for p in POINTS[:8]]
+        ores = [p[2] for p in POINTS[8:14]]
+        for f, _, _ in POINTS[:5]:
+            got = optimizer.optimal_r_map(f, 256, cons, ores, growth)
+            assert np.array_equal(
+                got, ref.optimizer.optimal_r_map(f, 256, cons, ores, growth))
 
 
 class TestConclusionsGrid:
@@ -180,13 +241,13 @@ class TestConclusionsGrid:
             n=256,
         )
         for i, (f, c, o) in enumerate(pts):
-            point = conclusions.evaluate_point(f, c, o, 256)
+            point = ref.conclusions.evaluate_point(f, c, o, 256)
             for key, value in point.items():
                 assert grid[key][i] == value, (key, f, c, o)
 
     def test_experiment_grid_helper_is_plain_python(self):
         out = conclusions.evaluate_grid([0.99, 0.999], [0.5, 0.9],
                                         [0.8, 0.2], 256)
-        point = conclusions.evaluate_point(0.99, 0.5, 0.8, 256)
+        point = ref.conclusions.evaluate_point(0.99, 0.5, 0.8, 256)
         for key, value in point.items():
             assert out[key][0] == value

@@ -1,8 +1,7 @@
-"""Unit tests for the hardware executor (model backend) and calibration."""
+"""Unit tests for the hardware executor (model backend)."""
 
 import pytest
 
-from repro.hardware.calibration import compare_growth_curves
 from repro.hardware.executor import execute_workload, model_breakdown
 from repro.hardware.machine_model import XEON_E5520
 from repro.workloads.datasets import make_blobs
@@ -51,47 +50,3 @@ class TestModelBackend:
     def test_unknown_backend_rejected(self, workload):
         with pytest.raises(ValueError):
             execute_workload(workload, (1,), backend="gpu")
-
-
-class TestCalibration:
-    def test_identical_curves_correlate_perfectly(self):
-        c = {1: 1.0, 2: 1.5, 4: 2.5, 8: 4.5}
-        cmp_ = compare_growth_curves(c, dict(c))
-        assert cmp_.correlation == pytest.approx(1.0)
-        assert cmp_.max_relative_deviation == pytest.approx(0.0)
-        assert cmp_.both_grow()
-
-    def test_shape_agreement_detected(self):
-        a = {1: 1.0, 2: 1.4, 4: 2.2, 8: 3.8}
-        b = {1: 1.0, 2: 1.6, 4: 2.6, 8: 4.6}
-        cmp_ = compare_growth_curves(a, b)
-        assert cmp_.correlation > 0.99
-        assert cmp_.both_grow()
-
-    def test_common_core_counts_only(self):
-        a = {1: 1.0, 2: 1.5, 16: 9.0}
-        b = {1: 1.0, 2: 1.4, 8: 4.0}
-        cmp_ = compare_growth_curves(a, b)
-        assert cmp_.cores == (1, 2)
-
-    def test_insufficient_overlap_raises(self):
-        with pytest.raises(ValueError):
-            compare_growth_curves({1: 1.0}, {1: 1.0, 2: 2.0})
-
-    def test_simulator_and_hardware_model_agree_on_growth(self, workload, breakdowns):
-        """Integration: Fig 2(b) vs Fig 2(c) — both environments show the
-        same growing-serial-section shape."""
-        from repro.simx import Machine, MachineConfig
-        from repro.workloads.instrument import breakdown_from_simulation
-        from repro.workloads.tracegen import program_from_execution
-
-        sim = {}
-        for p in (1, 2, 4, 8):
-            prog = program_from_execution(workload.execute(p), mem_scale=4)
-            res = Machine(MachineConfig.baseline(n_cores=8)).run(prog)
-            sim[p] = breakdown_from_simulation(res)
-        cmp_ = compare_growth_curves(
-            serial_growth_curve(sim), serial_growth_curve(breakdowns)
-        )
-        assert cmp_.both_grow()
-        assert cmp_.correlation > 0.95

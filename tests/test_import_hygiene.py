@@ -1,16 +1,18 @@
-"""Importing the CLI and the server, and a cold ``runall``, load no scipy;
-importing the CLI loads no ``multiprocessing``.
+"""No module under ``src/repro`` imports scipy; importing the CLI and the
+server, and a cold ``runall``, load none; importing the CLI loads no
+``multiprocessing``.
 
-Nothing ``runall`` reaches needs scipy: HOP's neighbour search is numpy
-(``workloads.neighbors``), and the only scipy users left,
-``core.fitting.fit_serial_growth`` and
-``core.optimizer.best_symmetric_continuous``, import it lazily and are
-not called.  The engine's local workers are plain subprocesses, so
-``multiprocessing`` is left to the one executor that uses it
-(``hardware.executor``), which imports it lazily.  Each check runs in a
-fresh interpreter, where no other test can have loaded either already.
+HOP's neighbour search is numpy (``workloads.neighbors``), and the only
+scipy user left is the k-NN oracle in ``tests/workloads/test_neighbors.py``.
+A static scan of the source guards the package, lazy imports included;
+the runtime probes guard what a run actually loads.  The engine's local
+workers are plain subprocesses, so ``multiprocessing`` is left to the one
+executor that uses it (``hardware.executor``), which imports it lazily.
+Each runtime check runs in a fresh interpreter, where no other test can
+have loaded either already.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -44,6 +46,24 @@ def _loaded_scipy(code: str, args=(), env=None, cwd=None, timeout=120):
     last = proc.stdout.splitlines()[-1].split()
     assert last[:2] == ["scipy", "modules:"], proc.stdout[-2000:]
     return last[2:]
+
+
+def test_src_never_imports_scipy():
+    """Every ``import scipy...`` / ``from scipy... import``, at module level
+    or inside a function, anywhere in the package."""
+    found = []
+    for path in sorted((REPO_SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name == "scipy" or name.startswith("scipy."):
+                    found.append(f"{path.relative_to(REPO_SRC)}:{node.lineno} {name}")
+    assert not found, f"src/repro imports scipy: {found}"
 
 
 def test_cli_and_server_import_without_scipy():

@@ -1,11 +1,16 @@
-"""Public-API consistency: __all__ names exist, modules import cleanly."""
+"""Public-API consistency: __all__ names exist, modules import cleanly,
+and every model, hardware and workload module has a caller."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = [
     name
@@ -33,6 +38,38 @@ class TestImports:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
+
+
+def _imported_names(path: Path) -> set:
+    """Dotted names ``path`` imports: ``import a.b`` gives ``a.b``, and
+    ``from a.b import c`` gives both ``a.b`` and ``a.b.c`` (``c`` may be a
+    submodule).  The package uses absolute imports only."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_model_hardware_and_workload_module_has_an_importer():
+    """A module of ``repro.core``, ``repro.hardware`` or ``repro.workloads``
+    that only its own package ``__init__`` imports is code nothing reaches:
+    some other ``src/`` or ``examples/`` module must import it by name."""
+    importers: dict = {}
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "examples").rglob("*.py")]:
+        for name in _imported_names(path):
+            importers.setdefault(name, set()).add(path)
+    unreached = []
+    for pkg in ("repro.core", "repro.hardware", "repro.workloads"):
+        own_init = ROOT / "src" / pkg.replace(".", "/") / "__init__.py"
+        for info in pkgutil.iter_modules(importlib.import_module(pkg).__path__):
+            name = f"{pkg}.{info.name}"
+            if not importers.get(name, set()) - {own_init}:
+                unreached.append(name)
+    assert not unreached, f"modules only their package __init__ imports: {unreached}"
 
 
 class TestRegistryConsistency:

@@ -1,8 +1,8 @@
 """Clustering-quality metrics.
 
 The reproduction's workloads must be *real* clustering algorithms, not
-timing stand-ins; these metrics let tests and examples verify that the
-outputs are good clusterings (and identical across thread counts).
+timing stand-ins; these metrics let the tests verify that the outputs are
+good clusterings (and identical across thread counts).
 
 Implemented from scratch (no sklearn in the environment):
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.workloads.datasets import make_blobs
 from repro.workloads.kmeans import KMeansWorkload
-from repro.workloads.quality import (
+from tests.workloads.quality import (
     adjusted_rand_index,
     davies_bouldin,
     inertia,
