@@ -3,12 +3,13 @@
 The reference interpreter in :mod:`repro.simx.machine` advances one
 operation at a time, paying Python dispatch, a coherence-stats snapshot
 and a scheduler pass per op.  This module removes the scheduler from
-private work entirely: each thread's trace is compiled into a
+private work entirely: each thread's trace is compiled, from its
+integer columns (:meth:`~repro.simx.trace.ThreadTrace.columns`), into a
 structure-of-arrays sequence of **segments** (maximal runs of
-thread-private ``Compute`` / ``Load`` / ``Store``, with op kinds and
-arguments unpacked into parallel tuples, pure-compute runs additionally
-as a numpy array) separated by **sync points** (shared accesses,
-barriers, locks; phase markers are segment boundaries handled inline).
+thread-private ``Compute`` / ``Load`` / ``Store``, as parallel lists of
+kind codes and arguments, pure-compute runs additionally as a numpy
+array) separated by **sync points** (shared accesses, barriers, locks;
+phase markers are segment boundaries handled inline).
 A line is *private* when exactly one thread touches it anywhere in the
 program (at line granularity); every other line is *shared*.  Execution
 then alternates two regimes:
@@ -69,13 +70,15 @@ from repro.simx.config import MachineConfig
 from repro.simx.core_model import CoreModel
 from repro.simx.stats import PhaseStats
 from repro.simx.trace import (
+    COMPUTE,
+    LOAD,
+    OP_TYPES,
+    PHASE_BEGIN,
+    STORE,
     Barrier,
-    Compute,
-    Load,
     Lock,
     PhaseBegin,
     PhaseEnd,
-    Store,
     TraceProgram,
     Unlock,
 )
@@ -85,8 +88,6 @@ __all__ = ["supports_batch_path", "compile_batch", "run_batch", "BatchProgram"]
 #: vectorise the compute-cycle sum only past this run length — below it the
 #: numpy call costs more than the scalar loop.
 _VEC_MIN = 8
-
-_COMPUTE, _LOAD, _STORE = 0, 1, 2
 
 
 def supports_batch_path(config: MachineConfig, max_cycles: "int | None" = None) -> bool:
@@ -117,26 +118,30 @@ class _Seg:
     """A maximal run of private ops in structure-of-arrays form.
 
     ``kinds[j]`` / ``args[j]`` drive the hot loop without isinstance
-    dispatch; ``ops`` is kept only to rebuild the tail after a hazard
-    bail.  ``lead`` counts the compute ops before the first load/store
-    (all of them in a pure-compute segment).  Pure-compute segments carry
-    their instruction counts as a numpy array (``carr``) so the whole run
-    prices as one vectorised ceil-sum.
+    dispatch; they are plain lists because indexing numpy per op is
+    slow.  ``lead`` counts the compute ops before the first load/store
+    (all of them in a pure-compute segment).  Pure-compute segments of
+    ``_VEC_MIN`` ops or more carry their instruction counts as a float
+    array (``carr``) so the whole run prices as one vectorised ceil-sum.
     """
 
-    __slots__ = ("kinds", "args", "ops", "lead", "carr", "total_instr")
+    __slots__ = ("kinds", "args", "lead", "carr", "total_instr")
 
-    def __init__(self, kinds: tuple, args: tuple, ops: tuple):
+    def __init__(self, kinds: list, args: list, lead: int, carr=None):
         self.kinds = kinds
         self.args = args
-        self.ops = ops
-        self.lead = next((j for j, k in enumerate(kinds) if k != _COMPUTE), len(kinds))
-        if self.lead == len(args) >= _VEC_MIN:
-            self.carr = np.asarray(args, dtype=np.float64)
-            self.total_instr = int(sum(args))
-        else:
-            self.carr = None
-            self.total_instr = 0
+        self.lead = lead
+        self.carr = carr
+        self.total_instr = sum(args) if carr is not None else 0
+
+    @classmethod
+    def tail(cls, seg: "_Seg", start: int) -> "_Seg":
+        """The rest of ``seg`` from op ``start`` on, after a hazard bail."""
+        kinds = seg.kinds[start:]
+        args = seg.args[start:]
+        lead = next((j for j, k in enumerate(kinds) if k != COMPUTE), len(kinds))
+        pure = lead == len(args) >= _VEC_MIN
+        return cls(kinds, args, lead, np.array(args, dtype=np.float64) if pure else None)
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,10 @@ class BatchProgram:
     """A program lowered for batch execution.
 
     ``thread_entries[tid]`` mixes :class:`_Seg` runs with phase markers
-    and sync ops; ``shared_lines`` is the eviction bail-out set.  For the
-    ``n_bursts``/``n_fused_ops`` accounting a multi-op segment counts as
-    one burst.
+    and sync ops: a shared load or store is a ``(LOAD | STORE, addr)``
+    pair, a barrier or lock op is its op object.  ``shared_lines`` is the
+    eviction bail-out set.  For the ``n_bursts``/``n_fused_ops``
+    accounting a multi-op segment counts as one burst.
     """
 
     thread_entries: tuple
@@ -156,62 +162,108 @@ class BatchProgram:
 
 
 def compile_batch(program: TraceProgram, line_size: int) -> BatchProgram:
-    """Lower a program into per-thread segment/sync streams."""
-    op_lists = [list(t.ops) for t in program.threads]
+    """Lower a program into per-thread segment/sync streams.
 
-    # accessor analysis: who touches each line?
-    owner: dict[int, int] = {}
-    _SHARED = -1
-    for tid, ops in enumerate(op_lists):
-        for op in ops:
-            t = type(op)
-            if t is Load or t is Store:
-                line = op.addr // line_size
-                prev = owner.setdefault(line, tid)
-                if prev != tid:
-                    owner[line] = _SHARED
-    shared_lines = frozenset(line for line, o in owner.items() if o == _SHARED)
+    Works on the threads' columns, concatenated: one sort finds the
+    shared lines, one mask marks every op that is not private work, and
+    segments are the runs between those marks.  Python objects are built
+    only per entry: a segment's ``.tolist()`` slices, and a sync or
+    marker entry (an object trace's own op objects are reused for those).
+    """
+    threads = program.threads
+    columns = [t.columns() for t in threads]
+    lengths = [len(c[0]) for c in columns]
+    kinds = np.concatenate([c[0] for c in columns])
+    args = np.concatenate([c[1] for c in columns])
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    private, shared = _private_mask(kinds, args, lengths, line_size)
+    heads, stops, leads, is_run = _entry_heads(private, kinds, starts)
+    sizes = stops - heads
+    fused = is_run & (sizes >= 2)
+    vector = is_run & (leads == sizes) & (sizes >= _VEC_MIN)
 
-    n_bursts = 0
-    n_fused = 0
+    per_head = (heads, stops, kinds[heads], args[heads], leads, is_run, vector)
+    made: dict = {}
     entries: list[tuple] = []
-    for ops in op_lists:
-        out: list = []
-        kinds: list = []
-        args: list = []
-        run: list = []
-
-        def flush() -> None:
-            nonlocal n_bursts, n_fused, kinds, args, run
+    at = 0
+    for trace, (_, _, labels), offset, stop_at in zip(
+        threads, columns, starts.tolist(), np.searchsorted(heads, ends).tolist()
+    ):
+        objs = trace.ops if trace.materialised else None
+        out = []
+        for h, stop, k, a, lead, run, vec in zip(
+            *(column[at:stop_at].tolist() for column in per_head)
+        ):
             if run:
-                out.append(_Seg(tuple(kinds), tuple(args), tuple(run)))
-                if len(run) >= 2:
-                    n_bursts += 1
-                    n_fused += len(run)
-            kinds, args, run = [], [], []
-
-        for op in ops:
-            t = type(op)
-            if t is Compute:
-                kinds.append(_COMPUTE)
-                args.append(op.instructions)
-                run.append(op)
-            elif (t is Load or t is Store) and op.addr // line_size not in shared_lines:
-                kinds.append(_LOAD if t is Load else _STORE)
-                args.append(op.addr)
-                run.append(op)
+                seg_args = args[h:stop]
+                out.append(_Seg(kinds[h:stop].tolist(), seg_args.tolist(), lead,
+                                seg_args.astype(np.float64) if vec else None))
+            elif k == LOAD or k == STORE:
+                out.append((k, a))
+            elif objs is not None:
+                out.append(objs[h - offset])
             else:
-                flush()
+                key = (k, labels[a] if k >= PHASE_BEGIN else a)
+                op = made.get(key)
+                if op is None:
+                    op = made[key] = OP_TYPES[k](key[1])
                 out.append(op)
-        flush()
         entries.append(tuple(out))
+        at = stop_at
 
     return BatchProgram(
         thread_entries=tuple(entries),
-        shared_lines=shared_lines,
-        n_bursts=n_bursts,
-        n_fused_ops=n_fused,
+        shared_lines=frozenset(shared.tolist()),
+        n_bursts=int(fused.sum()),
+        n_fused_ops=int(sizes[fused].sum()),
     )
+
+
+def _private_mask(kinds, args, lengths, line_size):
+    """``(private, shared)``: which ops are private work, and the sorted
+    lines two or more threads access.
+
+    The accesses come in thread order, so one stable sort by line puts
+    them in ``(line, tid)`` order; a line is shared where its tid changes.
+    """
+    mem = (kinds == LOAD) | (kinds == STORE)
+    lines = args[mem] // line_size
+    tids = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)[mem]
+    order = np.argsort(lines, kind="stable")
+    by_line, by_tid = lines[order], tids[order]
+    # a shared line shows up once per tid change: keep it once (np.unique
+    # would load its hash-table code, ~1.5 MiB of resident memory)
+    repeats = by_line[1:][(by_line[1:] == by_line[:-1]) & (by_tid[1:] != by_tid[:-1])]
+    first = np.ones(repeats.size, dtype=bool)
+    first[1:] = repeats[1:] != repeats[:-1]
+    shared = repeats[first]
+    private = kinds == COMPUTE
+    if shared.size:
+        at = np.minimum(np.searchsorted(shared, lines), shared.size - 1)
+        private[mem] = shared[at] != lines
+    else:
+        private |= mem
+    return private, shared
+
+
+def _entry_heads(private, kinds, starts):
+    """``(heads, stops, leads, is_run)`` over the entries, in op order.
+
+    An entry is a maximal run of private work, or one other op.  A
+    thread's first op always starts an entry, so each entry ends where
+    the next begins.  ``leads`` counts a run's compute ops before its
+    first access.
+    """
+    run_start = private.copy()
+    run_start[1:] &= ~private[:-1]
+    firsts = starts[starts < len(kinds)]
+    run_start[firsts] = private[firsts]
+    heads = np.flatnonzero(run_start | ~private)
+    stops = np.append(heads[1:], len(kinds))
+    accesses = np.flatnonzero(private & (kinds != COMPUTE))
+    first_access = np.append(accesses, len(kinds))[np.searchsorted(accesses, heads)]
+    return heads, stops, np.minimum(first_access, stops) - heads, private[heads]
 
 
 # thread states: parked threads hold their next sync op in ``pending``
@@ -389,7 +441,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                 # per-segment tallies, flushed to the phase bucket once
                 d_l1h = d_l1m = d_l2h = d_mem = d_upg = d_wb = d_ev = 0
                 for k, a in zip(e.kinds, e.args):
-                    if k == _COMPUTE:
+                    if k == COMPUTE:
                         instr += a
                         busy += ceil(a / denom)
                         executed += 1
@@ -404,7 +456,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                     s = l1_sets[set_idx]
                     ent = s.get(line)
                     hit = ent is not None and ent.state is not INV
-                    if hit and k == _LOAD:
+                    if hit and k == LOAD:
                         s.move_to_end(line)
                         d_l1h += 1
                         n_loads += 1
@@ -462,7 +514,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                         d_mem += 1
                         lat += l2_lat + mem_lat
                         de.in_l2 = True
-                    if k == _LOAD:
+                    if k == LOAD:
                         n_loads += 1
                         if de.sharers or msi:
                             new_state = S_ST
@@ -540,10 +592,9 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                     # through the full protocol path; the rest of the
                     # segment resumes eagerly afterwards
                     burst_fallbacks += 1
-                    ctx.pending = e.ops[executed]
-                    tail = executed + 1
-                    if tail < len(e.ops):
-                        entries[i] = _Seg(e.kinds[tail:], e.args[tail:], e.ops[tail:])
+                    ctx.pending = (e.kinds[executed], e.args[executed])
+                    if executed + 1 < len(e.args):
+                        entries[i] = _Seg.tail(e, executed + 1)
                     else:
                         i += 1
                     ctx.ip = i
@@ -595,18 +646,19 @@ def run_batch(config: MachineConfig, program: TraceProgram):
         ops_executed += 1
         t = type(op)
         tid = ctx.tid
-        if t is Load or t is Store:
+        if t is tuple:  # a (LOAD | STORE, addr) access
+            k, addr = op
             clock = ctx.clock
             b = ctx.bucket
             coherence.stats = b if b is not None else bucket(ctx, clock)
             core = cores[tid]
             core.instructions_retired += 1
-            if t is Load:
+            if k == LOAD:
                 core.loads += 1
-                cycles = read(tid, op.addr, clock)
+                cycles = read(tid, addr, clock)
             else:
                 core.stores += 1
-                cycles = write(tid, op.addr, clock)
+                cycles = write(tid, addr, clock)
             if cycles:  # ctx.charge_busy, inlined
                 busy = ctx.busy
                 if busy is None:

@@ -12,8 +12,15 @@ A workload compiles each thread's execution into a sequence of operations:
   cycle a thread spends between the markers is attributed to that phase
   (the simulator equivalent of SESC's per-section cycle counters).
 
-Traces are ordinary Python iterables, so generators keep memory bounded for
-large workloads.
+A :class:`ThreadTrace` holds one thread's sequence in either of two forms:
+op objects (any iterable; a generator is listed on first use), or
+integer columns (:meth:`ThreadTrace.from_columns`): an ``int8`` kind code
+per op (:data:`COMPUTE` … :data:`PHASE_END`, in :data:`OP_TYPES` order)
+and an ``int64`` argument — the instruction count, byte address, barrier
+id, lock id or phase-label index.  Each form is derived from the other
+once, on first use, and cached on the trace: the batch engine reads
+columns, the reference engine and :mod:`repro.simx.traceio` read ops.  A
+trace is therefore materialised whole; a generator does not bound memory.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from repro.util.validation import check_positive_int
+import numpy as np
 
 __all__ = [
     "Op",
@@ -35,6 +42,15 @@ __all__ = [
     "PhaseEnd",
     "ThreadTrace",
     "TraceProgram",
+    "OP_TYPES",
+    "COMPUTE",
+    "LOAD",
+    "STORE",
+    "BARRIER",
+    "LOCK",
+    "UNLOCK",
+    "PHASE_BEGIN",
+    "PHASE_END",
 ]
 
 
@@ -108,19 +124,138 @@ class PhaseEnd:
 
 Op = Compute | Load | Store | Barrier | Lock | Unlock | PhaseBegin | PhaseEnd
 
+#: the op classes in kind-code order: ``OP_TYPES[code]`` builds an op
+OP_TYPES = (Compute, Load, Store, Barrier, Lock, Unlock, PhaseBegin, PhaseEnd)
+#: the columnar form's kind codes
+COMPUTE, LOAD, STORE, BARRIER, LOCK, UNLOCK, PHASE_BEGIN, PHASE_END = range(8)
 
-@dataclass
+def _int64(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; ValueError unless every value is an
+    integer that int64 holds."""
+    array = np.asarray(values)
+    if array.size and not np.can_cast(array.dtype, np.int64):
+        raise ValueError(f"{what} must be int64 integers, got dtype {array.dtype}")
+    return array.astype(np.int64)
+
+
+def _reject(mask: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ``ValueError(message)`` naming the first value ``mask`` flags."""
+    if mask.any():
+        raise ValueError(message.format(values[mask][0]))
+
+
 class ThreadTrace:
-    """One thread's operation sequence.
+    """One thread's operation sequence, as op objects or as columns.
 
-    ``ops`` may be any iterable (list or generator); it is consumed once.
+    ``ThreadTrace(tid, ops)`` takes any iterable of ops and lists it on
+    first use, so a generator-backed trace runs the same every time.
+    :meth:`from_columns` takes the columnar form.  :attr:`ops` and
+    :meth:`columns` each derive their form from the other once and cache
+    it, so a trace must not be mutated after its first use.
     """
 
-    thread_id: int
-    ops: Iterable[Op]
+    __slots__ = ("thread_id", "_ops", "_columns")
+
+    def __init__(self, thread_id: int, ops: Iterable[Op]):
+        self.thread_id = thread_id
+        self._ops = ops
+        self._columns = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        thread_id: int,
+        kinds,
+        args,
+        labels: Sequence[str] = (),
+    ) -> "ThreadTrace":
+        """A trace from its columns: ``kinds[j]`` is op ``j``'s kind code
+        and ``args[j]`` its argument; a phase marker's argument indexes
+        ``labels``.  Raises :class:`ValueError` for what the op
+        constructors reject (a negative instruction count or address)
+        and for an unknown kind or label index."""
+        kinds = _int64(kinds, "kinds")
+        args = _int64(args, "args")
+        labels = tuple(labels)
+        if kinds.ndim != 1 or kinds.shape != args.shape:
+            raise ValueError(
+                f"kinds and args must be 1-d and equally long, got shapes "
+                f"{kinds.shape} and {args.shape}"
+            )
+        _reject((kinds < COMPUTE) | (kinds > PHASE_END), kinds, "unknown op kind {}")
+        kinds = kinds.astype(np.int8)
+        if args.size and args.min() < 0:
+            negative = args < 0
+            _reject(negative & (kinds == COMPUTE), args, "instructions must be >= 0, got {}")
+            _reject(negative & ((kinds == LOAD) | (kinds == STORE)), args,
+                    "addr must be >= 0, got {}")
+        label_ids = args[kinds >= PHASE_BEGIN]
+        _reject((label_ids < 0) | (label_ids >= len(labels)), label_ids,
+                f"phase label index {{}} outside the {len(labels)} labels")
+        trace = cls.__new__(cls)
+        trace.thread_id = thread_id
+        trace._ops = None
+        trace._columns = (kinds, args, labels)
+        return trace
+
+    @property
+    def materialised(self) -> bool:
+        """Whether the trace holds op objects (given, or built by :attr:`ops`)."""
+        return self._ops is not None
+
+    @property
+    def ops(self) -> list[Op]:
+        """The op objects, built from the columns on first access."""
+        ops = self._ops
+        if ops is None:
+            kinds, args, labels = self._columns
+            ops = self._ops = [
+                OP_TYPES[k](labels[a] if k >= PHASE_BEGIN else a)
+                for k, a in zip(kinds.tolist(), args.tolist())
+            ]
+        elif not isinstance(ops, list):
+            ops = self._ops = list(ops)
+        return ops
+
+    def columns(self) -> "tuple[np.ndarray, np.ndarray, tuple[str, ...]]":
+        """``(kinds, args, labels)``, derived from the ops in one pass on
+        first call."""
+        if self._columns is None:
+            kinds: list[int] = []
+            args: list[int] = []
+            labels: dict[str, int] = {}
+            for op in self.ops:
+                t = type(op)
+                if t is Compute:
+                    kinds.append(COMPUTE)
+                    args.append(op.instructions)
+                elif t is Load or t is Store:
+                    kinds.append(LOAD if t is Load else STORE)
+                    args.append(op.addr)
+                elif t is Barrier:
+                    kinds.append(BARRIER)
+                    args.append(op.barrier_id)
+                elif t is Lock or t is Unlock:
+                    kinds.append(LOCK if t is Lock else UNLOCK)
+                    args.append(op.lock_id)
+                elif t is PhaseBegin or t is PhaseEnd:
+                    kinds.append(PHASE_BEGIN if t is PhaseBegin else PHASE_END)
+                    args.append(labels.setdefault(op.phase, len(labels)))
+                else:
+                    raise ValueError(f"unknown op {op!r}")
+            self._columns = (
+                np.array(kinds, dtype=np.int8),
+                _int64(args, "op arguments"),
+                tuple(labels),
+            )
+        return self._columns
 
     def __iter__(self) -> Iterator[Op]:
         return iter(self.ops)
+
+    def __repr__(self) -> str:
+        form = "ops" if self.materialised else "columns"
+        return f"ThreadTrace(thread_id={self.thread_id}, form={form!r})"
 
 
 @dataclass
@@ -147,8 +282,3 @@ class TraceProgram:
     @property
     def n_threads(self) -> int:
         return len(self.threads)
-
-
-def materialise(ops: Iterable[Op]) -> list[Op]:
-    """Force a (possibly lazy) op stream into a list — handy in tests."""
-    return list(ops)

@@ -83,8 +83,8 @@ def op_from_record(rec: dict) -> tuple[int, Op]:
 def dump_program(program: TraceProgram, path: "str | Path") -> Path:
     """Write a trace program to a JSONL file; returns the path.
 
-    Consumes the program's op iterables (generators are materialised into
-    the file, so reload to run).
+    Writes each thread's op objects, materialising a columnar trace's
+    ops (a trace keeps them, so the program still runs afterwards).
     """
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)

@@ -16,17 +16,19 @@ superlinear merge growth to.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.simx.trace import (
-    Barrier,
-    Compute,
-    Load,
-    Op,
-    PhaseBegin,
-    PhaseEnd,
-    Store,
+    BARRIER,
+    COMPUTE,
+    LOAD,
+    PHASE_BEGIN,
+    PHASE_END,
+    STORE,
     ThreadTrace,
     TraceProgram,
 )
@@ -66,9 +68,33 @@ def _lines_for(elements: int) -> int:
     return max(0, math.ceil(elements * _ELEM_BYTES / _LINE))
 
 
+#: every thread's first piece, so a thread with no ops still concatenates
+_EMPTY = (np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64))
+_BARRIER = np.array([BARRIER], dtype=np.int8)
+
+
+@functools.lru_cache(maxsize=256)
+def _ring(n: int) -> np.ndarray:
+    """Offsets of ``n`` lines walking a 64-line partial buffer, wrapping."""
+    return _frozen(np.arange(n) % 64 * _LINE)
+
+
+@functools.lru_cache(maxsize=256)
+def _chunk_stores(n_chunks: int, per_chunk: int) -> np.ndarray:
+    """Partial-buffer offsets of the chunked stores, one row per chunk:
+    chunk ``c`` walks copy ``c % 4`` of the thread's 64-line buffer."""
+    return _frozen(_ring(per_chunk) + (np.arange(n_chunks) % 4 * (64 * _LINE))[:, None])
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, read-only: the caches above hand out shared arrays."""
+    array.flags.writeable = False
+    return array
+
+
 class TraceGenerator:
     """Builds :class:`~repro.simx.trace.TraceProgram` objects from
-    workload executions.
+    workload executions, each thread as integer columns.
 
     Parameters
     ----------
@@ -99,14 +125,23 @@ class TraceGenerator:
         self.mem_scale = mem_scale
 
     # ── per-phase op emission ─────────────────────────────────────────────
-    def _phase_ops(
+    def _phase_columns(
         self,
         work: PhaseWork,
         tid: int,
         n_threads: int,
         data_cursor: list[int],
         iteration: int,
-    ) -> list[Op]:
+        label: int,
+    ) -> "tuple[np.ndarray, np.ndarray] | None":
+        """One thread's ``(kinds, args)`` for one phase; None if it has no
+        work there.
+
+        In op order: ``PhaseBegin``; ``chunks`` rows of (loads, stores,
+        one compute); the leftover compute, loads and stores; the shared
+        reads; ``PhaseEnd``.
+        """
+        amap = self.amap
         instr = work.per_thread_instructions[tid]
         reads = work.per_thread_reads[tid] // self.mem_scale
         writes = work.per_thread_writes[tid] // self.mem_scale
@@ -114,83 +149,113 @@ class TraceGenerator:
             work.shared_reads[tid] // self.mem_scale if work.shared_reads else 0
         )
         if instr == 0 and reads == 0 and writes == 0 and shared == 0:
-            return []
+            return None
 
         read_lines = _lines_for(max(0, reads - shared))
         shared_lines = _lines_for(shared)
         write_lines = _lines_for(writes)
-
-        ops: list[Op] = [PhaseBegin(work.phase)]
         n_chunks = self.chunks
         instr_per_chunk = instr // n_chunks
         reads_per_chunk = read_lines // n_chunks
         writes_per_chunk = write_lines // n_chunks
+        rem_instr = instr - instr_per_chunk * n_chunks
+        rem_writes = write_lines - writes_per_chunk * n_chunks
+        width = reads_per_chunk + writes_per_chunk + (instr_per_chunk > 0)
+        block = n_chunks * width
+        size = 2 + block + (rem_instr > 0) + read_lines - reads_per_chunk * n_chunks
+        size += rem_writes + shared_lines
+        kinds = np.empty(size, dtype=np.int8)
+        args = np.empty(size, dtype=np.int64)
+        kinds[0], args[0] = PHASE_BEGIN, label
+        kinds[-1], args[-1] = PHASE_END, label
 
         # private data reads stream through the thread's data region;
         # the cursor persists across phases so reuse hits in cache when the
         # working set fits (centers) and misses when it doesn't (points).
-        base = self.amap.data_region(tid)
-        for c in range(n_chunks):
-            for _ in range(reads_per_chunk):
-                ops.append(Load(base + (data_cursor[tid] % (self.amap.data_stride // 2))))
-                data_cursor[tid] += _LINE
-            pbase = self.amap.partials_region(tid)
-            for w in range(writes_per_chunk):
-                # partial buffers are small and revisited every iteration
-                ops.append(Store(pbase + (w % 64) * _LINE + (c % 4) * 64 * _LINE))
+        cursor = data_cursor[tid]
+        data_cursor[tid] = end = cursor + read_lines * _LINE
+        loads = np.arange(cursor, end, _LINE) % (amap.data_stride // 2)
+        loads += amap.data_region(tid)
+        # partial buffers are small and revisited every iteration
+        pbase = amap.partials_region(tid)
+        chunked = reads_per_chunk * n_chunks
+        if width:
+            rows_k = kinds[1:1 + block].reshape(n_chunks, width)
+            rows_a = args[1:1 + block].reshape(n_chunks, width)
+            stores = slice(reads_per_chunk, reads_per_chunk + writes_per_chunk)
+            rows_k[:, :reads_per_chunk] = LOAD
+            rows_a[:, :reads_per_chunk] = loads[:chunked].reshape(n_chunks, reads_per_chunk)
+            rows_k[:, stores] = STORE
+            rows_a[:, stores] = pbase + _chunk_stores(n_chunks, writes_per_chunk)
             if instr_per_chunk:
-                ops.append(Compute(instr_per_chunk))
+                rows_k[:, -1] = COMPUTE
+                rows_a[:, -1] = instr_per_chunk
 
         # leftovers
-        rem_instr = instr - instr_per_chunk * n_chunks
+        at = 1 + block
         if rem_instr:
-            ops.append(Compute(rem_instr))
-        for i in range(read_lines - reads_per_chunk * n_chunks):
-            ops.append(Load(base + (data_cursor[tid] % (self.amap.data_stride // 2))))
-            data_cursor[tid] += _LINE
-        for w in range(write_lines - writes_per_chunk * n_chunks):
-            ops.append(Store(self.amap.partials_region(tid) + (w % 64) * _LINE))
+            kinds[at], args[at] = COMPUTE, rem_instr
+            at += 1
+        stop = at + read_lines - chunked
+        if stop > at:
+            kinds[at:stop] = LOAD
+            args[at:stop] = loads[chunked:]
+        if rem_writes:
+            at, stop = stop, stop + rem_writes
+            kinds[at:stop] = STORE
+            args[at:stop] = pbase + _ring(rem_writes)
 
         # shared reads: walk the *other* threads' partials regions — these
-        # lines were written by other cores, so they coherence-miss.
+        # lines were written by other cores, so they coherence-miss.  The
+        # owners take turns (1, 2, …, n-1, 0, 1, … skipping tid), each
+        # giving ``per_owner`` lines from the start of its buffer.
         if shared_lines:
-            per_owner = max(1, shared_lines // max(1, n_threads - 1)) if n_threads > 1 else shared_lines
-            emitted = 0
-            owner = 0
-            while emitted < shared_lines:
-                if n_threads > 1:
-                    owner = (owner + 1) % n_threads
-                    if owner == tid:
-                        continue
-                obase = self.amap.partials_region(owner)
-                for i in range(min(per_owner, shared_lines - emitted)):
-                    ops.append(Load(obase + (i % 64) * _LINE + (iteration % 4) * 64 * _LINE))
-                    emitted += 1
-        ops.append(PhaseEnd(work.phase))
-        return ops
+            if n_threads > 1:
+                per_owner = max(1, shared_lines // (n_threads - 1))
+                owners = [o % n_threads for o in range(1, n_threads + 1)
+                          if o % n_threads != tid]
+            else:
+                per_owner, owners = shared_lines, [0]
+            group, i = np.divmod(np.arange(shared_lines), per_owner)
+            obase = amap.partials_base + amap.partials_stride * np.array(owners)
+            kinds[stop:-1] = LOAD
+            args[stop:-1] = (
+                obase[group % len(owners)] + i % 64 * _LINE
+                + iteration % 4 * 64 * _LINE
+            )
+        return kinds, args
 
     # ── program assembly ──────────────────────────────────────────────────
     def program(self, execution: WorkloadExecution) -> TraceProgram:
         """Compile an execution into a fork-join trace program."""
         n = execution.n_threads
-        per_thread: list[list[Op]] = [[] for _ in range(n)]
+        pieces: list[list] = [[_EMPTY] for _ in range(n)]
         data_cursor = [0] * n
-        barrier_id = 0
+        labels: dict[str, int] = {}
         iteration = 0
-        for work in execution.phases:
+        for barrier_id, work in enumerate(execution.phases):
             if work.phase == "parallel":
                 iteration += 1
+            label = labels.setdefault(work.phase, len(labels))
+            fence = (_BARRIER, np.array([barrier_id]))
             for tid in range(n):
-                per_thread[tid].extend(
-                    self._phase_ops(work, tid, n, data_cursor, iteration)
-                )
-            if n > 1:
-                for tid in range(n):
-                    per_thread[tid].append(Barrier(barrier_id))
-                barrier_id += 1
+                cols = self._phase_columns(work, tid, n, data_cursor, iteration, label)
+                if cols is not None:
+                    pieces[tid].append(cols)
+                if n > 1:
+                    pieces[tid].append(fence)
+        names = tuple(labels)
         return TraceProgram(
             name=f"{execution.workload}@{n}",
-            threads=[ThreadTrace(tid, ops) for tid, ops in enumerate(per_thread)],
+            threads=[
+                ThreadTrace.from_columns(
+                    tid,
+                    np.concatenate([k for k, _ in parts]),
+                    np.concatenate([a for _, a in parts]),
+                    names,
+                )
+                for tid, parts in enumerate(pieces)
+            ],
             metadata={
                 "workload": execution.workload,
                 "n_threads": n,

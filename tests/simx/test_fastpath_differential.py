@@ -26,6 +26,7 @@ from repro.simx import (
     Unlock,
 )
 from repro.simx.batch import _Seg, compile_batch
+from repro.simx.trace import LOAD, OP_TYPES, STORE
 from tests.differential.harness import (
     CONFIGS,
     LINE,
@@ -215,6 +216,19 @@ class TestAdversarialTraces:
 # ── compilation invariants ────────────────────────────────────────────────
 
 
+def entry_ops(entry) -> list:
+    """A lowered entry as op objects: a segment's ops rebuilt from its
+    kinds/args, a ``(kind, addr)`` shared access as its Load/Store."""
+    if isinstance(entry, _Seg):
+        assert len(entry.kinds) == len(entry.args)
+        return [OP_TYPES[k](a) for k, a in zip(entry.kinds, entry.args)]
+    if isinstance(entry, tuple):
+        kind, addr = entry
+        assert kind in (LOAD, STORE)
+        return [OP_TYPES[kind](addr)]
+    return [entry]
+
+
 class TestCompilation:
     def test_flattening_bursts_restores_the_original_ops(self):
         prog_threads = [
@@ -227,12 +241,10 @@ class TestCompilation:
         for tid, lowered in enumerate(comp.thread_entries):
             flat = []
             for entry in lowered:
+                ops = entry_ops(entry)
                 if isinstance(entry, _Seg):
-                    assert all(type(o) in (Compute, Load, Store) for o in entry.ops)
-                    assert len(entry.kinds) == len(entry.args) == len(entry.ops)
-                    flat.extend(entry.ops)
-                else:
-                    flat.append(entry)
+                    assert all(type(o) in (Compute, Load, Store) for o in ops)
+                flat.extend(ops)
             assert flat == prog_threads[tid]
 
     def test_shared_lines_are_never_fused(self):
@@ -242,7 +254,7 @@ class TestCompilation:
         for lowered in comp.thread_entries:
             for entry in lowered:
                 if isinstance(entry, _Seg):
-                    assert all(type(o) is Compute for o in entry.ops)
+                    assert all(type(o) is Compute for o in entry_ops(entry))
 
     def test_fused_op_accounting(self):
         prog = program_of([[Compute(1), Compute(2), Compute(3)]])
