@@ -35,10 +35,16 @@ Why this is cycle- and stats-identical to the reference interleaving:
   victim, and whether an eviction happens at all, depend on concurrent
   remote invalidations, so the offending op is parked and executed at
   its exact global position;
-* L2 residency is the sticky ``DirectoryEntry.in_l2`` bit alone (the
-  controller keeps no L2 arrays), and a private line's bit changes only
-  through its own thread's accesses, so early fills see the reference's
-  L2 state;
+* a private line needs no directory entry in an epoch: its sharers are
+  ``{tid}`` while it is valid in its thread's L1 (owner ``tid`` in E/M)
+  and empty otherwise, and its sticky ``in_l2`` bit (the controller
+  keeps no L2 arrays) means "filled before", which the engine-local
+  ``filled`` set records; it changes only through the thread's own
+  accesses, so early fills see the reference's L2 state.  A bailed
+  access takes the full path, so before it parks its entry is handed
+  over: ``in_l2`` from ``filled``, no owner, the thread dropped from the
+  sharers (an earlier bailed fill may have left them), and the line
+  joins ``filled``;
 * :class:`~repro.simx.coherence.CoherenceStats` are sums and
   :class:`~repro.simx.stats.PhaseStats` spans are min/max over per-thread
   clocks that themselves evolve identically, so attribution is
@@ -64,7 +70,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from repro.simx.cache import CacheLine, MesiState
-from repro.simx.coherence import CoherenceController, CoherenceStats, DirectoryEntry
+from repro.simx.coherence import CoherenceController, CoherenceStats
 from repro.simx.interconnect import BusInterconnect
 from repro.simx.config import MachineConfig
 from repro.simx.core_model import CoreModel
@@ -356,9 +362,9 @@ def run_batch(config: MachineConfig, program: TraceProgram):
     write = coherence.write
 
     # hoisted machine facts for the inlined private-access path
-    directory = coherence.directory
     interconnect = coherence.interconnect
-    msi = config.coherence_protocol == "msi"
+    # the in_l2 bits of private lines, which keep no directory entry
+    filled: set[int] = set()
     hit_lat = config.l1d.hit_latency
     l2_lat = config.l2.hit_latency
     mem_lat = config.memory_latency
@@ -371,9 +377,8 @@ def run_batch(config: MachineConfig, program: TraceProgram):
     else:
         req_table = interconnect.request_table
     n_banks = len(req_table[0])
-    M_ST, E_ST, S_ST, INV = (
-        MesiState.MODIFIED, MesiState.EXCLUSIVE, MesiState.SHARED, MesiState.INVALID,
-    )
+    M_ST, E_ST, INV = MesiState.MODIFIED, MesiState.EXCLUSIVE, MesiState.INVALID
+    load_state = MesiState.SHARED if config.coherence_protocol == "msi" else E_ST
     # L1 set indices that could ever hold a shared line: fills elsewhere
     # can skip the eviction-hazard scan with one membership test
     shared_set_idx = frozenset(l % config.l1d.n_sets for l in shared_lines)
@@ -448,9 +453,9 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                         continue
                     # inlined private-line read/write: the decisions and
                     # latencies of CoherenceController.read/write on the
-                    # same L1 + directory state (a private line never has
-                    # a remote owner or sharer), minus the per-op call
-                    # overhead
+                    # same L1 state (a private line never has a remote
+                    # owner or sharer, and ``filled`` is its in_l2 bit),
+                    # minus the per-op call overhead and the directory
                     line = a // line_size
                     set_idx = line % n_sets
                     s = l1_sets[set_idx]
@@ -472,11 +477,6 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                             busy += hit_lat
                         elif state is E_ST:
                             ent.state = M_ST
-                            de = directory[line]
-                            de.owner = tid
-                            sh = de.sharers
-                            sh.clear()
-                            sh.add(tid)
                             busy += hit_lat
                         else:
                             # SHARED → upgrade; a private line has no
@@ -484,11 +484,6 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                             d_upg += 1
                             busy += hit_lat + req_row[line % n_banks]
                             ent.state = M_ST
-                            de = directory[line]
-                            de.owner = tid
-                            sh = de.sharers
-                            sh.clear()
-                            sh.add(tid)
                         executed += 1
                         continue
                     # miss: bail if the fill could evict a shared line
@@ -503,36 +498,21 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                         bailed = True
                         break
                     d_l1m += 1
-                    de = directory.get(line)
-                    if de is None:
-                        de = directory[line] = DirectoryEntry()
                     lat = hit_lat + req_row[line % n_banks]
-                    if de.in_l2:
+                    if line in filled:
                         d_l2h += 1
                         lat += l2_lat
                     else:
                         d_mem += 1
                         lat += l2_lat + mem_lat
-                        de.in_l2 = True
+                        filled.add(line)
+                    # a missed private line has no sharers: E (S under MSI)
                     if k == LOAD:
                         n_loads += 1
-                        if de.sharers or msi:
-                            new_state = S_ST
-                            de.owner = None
-                            de.sharers.add(tid)
-                        else:
-                            new_state = E_ST
-                            de.owner = tid
-                            sh = de.sharers
-                            sh.clear()
-                            sh.add(tid)
+                        new_state = load_state
                     else:
                         n_stores += 1
                         new_state = M_ST
-                        de.owner = tid
-                        sh = de.sharers
-                        sh.clear()
-                        sh.add(tid)
                     # install, evicting the set's LRU valid line if full;
                     # the victim is private (a shared victim bails above),
                     # so its CacheLine object can be reused for the fill
@@ -546,17 +526,9 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                             break
                     if victim is not None:
                         d_ev += 1
-                        vline = victim.line_addr
-                        ve = directory.get(vline)
-                        if ve is None:
-                            ve = directory[vline] = DirectoryEntry()
                         if victim.state is M_ST:
                             d_wb += 1
-                            ve.in_l2 = True
-                            lat += req_row[vline % n_banks]
-                        if ve.owner == tid:
-                            ve.owner = None
-                        ve.sharers.discard(tid)
+                            lat += req_row[victim.line_addr % n_banks]
                         victim.line_addr = line
                         victim.state = new_state
                         s[line] = victim
@@ -590,7 +562,16 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                 if bailed:
                     # park: the offending op must run at its global order
                     # through the full protocol path; the rest of the
-                    # segment resumes eagerly afterwards
+                    # segment resumes eagerly afterwards.  That path reads
+                    # the directory entry the eager loop never kept: hand
+                    # over L2 residency, and drop the copy an earlier
+                    # full-path fill may still record (the line is not in
+                    # this L1).  The op fills the line.
+                    de = coherence._entry(line)
+                    de.in_l2 = line in filled
+                    de.owner = None
+                    de.sharers.discard(tid)
+                    filled.add(line)
                     burst_fallbacks += 1
                     ctx.pending = (e.kinds[executed], e.args[executed])
                     if executed + 1 < len(e.args):

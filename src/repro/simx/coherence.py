@@ -3,7 +3,10 @@
 The :class:`CoherenceController` owns the private L1s and the directory; the
 shared L2 is modelled by the directory's sticky ``in_l2`` bit (set on the
 first fill or writeback, never cleared: the L2 is assumed large enough to
-keep every line the program touches, so it holds no arrays).  The
+keep every line the program touches, so it holds no arrays).  The batch
+engine (:mod:`repro.simx.batch`) keeps L2 residency for thread-private
+lines itself, and sets a private line's entry from it only before this
+controller runs an access to that line.  The
 core timing model calls :meth:`read` / :meth:`write` with a core id and a
 line address and receives the access latency, with every protocol action
 (upgrades, invalidations, cache-to-cache transfers, writebacks) both applied

@@ -12,6 +12,8 @@ prefetch, a cycle watchdog) must bypass the batch engine entirely.
 
 from dataclasses import replace
 
+import pytest
+
 from repro.simx import (
     Barrier,
     Compute,
@@ -93,6 +95,84 @@ class TestEvictionHazardBail:
         ]
         ref, bat = run_ref_and_batch(threads, tiny_config())
         assert ref.n_ops == bat.n_ops
+        assert_identical(bat, ref)
+
+
+class TestPrivateLineHandOff:
+    """The eager loop keeps no directory entry for a private line; a bail
+    hands the line over to the full protocol path.
+
+    Under the tiny L1 (4 sets x 2 ways) the private lines ``P``, ``P4``
+    and ``P8`` and the shared lines 0 and 4 all map to set 0.  Thread 1
+    makes lines 0 and 4 shared by loading them after thread 0 is done."""
+
+    P, P4, P8 = (private(0, i) for i in (0, 4, 8))
+    SHARED_LOADS = [Load(0 * LINE), Load(4 * LINE)]
+    LATE_READER = [Compute(100_000), Load(0 * LINE), Load(4 * LINE)]
+
+    @pytest.fixture(params=["mesi", "msi"])
+    def cfg(self, request):
+        return tiny_config(coherence_protocol=request.param)
+
+    def test_bail_after_a_clean_eager_eviction_hits_the_l2(self, cfg):
+        """P is filled and evicted clean in the eager loop, then the shared
+        lines fill the set, so the reload of P bails: it must be an L2
+        hit, which the bail learns only from the engine's fill record."""
+        threads = [
+            [Load(self.P), Load(self.P4), Load(self.P8)]
+            + self.SHARED_LOADS + [Load(self.P)],
+            self.LATE_READER,
+        ]
+        ref, bat = run_ref_and_batch(threads, cfg)
+        assert bat.n_burst_fallbacks == 1
+        # fetched once each: P, P4, P8 and the two shared lines; the L2
+        # hits are P's reload and thread 1's two loads
+        for result in (ref, bat):
+            assert result.coherence.memory_fetches == 5
+            assert result.coherence.l2_hits == 3
+            assert result.coherence.writebacks == 0
+        assert_identical(bat, ref)
+
+    def test_bail_after_a_dirty_eager_eviction_hits_the_l2(self, cfg):
+        """The same with P stored to, so its eager eviction writes back."""
+        threads = [
+            [Store(self.P), Load(self.P4), Load(self.P8)]
+            + self.SHARED_LOADS + [Load(self.P)],
+            self.LATE_READER,
+        ]
+        ref, bat = run_ref_and_batch(threads, cfg)
+        assert bat.n_burst_fallbacks == 1
+        for result in (ref, bat):
+            assert result.coherence.writebacks == 1
+            assert result.coherence.memory_fetches == 5
+            assert result.coherence.l2_hits == 3
+        assert_identical(bat, ref)
+
+    def test_line_first_filled_by_a_bail_leaves_no_phantom_copy(self, cfg):
+        """P's first fill is a bail, so the full path records thread 0 as
+        its owner and sharer.  The eager loop then evicts P without
+        touching that entry, and P is bailed on again: the reload must
+        see no copy of P anywhere (no transfer, no invalidation), install
+        E under MESI so the store after it is a silent E→M hit, and hit
+        the L2."""
+        threads = [
+            self.SHARED_LOADS
+            + [Load(self.P), Load(self.P4), Load(self.P8)]
+            + [Load(0 * LINE), Load(self.P), Store(self.P)],
+            self.LATE_READER,
+        ]
+        ref, bat = run_ref_and_batch(threads, cfg)
+        # P and P4 bail on a set holding a shared line; P8 fills eagerly
+        # and evicts P; the reload of P bails on shared line 0
+        assert bat.n_burst_fallbacks == 3
+        msi = cfg.coherence_protocol == "msi"
+        for result in (ref, bat):
+            assert result.coherence.cache_to_cache == 0
+            assert result.coherence.invalidations == 0
+            assert result.coherence.upgrades == (1 if msi else 0)
+            assert result.coherence.memory_fetches == 5
+            # line 0's reload, P's reload and thread 1's two loads
+            assert result.coherence.l2_hits == 4
         assert_identical(bat, ref)
 
 
