@@ -308,9 +308,13 @@ class EngineSession:
     def summary(self) -> str:
         """One line for the CLI: units, hits, executions, recoveries."""
         s = self.stats
+        # no pool means no batch reached one: nothing started, whatever
+        # width was requested
+        where = (f" on {self.workers} worker(s)" if self._pool is not None
+                 else ", no worker started")
         parts = [
             f"{s['units']} unit(s): {s['cache_hits']} cache hit(s), "
-            f"{s['executed']} executed on {self.workers} worker(s)"
+            f"{s['executed']} executed{where}"
         ]
         if s["journal_hits"]:
             parts.append(f"{s['journal_hits']} replayed from the run journal")
@@ -447,14 +451,13 @@ def precompute(
     """Warm every cache tier for the declared work of ``experiment_ids``.
 
     Collects every work unit the experiments declare — simulator sweeps,
-    hand-built trace programs, hardware executions and model-layer
-    evaluations alike (see the experiment specs in
-    :mod:`repro.experiments.registry`) — deduplicates them *globally*
-    (Table II and Fig 2 share their entire sweep, so it runs once) and
-    executes the misses across the pool in one journaled pass.  The
-    drivers then assemble serially against hot caches, which is what
-    makes a parallel report byte-identical to a serial one.  Returns the
-    number of units declared.
+    hand-built trace programs and hardware executions alike (see the
+    experiment specs in :mod:`repro.experiments.registry`) — deduplicates
+    them *globally* (Table II and Fig 2 share their entire sweep, so it
+    runs once) and executes the misses across the pool in one journaled
+    pass.  The drivers then assemble serially against hot caches, which
+    is what makes a parallel report byte-identical to a serial one.
+    Returns the number of units declared.
     """
     from repro.experiments.registry import declare_units
     from repro.pipeline import runtime

@@ -17,13 +17,14 @@ independent piece of computation:
   boundary by pickling, so everything in it must be picklable.
 
 Executor resolution is lazy: worker processes look a kind up at
-execution time, importing :mod:`repro.engine.executors` (the built-ins)
-on first miss.  Extra kinds are registered by importing the module that
-defines them: a local worker process imports, by module name, the
-defining module of every extra executor registered in the coordinator
-when it starts (:func:`executor_modules`).  An executor defined in
-``__main__`` (a script or ``python -c``) therefore cannot run on a
-worker; define it in an importable module.
+execution time, importing :mod:`repro.pipeline.builders` (which defines
+and registers the built-in kinds) on first miss.  Extra kinds are
+registered by importing the module that defines them: a local worker
+process imports, by module name, the defining module of every extra
+executor registered in the coordinator when it starts
+(:func:`executor_modules`).  An executor defined in ``__main__`` (a
+script or ``python -c``) therefore cannot run on a worker; define it in
+an importable module.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ class WorkUnit:
     """One schedulable computation (identity semantics; dedupe by ``key``).
 
     ``cacheable`` marks whether the payload may be persisted in the
-    on-disk sweep store.  Non-deterministic units (wall-clock hardware
-    runs) and results that depend on unversioned model code set it False:
-    they still dedupe, journal and memoise within a run, but never
-    satisfy a lookup from an older code version.
+    on-disk sweep store.  Only wall-clock hardware runs set it False:
+    they are nondeterministic, so they still dedupe, journal and memoise
+    within a run, but never satisfy a lookup from another run.
     """
 
     kind: str
@@ -71,14 +71,14 @@ def executor_modules() -> "list[str]":
     not importable by name, so neither is listed."""
     modules = {getattr(fn, "__module__", None) for fn in _EXECUTORS.values()}
     return sorted(m for m in modules
-                  if m and m not in ("__main__", "repro.engine.executors"))
+                  if m and m not in ("__main__", "repro.pipeline.builders"))
 
 
 def resolve_executor(kind: str) -> Callable[[tuple], dict]:
     """The executor registered for ``kind`` (loads built-ins on demand)."""
     fn = _EXECUTORS.get(kind)
     if fn is None:
-        from repro.engine import executors  # noqa: F401  (registers built-ins)
+        from repro.pipeline import builders  # noqa: F401  (registers built-ins)
 
         fn = _EXECUTORS.get(kind)
     if fn is None:

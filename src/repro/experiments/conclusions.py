@@ -21,10 +21,10 @@ import numpy as np
 from repro.core import gridkernels
 from repro.core.params import AppParams
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import ExperimentSpec, Stage, model_eval_grid_unit, resolve_units
+from repro.pipeline import ExperimentSpec
 from repro.util.tables import TextTable
 
-__all__ = ["run", "declare_units", "evaluate_grid", "SPEC"]
+__all__ = ["run", "evaluate_grid", "SPEC"]
 
 
 def _grid():
@@ -48,21 +48,6 @@ def evaluate_grid(f: list, fcon_share: list, fored_share: list, n: int) -> dict:
     )
 
 
-def declare_units(n: int = 256) -> list:
-    """One model-eval-grid unit for the whole 48-point sweep."""
-    points = list(_grid())
-    return [
-        model_eval_grid_unit(
-            evaluate_grid,
-            {"f": [p.f for p in points],
-             "fcon_share": [p.fcon_share for p in points],
-             "fored_share": [p.fored_share for p in points],
-             "n": n},
-            label=f"conclusions-grid@{len(points)}pts,n={n}",
-        )
-    ]
-
-
 def run(n: int = 256) -> ExperimentReport:
     """Sweep the conclusions over a 48-point parameter grid."""
     report = ExperimentReport(
@@ -73,8 +58,9 @@ def run(n: int = 256) -> ExperimentReport:
     advantage_ratios = []
     rows = []
     points = list(_grid())
-    [unit] = declare_units(n)
-    grid = resolve_units([unit])[unit.key]
+    grid = evaluate_grid([p.f for p in points],
+                         [p.fcon_share for p in points],
+                         [p.fored_share for p in points], n)
     for i, p in enumerate(points):
         m = {k: grid[k][i] for k in grid}
         if m["hm_speedup"] > m["ours_speedup"] + 1e-9:
@@ -140,6 +126,4 @@ def run(n: int = 256) -> ExperimentReport:
     return report
 
 
-SPEC = ExperimentSpec(
-    "conclusions", run, stages=(Stage("model-eval", declare_units),)
-)
+SPEC = ExperimentSpec("conclusions", run)

@@ -12,7 +12,7 @@ phase to be truly parallel).
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import ExperimentSpec, Stage, resolve_units, sim_program_unit
+from repro.pipeline import SIM_PROGRAM, ExperimentSpec, Stage, resolve_units, sim_program_unit
 from repro.simx import Compute, MachineConfig, Store, ThreadTrace, TraceProgram
 from repro.util.tables import TextTable
 
@@ -98,5 +98,5 @@ def run(n_threads: int = 8, updates: int = 300) -> ExperimentReport:
 
 
 SPEC = ExperimentSpec(
-    "ext-falsesharing", run, stages=(Stage("sim-program", declare_units),)
+    "ext-falsesharing", run, stages=(Stage(SIM_PROGRAM, declare_units),)
 )

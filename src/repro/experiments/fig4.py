@@ -12,9 +12,9 @@ import numpy as np
 from repro.core import gridkernels, merging
 from repro.core.growth import LINEAR, LOG
 from repro.experiments.report import ExperimentReport, PaperComparison, series_table
-from repro.pipeline import ExperimentSpec, Stage, model_eval_grid_unit, resolve_units
+from repro.pipeline import ExperimentSpec
 
-__all__ = ["run", "declare_units", "evaluate_curves", "PANELS", "SPEC"]
+__all__ = ["run", "evaluate_curves", "PANELS", "SPEC"]
 
 #: (panel, fcon_share, fored_share) in the paper's order.
 PANELS = (
@@ -52,25 +52,18 @@ def evaluate_curves(n: int) -> dict:
     return {"sizes": sizes, "curves": curves}
 
 
-def declare_units(n: int = 256) -> list:
-    """The whole figure's model evaluation as one grid unit."""
-    return [model_eval_grid_unit(evaluate_curves, {"n": n},
-                                 label=f"fig4-grid@n={n}")]
-
-
 def run(n: int = 256) -> ExperimentReport:
     """Regenerate all four Fig 4 panels."""
     report = ExperimentReport("fig4", "Scalability on symmetric CMPs")
-    [unit] = declare_units(n)
-    payload = resolve_units([unit])[unit.key]
-    sizes = np.asarray(payload["sizes"])
+    payload = evaluate_curves(n)
+    sizes = payload["sizes"]
     curves: dict[tuple, np.ndarray] = {}
 
     for panel, con, ored in PANELS:
         series = {}
         for f in _F_VALUES:
             for _, glabel in _GROWTHS:
-                sp = np.asarray(payload["curves"][f"{panel}|{f}|{glabel}"])
+                sp = payload["curves"][f"{panel}|{f}|{glabel}"]
                 series[f"f={f} {glabel}"] = sp
                 curves[(panel, f, glabel)] = sp
         report.add_table(series_table(
@@ -115,6 +108,4 @@ def run(n: int = 256) -> ExperimentReport:
     return report
 
 
-SPEC = ExperimentSpec(
-    "fig4", run, stages=(Stage("model-eval-grid", declare_units),)
-)
+SPEC = ExperimentSpec("fig4", run)

@@ -12,9 +12,9 @@ import numpy as np
 from repro.core import gridkernels, merging
 from repro.core.classes import TABLE3_CLASSES
 from repro.experiments.report import ExperimentReport, PaperComparison, series_table
-from repro.pipeline import ExperimentSpec, Stage, model_eval_grid_unit, resolve_units
+from repro.pipeline import ExperimentSpec
 
-__all__ = ["run", "declare_units", "evaluate_curves", "PANEL_ORDER", "SPEC"]
+__all__ = ["run", "evaluate_curves", "PANEL_ORDER", "SPEC"]
 
 #: panels (a)–(h) in the paper's order: (parallelism, constant, reduction)
 PANEL_ORDER = (
@@ -52,17 +52,10 @@ def evaluate_curves(n: int) -> dict:
     return out
 
 
-def declare_units(n: int = 256) -> list:
-    """The whole figure's model evaluation as one grid unit."""
-    return [model_eval_grid_unit(evaluate_curves, {"n": n},
-                                 label=f"fig5-grid@n={n}")]
-
-
 def run(n: int = 256) -> ExperimentReport:
     """Regenerate all eight Fig 5 panels."""
     report = ExperimentReport("fig5", "Scalability on asymmetric CMPs")
-    [unit] = declare_units(n)
-    payload = resolve_units([unit])[unit.key]
+    payload = evaluate_curves(n)
     curves: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     for panel, par, con, red in PANEL_ORDER:
@@ -70,8 +63,8 @@ def run(n: int = 256) -> ExperimentReport:
         x_axis = None
         for r in _R_CHOICES:
             block = payload[f"r={int(r)}"]
-            sizes = np.asarray(block["sizes"])
-            sp = np.asarray(block["panels"][panel])
+            sizes = block["sizes"]
+            sp = block["panels"][panel]
             curves[(panel, r)] = (sizes, sp)
             if x_axis is None or len(sizes) > len(x_axis):
                 x_axis = sizes
@@ -122,6 +115,4 @@ def run(n: int = 256) -> ExperimentReport:
     return report
 
 
-SPEC = ExperimentSpec(
-    "fig5", run, stages=(Stage("model-eval-grid", declare_units),)
-)
+SPEC = ExperimentSpec("fig5", run)

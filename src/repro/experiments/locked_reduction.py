@@ -19,7 +19,7 @@ pattern — and hence for the paper's whole problem setting.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import ExperimentSpec, Stage, resolve_units, sim_program_unit
+from repro.pipeline import SIM_PROGRAM, ExperimentSpec, Stage, resolve_units, sim_program_unit
 from repro.simx import (
     Compute,
     Load,
@@ -159,5 +159,5 @@ def run(
 
 
 SPEC = ExperimentSpec(
-    "ext-locked-reduction", run, stages=(Stage("sim-program", declare_units),)
+    "ext-locked-reduction", run, stages=(Stage(SIM_PROGRAM, declare_units),)
 )

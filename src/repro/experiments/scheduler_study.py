@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import ExperimentSpec, Stage, resolve_units, sim_program_unit
+from repro.pipeline import SIM_PROGRAM, ExperimentSpec, Stage, resolve_units, sim_program_unit
 from repro.simx import (
     Barrier,
     Compute,
@@ -497,16 +497,16 @@ SPECS = (
     ExperimentSpec(
         "ext-oversubscription-sweep",
         run_oversubscription,
-        stages=(Stage("sim-program", declare_units_oversubscription),),
+        stages=(Stage(SIM_PROGRAM, declare_units_oversubscription),),
     ),
     ExperimentSpec(
         "ext-acmp-merge-policy",
         run_acmp_policy,
-        stages=(Stage("sim-program", declare_units_acmp_policy),),
+        stages=(Stage(SIM_PROGRAM, declare_units_acmp_policy),),
     ),
     ExperimentSpec(
         "ext-priority-inversion-reduction",
         run_priority_inversion,
-        stages=(Stage("sim-program", declare_units_priority_inversion),),
+        stages=(Stage(SIM_PROGRAM, declare_units_priority_inversion),),
     ),
 )

@@ -4,8 +4,8 @@ The pipeline layer sits between the experiments and the execution engine
 (see ``docs/architecture.md``).  Experiments describe themselves as
 :class:`ExperimentSpec`\\ s — stages *declare* content-hashed work units
 over any expensive backend (simulator sweeps and trace programs,
-hardware-model and wall-clock executions, model-layer evaluations), and
-an *assemble* function builds the report from warm caches.
+hardware-model and wall-clock executions), and an *assemble* function
+builds the report from warm caches.
 :func:`resolve_units` is the one execution substrate all of them share:
 memo -> disk store -> engine pool -> inline, in that order, for every
 unit kind (:func:`simulate_breakdowns` is the sweep-point shorthand).
@@ -14,16 +14,12 @@ unit kind (:func:`simulate_breakdowns` is the sweep-point shorthand).
 from repro.pipeline.builders import (
     HARDWARE_MODEL,
     HARDWARE_PROCESS,
-    MODEL_EVAL,
-    MODEL_EVAL_GRID,
     SIM_PROGRAM,
     SWEEP_POINT,
     breakdown_from_payload,
     hardware_model_units,
     hardware_process_units,
     hardware_units,
-    model_eval_grid_unit,
-    model_eval_unit,
     sim_point_unit,
     sim_program_unit,
     sim_sweep_units,
@@ -54,16 +50,12 @@ __all__ = [
     "SIM_PROGRAM",
     "HARDWARE_MODEL",
     "HARDWARE_PROCESS",
-    "MODEL_EVAL",
-    "MODEL_EVAL_GRID",
     "sim_sweep_units",
     "sim_point_unit",
     "sim_program_unit",
     "hardware_units",
     "hardware_model_units",
     "hardware_process_units",
-    "model_eval_unit",
-    "model_eval_grid_unit",
     "breakdown_from_payload",
     "resolve_units",
     "simulate_breakdowns",

@@ -1,8 +1,7 @@
-"""Backend-tagged work-unit builders.
+"""The work-unit kinds: their builders and their executors.
 
-PR 2's engine knew exactly one unit kind — the simulator sweep point.
-This module generalises unit construction over every expensive backend
-an experiment can touch:
+Every expensive backend an experiment can touch is one unit kind, and
+this module is the one place each kind is named, built and executed:
 
 ``sweep-point``
     One simulator run of a workload's own execution trace at one thread
@@ -20,21 +19,15 @@ an experiment can touch:
     One wall-clock run on the actual host.  Inherently nondeterministic,
     so the unit is **not** disk-cacheable: it still dedupes and journals
     within a run, but never outlives one.
-``model-eval``
-    One expensive model-layer evaluation (e.g. a grid point of the
-    conclusions sweep), named by function reference.  Not disk-cacheable
-    either: analytic results depend on unversioned model code.
-``model-eval-grid``
-    One *vectorized* model evaluation over a whole parameter grid (the
-    :mod:`repro.core.gridkernels` path): a single unit replaces a fan of
-    per-point ``model-eval`` units — e.g. the conclusions experiment's
-    48-point sweep is one numpy call.  Numpy arrays in the payload are
-    lowered to plain lists (float64 round-trips exactly through JSON),
-    so grid payloads journal and resume like any other unit.
 
 Every builder hashes a canonical description of everything the payload
 depends on into the unit key, so engine dedup identity, journal identity
 and (where applicable) the disk-cache key coincide by construction.
+
+The module registers each kind's ``execute_*`` function at import.
+:func:`repro.engine.units.resolve_executor` imports it on the first
+unit of a kind it does not know, so a worker process loads the
+simulator only when it runs its first unit.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.engine.units import WorkUnit
+from repro.engine.units import WorkUnit, register_executor
 from repro.experiments.store import SweepStore
 from repro.hardware.machine_model import XEON_E5520, HardwareMachineModel
 from repro.simx import MachineConfig
@@ -57,16 +50,12 @@ __all__ = [
     "SIM_PROGRAM",
     "HARDWARE_MODEL",
     "HARDWARE_PROCESS",
-    "MODEL_EVAL",
-    "MODEL_EVAL_GRID",
     "sim_sweep_units",
     "sim_point_unit",
     "sim_program_unit",
     "hardware_units",
     "hardware_model_units",
     "hardware_process_units",
-    "model_eval_unit",
-    "model_eval_grid_unit",
     "workload_descriptor",
     "breakdown_to_payload",
     "breakdown_from_payload",
@@ -74,16 +63,12 @@ __all__ = [
     "execute_sim_program",
     "execute_hardware_model",
     "execute_hardware_process",
-    "execute_model_eval",
-    "execute_model_eval_grid",
 ]
 
 SWEEP_POINT = "sweep-point"
 SIM_PROGRAM = "sim-program"
 HARDWARE_MODEL = "hardware-model"
 HARDWARE_PROCESS = "hardware-process"
-MODEL_EVAL = "model-eval"
-MODEL_EVAL_GRID = "model-eval-grid"
 
 #: bump whenever simulator *timing semantics* change, so persisted sweep
 #: results from older code can never satisfy a lookup.
@@ -351,87 +336,7 @@ def hardware_units(
     raise ValueError(f"backend must be 'model' or 'process', got {backend!r}")
 
 
-# ── expensive model-layer evaluations ─────────────────────────────────────
-
-
-def model_eval_unit(fn: Callable, kwargs: dict, label: str = "") -> WorkUnit:
-    """One model-layer evaluation of ``fn(**kwargs)``.
-
-    ``fn`` must be a module-level function returning a JSON-serialisable
-    dict.  Results depend on unversioned model code, so the unit dedupes
-    and journals but is never persisted in the disk store.
-    """
-    ref = func_ref(fn)
-    key = SweepStore.key_for({
-        "kind": MODEL_EVAL,
-        "fn": ref,
-        "kwargs": dict(sorted(kwargs.items())),
-    })
-    return WorkUnit(
-        kind=MODEL_EVAL, key=key, spec=(ref, dict(kwargs)),
-        label=label or ref.rsplit(":", 1)[-1], cacheable=False,
-    )
-
-
-def execute_model_eval(spec: tuple) -> dict:
-    ref, kwargs = spec
-    payload = _resolve_ref(ref)(**kwargs)
-    if not isinstance(payload, dict):
-        raise TypeError(
-            f"model-eval function {ref} must return a dict payload, "
-            f"got {type(payload).__name__}"
-        )
-    return payload
-
-
-def model_eval_grid_unit(fn: Callable, kwargs: dict, label: str = "") -> WorkUnit:
-    """One *vectorized* model evaluation over a whole parameter grid.
-
-    ``fn`` must be a module-level function whose kwargs are plain data
-    (floats, ints, strings, lists of floats) and whose return value is a
-    dict of numpy arrays / nested dicts / scalars — the executor lowers
-    arrays to lists so the payload journals as JSON.  One grid unit
-    subsumes what would otherwise be a fan of per-point ``model-eval``
-    units; like them it dedupes and journals but never hits the disk
-    store (analytic results depend on unversioned model code).
-    """
-    ref = func_ref(fn)
-    key = SweepStore.key_for({
-        "kind": MODEL_EVAL_GRID,
-        "fn": ref,
-        "kwargs": dict(sorted(kwargs.items())),
-    })
-    return WorkUnit(
-        kind=MODEL_EVAL_GRID, key=key, spec=(ref, dict(kwargs)),
-        label=label or ref.rsplit(":", 1)[-1], cacheable=False,
-    )
-
-
-def _plainify(value):
-    """Lower numpy containers/scalars to JSON-clean python equivalents.
-
-    float64 → float is exact (same IEEE-754 double), so grid payloads
-    survive the journal byte-identically to a fresh evaluation.
-    """
-    import numpy as np
-
-    if isinstance(value, dict):
-        return {k: _plainify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plainify(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-def execute_model_eval_grid(spec: tuple) -> dict:
-    ref, kwargs = spec
-    payload = _resolve_ref(ref)(**kwargs)
-    if not isinstance(payload, dict):
-        raise TypeError(
-            f"model-eval-grid function {ref} must return a dict payload, "
-            f"got {type(payload).__name__}"
-        )
-    return _plainify(payload)
+register_executor(SWEEP_POINT, execute_sweep_point)
+register_executor(SIM_PROGRAM, execute_sim_program)
+register_executor(HARDWARE_MODEL, execute_hardware_model)
+register_executor(HARDWARE_PROCESS, execute_hardware_process)

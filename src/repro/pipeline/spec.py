@@ -9,9 +9,9 @@ running anything.
 
 The split is the engine's contract with the experiments layer:
 
-* **declare** — enumerate every simulator sweep point, hardware
-  execution and expensive model evaluation the experiment will need, as
-  units whose keys equal the cache keys the assemble phase will look up;
+* **declare** — enumerate every simulator sweep point, trace program
+  and hardware execution the experiment will need, as units whose keys
+  equal the cache keys the assemble phase will look up;
 * **assemble** — run the driver against caches the engine has warmed.
   With every unit resolved up front, assembly performs no simulator or
   hardware work of its own, so it is cheap, deterministic, and
@@ -20,7 +20,7 @@ The split is the engine's contract with the experiments layer:
 Stages take keyword options and, like drivers, different stages accept
 different knobs — :meth:`ExperimentSpec.declare_units` filters one
 shared option set per stage signature, so ``repro runall --scale 0.1``
-can hand the same options to all 27 experiments.
+can hand the same options to every experiment it runs.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from repro import obs
 from repro.experiments.store import SweepStore
 from repro.serve import queries
 from repro.serve.lru import LRUCache
+from repro.util import plainify
 
 __all__ = ["ServeApp", "HttpError", "json_response"]
 
@@ -174,13 +175,10 @@ class ServeApp:
     @staticmethod
     async def _evaluate(fn, kwargs: dict) -> dict:
         """``fn(**kwargs)`` off-loop, its arrays lowered to lists."""
-        # function-level import: repro.pipeline loads the simulator, which
-        # a server that only answers point queries never needs
-        from repro.pipeline.builders import _plainify
 
         def run():
             try:
-                return _plainify(fn(**kwargs))
+                return plainify(fn(**kwargs))
             except queries.QueryError as exc:
                 raise HttpError(400, str(exc)) from None
 

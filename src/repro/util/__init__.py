@@ -1,5 +1,7 @@
-"""Shared utilities: argument validation, ASCII table rendering, logging."""
+"""Shared utilities: argument validation, ASCII table rendering, logging,
+lowering numpy results to plain values."""
 
+from repro.util.plain import plainify
 from repro.util.tables import TextTable, format_float, render_series
 from repro.util.validation import (
     check_fraction,
@@ -18,4 +20,5 @@ __all__ = [
     "check_positive_int",
     "check_power_of_two",
     "ensure_array",
+    "plainify",
 ]

@@ -116,9 +116,25 @@ class TestTornJournalResume:
 
 
 class TestResumeNoop:
+    def test_table2_resume_reproduces_the_completed_run(self, workdir):
+        """--resume of a *finished* table2 run replays its sweep from the
+        journal and must reproduce the same bytes."""
+        first = run_cli([*TABLE2_ARGS, "--run-id", "t1", "--json", "out-t1"],
+                        workdir, sweeps="sweeps-t1")
+        assert first.returncode in (0, 1), first.stderr
+        shutil.rmtree(workdir / "sweeps-t1")  # the journal alone answers
+        again = run_cli(["run", "--resume", "t1", "--json", "out-t2"], workdir,
+                        sweeps="sweeps-t1")
+        assert again.returncode == first.returncode, again.stderr
+        assert ((workdir / "out-t1" / "table2.json").read_bytes()
+                == (workdir / "out-t2" / "table2.json").read_bytes())
+        events = [json.loads(l) for l in
+                  (workdir / "runs" / "t1" / "events.jsonl").open()]
+        assert sum(1 for e in events if e["kind"] == "journal_hit") >= N_UNITS
+
     def test_fig4_resume_reproduces_the_completed_run(self, workdir):
-        """fig4 declares one model-eval-grid unit; --resume of a *finished*
-        run replays it from the journal and must reproduce the same bytes."""
+        """fig4 declares no units, so its journal holds no settle; --resume
+        of the finished run reassembles it and must reproduce the bytes."""
         first = run_cli(["run", "fig4", "--run-id", "f1", "--json", "out-a"],
                         workdir)
         assert first.returncode in (0, 1), first.stderr

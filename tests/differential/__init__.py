@@ -20,7 +20,5 @@ interchangeable:
 * ``test_model_oracles`` — randomized grids where the vectorized
   kernels must match scalar oracles bit-for-bit;
 * ``test_obs_parity`` — the obs metrics count each run exactly once,
-  with the correct engine label, whichever engine ran;
-* ``test_chaos_grid_resume`` — SIGKILL + ``--resume`` over a
-  grid-declared experiment reproduces the report byte-for-byte.
+  with the correct engine label, whichever engine ran.
 """

@@ -52,34 +52,71 @@ def test_table2_parallel_report_is_byte_identical(fresh_store):
     assert as_bytes(parallel) == as_bytes(serial)
 
 
-def test_fig4_parallel_report_is_byte_identical(fresh_store):
-    """Model-only experiment: the whole figure is one vectorized
-    model-eval-grid unit; the --parallel path must still be a byte-level
-    no-op on the report."""
-    fresh_store("fig4")
-    serial = run_experiment("fig4")
-    fresh_store("fig4-parallel")  # else the memo answers the parallel run
+def test_fig2_parallel_report_is_byte_identical(fresh_store):
+    """Sweep points plus fig2's hardware-model stage, run on two real
+    workers, must give the serial report's bytes."""
+    options = dict(scale=0.03, thread_counts=(1, 2, 16), hw_thread_counts=(1, 2))
+    fresh_store("fig2")
+    serial = run_experiment("fig2", **options)
+    fresh_store("fig2-parallel")  # else the memo answers the parallel run
     with engine.session(2) as sess:
-        parallel = run_experiment("fig4")
-    assert sess.stats["units"] == 1
+        parallel = run_experiment("fig2", **options)
+    assert sess.stats["units"] == 15  # 3 workloads x (3 sweep + 2 hardware)
     assert sess.events.count("worker_started") == 2
     assert sess.events.count("serial_fallback") == 0
     assert as_bytes(parallel) == as_bytes(serial)
 
 
-def test_cli_run_fig4_parallel_json_identical(tmp_path, capsys):
-    """`repro run fig4 --parallel 4` writes the same JSON as a serial run."""
-    assert main(["run", "fig4", "--json", str(tmp_path / "serial")]) == 0
-    pipeline.clear_memo()  # else the memo answers the parallel run
+def test_fig4_parallel_report_is_byte_identical(fresh_store):
+    """Model-only experiment: fig4 evaluates its closed-form grid in
+    assemble and declares no units, so a parallel session runs nothing
+    and starts no worker, and the report keeps its serial bytes."""
+    fresh_store("fig4")
+    serial = run_experiment("fig4")
+    fresh_store("fig4-parallel")
+    with engine.session(2) as sess:
+        parallel = run_experiment("fig4")
+    assert sess.stats["units"] == 0
+    assert sess.events.count("worker_started") == 0
+    assert as_bytes(parallel) == as_bytes(serial)
+
+
+def test_cli_run_parallel_json_identical(tmp_path, capsys, fresh_store):
+    """`repro run ext-falsesharing --parallel 4` runs its sim-program units
+    on four workers and writes the same JSON as a serial run."""
+    fresh_store("serial-store")
+    assert main(["run", "ext-falsesharing", "--json", str(tmp_path / "serial")]) == 0
+    fresh_store("parallel-store")  # else the caches answer the parallel run
     events = tmp_path / "events.jsonl"
     assert main([
-        "run", "fig4", "--parallel", "4", "--json", str(tmp_path / "parallel"),
+        "run", "ext-falsesharing", "--parallel", "4",
+        "--json", str(tmp_path / "parallel"), "--event-log", str(events),
+    ]) == 0
+    capsys.readouterr()
+    serial = (tmp_path / "serial" / "ext-falsesharing.json").read_bytes()
+    parallel = (tmp_path / "parallel" / "ext-falsesharing.json").read_bytes()
+    assert parallel == serial
+    kinds = [json.loads(line)["kind"] for line in events.read_text().splitlines()]
+    assert kinds.count("worker_started") == 4
+    assert "serial_fallback" not in kinds
+
+
+def test_cli_run_fig4_parallel_json_identical(tmp_path, capsys, fresh_store):
+    """`repro run fig4 --parallel 2` on an empty cache writes the serial
+    run's JSON and starts no worker: fig4 declares nothing to run."""
+    fresh_store("serial-store")
+    assert main(["run", "fig4", "--json", str(tmp_path / "serial")]) == 0
+    fresh_store("parallel-store")
+    events = tmp_path / "events.jsonl"
+    assert main([
+        "run", "fig4", "--parallel", "2", "--json", str(tmp_path / "parallel"),
         "--event-log", str(events),
     ]) == 0
     capsys.readouterr()
     serial = (tmp_path / "serial" / "fig4.json").read_bytes()
     parallel = (tmp_path / "parallel" / "fig4.json").read_bytes()
     assert parallel == serial
-    kinds = [json.loads(line)["kind"] for line in events.read_text().splitlines()]
-    assert kinds.count("worker_started") == 4
-    assert "serial_fallback" not in kinds
+    # the log is written on the first event; a run with none leaves no file
+    lines = events.read_text().splitlines() if events.exists() else []
+    kinds = [json.loads(line)["kind"] for line in lines]
+    assert kinds.count("worker_started") == 0

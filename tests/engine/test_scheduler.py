@@ -71,6 +71,17 @@ class TestScheduling:
         assert results == {"a": {"n": 1}}
         assert sess.events.count("cache_put_failed") == 1
 
+    def test_summary_names_no_workers_when_every_unit_hits(self):
+        """Two workers requested, every unit a cache hit: no pool is
+        built, so the summary must not claim workers ran anything."""
+        with EngineSession(2) as sess:
+            sess.run_units([unit("a", 1)], cache_get=lambda u: {"n": 0})
+            summary = sess.summary()
+        assert summary == ("1 unit(s): 1 cache hit(s), 0 executed, "
+                           "no worker started")
+        assert sess.events.count("worker_started") == 0
+        assert not CALLS
+
     def test_progress_events_carry_eta(self):
         with EngineSession(1) as sess:
             sess.run_units([unit("a", 1), unit("b", 2)])
@@ -127,10 +138,11 @@ class TestPrecompute:
                 )
             # sweep: 2 experiments x 3 workloads x 2 points, shared
             # between table2 and fig2; hardware: fig2's own stage,
-            # 3 workloads x 2 points; plus fig4's one model-eval-grid
-            assert declared == 19
+            # 3 workloads x 2 points; fig4 evaluates its model in
+            # assemble and declares nothing
+            assert declared == 18
             assert sess.stats["deduped"] == 6
-            assert sess.stats["executed"] == 13
+            assert sess.stats["executed"] == 12
         finally:
             pipeline.set_disk_store(restore)
             pipeline.clear_memo()

@@ -47,12 +47,10 @@ class TestDeclarations:
     def test_experiments_without_sweeps_declare_nothing(self):
         assert declare_units("table3") == []
 
-    def test_model_grid_experiments_declare_one_grid_unit(self):
+    def test_model_grids_declare_no_units(self):
+        # their closed-form grids evaluate in assemble, in milliseconds
         for eid in ("fig4", "fig5", "conclusions"):
-            units = declare_units(eid)
-            assert len(units) == 1, eid
-            assert units[0].kind == "model-eval-grid"
-            assert not units[0].cacheable
+            assert declare_units(eid) == [], eid
 
     def test_declared_units_match_driver_defaults(self):
         units = declare_units("table2", scale=0.03, thread_counts=(1, 2))
