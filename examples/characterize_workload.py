@@ -65,7 +65,7 @@ print(f"  fored = {extracted.fored_rel:.0%} relative growth per core, "
       f"alpha = {extracted.growth_alpha:.2f}")
 
 # ── 3. hardware validation (Fig 2c) ──────────────────────────────────────
-hw = execute_workload(workload, (1, 2, 4, 8), backend="model")
+hw = execute_workload(workload, (1, 2, 4, 8))
 print("\nserial growth on the modelled Xeon (Fig 2c):",
       {p: round(v, 2) for p, v in serial_growth_curve(hw).items()})
 

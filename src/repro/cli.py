@@ -544,11 +544,24 @@ def _print_reports(ids, args: argparse.Namespace, options=None) -> bool:
     return failed
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.no_sweep_cache:
-        from repro.pipeline import set_disk_store
+@contextlib.contextmanager
+def _disk_tier(args: argparse.Namespace):
+    """``--no-sweep-cache``: the process-global disk tier is off while the
+    command runs and restored when it returns."""
+    if not getattr(args, "no_sweep_cache", False):
+        yield
+        return
+    from repro.pipeline import get_disk_store, set_disk_store
 
-        set_disk_store(None)
+    previous = get_disk_store()
+    set_disk_store(None)
+    try:
+        yield
+    finally:
+        set_disk_store(previous)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
     options = _gather_options(args)
     try:
         run_id = _resolve_run(args, options)
@@ -579,10 +592,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_runall(args: argparse.Namespace) -> int:
-    if args.no_sweep_cache:
-        from repro.pipeline import set_disk_store
-
-        set_disk_store(None)
     from repro import engine
 
     options = _gather_options(args)
@@ -657,10 +666,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         speedup_curve,
     )
 
-    if args.no_sweep_cache:
-        from repro.pipeline import set_disk_store
-
-        set_disk_store(None)
     workloads = dict(default_workloads(args.scale))
     if args.workload == "histogram":
         from repro.workloads.histogram import HistogramWorkload
@@ -704,13 +709,16 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.command == "list":
         return _cmd_list(args)
     if args.command == "run":
-        return _cmd_run(args)
+        with _disk_tier(args):
+            return _cmd_run(args)
     if args.command == "runall":
-        return _cmd_runall(args)
+        with _disk_tier(args):
+            return _cmd_runall(args)
     if args.command == "predict":
         return _cmd_predict(args)
     if args.command == "characterize":
-        return _cmd_characterize(args)
+        with _disk_tier(args):
+            return _cmd_characterize(args)
     if args.command == "cache":
         return _cmd_cache(args)
     if args.command == "stats":

@@ -14,7 +14,8 @@ three consumers at once:
   log text;
 * **artefacts** — pass ``jsonl_path`` to also append one JSON line per
   event; CI uploads this file so a failed parallel run can be post-mortemed
-  without rerunning it.
+  without rerunning it.  The file is created with the log, so a run that
+  emits no event still leaves an (empty) log behind.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ class EventLog:
         self.events: list[EngineEvent] = []
         self._jsonl_path = Path(jsonl_path) if jsonl_path is not None else None
         self._fh = None
+        if self._jsonl_path is not None:
+            try:
+                self._jsonl_path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = self._jsonl_path.open("a")
+            except OSError as exc:
+                self._disable(exc)
 
     def emit(self, kind: str, **data) -> EngineEvent:
         """Record one event; returns it (handy for tests)."""
@@ -68,23 +75,24 @@ class EventLog:
         _EVENTS.inc(kind=kind)
         level = log.warning if kind in _WARN_KINDS else log.debug
         level("%s %s", kind, " ".join(f"{k}={v}" for k, v in data.items()))
-        if self._jsonl_path is not None:
+        if self._fh is not None:
             self._write_jsonl(event)
         return event
 
     def _write_jsonl(self, event: EngineEvent) -> None:
         try:
-            if self._fh is None:
-                self._jsonl_path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = self._jsonl_path.open("a")
             self._fh.write(json.dumps(
                 {"t": event.timestamp, "kind": event.kind, **event.data},
                 sort_keys=True, default=str,
             ) + "\n")
             self._fh.flush()
-        except OSError as exc:  # an unwritable log must not kill the run
-            log.warning("cannot write event log %s: %s", self._jsonl_path, exc)
-            self._jsonl_path = None
+        except OSError as exc:
+            self._disable(exc)
+
+    def _disable(self, exc: OSError) -> None:
+        """Stop writing the file: an unwritable log must not kill the run."""
+        log.warning("cannot write event log %s: %s", self._jsonl_path, exc)
+        self.close()
 
     def count(self, kind: str) -> int:
         """How many events of ``kind`` were recorded."""

@@ -12,8 +12,7 @@ implementations exist:
   bounded exponential backoff.
 * :class:`SerialPool` — same contract, current process, no dependencies.
   The scheduler degrades to it when workers cannot start
-  (:class:`PoolUnavailable`), when only one worker is requested, or when
-  ``REPRO_ENGINE_SERIAL`` is set.
+  (:class:`PoolUnavailable`) and when only one worker is requested.
 
 Failure taxonomy: worker *deaths* are environmental, so they are
 retried; executor *exceptions* are deterministic, so they travel back as

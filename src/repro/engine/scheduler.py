@@ -15,6 +15,13 @@ implements the scheduling contract:
    concurrent run on another process benefits immediately;
 3. **dispatch misses** across the pool and return ``{key: payload}``.
 
+Accounting: ``stats`` counts each distinct unit key once per session,
+under the tier that first settled it (journal, cache or execution).
+``units`` counts every reference, and a reference to a key the session
+already counted, in the same batch or an earlier one (the assemble pass
+re-reading what precompute settled), counts as ``deduped``.  So
+``units - deduped`` is the number of distinct units.
+
 Determinism: results are keyed by content hash and units are pure, so
 callers rebuild their outputs in *their own* iteration order — the
 completion order of workers never leaks into a report.  A parallel run
@@ -22,8 +29,8 @@ is byte-identical to a serial one by construction.
 
 Pool: one :class:`~repro.engine.remote.RemotePool` runs every parallel
 batch — N local worker subprocesses for ``n_workers=N``, or TCP
-workers for ``listen`` — and one worker or ``REPRO_ENGINE_SERIAL`` means
-the in-process :class:`~repro.engine.pool.SerialPool`.
+workers for ``listen`` — and one worker means the in-process
+:class:`~repro.engine.pool.SerialPool`.
 
 Degradation: if workers cannot start (or no TCP worker connects within
 ``worker_timeout``), the session falls back to in-process serial
@@ -41,7 +48,6 @@ globally-deduplicated batch.
 from __future__ import annotations
 
 import contextlib
-import os
 import signal as signal_mod
 import threading
 import time
@@ -71,12 +77,6 @@ _current: "EngineSession | None" = None
 def current_session() -> "EngineSession | None":
     """The ambient engine session, or ``None`` when running serially."""
     return _current
-
-
-def _serial_forced() -> bool:
-    return os.environ.get("REPRO_ENGINE_SERIAL", "").lower() in (
-        "1", "on", "yes", "true",
-    )
 
 
 class EngineSession:
@@ -113,11 +113,13 @@ class EngineSession:
             journal.on_error = self._on_journal_error
         self.stats = {"units": 0, "deduped": 0, "journal_hits": 0,
                       "cache_hits": 0, "executed": 0}
+        #: every key a batch of this session has asked for
+        self._seen: "set[str]" = set()
         self._pool = None
         self._stop = threading.Event()
         self._stop_reason: "str | None" = None
         self.remote_address: "str | None" = None
-        if self.listen is not None and not _serial_forced():
+        if self.listen is not None:
             # bind eagerly so `repro worker --connect` has somewhere to go
             # before the first batch is dispatched
             self._pool = self._make_remote_pool()
@@ -167,13 +169,11 @@ class EngineSession:
         )
 
     def _serial(self) -> bool:
-        return _serial_forced() or (self.listen is None and self.n_workers <= 1)
+        return self.listen is None and self.n_workers <= 1
 
     def _make_pool(self):
         if self._serial():
-            reason = ("REPRO_ENGINE_SERIAL is set" if _serial_forced()
-                      else "single worker requested")
-            self.events.emit("serial_fallback", reason=reason)
+            self.events.emit("serial_fallback", reason="single worker requested")
             return SerialPool(events=self.events, should_stop=self._stop.is_set)
         return self._make_remote_pool()
 
@@ -212,8 +212,16 @@ class EngineSession:
         unique: dict[str, WorkUnit] = {}
         for u in units:
             unique.setdefault(u.key, u)
+        # a key is counted once per session, by the tier that first
+        # settles it; every other reference to it is a dedup
+        first = unique.keys() - self._seen
+        self._seen.update(first)
         self.stats["units"] += len(units)
-        self.stats["deduped"] += len(units) - len(unique)
+        self.stats["deduped"] += len(units) - len(first)
+
+        def count(tier: str, key: str) -> None:
+            if key in first:
+                self.stats[tier] += 1
 
         def cache_write(unit: WorkUnit, payload: dict) -> None:
             if cache_put is None:
@@ -230,7 +238,7 @@ class EngineSession:
             payload = self.journal.get(key) if self.journal is not None else None
             if payload is not None:
                 results[key] = payload
-                self.stats["journal_hits"] += 1
+                count("journal_hits", key)
                 self.events.emit("journal_hit", key=key, label=unit.describe())
                 # backfill the cache tiers so post-resume serial phases and
                 # concurrent runs benefit even if the first attempt's cache
@@ -240,7 +248,7 @@ class EngineSession:
             payload = cache_get(unit) if cache_get is not None else None
             if payload is not None:
                 results[key] = payload
-                self.stats["cache_hits"] += 1
+                count("cache_hits", key)
                 self.events.emit("cache_hit", key=key, label=unit.describe())
                 # a cache hit settles the unit: journal it so the run can be
                 # resumed even if this cache entry later corrupts or clears
@@ -266,6 +274,7 @@ class EngineSession:
 
         def on_result(key: str, payload: dict) -> None:
             settled[key] = payload
+            count("executed", key)
             done = len(settled)
             self._journal_record(key, payload)  # write-ahead: journal first
             cache_write(unique[key], payload)
@@ -287,11 +296,9 @@ class EngineSession:
             except RunInterrupted as exc:
                 if self._stop_reason:  # the pool only sees a flag; name it
                     exc.reason = self._stop_reason
-                self.stats["executed"] += exc.settled
                 self._emit_interrupted(exc)
                 raise
         results.update(executed)
-        self.stats["executed"] += total
         self.events.emit("batch_done", executed=total,
                          seconds=round(time.monotonic() - started, 3))
         return results
@@ -306,14 +313,15 @@ class EngineSession:
         )
 
     def summary(self) -> str:
-        """One line for the CLI: units, hits, executions, recoveries."""
+        """One line for the CLI: distinct units, hits, executions,
+        recoveries."""
         s = self.stats
         # no pool means no batch reached one: nothing started, whatever
         # width was requested
         where = (f" on {self.workers} worker(s)" if self._pool is not None
                  else ", no worker started")
         parts = [
-            f"{s['units']} unit(s): {s['cache_hits']} cache hit(s), "
+            f"{s['units'] - s['deduped']} unit(s): {s['cache_hits']} cache hit(s), "
             f"{s['executed']} executed{where}"
         ]
         if s["journal_hits"]:

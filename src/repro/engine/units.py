@@ -43,17 +43,14 @@ _EXECUTORS: dict[str, Callable[[tuple], dict]] = {}
 class WorkUnit:
     """One schedulable computation (identity semantics; dedupe by ``key``).
 
-    ``cacheable`` marks whether the payload may be persisted in the
-    on-disk sweep store.  Only wall-clock hardware runs set it False:
-    they are nondeterministic, so they still dedupe, journal and memoise
-    within a run, but never satisfy a lookup from another run.
+    Every executor is deterministic, so a payload computed once may be
+    persisted and serve any later run that declares the same ``key``.
     """
 
     kind: str
     key: str
     spec: tuple
     label: str = ""
-    cacheable: bool = True
 
     def describe(self) -> str:
         """Short human-readable handle for logs and events."""

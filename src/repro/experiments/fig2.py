@@ -4,8 +4,8 @@ Four panels:
 
 * (a) application scalability to 16 cores (simulator);
 * (b) serial-section time vs cores, normalised (simulator);
-* (c) the same on "real hardware" (the modelled Xeon by default, the
-  actual host with ``backend='process'``);
+* (c) the same on "real hardware" (the deterministic model of the
+  paper's 2-socket Xeon E5520);
 * (d) model accuracy: extended-model-predicted serial time over simulated
   serial time.
 """
@@ -21,7 +21,7 @@ from repro.pipeline import (
     ExperimentSpec,
     Stage,
     breakdown_from_payload,
-    hardware_units,
+    hardware_model_units,
     resolve_units,
     sim_sweep_units,
     simulate_breakdowns,
@@ -52,14 +52,11 @@ def declare_sim_units(
 def declare_hardware_units(
     scale: float = 0.15,
     hw_thread_counts: tuple = (1, 2, 4, 8),
-    hardware_backend: str = "model",
 ) -> list:
-    """Panel (c)'s hardware executions as engine work units (the
-    ``process`` backend's wall-clock runs are declared non-cacheable)."""
+    """Panel (c)'s hardware-model executions as engine work units."""
     units = []
     for workload in default_workloads(scale).values():
-        units.extend(hardware_units(workload, hw_thread_counts,
-                                    backend=hardware_backend))
+        units.extend(hardware_model_units(workload, hw_thread_counts))
     return units
 
 
@@ -73,7 +70,6 @@ def run(
     thread_counts: tuple = (1, 2, 4, 8, 16),
     hw_thread_counts: tuple = (1, 2, 4, 8),
     mem_scale: int = 2,
-    hardware_backend: str = "model",
 ) -> ExperimentReport:
     """Regenerate all four panels of Fig 2."""
     report = ExperimentReport("fig2", "Application characterisation")
@@ -124,13 +120,13 @@ def run(
     # ── (c) hardware validation ───────────────────────────────────────────
     hw_growth = {}
     for name, w in workloads.items():
-        units = hardware_units(w, hw_thread_counts, backend=hardware_backend)
+        units = hardware_model_units(w, hw_thread_counts)
         payloads = resolve_units(units)
         hw = {p: breakdown_from_payload(payloads[u.key])
               for p, u in zip(hw_thread_counts, units)}
         hw_growth[name] = serial_growth_curve(hw)
     report.add_table(series_table(
-        f"Fig 2(c) — serial section time on hardware ({hardware_backend} backend)",
+        "Fig 2(c) — serial section time on hardware (model backend)",
         "cores", list(hw_thread_counts),
         {n: [c[p] for p in hw_thread_counts] for n, c in hw_growth.items()},
     ))

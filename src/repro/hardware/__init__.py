@@ -7,10 +7,9 @@ two-socket Xeon E5520 machine (8 cores).  This package provides:
   that machine (NUMA sockets, cache-to-cache transfer costs, barrier
   overheads) that converts a workload's phase accounting into wall-clock
   times.  Default backend: reproducible everywhere, including CI.
-* :mod:`repro.hardware.executor` — runs a workload either on the machine
-  model or, optionally, on the *actual* host using ``multiprocessing``
-  with real timers (``backend="process"``), for users who want Fig 2(c) on
-  their own silicon.
+* :mod:`repro.hardware.executor` — runs a workload on the machine model
+  and returns its per-phase breakdown at each thread count, the
+  hardware-side counterpart of a simulator sweep.
 """
 
 from repro.hardware.executor import execute_workload

@@ -1,23 +1,14 @@
-"""Phase-timed workload execution on (modelled or real) hardware.
+"""Phase-timed workload execution on the modelled hardware.
 
-Two backends:
-
-* ``"model"`` (default) — deterministic: the workload's phase accounting is
-  priced by a :class:`~repro.hardware.machine_model.HardwareMachineModel`.
-  This is what tests and the Fig 2(c) benchmark use.
-* ``"process"`` — the real thing: the parallel phase runs across a
-  ``multiprocessing`` pool with wall-clock timers around each phase.
-  Available for kmeans/fuzzy (their parallel kernels pickle cleanly);
-  results depend on the host and are inherently noisy, so nothing in the
-  test suite asserts on their magnitudes.
+The workload's phase accounting is priced by a
+:class:`~repro.hardware.machine_model.HardwareMachineModel`, so every
+breakdown is deterministic: the same workload and thread count give the
+same times on any host.  This is what Fig 2(c) uses.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from repro.hardware.machine_model import XEON_E5520, HardwareMachineModel
 from repro.workloads.base import (
@@ -29,7 +20,7 @@ from repro.workloads.base import (
 )
 from repro.workloads.instrument import PhaseBreakdown
 
-__all__ = ["execute_workload", "model_breakdown", "process_breakdown"]
+__all__ = ["execute_workload", "model_breakdown"]
 
 
 def model_breakdown(
@@ -65,89 +56,15 @@ def model_breakdown(
     )
 
 
-def _kmeans_chunk(args):
-    """Worker for the real-process backend (module-level for pickling)."""
-    points, centers = args
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    assign = np.argmin(d2, axis=1)
-    C = centers.shape[0]
-    partial = np.zeros_like(centers)
-    np.add.at(partial, assign, points)
-    counts = np.bincount(assign, minlength=C).astype(np.float64)
-    return partial, counts
-
-
-def process_breakdown(workload, n_threads: int, iterations: int = 5) -> PhaseBreakdown:
-    """Run a kmeans-style workload on the actual host with real timers.
-
-    Only supports workloads exposing ``dataset`` with points and
-    ``n_centers`` (kmeans/fuzzy); the reduction is the serial
-    (Algorithm 1) strategy, timed on the parent process.
-    """
-    import multiprocessing as mp
-
-    ds = workload.dataset
-    rng = np.random.default_rng(getattr(workload, "seed", 0))
-
-    t0 = time.perf_counter()
-    idx = rng.choice(ds.n_points, size=ds.n_centers, replace=False)
-    centers = ds.points[idx].copy()
-    init_time = time.perf_counter() - t0
-
-    slices = ClusteringWorkloadBase.partition(ds.n_points, n_threads)
-    parallel_time = reduction_time = serial_time = 0.0
-    # fork (where available) avoids re-importing __main__, which breaks
-    # for interactive/stdin parents; spawn is the portable fallback
-    method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    ctx = mp.get_context(method)
-    with ctx.Pool(processes=n_threads) as pool:
-        for _ in range(iterations):
-            chunks = [(ds.points[sl], centers) for sl in slices]
-            t0 = time.perf_counter()
-            results = pool.map(_kmeans_chunk, chunks)
-            parallel_time += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            total = np.zeros_like(centers)
-            counts = np.zeros(ds.n_centers)
-            for partial, pc in results:  # Algorithm 1: linear merge
-                total += partial
-                counts += pc
-            reduction_time += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            centers = total / np.maximum(counts, 1.0)[:, None]
-            serial_time += time.perf_counter() - t0
-
-    total_time = init_time + parallel_time + reduction_time + serial_time
-    return PhaseBreakdown(
-        n_threads=n_threads,
-        total=total_time,
-        init=init_time,
-        parallel=parallel_time,
-        reduction=reduction_time,
-        serial=serial_time,
-    )
-
-
 def execute_workload(
     workload: ClusteringWorkloadBase,
     thread_counts: Iterable[int],
-    backend: str = "model",
     model: HardwareMachineModel = XEON_E5520,
 ) -> Mapping[int, PhaseBreakdown]:
-    """Phase breakdowns per thread count, on the chosen backend.
+    """Modelled phase breakdowns per thread count.
 
     This is the hardware-side equivalent of sweeping the simulator; feed
     the result to :func:`repro.workloads.instrument.extract_parameters` or
     :func:`~repro.workloads.instrument.serial_growth_curve`.
     """
-    if backend not in ("model", "process"):
-        raise ValueError(f"backend must be 'model' or 'process', got {backend!r}")
-    out: dict[int, PhaseBreakdown] = {}
-    for p in thread_counts:
-        if backend == "model":
-            out[p] = model_breakdown(workload, p, model)
-        else:
-            out[p] = process_breakdown(workload, p)
-    return out
+    return {p: model_breakdown(workload, p, model) for p in thread_counts}

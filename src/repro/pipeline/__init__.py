@@ -4,7 +4,7 @@ The pipeline layer sits between the experiments and the execution engine
 (see ``docs/architecture.md``).  Experiments describe themselves as
 :class:`ExperimentSpec`\\ s — stages *declare* content-hashed work units
 over any expensive backend (simulator sweeps and trace programs,
-hardware-model and wall-clock executions), and an *assemble* function
+hardware-model executions), and an *assemble* function
 builds the report from warm caches.
 :func:`resolve_units` is the one execution substrate all of them share:
 memo -> disk store -> engine pool -> inline, in that order, for every
@@ -13,13 +13,10 @@ unit kind (:func:`simulate_breakdowns` is the sweep-point shorthand).
 
 from repro.pipeline.builders import (
     HARDWARE_MODEL,
-    HARDWARE_PROCESS,
     SIM_PROGRAM,
     SWEEP_POINT,
     breakdown_from_payload,
     hardware_model_units,
-    hardware_process_units,
-    hardware_units,
     sim_point_unit,
     sim_program_unit,
     sim_sweep_units,
@@ -49,13 +46,10 @@ __all__ = [
     "SWEEP_POINT",
     "SIM_PROGRAM",
     "HARDWARE_MODEL",
-    "HARDWARE_PROCESS",
     "sim_sweep_units",
     "sim_point_unit",
     "sim_program_unit",
-    "hardware_units",
     "hardware_model_units",
-    "hardware_process_units",
     "breakdown_from_payload",
     "resolve_units",
     "simulate_breakdowns",

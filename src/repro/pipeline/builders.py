@@ -15,14 +15,11 @@ this module is the one place each kind is named, built and executed:
 ``hardware-model``
     One deterministic hardware-model execution
     (:func:`repro.hardware.executor.model_breakdown`).
-``hardware-process``
-    One wall-clock run on the actual host.  Inherently nondeterministic,
-    so the unit is **not** disk-cacheable: it still dedupes and journals
-    within a run, but never outlives one.
 
+Every kind is deterministic, so every payload persists in the disk store.
 Every builder hashes a canonical description of everything the payload
 depends on into the unit key, so engine dedup identity, journal identity
-and (where applicable) the disk-cache key coincide by construction.
+and the disk-cache key coincide by construction.
 
 The module registers each kind's ``execute_*`` function at import.
 :func:`repro.engine.units.resolve_executor` imports it on the first
@@ -49,26 +46,21 @@ __all__ = [
     "SWEEP_POINT",
     "SIM_PROGRAM",
     "HARDWARE_MODEL",
-    "HARDWARE_PROCESS",
     "sim_sweep_units",
     "sim_point_unit",
     "sim_program_unit",
-    "hardware_units",
     "hardware_model_units",
-    "hardware_process_units",
     "workload_descriptor",
     "breakdown_to_payload",
     "breakdown_from_payload",
     "execute_sweep_point",
     "execute_sim_program",
     "execute_hardware_model",
-    "execute_hardware_process",
 ]
 
 SWEEP_POINT = "sweep-point"
 SIM_PROGRAM = "sim-program"
 HARDWARE_MODEL = "hardware-model"
-HARDWARE_PROCESS = "hardware-process"
 
 #: bump whenever simulator *timing semantics* change, so persisted sweep
 #: results from older code can never satisfy a lookup.
@@ -98,7 +90,7 @@ _BREAKDOWN_FIELDS = ("n_threads", "total", "init", "parallel", "reduction", "ser
 
 #: kinds whose payload is a :class:`PhaseBreakdown`; a cached one that
 #: does not decode is a miss, not a crash at assemble time
-BREAKDOWN_KINDS = frozenset({SWEEP_POINT, HARDWARE_MODEL, HARDWARE_PROCESS})
+BREAKDOWN_KINDS = frozenset({SWEEP_POINT, HARDWARE_MODEL})
 
 
 def breakdown_to_payload(b: PhaseBreakdown) -> dict:
@@ -298,45 +290,6 @@ def execute_hardware_model(spec: tuple) -> dict:
     return breakdown_to_payload(model_breakdown(workload, p, model))
 
 
-def hardware_process_units(workload, thread_counts: Iterable[int]) -> "list[WorkUnit]":
-    """Wall-clock runs on the actual host — journaled, never disk-cached."""
-    units = []
-    for p in thread_counts:
-        key = SweepStore.key_for({
-            "kind": HARDWARE_PROCESS,
-            "workload": workload_descriptor(workload),
-            "threads": int(p),
-        })
-        units.append(WorkUnit(
-            kind=HARDWARE_PROCESS, key=key, spec=(workload, int(p)),
-            label=f"hw-process:{workload.name}@p={p}", cacheable=False,
-        ))
-    return units
-
-
-def execute_hardware_process(spec: tuple) -> dict:
-    from repro.hardware.executor import process_breakdown
-
-    workload, p = spec
-    return breakdown_to_payload(process_breakdown(workload, p))
-
-
-def hardware_units(
-    workload,
-    thread_counts: Iterable[int],
-    backend: str = "model",
-    model: HardwareMachineModel = XEON_E5520,
-) -> "list[WorkUnit]":
-    """The hardware-side sweep on either backend (cf.
-    :func:`repro.hardware.executor.execute_workload`)."""
-    if backend == "model":
-        return hardware_model_units(workload, thread_counts, model)
-    if backend == "process":
-        return hardware_process_units(workload, thread_counts)
-    raise ValueError(f"backend must be 'model' or 'process', got {backend!r}")
-
-
 register_executor(SWEEP_POINT, execute_sweep_point)
 register_executor(SIM_PROGRAM, execute_sim_program)
 register_executor(HARDWARE_MODEL, execute_hardware_model)
-register_executor(HARDWARE_PROCESS, execute_hardware_process)

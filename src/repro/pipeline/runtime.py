@@ -4,8 +4,7 @@
 same tier order for every unit kind:
 
 1. the in-process memo (``unit.key`` -> payload);
-2. the on-disk :class:`~repro.experiments.store.SweepStore` — for
-   disk-cacheable kinds only (``WorkUnit.cacheable``); a stored
+2. the on-disk :class:`~repro.experiments.store.SweepStore`; a stored
    breakdown payload that does not decode reads as a miss;
 3. the ambient engine session
    (:func:`repro.engine.scheduler.current_session`), when one is
@@ -123,31 +122,30 @@ def _decodes(unit: WorkUnit, payload: dict) -> bool:
 
 
 def cache_get(unit: WorkUnit) -> "dict | None":
-    """Scheduler hook: look one unit up in the memo and (if cacheable)
-    the disk store."""
+    """Scheduler hook: look one unit up in the memo and then the disk
+    store."""
     hit = _memo.get(unit.key)
     if hit is not None:
         _record_lookup("memory_hits")
         return hit
-    if unit.cacheable:
-        disk = get_disk_store()
-        if disk is not None:
-            payload = disk.get(unit.key)
-            if payload is not None and _decodes(unit, payload):
-                _record_lookup("disk_hits")
-                _memo[unit.key] = payload
-                return payload
+    disk = get_disk_store()
+    if disk is not None:
+        payload = disk.get(unit.key)
+        if payload is not None and _decodes(unit, payload):
+            _record_lookup("disk_hits")
+            _memo[unit.key] = payload
+            return payload
     _record_lookup("misses")
     return None
 
 
 def cache_put(unit: WorkUnit, payload: dict) -> None:
-    """Scheduler hook: write a fresh result into every applicable tier."""
+    """Scheduler hook: write a fresh result into the memo and the disk
+    store."""
     _memo[unit.key] = payload
-    if unit.cacheable:
-        disk = get_disk_store()
-        if disk is not None:
-            disk.put(unit.key, payload)
+    disk = get_disk_store()
+    if disk is not None:
+        disk.put(unit.key, payload)
 
 
 def resolve_units(units: Iterable[WorkUnit]) -> "dict[str, dict]":

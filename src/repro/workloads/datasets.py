@@ -68,18 +68,6 @@ class ClusteringDataset:
     def n_dims(self) -> int:
         return self.points.shape[1]
 
-    def scaled_to(self, n_points: int, label: "str | None" = None) -> "ClusteringDataset":
-        """A smaller/larger dataset with the same structure (resampled)."""
-        rng = np.random.default_rng(abs(hash((self.label, n_points))) % 2**32)
-        idx = rng.integers(0, self.n_points, size=n_points)
-        jitter = rng.normal(scale=1e-3, size=(n_points, self.n_dims))
-        return ClusteringDataset(
-            label=label or f"{self.label}@{n_points}",
-            points=self.points[idx] + jitter,
-            n_centers=self.n_centers,
-            true_centers=self.true_centers,
-        )
-
 
 @dataclass(frozen=True)
 class ParticleDataset:

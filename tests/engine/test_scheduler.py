@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro import engine
+from repro.engine.events import EventLog
 from repro.engine.scheduler import EngineSession
 from repro.engine.pool import SerialPool
 from repro.engine.units import WorkUnit, register_executor
@@ -82,6 +83,34 @@ class TestScheduling:
         assert sess.events.count("worker_started") == 0
         assert not CALLS
 
+    def test_summary_counts_each_key_once_per_session(self):
+        """A second batch over settled keys (assemble re-reading what
+        precompute settled) adds references, not units or hits."""
+        memo = {}
+        with EngineSession(1) as sess:
+            for _ in range(2):
+                sess.run_units(
+                    [unit("a", 1), unit("b", 2), unit("a", 1)],
+                    cache_get=lambda u: memo.get(u.key),
+                    cache_put=lambda u, payload: memo.__setitem__(u.key, payload),
+                )
+            summary = sess.summary()
+        assert len(CALLS) == 2
+        assert sess.stats["executed"] == 2
+        assert sess.stats["cache_hits"] == 0
+        assert summary == ("2 unit(s): 0 cache hit(s), 2 executed on 1 "
+                           "worker(s); 4 deduplicated")
+
+    def test_summary_counts_a_key_under_the_tier_that_first_settled_it(self):
+        memo = {"a": {"n": 0}}
+        with EngineSession(1) as sess:
+            sess.run_units([unit("a", 1)], cache_get=lambda u: memo.get(u.key))
+            sess.run_units([unit("a", 1), unit("b", 2)],
+                           cache_get=lambda u: memo.get(u.key))
+        assert sess.stats["cache_hits"] == 1
+        assert sess.stats["executed"] == 1
+        assert sess.stats["units"] - sess.stats["deduped"] == 2
+
     def test_progress_events_carry_eta(self):
         with EngineSession(1) as sess:
             sess.run_units([unit("a", 1), unit("b", 2)])
@@ -91,14 +120,6 @@ class TestScheduling:
 
 
 class TestDegradation:
-    def test_env_var_forces_serial_pool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_SERIAL", "1")
-        with EngineSession(4) as sess:
-            results = sess.run_units([unit("a", 1)])
-            assert isinstance(sess._pool, SerialPool)
-        assert results == {"a": {"n": 1}}
-        assert sess.events.count("serial_fallback") == 1
-
     def test_single_worker_uses_serial_pool(self):
         with EngineSession(1) as sess:
             sess.run_units([unit("a", 1)])
@@ -119,6 +140,21 @@ class TestSessionWiring:
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert lines and all("kind" in l and "t" in l for l in lines)
         assert any(l["kind"] == "unit_done" for l in lines)
+
+    def test_event_log_file_exists_before_any_event(self, tmp_path):
+        path = tmp_path / "logs" / "events.jsonl"
+        log = EventLog(jsonl_path=path)
+        log.close()
+        assert path.read_text() == ""
+
+    def test_unwritable_event_log_warns_and_is_disabled(self, tmp_path, caplog):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        log = EventLog(jsonl_path=blocker / "events.jsonl")
+        log.emit("unit_done", key="a")  # must not raise
+        log.close()
+        assert log.count("unit_done") == 1
+        assert "cannot write event log" in caplog.text
 
 
 class TestPrecompute:

@@ -78,6 +78,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "parallelism,constant,reduction" in out
 
+    def test_no_sweep_cache_restores_the_disk_store(self, capsys):
+        """The disk tier is process-global: ``--no-sweep-cache`` turns it
+        off for the command only, not for later calls in the process."""
+        from repro import pipeline
+
+        before = pipeline.get_disk_store()
+        assert before is not None
+        assert main(["run", "table3", "--no-sweep-cache"]) == 0
+        capsys.readouterr()
+        assert pipeline.get_disk_store() is before
+
     def test_run_unknown_experiment(self):
         with pytest.raises(ValueError):
             main(["run", "fig99"])

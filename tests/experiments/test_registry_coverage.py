@@ -79,7 +79,6 @@ def no_inline_simulation(warmed, monkeypatch):
 
     monkeypatch.setattr(Machine, "run", _forbid)
     monkeypatch.setattr(hwexec, "model_breakdown", _forbid)
-    monkeypatch.setattr(hwexec, "process_breakdown", _forbid)
 
 
 @pytest.mark.parametrize("eid", sorted(SPECS))

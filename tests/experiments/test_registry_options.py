@@ -20,6 +20,11 @@ class TestOptionValidation:
         with pytest.raises(TypeError, match=r"accepted: .*\bn\b"):
             run_experiment("fig4", scale=0.1)
 
+    def test_fig2_has_no_hardware_backend_option(self):
+        # Fig 2(c) runs on the deterministic hardware model only
+        with pytest.raises(TypeError, match=r"fig2.*'hardware_backend'"):
+            run_experiment("fig2", hardware_backend="process")
+
     def test_known_option_is_forwarded(self):
         report = run_experiment("fig4", n=256)
         assert report.experiment_id == "fig4"
@@ -86,13 +91,3 @@ class TestDeclarations:
             assert len(units) == expect, eid
             assert all(u.kind == "sim-program" for u in units), eid
             assert len({u.key for u in units}) == expect, eid
-
-    def test_process_backend_units_are_not_cacheable(self):
-        units = declare_units(
-            "fig2", scale=0.03, thread_counts=(1, 2),
-            hw_thread_counts=(1, 2), hardware_backend="process",
-        )
-        hw = [u for u in units if u.kind == "hardware-process"]
-        assert len(hw) == 6
-        assert all(not u.cacheable for u in hw)
-        assert all(u.cacheable for u in units if u.kind == "sweep-point")

@@ -18,7 +18,7 @@ def workload():
 
 @pytest.fixture(scope="module")
 def breakdowns(workload):
-    return execute_workload(workload, (1, 2, 4, 8), backend="model")
+    return execute_workload(workload, (1, 2, 4, 8))
 
 
 class TestModelBackend:
@@ -46,7 +46,3 @@ class TestModelBackend:
     def test_thread_count_beyond_machine_rejected(self, workload):
         with pytest.raises(ValueError):
             model_breakdown(workload, 16, XEON_E5520)
-
-    def test_unknown_backend_rejected(self, workload):
-        with pytest.raises(ValueError):
-            execute_workload(workload, (1,), backend="gpu")

@@ -101,7 +101,7 @@ class TestSimulatorPipeline:
 class TestHardwareModelPipeline:
     def test_hardware_and_simulator_agree_qualitatively(self, sim_breakdowns):
         for name, wl in all_workloads().items():
-            hw = execute_workload(wl, THREADS, backend="model")
+            hw = execute_workload(wl, THREADS)
             hw_growth = serial_growth_curve(hw)
             sim_growth = serial_growth_curve(sim_breakdowns[name])
             # both substrates show growing serial sections

@@ -1,15 +1,15 @@
-"""No module under ``src/repro`` imports scipy; importing the CLI and the
-server, and a cold ``runall``, load none; importing the CLI loads no
-``multiprocessing``.
+"""No module under ``src/repro`` imports scipy or ``multiprocessing``;
+importing the CLI and the server, and a cold ``runall``, load no scipy;
+importing the CLI loads no ``multiprocessing``.
 
 HOP's neighbour search is numpy (``workloads.neighbors``), and the only
 scipy user left is the k-NN oracle in ``tests/workloads/test_neighbors.py``.
+The engine's local workers are plain subprocesses and every work unit is
+deterministic, so nothing in the package needs ``multiprocessing``.
 A static scan of the source guards the package, lazy imports included;
-the runtime probes guard what a run actually loads.  The engine's local
-workers are plain subprocesses, so ``multiprocessing`` is left to the one
-executor that uses it (``hardware.executor``), which imports it lazily.
-Each runtime check runs in a fresh interpreter, where no other test can
-have loaded either already.
+the runtime probes guard what a run actually loads.  Each runtime check
+runs in a fresh interpreter, where no other test can have loaded either
+already.
 """
 
 import ast
@@ -48,9 +48,9 @@ def _loaded_scipy(code: str, args=(), env=None, cwd=None, timeout=120):
     return last[2:]
 
 
-def test_src_never_imports_scipy():
-    """Every ``import scipy...`` / ``from scipy... import``, at module level
-    or inside a function, anywhere in the package."""
+def _src_imports_of(package: str) -> "list[str]":
+    """Every ``import package...`` / ``from package... import``, at module
+    level or inside a function, anywhere in ``src/repro``."""
     found = []
     for path in sorted((REPO_SRC / "repro").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -61,9 +61,19 @@ def test_src_never_imports_scipy():
             else:
                 continue
             for name in names:
-                if name == "scipy" or name.startswith("scipy."):
+                if name.split(".")[0] == package:
                     found.append(f"{path.relative_to(REPO_SRC)}:{node.lineno} {name}")
+    return found
+
+
+def test_src_never_imports_scipy():
+    found = _src_imports_of("scipy")
     assert not found, f"src/repro imports scipy: {found}"
+
+
+def test_src_never_imports_multiprocessing():
+    found = _src_imports_of("multiprocessing")
+    assert not found, f"src/repro imports multiprocessing: {found}"
 
 
 def test_cli_and_server_import_without_scipy():

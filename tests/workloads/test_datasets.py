@@ -43,13 +43,6 @@ class TestMakeBlobs:
         with pytest.raises(ValueError):
             make_blobs(5, 2, 10)
 
-    def test_scaled_to(self):
-        ds = make_blobs(200, 3, 4, seed=0)
-        bigger = ds.scaled_to(800)
-        assert bigger.n_points == 800
-        assert bigger.n_dims == 3
-        assert bigger.n_centers == 4
-
 
 class TestMakeParticles:
     def test_shapes(self):
