@@ -31,6 +31,7 @@ GOLDEN_CASES = {
     "fig4": {},
     "ext-contention": {},
     "ablation-topology": {},
+    "ablation-machine": dict(scale=0.03),
 }
 
 
