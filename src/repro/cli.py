@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--interconnect", choices=["bus", "mesh"], default="bus")
     sim_p.add_argument("--dram", choices=["flat", "banked"], default="flat")
     sim_p.add_argument("--protocol", choices=["mesi", "msi"], default="mesi")
-    sim_p.add_argument("--no-fast-path", action="store_true",
+    sim_p.add_argument("--reference-engine", action="store_true",
                        help="force the op-at-a-time reference engine")
     sim_p.add_argument("--scheduler", choices=["pinned", "round-robin", "acmp"],
                        default="pinned",
@@ -743,7 +743,7 @@ def main(argv: "list[str] | None" = None) -> int:
             interconnect=args.interconnect,
             dram=args.dram,
             coherence_protocol=args.protocol,
-            batch_path=not args.no_fast_path,
+            batch_path=not args.reference_engine,
             scheduler=args.scheduler,
             quantum=args.quantum,
             migration_cost=args.migration_cost,

@@ -47,11 +47,6 @@ class AccuracyReport:
         """Largest (1 − ratio) above zero, e.g. 0.18 for −18%."""
         return max(0.0, 1.0 - min(self.ratios))
 
-    @property
-    def mean_absolute_error(self) -> float:
-        """Mean |ratio − 1| over the sweep."""
-        return float(np.mean(np.abs(np.asarray(self.ratios) - 1.0)))
-
     def within(self, tolerance: float) -> bool:
         """True when every ratio is within ±tolerance of 1."""
         return all(abs(r - 1.0) <= tolerance for r in self.ratios)

@@ -16,7 +16,6 @@ The eight combinations drive Figs 4, 5 and 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.core.params import AppParams
 
@@ -88,9 +87,3 @@ TABLE3_CLASSES: tuple[AppClass, ...] = _all_classes()
 def get_class(parallelism: str, constant: str, reduction: str) -> AppClass:
     """Look up a class by its three dimension values."""
     return AppClass(parallelism, constant, reduction)
-
-
-def iter_params() -> Iterator[AppParams]:
-    """Iterate the eight Table III parameter sets in panel order."""
-    for cls in TABLE3_CLASSES:
-        yield cls.params()

@@ -76,11 +76,6 @@ class CriticalParams:
         """Critical-section work as a fraction of total single-core time."""
         return self.base.f * self.fcs_share
 
-    @property
-    def f_ncs(self) -> float:
-        """Non-critical parallel fraction."""
-        return self.base.f - self.fcs
-
 
 def _contention(params: CriticalParams, n_threads: np.ndarray, mode: str) -> np.ndarray:
     """Fraction of critical-section work that serializes."""

@@ -34,7 +34,6 @@ from repro.util.validation import check_fraction, check_positive_int
 __all__ = [
     "speedup_symmetric",
     "speedup_asymmetric",
-    "speedup_asymmetric_grouped",
     "best_symmetric",
 ]
 
@@ -96,29 +95,6 @@ def speedup_asymmetric(
     law = resolve_perf_law(perf)
     arr = _as_r_array(rl, "rl", n, "large-core size rl")
     return _out(gridkernels.hm_asymmetric(f, n, arr, law), rl)
-
-
-def speedup_asymmetric_grouped(
-    f: float,
-    n: int,
-    rl: "float | np.ndarray",
-    r: float = 1.0,
-    perf: "str | PerfLaw | None" = None,
-) -> "float | np.ndarray":
-    """Generalised asymmetric CMP: one ``rl``-BCE core plus ``(n - rl)/r``
-    small cores of ``r`` BCEs each (the Amdahl reference curves of Fig 5).
-
-    The parallel section runs on all cores with aggregate throughput
-    ``perf(r)·(n - rl)/r + perf(rl)``; the serial section runs on the large
-    core alone.
-    """
-    check_fraction(f, "f")
-    n = check_positive_int(n, "n")
-    law = resolve_perf_law(perf)
-    arr = _as_r_array(rl, "rl", n, "large-core size rl")
-    if r <= 0 or r > n:
-        raise ValueError(f"small-core size r must be in (0, n], got {r}")
-    return _out(gridkernels.hm_asymmetric_grouped(f, n, arr, r, law), rl)
 
 
 def best_symmetric(

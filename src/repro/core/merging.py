@@ -44,7 +44,6 @@ from repro.util.validation import check_positive_int
 __all__ = [
     "speedup_symmetric",
     "speedup_asymmetric",
-    "sweep_symmetric",
     "sweep_asymmetric",
     "SymmetricDesign",
     "AsymmetricDesign",
@@ -172,21 +171,6 @@ class AsymmetricDesign:
     def cores(self) -> float:
         """Total core count including the large core."""
         return self.small_cores + 1.0
-
-
-def sweep_symmetric(
-    params: AppParams,
-    n: int,
-    growth: "str | GrowthFunction | None" = None,
-    perf: "str | PerfLaw | None" = None,
-    sizes: "np.ndarray | None" = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Speedup across the power-of-two core-size grid (a Fig 4 curve).
-
-    Returns ``(sizes, speedups)``.
-    """
-    grid = power_of_two_sizes(n) if sizes is None else np.asarray(sizes, dtype=np.float64)
-    return grid, np.asarray(speedup_symmetric(params, n, grid, growth, perf))
 
 
 def sweep_asymmetric(

@@ -13,7 +13,7 @@ All laws are vectorised: they accept scalars or numpy arrays of ``r``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "SqrtPerf",
     "PollackPerf",
     "LinearPerf",
-    "TablePerf",
     "SQRT_PERF",
     "resolve_perf_law",
 ]
@@ -56,12 +55,6 @@ class PerfLaw:
         if arr.ndim == 0:
             return float(out)
         return out
-
-    def validate_normalised(self) -> None:
-        """Check that a 1-BCE core has unit performance (the model's anchor)."""
-        v = float(self(1.0))
-        if not np.isclose(v, 1.0):
-            raise ValueError(f"perf law {self.name!r} must satisfy perf(1)=1, got {v}")
 
 
 def SqrtPerf() -> PerfLaw:
@@ -95,34 +88,6 @@ def LinearPerf() -> PerfLaw:
     used as an upper-bound reference in ablations.
     """
     return PerfLaw("linear", lambda r: np.asarray(r, dtype=np.float64))
-
-
-def TablePerf(points: Mapping[float, float], name: str = "table") -> PerfLaw:
-    """A perf law interpolated (in log-log space) from measured points.
-
-    Parameters
-    ----------
-    points:
-        Mapping from core size ``r`` to measured relative performance.
-        Must include ``r = 1`` with performance 1.
-    name:
-        Identifier for reports.
-    """
-    if not points:
-        raise ValueError("points must not be empty")
-    rs = np.array(sorted(points), dtype=np.float64)
-    ps = np.array([points[r] for r in sorted(points)], dtype=np.float64)
-    if np.any(rs <= 0) or np.any(ps <= 0):
-        raise ValueError("core sizes and performances must be positive")
-    if not np.isclose(np.interp(0.0, np.log2(rs), np.log2(ps)), 0.0, atol=1e-9):
-        raise ValueError("TablePerf must interpolate through perf(1) = 1")
-
-    log_r, log_p = np.log2(rs), np.log2(ps)
-
-    def fn(r: np.ndarray) -> np.ndarray:
-        return np.exp2(np.interp(np.log2(r), log_r, log_p))
-
-    return PerfLaw(name, fn)
 
 
 #: The default law used throughout the paper's evaluation.

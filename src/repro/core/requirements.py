@@ -1,29 +1,19 @@
 """Inverse questions: requirements on an application, given a target.
 
 The forward models answer "given the application, what does the chip
-deliver?"  Architects and library authors often need the inverse:
-
-* how large a merging phase can I *afford* before a target speedup at a
-  given core count becomes unreachable? (``max_affordable_overhead``) —
-  i.e. the reduction budget a parallel-algorithm author must stay within;
-* how many cores is it *worth paying for* given my merge?
-  (``worthwhile_cores``) — the count beyond which the next core buys less
-  than ``min_gain`` relative speedup.
-
-Both are exact inversions of the measured-form model
-(:mod:`repro.core.measured`), solved in closed form where the algebra
-allows and by bisection otherwise.
+deliver?"  Architects and library authors often need the inverse: how
+large a merging phase can I *afford* before a target speedup at a given
+core count becomes unreachable?  ``max_affordable_overhead`` answers it —
+the reduction budget a parallel-algorithm author must stay within — as
+an exact, closed-form inversion of the measured-form model
+(:mod:`repro.core.measured`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.params import MeasuredParams
-from repro.core import measured as mm
 from repro.util.validation import check_fraction, check_positive, check_positive_int
 
-__all__ = ["max_affordable_overhead", "worthwhile_cores", "required_parallel_fraction"]
+__all__ = ["max_affordable_overhead"]
 
 
 def max_affordable_overhead(
@@ -58,49 +48,3 @@ def max_affordable_overhead(
     if slack < 0:
         return 0.0
     return slack / (fcred * (p - 1))
-
-
-def worthwhile_cores(
-    params: MeasuredParams, min_gain: float = 0.01, max_cores: int = 65536
-) -> int:
-    """The last core count at which adding cores still pays.
-
-    Walks the extended-model curve doubling p and returns the largest
-    power-of-two ``p`` such that ``speedup(2p)/speedup(p) >= 1 + min_gain``
-    still held on the way there — i.e. scaling past the returned count
-    gains less than ``min_gain`` per doubling (or loses outright).
-    """
-    check_positive(min_gain, "min_gain")
-    p = 1
-    while 2 * p <= max_cores:
-        gain = float(mm.speedup_extended(params, 2 * p)) / float(
-            mm.speedup_extended(params, p)
-        )
-        if gain < 1.0 + min_gain:
-            break
-        p *= 2
-    return p
-
-
-def required_parallel_fraction(
-    p: int, target_speedup: float, serial_growth: float = 0.0
-) -> float:
-    """The parallel fraction needed for ``target_speedup`` on ``p`` cores.
-
-    ``serial_growth`` is the total *extra* serial time at p cores as a
-    fraction of single-core time (0 recovers the classic Amdahl
-    inversion).  Solves ``1/target = (1 − f) + serial_growth + f/p`` for
-    f; raises if the target is unreachable even at f = 1.
-    """
-    check_positive_int(p, "p", minimum=2)
-    check_positive(target_speedup, "target_speedup")
-    check_positive(serial_growth, "serial_growth", allow_zero=True)
-    lhs = 1.0 / target_speedup - serial_growth
-    # 1/target = (1-f) + growth + f/p  =>  f = (1 - lhs) / (1 - 1/p)
-    f = (1.0 - lhs) / (1.0 - 1.0 / p)
-    if f > 1.0:
-        raise ValueError(
-            f"target speedup {target_speedup} on {p} cores is unreachable "
-            f"even at f = 1 (serial growth {serial_growth})"
-        )
-    return max(0.0, float(f))

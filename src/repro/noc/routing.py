@@ -2,9 +2,8 @@
 
 The simulator's interconnect model and the Eq 8 verification both need
 per-pair hop counts; this module provides XY (dimension-ordered) routing for
-meshes — path enumeration, not just distances — and a networkx-backed
-exhaustive checker used by the test suite to prove the closed-form
-``hop_distance`` implementations correct.
+meshes — path enumeration, not just distances — and the per-link loads of
+a set of XY-routed transfers.
 """
 
 from __future__ import annotations
@@ -12,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.noc.topology import Mesh2D, Topology, Torus2D
+from repro.noc.topology import Mesh2D, Topology
 
-__all__ = ["xy_route", "torus_route", "hop_matrix", "verify_against_networkx"]
+__all__ = ["xy_route", "hop_matrix"]
 
 
 def xy_route(mesh: Mesh2D, src: int, dst: int) -> list[int]:
@@ -40,41 +39,6 @@ def xy_route(mesh: Mesh2D, src: int, dst: int) -> list[int]:
     return path
 
 
-def torus_route(torus: Torus2D, src: int, dst: int) -> list[int]:
-    """Wrap-aware dimension-ordered route on a torus, endpoints inclusive.
-
-    In each dimension the route takes whichever direction is shorter
-    (ties go the incrementing way); its length equals
-    :meth:`Torus2D.hop_distance`.
-    """
-    torus.validate_node(src)
-    torus.validate_node(dst)
-    r1, c1 = torus.coords(src)
-    r2, c2 = torus.coords(dst)
-
-    def steps(frm: int, to: int, size: int) -> list[int]:
-        if frm == to:
-            return []
-        fwd = (to - frm) % size
-        back = (frm - to) % size
-        direction = 1 if fwd <= back else -1
-        count = fwd if direction == 1 else back
-        out, cur = [], frm
-        for _ in range(count):
-            cur = (cur + direction) % size
-            out.append(cur)
-        return out
-
-    path = [src]
-    col = c1
-    for col in steps(c1, c2, torus.cols):
-        path.append(r1 * torus.cols + col)
-    col = c2 if c1 != c2 else c1
-    for row in steps(r1, r2, torus.rows):
-        path.append(row * torus.cols + col)
-    return path
-
-
 def hop_matrix(topology: Topology) -> np.ndarray:
     """Dense matrix of pairwise hop distances (n x n, zeros on diagonal)."""
     n = topology.n_nodes
@@ -84,29 +48,6 @@ def hop_matrix(topology: Topology) -> np.ndarray:
             if s != d:
                 out[s, d] = topology.hop_distance(s, d)
     return out
-
-
-def verify_against_networkx(topology: Topology) -> bool:
-    """Cross-check closed-form distances against BFS over the edge list.
-
-    Returns True when every pairwise distance matches; raises
-    :class:`AssertionError` naming the first mismatch otherwise.  Used by the
-    property tests; requires networkx.
-    """
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(range(topology.n_nodes))
-    g.add_edges_from(topology.edges())
-    lengths = dict(nx.all_pairs_shortest_path_length(g))
-    for s in range(topology.n_nodes):
-        for d in range(topology.n_nodes):
-            expected = lengths[s][d]
-            actual = topology.hop_distance(s, d)
-            assert actual == expected, (
-                f"{topology!r}: hop_distance({s}, {d}) = {actual}, BFS says {expected}"
-            )
-    return True
 
 
 def path_link_loads(mesh: Mesh2D, pairs: ArrayLike) -> dict[tuple[int, int], int]:

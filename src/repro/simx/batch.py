@@ -29,12 +29,11 @@ then alternates two regimes:
 Why this is cycle- and stats-identical to the reference interleaving:
 
 * a private line enters core C's L1 only through C's own accesses
-  (remote ops invalidate/downgrade, never install; prefetching is gated
-  off), so executing C's private ops *early* sees identical L1 state
-  unless the target set is full and holds a valid shared line — then the
-  victim, and whether an eviction happens at all, depend on concurrent
-  remote invalidations, so the offending op is parked and executed at
-  its exact global position;
+  (remote ops invalidate/downgrade, never install), so executing C's
+  private ops *early* sees identical L1 state unless the target set is
+  full and holds a valid shared line — then the victim, and whether an
+  eviction happens at all, depend on concurrent remote invalidations, so
+  the offending op is parked and executed at its exact global position;
 * a private line needs no directory entry in an epoch: its sharers are
   ``{tid}`` while it is valid in its thread's L1 (owner ``tid`` in E/M)
   and empty otherwise, and its sticky ``in_l2`` bit (the controller
@@ -96,25 +95,21 @@ __all__ = ["supports_batch_path", "compile_batch", "run_batch", "BatchProgram"]
 _VEC_MIN = 8
 
 
-def supports_batch_path(config: MachineConfig, max_cycles: "int | None" = None) -> bool:
+def supports_batch_path(config: MachineConfig) -> bool:
     """Whether the batch interpreter may run this configuration.
 
     Requires the ``batch_path`` knob (on by default) plus every
-    order-independence gate: no cycle watchdog (the eager epochs
-    overshoot it), no bus arbitration (a contended bus serialises
-    transactions in global arrival order), flat DRAM (the banked model's
-    open-row state couples cores), no next-line prefetch (a prefetch
-    reaches lines the privacy analysis did not attribute to this thread),
-    and pinned dispatch (:func:`repro.simx.sched.supports_scheduling` —
-    lockstep epochs assume one thread per core).
+    order-independence gate: flat DRAM (the banked model's open-row
+    state couples cores), no bus arbitration (a contended bus serialises
+    transactions in global arrival order), and pinned dispatch
+    (:func:`repro.simx.sched.supports_scheduling` — lockstep epochs
+    assume one thread per core).
     """
     from repro.simx.sched import supports_scheduling
 
     return (
         config.batch_path
-        and max_cycles is None
         and config.dram == "flat"
-        and not config.prefetch_next_line
         and not (config.interconnect == "bus" and config.bus_occupancy > 0)
         and supports_scheduling(config)
     )

@@ -121,37 +121,8 @@ class Cache:
         s[line_addr] = line
         return AccessResult(hit=False, state=state, evicted=evicted)
 
-    def set_state(self, line_addr: int, state: MesiState) -> None:
-        """Change a resident line's coherence state (directory callbacks)."""
-        s = self._sets[self.set_index(line_addr)]
-        line = s.get(line_addr)
-        if line is None:
-            if state is MesiState.INVALID:
-                return  # already gone
-            raise KeyError(f"line {line_addr:#x} not resident")
-        if state is MesiState.INVALID:
-            del s[line_addr]
-        else:
-            line.state = state
-
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line (remote write); True if it was present and valid."""
         s = self._sets[self.set_index(line_addr)]
         line = s.pop(line_addr, None)
         return line is not None and line.state is not MesiState.INVALID
-
-    # ── introspection ─────────────────────────────────────────────────────
-    def valid_lines(self) -> int:
-        """Number of resident valid lines."""
-        return sum(
-            1
-            for s in self._sets
-            for line in s.values()
-            if line.state is not MesiState.INVALID
-        )
-
-    @property
-    def miss_rate(self) -> float:
-        """Misses / accesses since construction (0 when no accesses)."""
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0

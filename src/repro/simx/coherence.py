@@ -52,9 +52,6 @@ class DirectoryEntry:
     owner: "int | None" = None  # core holding M/E, None when shared/uncached
     in_l2: bool = False
 
-    def is_cached(self) -> bool:
-        return bool(self.sharers) or self.owner is not None
-
 
 @dataclass
 class CoherenceStats:
@@ -106,7 +103,6 @@ class CoherenceController:
         self._remote_lat = config.remote_l1_latency
         self._inv_lat = config.invalidation_latency
         self._msi = config.coherence_protocol == "msi"
-        self._prefetch = config.prefetch_next_line
         self._l1_sets = [l1._sets for l1 in self.l1s]
         self._n_sets = config.l1d.n_sets
         self._ways = config.l1d.ways
@@ -117,26 +113,7 @@ class CoherenceController:
             return self.config.memory_latency
         return self.dram.access(line)
 
-    def _prefetch_next(self, core: int, line: int) -> None:
-        """Next-line prefetch into the core's L1 (overlapped, free)."""
-        nxt = line + 1
-        e = self._entry(nxt)
-        if e.owner is not None or self.l1s[core].contains(nxt):
-            return  # never steal or duplicate owned lines
-        had_sharers = bool(e.sharers)
-        if not had_sharers:
-            e.in_l2 = True
-        if had_sharers or self._msi:
-            state = MesiState.SHARED
-        else:
-            state = MesiState.EXCLUSIVE
-        self._install_l1(core, nxt, state, e)
-
     # ── helpers ───────────────────────────────────────────────────────────
-    def line_of(self, addr: int) -> int:
-        """Byte address → line address."""
-        return addr // self._line_size
-
     def _entry(self, line: int) -> DirectoryEntry:
         e = self.directory.get(line)
         if e is None:
@@ -273,10 +250,7 @@ class CoherenceController:
             new_state = _SHARED  # MSI has no Exclusive state
         else:
             new_state = _EXCLUSIVE
-        latency += self._install_l1(core, line, new_state, e)
-        if self._prefetch:
-            self._prefetch_next(core, line)
-        return latency
+        return latency + self._install_l1(core, line, new_state, e)
 
     def write(self, core: int, addr: int, now: int = 0) -> int:
         """Perform a store; returns its latency in cycles."""
@@ -328,45 +302,3 @@ class CoherenceController:
         latency += self._invalidate_remotes(line, core, e)
         latency += self._install_l1(core, line, _MODIFIED, e)
         return latency
-
-    # ── invariants (exercised by property tests) ─────────────────────────
-    def check_invariants(self) -> None:
-        """Assert protocol safety: single writer, no stale owners.
-
-        * at most one L1 holds a line in M or E;
-        * if any L1 holds M/E, no other L1 holds it in any valid state;
-        * directory owner/sharers match actual cache contents.
-        """
-        seen_lines: set[int] = set()
-        for l1 in self.l1s:
-            for s in l1._sets:
-                seen_lines.update(
-                    la for la, ln in s.items() if ln.state is not MesiState.INVALID
-                )
-        for line in seen_lines:
-            holders = {
-                core: l1.lookup(line).state  # type: ignore[union-attr]
-                for core, l1 in enumerate(self.l1s)
-                if l1.lookup(line) is not None
-            }
-            exclusive = [
-                c for c, st in holders.items()
-                if st in (MesiState.MODIFIED, MesiState.EXCLUSIVE)
-            ]
-            assert len(exclusive) <= 1, f"line {line:#x}: multiple owners {exclusive}"
-            if exclusive:
-                assert len(holders) == 1, (
-                    f"line {line:#x}: owner {exclusive[0]} coexists with sharers "
-                    f"{set(holders) - set(exclusive)}"
-                )
-                e = self.directory.get(line)
-                assert e is not None and e.owner == exclusive[0], (
-                    f"line {line:#x}: directory owner {e.owner if e else None} "
-                    f"!= actual {exclusive[0]}"
-                )
-            else:
-                e = self.directory.get(line)
-                assert e is not None and set(holders) <= e.sharers, (
-                    f"line {line:#x}: sharers {set(holders)} not tracked by "
-                    f"directory {e.sharers if e else None}"
-                )

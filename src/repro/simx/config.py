@@ -12,7 +12,7 @@ IPC derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.util.validation import check_positive, check_positive_int
 
@@ -47,11 +47,6 @@ class CacheConfig:
     def n_sets(self) -> int:
         """Number of sets."""
         return self.size // (self.ways * self.line_size)
-
-    @property
-    def n_lines(self) -> int:
-        """Total line capacity."""
-        return self.size // self.line_size
 
 
 @dataclass(frozen=True)
@@ -120,9 +115,6 @@ class MachineConfig:
     dram_row_bytes: int = 2048
     dram_row_hit_latency: int = 60
     dram_row_miss_latency: int = 160
-    #: fetch line+1 into the L1 alongside every demand read miss
-    #: (overlapped, no extra latency) — a next-line stream prefetcher.
-    prefetch_next_line: bool = False
     #: "mesi" (Table I's protocol) or "msi" — without the Exclusive state
     #: every first write after a read miss pays an upgrade transaction.
     coherence_protocol: str = "mesi"
@@ -133,8 +125,8 @@ class MachineConfig:
     #: construction (enforced by tests/differential); the machine falls
     #: back to the reference engine automatically whenever a
     #: configuration makes reordering unsafe (contended bus, banked DRAM,
-    #: prefetching, a cycle watchdog, time-multiplexed dispatch).  Disable
-    #: to force the reference engine everywhere.
+    #: time-multiplexed dispatch).  Disable to force the reference engine
+    #: everywhere.
     batch_path: bool = True
     #: thread-dispatch policy (repro.simx.sched).  "pinned" is the paper's
     #: one-thread-per-core model (and the only policy the batch engine
@@ -261,10 +253,6 @@ class MachineConfig:
         if not self.core_perf_factors:
             return 1.0
         return float(self.core_perf_factors[core_id])
-
-    def with_cores(self, n_cores: int) -> "MachineConfig":
-        """A copy with a different core count (used for scaling sweeps)."""
-        return replace(self, n_cores=n_cores)
 
     @property
     def line_size(self) -> int:

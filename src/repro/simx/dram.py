@@ -66,9 +66,3 @@ class DramModel:
         self._open_rows[bank] = row
         self.row_misses += 1
         return self.row_miss_latency
-
-    @property
-    def row_hit_rate(self) -> float:
-        """Row hits / accesses since construction (0 when unused)."""
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0

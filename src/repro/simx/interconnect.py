@@ -96,10 +96,6 @@ class MeshInterconnect(Interconnect):
         self.request_table = tuple(map(tuple, (2 * hop_latency * hops).tolist()))
         self.transfer_table = tuple(map(tuple, (hop_latency * hops).tolist()))
 
-    def home_bank(self, line_addr: int) -> int:
-        """The tile holding this line's L2 bank."""
-        return line_addr % self.mesh.n_nodes
-
     def request_latency(self, core: int, line_addr: int, now: int = 0) -> int:
         if not 0 <= core < self.mesh.n_nodes:
             raise ValueError(f"core {core} out of range [0, {self.mesh.n_nodes})")

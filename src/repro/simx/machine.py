@@ -174,19 +174,13 @@ class Machine:
     def __init__(self, config: MachineConfig):
         self.config = config
 
-    def run(
-        self, program: TraceProgram, max_cycles: "int | None" = None
-    ) -> SimulationResult:
+    def run(self, program: TraceProgram) -> SimulationResult:
         """Execute a program and return its timing breakdown.
 
         Parameters
         ----------
         program:
             The trace program to execute.
-        max_cycles:
-            Optional watchdog: abort with :class:`RuntimeError` once any
-            thread's clock passes this bound (protects batch sweeps from
-            accidentally huge traces).
 
         Raises
         ------
@@ -199,15 +193,13 @@ class Machine:
             If the threads stop making progress.
         TraceError
             If a trace is malformed.
-        RuntimeError
-            If ``max_cycles`` is exceeded.
         """
         if not obs.REGISTRY.enabled:
-            return self._run(program, max_cycles)
+            return self._run(program)
         t0 = time.perf_counter()
         with obs.span("simx.run", program=program.name,
                       threads=program.n_threads, cores=self.config.n_cores):
-            result = self._run(program, max_cycles)
+            result = self._run(program)
         _RUN_SECONDS.observe(time.perf_counter() - t0)
         _RUNS.inc(engine=result.engine)
         _OPS.inc(result.n_ops)
@@ -227,9 +219,7 @@ class Machine:
             _PHASE_WAIT.inc(result.phase_stats.wait_cycles(ph), phase=ph)
         return result
 
-    def _run(
-        self, program: TraceProgram, max_cycles: "int | None" = None
-    ) -> SimulationResult:
+    def _run(self, program: TraceProgram) -> SimulationResult:
         """The actual discrete-event loop behind :meth:`run`."""
         scheduled = self.config.scheduler != "pinned"
         if program.n_threads > self.config.n_cores and not scheduled:
@@ -244,7 +234,7 @@ class Machine:
         # engine selection: batch, unless the configuration rules out
         # reordering private work (any non-pinned scheduler does), in
         # which case the op-at-a-time reference loop below runs
-        if supports_batch_path(self.config, max_cycles):
+        if supports_batch_path(self.config):
             return run_batch(self.config, program)
 
         coherence = CoherenceController(self.config)
@@ -426,11 +416,6 @@ class Machine:
                     f"no runnable threads; blocked: {stuck} "
                     f"(pending barriers: {list(barrier_arrivals)}, "
                     f"held locks: {lock_holder})"
-                )
-            if max_cycles is not None and nxt.clock > max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded max_cycles={max_cycles:,} "
-                    f"(thread {nxt.tid} at {nxt.clock:,})"
                 )
             step(nxt)
 

@@ -8,9 +8,9 @@ a uniform, diff-friendly format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-__all__ = ["TextTable", "format_float", "render_series"]
+__all__ = ["TextTable", "format_float"]
 
 
 def format_float(value: float, *, digits: int = 4) -> str:
@@ -84,17 +84,3 @@ class TextTable:
         out = [",".join(esc(c) for c in self.columns)]
         out.extend(",".join(esc(c) for c in row) for row in self.rows)
         return "\n".join(out)
-
-
-def render_series(
-    title: str,
-    x_name: str,
-    x_values: Sequence[object],
-    series: Mapping[str, Sequence[float]],
-) -> str:
-    """Render one figure's data as a table: an x column plus one column per
-    named series (exactly the rows a plot of the figure would consume)."""
-    table = TextTable(title=title, columns=[x_name, *series.keys()])
-    for i, x in enumerate(x_values):
-        table.add_row([x, *(float(vals[i]) for vals in series.values())])
-    return table.render()

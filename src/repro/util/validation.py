@@ -15,7 +15,6 @@ __all__ = [
     "check_fraction",
     "check_positive",
     "check_positive_int",
-    "check_power_of_two",
     "ensure_array",
 ]
 
@@ -74,14 +73,6 @@ def check_positive_int(value: Any, name: str, *, minimum: int = 1) -> int:
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if v < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    return v
-
-
-def check_power_of_two(value: Any, name: str) -> int:
-    """Validate that ``value`` is a positive power of two and return it."""
-    v = check_positive_int(value, name)
-    if v & (v - 1) != 0:
-        raise ValueError(f"{name} must be a power of two, got {value!r}")
     return v
 
 

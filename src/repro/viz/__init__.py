@@ -5,6 +5,6 @@ experiments' series into readable terminal charts (the CLI's ``--plot``
 flag), so the figures can be *seen*, not just tabulated.
 """
 
-from repro.viz.ascii_charts import bar_chart, line_chart, sparkline
+from repro.viz.ascii_charts import bar_chart, line_chart
 
-__all__ = ["line_chart", "bar_chart", "sparkline"]
+__all__ = ["line_chart", "bar_chart"]

@@ -10,32 +10,13 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-__all__ = ["line_chart", "bar_chart", "sparkline"]
+__all__ = ["line_chart", "bar_chart"]
 
-_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 _SERIES_MARKS = "*o+x#@%&"
 
 
 def _finite(values: Sequence[float]) -> list[float]:
     return [v for v in values if v == v and math.isfinite(v)]
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line chart: each value as one of eight block heights."""
-    vals = list(values)
-    finite = _finite(vals)
-    if not finite:
-        return " " * len(vals)
-    lo, hi = min(finite), max(finite)
-    span = hi - lo
-    out = []
-    for v in vals:
-        if v != v or not math.isfinite(v):
-            out.append(" ")
-            continue
-        level = 0 if span == 0 else int((v - lo) / span * (len(_SPARK_LEVELS) - 1))
-        out.append(_SPARK_LEVELS[level])
-    return "".join(out)
 
 
 def bar_chart(

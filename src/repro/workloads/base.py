@@ -89,14 +89,6 @@ class PhaseWork:
     def n_threads(self) -> int:
         return len(self.per_thread_instructions)
 
-    @property
-    def total_instructions(self) -> int:
-        return int(sum(self.per_thread_instructions))
-
-    @property
-    def total_memory_ops(self) -> int:
-        return int(sum(self.per_thread_reads) + sum(self.per_thread_writes))
-
     def is_serial(self) -> bool:
         return self.phase in SERIAL_PHASES
 
@@ -122,23 +114,6 @@ class WorkloadExecution:
                 f"phase has {work.n_threads} threads, execution has {self.n_threads}"
             )
         self.phases.append(work)
-
-    def instructions_by_phase(self) -> dict[str, int]:
-        """Total instructions aggregated per phase name."""
-        out: dict[str, int] = {}
-        for w in self.phases:
-            out[w.phase] = out.get(w.phase, 0) + w.total_instructions
-        return out
-
-    def serial_instruction_fraction(self) -> float:
-        """Share of total instructions in serial phases — a quick
-        (machine-independent) estimate of ``s``."""
-        by_phase = self.instructions_by_phase()
-        total = sum(by_phase.values())
-        if total == 0:
-            return 0.0
-        serial = sum(by_phase.get(p, 0) for p in SERIAL_PHASES)
-        return serial / total
 
 
 class ClusteringWorkloadBase(ABC):

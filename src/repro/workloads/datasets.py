@@ -23,7 +23,6 @@ converge); HOP inputs are particle positions with density concentrations
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "make_blobs",
     "make_particles",
     "TABLE4_DATASETS",
-    "load_dataset",
 ]
 
 
@@ -148,29 +146,9 @@ def make_particles(
     )
 
 
-def _table4_builders() -> Mapping[str, "callable"]:
-    return {
-        # kmeans / fuzzy share the attribute grid of Table IV
-        "kmeans-base":   lambda: make_blobs(17695, 9, 8, seed=11, label="kmeans-base"),
-        "kmeans-dim":    lambda: make_blobs(17695, 18, 8, seed=12, label="kmeans-dim"),
-        "kmeans-point":  lambda: make_blobs(35390, 18, 8, seed=13, label="kmeans-point"),
-        "kmeans-center": lambda: make_blobs(17695, 18, 32, seed=14, label="kmeans-center"),
-        "fuzzy-base":    lambda: make_blobs(17695, 9, 8, seed=21, label="fuzzy-base"),
-        "fuzzy-dim":     lambda: make_blobs(17695, 18, 8, seed=22, label="fuzzy-dim"),
-        "fuzzy-point":   lambda: make_blobs(35390, 18, 8, seed=23, label="fuzzy-point"),
-        "fuzzy-center":  lambda: make_blobs(17695, 18, 32, seed=24, label="fuzzy-center"),
-        "hop-default":   lambda: make_particles(61440, n_halos=64, seed=31, label="hop-default"),
-        "hop-med":       lambda: make_particles(491520, n_halos=128, seed=32, label="hop-med"),
-    }
-
-
-#: Lazily-built Table IV datasets keyed by label.
-TABLE4_DATASETS = tuple(_table4_builders().keys())
-
-
-def load_dataset(label: str):
-    """Build the named Table IV dataset (generated on demand, seeded)."""
-    builders = _table4_builders()
-    if label not in builders:
-        raise ValueError(f"unknown dataset {label!r}; expected one of {sorted(builders)}")
-    return builders[label]()
+#: The Table IV dataset labels (attribute grid in the module docstring).
+TABLE4_DATASETS = (
+    "kmeans-base", "kmeans-dim", "kmeans-point", "kmeans-center",
+    "fuzzy-base", "fuzzy-dim", "fuzzy-point", "fuzzy-center",
+    "hop-default", "hop-med",
+)

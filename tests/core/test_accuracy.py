@@ -38,10 +38,6 @@ class TestAccuracyReport:
         assert rep.within(0.12)
         assert not rep.within(0.05)
 
-    def test_mae(self):
-        rep = AccuracyReport(cores=(2, 4), ratios=(1.1, 0.9))
-        assert rep.mean_absolute_error == pytest.approx(0.1)
-
     def test_no_overestimation_when_all_below_one(self):
         rep = AccuracyReport(cores=(2,), ratios=(0.8,))
         assert rep.max_overestimation == 0.0

@@ -6,7 +6,6 @@ from repro.core.classes import (
     TABLE3_CLASSES,
     AppClass,
     get_class,
-    iter_params,
 )
 
 
@@ -34,10 +33,6 @@ class TestTable3:
     def test_params_carry_name(self):
         for c in TABLE3_CLASSES:
             assert c.params().name == c.key
-
-    def test_iter_params_order_matches_classes(self):
-        keys = [p.name for p in iter_params()]
-        assert keys == [c.key for c in TABLE3_CLASSES]
 
     def test_rejects_unknown_dimension_values(self):
         with pytest.raises(ValueError):

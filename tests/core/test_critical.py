@@ -39,7 +39,6 @@ class TestFractions:
     def test_fcs_is_fraction_of_parallel_work(self):
         p = CriticalParams(base=base(), fcs_share=0.05)
         assert p.fcs == pytest.approx(0.99 * 0.05)
-        assert p.f_ncs + p.fcs == pytest.approx(0.99)
 
     def test_rejects_bad_share(self):
         with pytest.raises(ValueError):

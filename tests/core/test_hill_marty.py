@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import amdahl, hill_marty
+from repro.core import amdahl, gridkernels, hill_marty
 from repro.core.gridkernels import power_of_two_sizes
 
 
@@ -74,13 +74,13 @@ class TestAsymmetric:
         f, n = 0.99, 256
         rl = np.array([2.0, 16.0, 128.0])
         a = hill_marty.speedup_asymmetric(f, n, rl)
-        b = hill_marty.speedup_asymmetric_grouped(f, n, rl, r=1.0)
+        b = gridkernels.hm_asymmetric_grouped(f, n, rl, r=1.0)
         assert np.allclose(a, b)
 
     def test_grouped_form_bigger_small_cores_reduce_parallel_throughput(self):
         f, n, rl = 0.999, 256, 16.0
-        sp_r1 = hill_marty.speedup_asymmetric_grouped(f, n, rl, r=1.0)
-        sp_r4 = hill_marty.speedup_asymmetric_grouped(f, n, rl, r=4.0)
+        sp_r1 = gridkernels.hm_asymmetric_grouped(f, n, rl, r=1.0)
+        sp_r4 = gridkernels.hm_asymmetric_grouped(f, n, rl, r=4.0)
         # under sqrt perf, aggregate parallel throughput falls with r
         assert sp_r1 > sp_r4
 

@@ -107,7 +107,8 @@ class TestSymmetricModel:
         # "For embarrassingly parallel applications, however, small cores
         # manage to yield the highest speedup" under Log growth (Fig 4(c)).
         p = params_for(0.999, 0.60, 0.10)
-        sizes, sp = merging.sweep_symmetric(p, 256, growth=LOG)
+        sizes = merging.power_of_two_sizes(256)
+        sp = merging.speedup_symmetric(p, 256, sizes, LOG)
         assert sizes[int(np.argmax(sp))] == 1.0
 
     def test_higher_overhead_pushes_optimum_to_bigger_cores(self):

@@ -8,7 +8,6 @@ from repro.core.perf import (
     LinearPerf,
     PollackPerf,
     SqrtPerf,
-    TablePerf,
     resolve_perf_law,
 )
 
@@ -21,7 +20,6 @@ class TestSqrtPerf:
 
     def test_normalised_at_one(self):
         assert SQRT_PERF(1.0) == pytest.approx(1.0)
-        SQRT_PERF.validate_normalised()
 
     def test_vectorised(self):
         out = SQRT_PERF(np.array([1.0, 4.0, 16.0, 64.0]))
@@ -56,30 +54,6 @@ class TestLinearPerf:
     def test_identity(self):
         law = LinearPerf()
         assert law(8.0) == pytest.approx(8.0)
-
-
-class TestTablePerf:
-    def test_interpolates_measured_points(self):
-        law = TablePerf({1.0: 1.0, 4.0: 1.8, 16.0: 3.0})
-        assert law(4.0) == pytest.approx(1.8)
-        assert law(16.0) == pytest.approx(3.0)
-
-    def test_loglog_interpolation_between_points(self):
-        law = TablePerf({1.0: 1.0, 4.0: 2.0})
-        # log-log midpoint of (1,1)-(4,2) is (2, sqrt(2))
-        assert law(2.0) == pytest.approx(np.sqrt(2.0))
-
-    def test_requires_unit_anchor(self):
-        with pytest.raises(ValueError):
-            TablePerf({1.0: 2.0, 4.0: 3.0})
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            TablePerf({})
-
-    def test_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError):
-            TablePerf({1.0: 1.0, 4.0: -1.0})
 
 
 class TestResolve:

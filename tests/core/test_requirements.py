@@ -3,12 +3,8 @@
 import pytest
 
 from repro.core import measured as mm
-from repro.core.params import TABLE2, MeasuredParams
-from repro.core.requirements import (
-    max_affordable_overhead,
-    required_parallel_fraction,
-    worthwhile_cores,
-)
+from repro.core.params import MeasuredParams
+from repro.core.requirements import max_affordable_overhead
 
 
 class TestAffordableOverhead:
@@ -38,39 +34,3 @@ class TestAffordableOverhead:
         with pytest.raises(ValueError):
             max_affordable_overhead(0.99, 0.6, 16, 10.0, fred_share=0.0)
 
-
-class TestWorthwhileCores:
-    def test_matches_peak_region(self):
-        k = TABLE2["kmeans"]
-        p = worthwhile_cores(k, min_gain=0.01)
-        peak, _ = mm.peak_core_count(k, max_cores=8192)
-        assert p <= 2 * peak  # never recommends scaling past the peak zone
-
-    def test_lower_gain_threshold_recommends_more_cores(self):
-        k = TABLE2["kmeans"]
-        assert worthwhile_cores(k, min_gain=0.001) >= worthwhile_cores(
-            k, min_gain=0.2
-        )
-
-    def test_hop_stops_earliest(self):
-        counts = {name: worthwhile_cores(app) for name, app in TABLE2.items()}
-        assert counts["hop"] == min(counts.values())
-
-
-class TestRequiredParallelFraction:
-    def test_amdahl_inversion(self):
-        # f for 50x on 100 cores: 1/50 = (1-f) + f/100
-        f = required_parallel_fraction(100, 50.0)
-        assert 1.0 / ((1 - f) + f / 100) == pytest.approx(50.0, rel=1e-12)
-
-    def test_growth_raises_the_bar(self):
-        base = required_parallel_fraction(100, 30.0)
-        with_growth = required_parallel_fraction(100, 30.0, serial_growth=0.01)
-        assert with_growth > base
-
-    def test_unreachable_raises(self):
-        with pytest.raises(ValueError):
-            required_parallel_fraction(10, 20.0)  # 20x on 10 cores
-
-    def test_trivial_target(self):
-        assert required_parallel_fraction(8, 1.0) == 0.0

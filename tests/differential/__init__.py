@@ -16,7 +16,7 @@ interchangeable:
 * ``test_fallback_boundaries`` — directed traces pinning the exact
   fallback seams (eviction hazard, coherence event, phase transition
   inside an epoch) and the configurations that must bypass batch
-  execution entirely (banked DRAM, contended bus, prefetch);
+  execution entirely (banked DRAM, contended bus);
 * ``test_model_oracles`` — randomized grids where the vectorized
   kernels must match scalar oracles bit-for-bit;
 * ``test_obs_parity`` — the obs metrics count each run exactly once,

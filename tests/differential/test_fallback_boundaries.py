@@ -6,8 +6,8 @@ where that proof stops — a coherence event inside an epoch, an L1 fill
 that would evict a shared line, a phase transition while other threads'
 clocks diverge — and asserts the batch engine both takes the fallback
 (where observable in the op accounting) and stays cycle-identical.
-Configurations whose state couples cores (banked DRAM, contended bus,
-prefetch, a cycle watchdog) must bypass the batch engine entirely.
+Configurations whose state couples cores (banked DRAM, a contended bus)
+must bypass the batch engine entirely.
 """
 
 from dataclasses import replace
@@ -212,18 +212,6 @@ class TestConfigurationGates:
         assert not supports_batch_path(cfg)
         threads = [[Load(0), Store(0)], [Load(0), Store(0)]]
         got = Machine(cfg).run(program_of(threads))
-        assert got.engine == "reference"
-
-    def test_prefetch_falls_back(self):
-        cfg = replace(tiny_config(), batch_path=True, prefetch_next_line=True)
-        assert not supports_batch_path(cfg)
-
-    def test_watchdog_falls_back(self):
-        cfg = replace(tiny_config(), batch_path=True)
-        assert supports_batch_path(cfg)
-        assert not supports_batch_path(cfg, max_cycles=10_000)
-        threads = [[Compute(100)]]
-        got = Machine(cfg).run(program_of(threads), max_cycles=10_000)
         assert got.engine == "reference"
 
     def test_every_differential_config_supports_batch(self):

@@ -228,7 +228,7 @@ class TestCommands:
         self, capsys, tmp_path, interconnect
     ):
         """A shared line, a lock and a barrier: the default (batch) engine
-        and ``--no-fast-path`` (reference) must print the same bytes."""
+        and ``--reference-engine`` must print the same bytes."""
         from repro.simx import (
             Barrier, Compute, Load, Lock, PhaseBegin, PhaseEnd, Store,
             ThreadTrace, TraceProgram, Unlock,
@@ -246,7 +246,7 @@ class TestCommands:
             threads.append(ThreadTrace(tid, ops))
         path = dump_program(TraceProgram("merge", threads), tmp_path / "m.jsonl")
         outputs = []
-        for flags in ([], ["--no-fast-path"]):
+        for flags in ([], ["--reference-engine"]):
             rc = main(["simulate", str(path), "--cores", "4",
                        "--interconnect", interconnect, *flags])
             assert rc == 0

@@ -3,14 +3,31 @@
 import numpy as np
 import pytest
 
-from repro.noc.routing import (
-    hop_matrix,
-    path_link_loads,
-    torus_route,
-    verify_against_networkx,
-    xy_route,
-)
-from repro.noc.topology import FullyConnected, Hypercube, Mesh2D, Ring, Torus2D
+from repro.noc.routing import hop_matrix, path_link_loads, xy_route
+from repro.noc.topology import FullyConnected, Hypercube, Mesh2D, Ring, Topology, Torus2D
+
+
+def verify_against_networkx(topology: Topology) -> bool:
+    """Cross-check closed-form distances against BFS over the edge list.
+
+    Returns True when every pairwise distance matches; raises
+    :class:`AssertionError` naming the first mismatch otherwise.  Used by the
+    property tests; requires networkx.
+    """
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(range(topology.n_nodes))
+    g.add_edges_from(topology.edges())
+    lengths = dict(nx.all_pairs_shortest_path_length(g))
+    for s in range(topology.n_nodes):
+        for d in range(topology.n_nodes):
+            expected = lengths[s][d]
+            actual = topology.hop_distance(s, d)
+            assert actual == expected, (
+                f"{topology!r}: hop_distance({s}, {d}) = {actual}, BFS says {expected}"
+            )
+    return True
 
 
 class TestXYRoute:
@@ -42,35 +59,6 @@ class TestXYRoute:
     def test_self_route(self):
         m = Mesh2D(9)
         assert xy_route(m, 4, 4) == [4]
-
-
-class TestTorusRoute:
-    def test_endpoints(self):
-        t = Torus2D(16)
-        path = torus_route(t, 0, 10)
-        assert path[0] == 0 and path[-1] == 10
-
-    def test_length_matches_hop_distance(self):
-        t = Torus2D(16)
-        for s in range(16):
-            for d in range(16):
-                assert len(torus_route(t, s, d)) - 1 == t.hop_distance(s, d), (s, d)
-
-    def test_takes_wraparound_shortcut(self):
-        t = Torus2D(16)  # 4x4
-        # 0 -> 3 wraps in one hop instead of three
-        assert len(torus_route(t, 0, 3)) == 2
-
-    def test_steps_are_adjacent(self):
-        t = Torus2D(12)
-        edges = set(t.edges())
-        path = torus_route(t, 0, 11)
-        for u, v in zip(path, path[1:]):
-            assert (min(u, v), max(u, v)) in edges
-
-    def test_self_route(self):
-        t = Torus2D(9)
-        assert torus_route(t, 4, 4) == [4]
 
 
 class TestHopMatrix:

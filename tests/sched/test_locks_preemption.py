@@ -1,4 +1,4 @@
-"""Synchronisation under preemption: liveness, deadlock, watchdog.
+"""Synchronisation under preemption: liveness and deadlock.
 
 The reference machine raises :class:`DeadlockError` when no thread can
 run.  Under a time-multiplexing scheduler that check is subtler: a
@@ -68,20 +68,3 @@ def test_barrier_mismatch_deadlock_under_round_robin():
     with pytest.raises(DeadlockError):
         Machine(rr_config(2)).run(TraceProgram("lonely", [t0, t1]))
 
-
-def test_max_cycles_watchdog_fires_under_round_robin():
-    prog = TraceProgram("long", [
-        ThreadTrace(t, [Compute(100)] * 100) for t in range(4)
-    ])
-    with pytest.raises(RuntimeError, match="max_cycles"):
-        Machine(rr_config(2, quantum=200)).run(prog, max_cycles=1000)
-
-
-def test_max_cycles_not_triggered_by_queue_wait_alone():
-    # a thread can sit queued long past max_cycles; only *executed*
-    # cycles count, so a short program under heavy multiplexing passes
-    prog = TraceProgram("short", [
-        ThreadTrace(t, [Compute(50)] * 4) for t in range(4)
-    ])
-    res = Machine(rr_config(1, quantum=50)).run(prog, max_cycles=900)
-    assert res.total_cycles <= 900

@@ -20,7 +20,26 @@ from repro.simx.config import MachineConfig
 from repro.simx.dram import DramModel
 from repro.simx.interconnect import Interconnect, build_interconnect
 
-__all__ = ["ReferenceCoherenceController"]
+__all__ = ["ReferenceCoherenceController", "ReferenceCache"]
+
+
+class ReferenceCache(Cache):
+    """The L1 with ``set_state``, the directory callback this controller
+    was written against.  The live controller sets ``CacheLine.state``
+    directly, so the method lives here, with the only code that calls it."""
+
+    def set_state(self, line_addr: int, state: MesiState) -> None:
+        """Change a resident line's coherence state (directory callbacks)."""
+        s = self._sets[self.set_index(line_addr)]
+        line = s.get(line_addr)
+        if line is None:
+            if state is MesiState.INVALID:
+                return  # already gone
+            raise KeyError(f"line {line_addr:#x} not resident")
+        if state is MesiState.INVALID:
+            del s[line_addr]
+        else:
+            line.state = state
 
 
 class ReferenceCoherenceController:
@@ -28,7 +47,7 @@ class ReferenceCoherenceController:
 
     def __init__(self, config: MachineConfig, interconnect: "Interconnect | None" = None):
         self.config = config
-        self.l1s = [Cache(config.l1d) for _ in range(config.n_cores)]
+        self.l1s = [ReferenceCache(config.l1d) for _ in range(config.n_cores)]
         self.directory: dict[int, DirectoryEntry] = {}
         self.interconnect = interconnect or build_interconnect(config)
         self.stats = CoherenceStats()
@@ -47,21 +66,6 @@ class ReferenceCoherenceController:
         if self.dram is None:
             return self.config.memory_latency
         return self.dram.access(line)
-
-    def _prefetch_next(self, core: int, line: int) -> None:
-        """Next-line prefetch into the core's L1 (overlapped, free)."""
-        nxt = line + 1
-        e = self._entry(nxt)
-        if e.owner is not None or self.l1s[core].contains(nxt):
-            return  # never steal or duplicate owned lines
-        had_sharers = bool(e.sharers)
-        if not had_sharers:
-            e.in_l2 = True
-        if had_sharers or self.config.coherence_protocol == "msi":
-            state = MesiState.SHARED
-        else:
-            state = MesiState.EXCLUSIVE
-        self._install_l1(core, nxt, state)
 
     # ── helpers ───────────────────────────────────────────────────────────
     def line_of(self, addr: int) -> int:
@@ -177,8 +181,6 @@ class ReferenceCoherenceController:
         else:
             new_state = MesiState.EXCLUSIVE
         latency += self._install_l1(core, line, new_state)
-        if cfg.prefetch_next_line:
-            self._prefetch_next(core, line)
         return latency
 
     def write(self, core: int, addr: int, now: int = 0) -> int:

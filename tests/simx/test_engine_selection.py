@@ -26,18 +26,16 @@ from repro.simx import (
 
 _BASE = MachineConfig.baseline(n_cores=4)
 
-#: name -> (config, max_cycles watchdog, engine Machine.run must pick)
+#: name -> (config, engine Machine.run must pick)
 CASES = {
-    "baseline-bus": (_BASE, None, "batch"),
-    "baseline-mesh": (MachineConfig.baseline(4, interconnect="mesh"), None, "batch"),
-    "asymmetric": (MachineConfig.asymmetric(rl=4, n_small=3), None, "batch"),
-    "msi": (replace(_BASE, coherence_protocol="msi"), None, "batch"),
-    "banked-dram": (replace(_BASE, dram="banked"), None, "reference"),
-    "prefetch": (replace(_BASE, prefetch_next_line=True), None, "reference"),
-    "contended-bus": (replace(_BASE, bus_occupancy=2), None, "reference"),
-    "max-cycles": (_BASE, 10**9, "reference"),
-    "round-robin": (replace(_BASE, scheduler="round-robin"), None, "reference"),
-    "knob-off": (replace(_BASE, batch_path=False), None, "reference"),
+    "baseline-bus": (_BASE, "batch"),
+    "baseline-mesh": (MachineConfig.baseline(4, interconnect="mesh"), "batch"),
+    "asymmetric": (MachineConfig.asymmetric(rl=4, n_small=3), "batch"),
+    "msi": (replace(_BASE, coherence_protocol="msi"), "batch"),
+    "banked-dram": (replace(_BASE, dram="banked"), "reference"),
+    "contended-bus": (replace(_BASE, bus_occupancy=2), "reference"),
+    "round-robin": (replace(_BASE, scheduler="round-robin"), "reference"),
+    "knob-off": (replace(_BASE, batch_path=False), "reference"),
 }
 
 
@@ -55,6 +53,6 @@ def _program() -> TraceProgram:
 
 @pytest.mark.parametrize("name", CASES)
 def test_engine_selection(name):
-    config, max_cycles, engine = CASES[name]
-    result = Machine(config).run(_program(), max_cycles=max_cycles)
+    config, engine = CASES[name]
+    result = Machine(config).run(_program())
     assert result.engine == engine

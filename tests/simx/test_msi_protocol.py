@@ -5,6 +5,7 @@ import pytest
 from repro.simx.cache import MesiState
 from repro.simx.coherence import CoherenceController
 from repro.simx.config import CacheConfig, MachineConfig
+from tests.simx.conftest import check_invariants
 
 
 def controller(protocol: str) -> CoherenceController:
@@ -38,7 +39,7 @@ class TestMsi:
         for i in range(20):
             c.read(i % 4, (i % 8) * 64)
             c.write((i + 1) % 4, (i % 8) * 64)
-        c.check_invariants()
+        check_invariants(c)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):

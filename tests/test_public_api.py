@@ -1,9 +1,11 @@
 """Public-API consistency: __all__ names exist, modules import cleanly,
-and every model, hardware and workload module has a caller."""
+every model, hardware and workload module has a caller, and every public
+function, class and method of the library packages is named somewhere."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,107 @@ def test_every_model_hardware_and_workload_module_has_an_importer():
             if not importers.get(name, set()) - {own_init}:
                 unreached.append(name)
     assert not unreached, f"modules only their package __init__ imports: {unreached}"
+
+
+#: packages whose public functions, classes and methods must be reached
+REACHED_PACKAGES = ("core", "hardware", "noc", "simx", "util", "viz", "workloads")
+
+#: the trees whose files may name them, as code or as a string
+NAMING_TREES = ("src", "examples", "scripts", "benchmarks", ".github/workflows")
+NAMING_SUFFIXES = {".py", ".yml", ".yaml", ".sh"}
+
+#: public names nothing reaches yet, on purpose: dotted name → reason
+UNREACHED_ON_PURPOSE = {
+    "repro.noc.routing.hop_matrix": (
+        "kept for the ROADMAP item that counts mesh coherence messages per "
+        "link with repro.noc.routing"
+    ),
+}
+
+
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def _blank(text: str, nodes) -> str:
+    """``text`` with the source lines of ``nodes`` blanked out."""
+    lines = text.splitlines()
+    for node in nodes:
+        lines[node.lineno - 1:node.end_lineno] = [""] * (
+            node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
+def _naming_text(path: Path) -> str:
+    """The text of ``path`` that counts as naming something.  A package
+    ``__init__``'s imports and ``__all__`` are re-exports, not uses."""
+    text = path.read_text()
+    if path.name != "__init__.py":
+        return text
+    return _blank(text, [
+        node for node in ast.parse(text, str(path)).body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_all(node)
+    ])
+
+
+def _public_defs(tree: ast.Module):
+    """``(dotted suffix, node)`` for each public top-level function and
+    class, and each public method of a public class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _unreached_public_names() -> list:
+    texts = {
+        path: _naming_text(path)
+        for tree in NAMING_TREES
+        for path in sorted((ROOT / tree).rglob("*"))
+        if path.suffix in NAMING_SUFFIXES and path.is_file()
+    }
+    unreached = []
+    for pkg in REACHED_PACKAGES:
+        for path in sorted((ROOT / "src" / "repro" / pkg).rglob("*.py")):
+            module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+            source = path.read_text()
+            tree = ast.parse(source, str(path))
+            all_nodes = [node for node in tree.body if _is_all(node)]
+            others = [text for other, text in texts.items() if other != path]
+            for dotted, node in _public_defs(tree):
+                word = re.compile(rf"\b{re.escape(node.name)}\b")
+                if any(word.search(text) for text in others):
+                    continue
+                if word.search(_blank(source, [node, *all_nodes])):
+                    continue
+                unreached.append(f"{module}.{dotted}")
+    return unreached
+
+
+def test_every_public_function_class_and_method_is_named():
+    """A public function, class or method of a library package is dead
+    when no other file under ``src/``, ``examples/``, ``scripts/``,
+    ``benchmarks/`` or ``.github/workflows/`` names it (package
+    ``__init__`` re-exports do not count) and its own module never uses
+    it outside its definition and ``__all__``.  A word search, so a name
+    reached through a string (CLI, registry, serve dispatch) counts.
+    Test-only helpers belong in the tests that use them."""
+    unreached = set(_unreached_public_names())
+    exempt = set(UNREACHED_ON_PURPOSE)
+    assert not unreached - exempt, (
+        f"public names nothing reaches: {sorted(unreached - exempt)}"
+    )
+    assert not exempt - unreached, (
+        f"exempt names that something now reaches, drop them: "
+        f"{sorted(exempt - unreached)}"
+    )
 
 
 class TestRegistryConsistency:

@@ -4,24 +4,7 @@ import math
 
 import pytest
 
-from repro.viz.ascii_charts import bar_chart, line_chart, sparkline
-
-
-class TestSparkline:
-    def test_monotone_values_monotone_blocks(self):
-        s = sparkline([1, 2, 3, 4, 5, 6, 7, 8])
-        assert s == "▁▂▃▄▅▆▇█"
-
-    def test_constant_series(self):
-        s = sparkline([3.0, 3.0, 3.0])
-        assert s == "▁▁▁"
-
-    def test_nan_renders_blank(self):
-        s = sparkline([1.0, float("nan"), 2.0])
-        assert s[1] == " "
-
-    def test_empty(self):
-        assert sparkline([]) == ""
+from repro.viz.ascii_charts import bar_chart, line_chart
 
 
 class TestBarChart:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import TextTable, format_float, render_series
+from repro.util.tables import TextTable, format_float
 
 
 class TestFormatFloat:
@@ -48,11 +48,3 @@ class TestTextTable:
         t.add_row([1, 2])
         assert t.to_csv().splitlines()[0] == "col1,col2"
 
-
-class TestRenderSeries:
-    def test_one_column_per_series(self):
-        out = render_series(
-            "Fig X", "cores", [1, 2], {"amdahl": [1.0, 2.0], "ext": [1.0, 1.9]}
-        )
-        assert "amdahl" in out and "ext" in out and "cores" in out
-        assert "1.9" in out

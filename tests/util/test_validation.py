@@ -7,7 +7,6 @@ from repro.util.validation import (
     check_fraction,
     check_positive,
     check_positive_int,
-    check_power_of_two,
     ensure_array,
 )
 
@@ -61,17 +60,6 @@ class TestCheckPositiveInt:
     def test_minimum(self):
         with pytest.raises(ValueError):
             check_positive_int(1, "x", minimum=2)
-
-
-class TestCheckPowerOfTwo:
-    def test_accepts_powers(self):
-        for v in (1, 2, 4, 256, 1024):
-            assert check_power_of_two(v, "x") == v
-
-    def test_rejects_non_powers(self):
-        for v in (3, 6, 100):
-            with pytest.raises(ValueError):
-                check_power_of_two(v, "x")
 
 
 class TestEnsureArray:

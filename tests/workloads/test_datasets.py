@@ -5,7 +5,6 @@ import pytest
 
 from repro.workloads.datasets import (
     TABLE4_DATASETS,
-    load_dataset,
     make_blobs,
     make_particles,
 )
@@ -73,21 +72,3 @@ class TestMakeParticles:
 class TestTable4Datasets:
     def test_all_ten_labels(self):
         assert len(TABLE4_DATASETS) == 10
-
-    def test_kmeans_base_attributes(self):
-        ds = load_dataset("kmeans-base")
-        assert ds.n_points == 17695
-        assert ds.n_dims == 9
-        assert ds.n_centers == 8
-
-    def test_kmeans_point_doubles_points(self):
-        ds = load_dataset("kmeans-point")
-        assert ds.n_points == 35390
-        assert ds.n_dims == 18
-
-    def test_kmeans_center_scales_centers(self):
-        assert load_dataset("kmeans-center").n_centers == 32
-
-    def test_unknown_label(self):
-        with pytest.raises(ValueError):
-            load_dataset("kmeans-huge")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.workloads.base import PHASE_PARALLEL, PHASE_REDUCTION
 from repro.workloads.histogram import HistogramWorkload
+from tests.workloads.conftest import instructions_by_phase
 
 
 class TestNumerics:
@@ -53,7 +54,7 @@ class TestPhaseStructure:
         ).execute(1)
 
         def merge_share(ex):
-            by_phase = ex.instructions_by_phase()
+            by_phase = instructions_by_phase(ex)
             serial = sum(
                 v for k, v in by_phase.items() if k != PHASE_PARALLEL
             )

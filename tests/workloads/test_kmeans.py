@@ -11,6 +11,7 @@ from repro.workloads.base import (
 )
 from repro.workloads.datasets import make_blobs
 from repro.workloads.kmeans import KMeansWorkload
+from tests.workloads.conftest import serial_instruction_fraction
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,7 @@ class TestPhaseStructure:
 
     def test_serial_instruction_fraction_is_tiny(self, dataset):
         ex = KMeansWorkload(dataset, max_iterations=5).execute(1)
-        assert ex.serial_instruction_fraction() < 0.02
+        assert serial_instruction_fraction(ex) < 0.02
 
 
 class TestReductionStrategies:

@@ -57,7 +57,7 @@ class TestProgramShape:
 
     def test_instruction_totals_preserved(self, execution):
         prog = program_from_execution(execution)
-        expected = sum(w.total_instructions for w in execution.phases)
+        expected = sum(sum(w.per_thread_instructions) for w in execution.phases)
         emitted = sum(
             op.instructions
             for t in prog.threads

@@ -56,7 +56,7 @@ class TestConservation:
             op.instructions
             for t in prog.threads for op in t.ops if isinstance(op, Compute)
         )
-        expected = sum(w.total_instructions for w in ex.phases)
+        expected = sum(sum(w.per_thread_instructions) for w in ex.phases)
         assert emitted == expected
 
     @settings(max_examples=50, deadline=None)
