@@ -39,8 +39,11 @@ Subcommands
     Join a coordinator started with ``run``/``runall --listen`` as a
     remote execution worker: lease work units over the socket protocol
     of :mod:`repro.engine.remote`, execute them via the executor
-    registry, stream results (and observability deltas) back.  See the
-    "Distributed execution" section of ``docs/engine.md``.
+    registry, stream results (and observability deltas) back.  A TCP
+    worker runs the built-in unit kinds; a local ``--parallel`` worker
+    also imports the modules that registered the coordinator's other
+    executors.  See the "Distributed execution" section of
+    ``docs/engine.md``.
 """
 
 from __future__ import annotations
@@ -264,16 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="keep reconnecting/idling for S seconds after "
                                "the last successful lease before exiting "
                                "(default 30; survives coordinator restarts)")
-    worker_p.add_argument("--import", dest="imports", action="append",
-                          default=[], metavar="MODULE",
-                          help="import MODULE before serving (registers "
-                               "extra unit executors); repeatable")
-    worker_p.add_argument("--max-units", type=int, default=None, metavar="N",
-                          help="exit after executing N units (for tests)")
-    worker_p.add_argument("--chaos-net", default=None, metavar="SPEC",
-                          help="inject network faults, e.g. "
-                               "'drop=0,duplicate=2,delay=0.5' (see "
-                               "repro.engine.chaos.NetChaos)")
 
     diff_p = sub.add_parser(
         "diff", help="compare two stored JSON reports of the same experiment"
@@ -394,18 +387,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.engine.chaos import NetChaos
     from repro.engine.remote import run_worker
 
-    net_chaos = NetChaos.parse(args.chaos_net) if args.chaos_net else None
-    return run_worker(
-        args.connect,
-        name=args.name,
-        retry_for=args.retry_for,
-        imports=args.imports,
-        max_units=args.max_units,
-        net_chaos=net_chaos,
-    )
+    return run_worker(args.connect, name=args.name, retry_for=args.retry_for)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -695,9 +679,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     print(f"fored = {ep.fored_rel:.0%} relative growth/core "
           f"(alpha = {ep.growth_alpha:.2f})")
     design = ep.to_measured_params().to_design_params()
-    from repro.core import merging as merging_model
-
-    best = merging_model.best_symmetric(design, 256)
+    best = merging.best_symmetric(design, 256)
     print(f"\noptimal 256-BCE symmetric chip: {best.cores:.0f} cores of "
           f"{best.r:.0f} BCEs -> {best.speedup:.1f}x")
     return 0

@@ -24,7 +24,7 @@ Two parameterisations coexist in the paper and both are supported here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from repro.util.validation import check_fraction, check_positive

@@ -23,8 +23,8 @@ parallelizes experiment execution end to end while keeping reports
   (:class:`~repro.engine.journal.RunJournal`), SIGINT/SIGTERM drains
   gracefully (:class:`~repro.engine.pool.RunInterrupted` carries a
   resume hint), and ``--resume`` replays the journal as a cache tier
-  ahead of the sweep store — proven by the fault-injection harness in
-  :mod:`repro.engine.chaos`;
+  ahead of the sweep store — proven by the fault-injection tests, which
+  SIGKILL real runs and resume them;
 * execution is **location-transparent**: one lease protocol, with
   journal-before-acknowledge durability and at-most-once settle, runs
   over two transports — ``--parallel N`` starts N local worker

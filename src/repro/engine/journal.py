@@ -30,14 +30,9 @@ cache write of the first attempt was lost.
 Run directories live under ``.repro-cache/runs/<run-id>/`` (override
 with ``REPRO_RUNS_DIR``) and hold the journal, the engine event log, and
 a small manifest recording what the run was asked to do (so ``--resume``
-needs no other arguments).
-
-The journal is also the deterministic hook point for the fault-injection
-harness: when ``REPRO_CHAOS_KILL_AT_SETTLE=<n>`` is set,
-:func:`repro.engine.chaos.maybe_kill_on_settle` SIGKILLs the process
-right after the *n*-th record is made durable — which is how the chaos
-suite proves that interrupt-then-resume is byte-identical to an
-uninterrupted run.
+needs no other arguments).  The fault-injection tests SIGKILL real runs
+right after a chosen record is durable and check that the resumed
+report is byte-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -179,7 +174,6 @@ class RunJournal:
         self.tail_truncated = False
         self._fh = None
         self._entries: dict[str, dict] = {}
-        self._settled = 0  # records written by *this* process
         if self.path.exists():
             self._entries = self.replay()
 
@@ -268,12 +262,6 @@ class RunJournal:
         if not self._write(self._record_line(key, payload)):
             return False
         self._entries[key] = payload
-        self._settled += 1
-        # deterministic crash injection for the chaos harness (no-op
-        # unless REPRO_CHAOS_KILL_AT_SETTLE is set in the environment)
-        from repro.engine import chaos
-
-        chaos.maybe_kill_on_settle(self._settled)
         return True
 
     def _record_line(self, key: str, payload: dict) -> str:

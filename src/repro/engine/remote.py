@@ -59,7 +59,8 @@ A ``lease`` request with nothing to hand out waits up to a second for
 work before it is answered ``idle``, so a new batch, a matured retry or
 a shutdown reaches an idle worker at once.
 
-Durability invariants (the chaos suite proves them):
+Durability invariants (the fault-injection tests prove them with
+scripted faulty peers and real SIGKILLs):
 
 * every settled unit is journaled (via ``on_result``) **before** its
   ``ack`` frame is sent;
@@ -130,6 +131,10 @@ _MAX_FRAME = 64 * 1024 * 1024
 
 #: how long a ``lease`` request with nothing to hand out waits for work
 _LEASE_WAIT_S = 1.0
+
+#: a TCP worker's pause before redialling, and after an ``idle`` reply
+#: that names no ``retry_s``
+_IDLE_POLL_S = 0.2
 
 #: a local worker's entry point: take the coordinator's ``sys.path``, then
 #: run the lease loop on the inherited end of the socketpair
@@ -379,12 +384,20 @@ class RemotePool:
 
     def _serve(self, conn: socket.socket, conn_id: int,
                local: "_LocalWorker | None" = None) -> None:
-        """Start the thread that answers one worker connection."""
+        """Start the thread that answers one worker connection.
+
+        Under the pool lock, so :meth:`close` either sees the thread
+        started or refuses it the connection: it never joins a thread
+        that has not started."""
         thread = threading.Thread(
             target=self._serve_connection, args=(conn, conn_id, local),
             name=f"repro-conn-{conn_id}", daemon=True)
-        self._threads.append(thread)
-        thread.start()
+        with self._lock:
+            if self._closed:
+                conn.close()
+                return
+            thread.start()
+            self._threads.append(thread)
 
     def _serve_connection(self, conn: socket.socket, conn_id: int,
                           local: "_LocalWorker | None" = None) -> None:
@@ -779,12 +792,13 @@ class RemotePool:
         with self._work:
             self._closed = True
             self._work.notify_all()
+            threads = list(self._threads)
         connected = len(self._workers)
         for worker in self._local.values():
             if not worker.greeted:  # holds nothing worth waiting for
                 _stop(worker.proc)
         deadline = time.monotonic() + 2.0
-        for thread in self._threads:
+        for thread in threads:
             thread.join(max(0.0, deadline - time.monotonic()))
         # ending the reads makes each remaining connection thread close its
         # connection; it also wakes the accept loop
@@ -821,10 +835,6 @@ def run_worker(
     *,
     name: "str | None" = None,
     retry_for: float = 30.0,
-    idle_poll: float = 0.2,
-    imports: "Iterable[str]" = (),
-    max_units: "int | None" = None,
-    net_chaos=None,
 ) -> int:
     """The worker loop behind ``repro worker --connect HOST:PORT`` and
     every local worker.
@@ -839,21 +849,11 @@ def run_worker(
     the coordinator says ``bye`` or when ``retry_for`` seconds pass
     without a successful connect *or* a granted lease — so idle workers
     wind down on their own after a run ends.
-
-    ``imports`` names modules to import first (their import side effects
-    register extra executor kinds — e.g. ``repro.engine.chaos``).
-    ``net_chaos`` is a :class:`repro.engine.chaos.NetChaos` plan used by
-    the fault-injection suite to drop, duplicate, delay or tear result
-    frames deterministically.
     """
     channel = connect if isinstance(connect, socket.socket) else None
     if channel is None:
         host, port = parse_hostport(connect)
-    for module in imports:
-        importlib.import_module(module)
     worker_name = name or f"{socket.gethostname()}-{os.getpid()}"
-    executed = 0
-    result_index = 0
     sock: "socket.socket | None" = None
     dialled = False
     deadline = time.monotonic() + retry_for
@@ -899,7 +899,7 @@ def run_worker(
                     sock = _dial()
                 except (OSError, ConnectionError):
                     if channel is None:
-                        time.sleep(min(1.0, max(idle_poll, 0.05)))
+                        time.sleep(_IDLE_POLL_S)
                     continue
                 deadline = time.monotonic() + retry_for
                 log.info("worker %s: connected to %s", worker_name,
@@ -919,7 +919,7 @@ def run_worker(
             if op == "idle":
                 if time.monotonic() > deadline:
                     return 0
-                time.sleep(float(reply.get("retry_s", idle_poll)))
+                time.sleep(float(reply.get("retry_s", _IDLE_POLL_S)))
                 continue
             if op != "unit":
                 _drop_connection()
@@ -935,40 +935,22 @@ def run_worker(
             delta = obs.drain()
             if delta is not None:
                 result["obs"] = delta
-            action, delay = (net_chaos.plan(result_index) if net_chaos
-                             else ("send", 0.0))
-            result_index += 1
-            if delay:
-                time.sleep(delay)
-            if action == "drop":
-                continue  # the lease expires; the coordinator re-issues
             try:
-                if action == "torn":
-                    body = json.dumps(result, separators=(",", ":"),
-                                      default=str).encode()
-                    blob = struct.pack(">I", len(body)) + body
-                    sock.sendall(blob[: max(5, len(blob) // 2)])
-                    _drop_connection()
-                    continue
                 send_frame(sock, result)
                 recv_frame(sock)  # the ack: sent only after the settle
-                if action == "duplicate":
-                    send_frame(sock, result)
-                    recv_frame(sock)  # acked with settled=false
             except (OSError, ConnectionError):
                 _drop_connection()
                 continue
-            executed += 1
             deadline = time.monotonic() + retry_for
-            if max_units is not None and executed >= max_units:
-                return 0
     finally:
         _drop_connection()
 
 
 def _local_worker(boot: dict) -> int:
-    """A local worker subprocess: the lease loop on its inherited end of
-    the socketpair, never idling out (the coordinator owns its life)."""
+    """A local worker subprocess: import the modules that register the
+    coordinator's executors, then run the lease loop on its inherited end
+    of the socketpair, never idling out (the coordinator owns its life)."""
+    for module in boot["imports"]:
+        importlib.import_module(module)
     channel = socket.socket(fileno=boot["fd"])
-    return run_worker(channel, name=boot["name"], retry_for=float("inf"),
-                      imports=boot["imports"])
+    return run_worker(channel, name=boot["name"], retry_for=float("inf"))

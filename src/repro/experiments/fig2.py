@@ -12,8 +12,6 @@ Four panels:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import measured as measured_model
 from repro.core.accuracy import evaluate_accuracy
 from repro.experiments.report import ExperimentReport, PaperComparison, series_table

@@ -8,8 +8,6 @@ moves — the multi-application version of conclusion (b).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import merging
 from repro.core.mix import WorkloadMix, best_symmetric_for_mix, mix_speedup
 from repro.core.params import TABLE2, AppParams

@@ -11,9 +11,11 @@ uninterrupted one.
 Injectors
 ---------
 * **worker kill / unit hang** — executors (registered under the
-  ``chaos-kill-once`` / ``chaos-hang-once`` kinds) that SIGKILL their
-  own worker process or hang past the unit timeout on the first attempt
-  and succeed on the retry;
+  ``chaos-kill-once`` / ``chaos-hang-once`` kinds when this module is
+  imported) that SIGKILL their own worker process or hang past the unit
+  timeout on the first attempt and succeed on the retry.  Local workers
+  inherit the coordinator's ``sys.path`` and import this module through
+  :func:`repro.engine.units.executor_modules`, so the kinds run there;
 * **corrupted or truncated files** — :func:`corrupt_file` and
   :func:`truncate_tail` damage sweep-store entries and journal tails the
   way real crashes and bad disks do (the read sides must treat both as
@@ -22,17 +24,17 @@ Injectors
   :class:`~repro.experiments.store.SweepStore` and deterministically
   drops chosen ``put`` calls, simulating a full disk (the run must still
   complete, and the journal must still make it resumable);
-* **parent-process death** — setting ``REPRO_CHAOS_KILL_AT_SETTLE=<n>``
-  in a subprocess's environment makes
-  :func:`maybe_kill_on_settle` SIGKILL the whole process immediately
-  after the *n*-th journal record is durable, which is the harshest
-  possible interruption point the resume path must recover from;
+* **parent-process death** — ``tests/chaos/kill_at_settle.py N <argv>``
+  runs the CLI with :meth:`~repro.engine.journal.RunJournal.record`
+  wrapped so the process SIGKILLs itself once the *N*-th record is
+  durable, the harshest interruption point the resume path must recover
+  from;
 * **network faults** — :class:`NetChaos` plans per-result misbehaviour
-  for a remote worker (:mod:`repro.engine.remote`): dropped result
-  frames (the lease must expire and be re-issued), duplicated frames
-  (the coordinator must dedupe by unit key), torn frames (half a frame
-  then a dead connection) and delayed sends (slow workers).  Workers
-  take it via ``repro worker --chaos-net SPEC``.
+  and :func:`net_chaos_peer` obeys it against a live
+  :class:`~repro.engine.remote.RemotePool`: dropped result frames (the
+  lease must expire and be re-issued), duplicated frames (the
+  coordinator must dedupe by unit key), torn frames (half a frame then a
+  dead connection) and delayed sends (slow workers).
 
 Everything takes an explicit seed (:class:`Chaos` wraps
 ``random.Random``) so a failing chaos scenario replays exactly.
@@ -40,30 +42,24 @@ Everything takes an explicit seed (:class:`Chaos` wraps
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import signal
+import socket
+import struct
 import time
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.engine.units import register_executor
-
-__all__ = [
-    "Chaos",
-    "FlakyStore",
-    "NetChaos",
-    "KILL_AT_SETTLE_ENV",
-    "corrupt_file",
-    "truncate_tail",
-    "corrupt_store_entry",
-    "maybe_kill_on_settle",
-    "KILL_ONCE",
-    "HANG_ONCE",
-]
-
-#: environment variable: SIGKILL the process after this many journal settles
-KILL_AT_SETTLE_ENV = "REPRO_CHAOS_KILL_AT_SETTLE"
+from repro.engine.remote import (
+    decode_spec,
+    parse_hostport,
+    recv_frame,
+    run_worker,
+    send_frame,
+)
+from repro.engine.units import execute, register_executor
 
 
 class Chaos:
@@ -190,9 +186,9 @@ class FlakyStore:
 class NetChaos:
     """A per-result misbehaviour plan for a remote worker.
 
-    The worker loop in :func:`repro.engine.remote.run_worker` consults
-    :meth:`plan` with the 0-based index of each result it is about to
-    send and obeys the returned ``(action, delay_s)``:
+    :func:`net_chaos_peer` consults :meth:`plan` with the 0-based index
+    of each result it is about to send and obeys the returned
+    ``(action, delay_s)``:
 
     ``"send"``
         behave normally (after sleeping ``delay_s``);
@@ -201,17 +197,16 @@ class NetChaos:
         the unit be re-issued;
     ``"duplicate"``
         send the result frame twice — the coordinator must settle once
-        and flag the second as a :``duplicate_settle``;
+        and flag the second as a ``duplicate_settle``;
     ``"torn"``
         send only the first half of the frame and drop the connection —
         the coordinator must treat the torn frame as a disconnect, not a
         result.
 
     Index sets can be given explicitly, or drawn from a seed via
-    :meth:`seeded`.  :meth:`parse` reads the CLI form used by
-    ``repro worker --chaos-net``, e.g. ``"drop=0,duplicate=2,delay=0.5"``
-    (comma-separated ``action=index`` pairs; ``delay`` takes seconds and
-    applies to every send).
+    :meth:`seeded`.  :meth:`parse` reads the compact text form, e.g.
+    ``"drop=0,duplicate=2,delay=0.5"`` (comma-separated ``action=index``
+    pairs; ``delay`` takes seconds and applies to every send).
     """
 
     def __init__(self, *, drop: "Iterable[int]" = (),
@@ -244,7 +239,7 @@ class NetChaos:
 
     @classmethod
     def parse(cls, spec: str) -> "NetChaos":
-        """Build a plan from the CLI form ``action=value[,action=value...]``."""
+        """Build a plan from the text form ``action=value[,action=value...]``."""
         kwargs = {"drop": set(), "duplicate": set(), "torn": set()}
         delay = 0.0
         for part in filter(None, (p.strip() for p in spec.split(","))):
@@ -260,26 +255,53 @@ class NetChaos:
         return cls(delay_s=delay, **kwargs)
 
 
-# ── parent-process death ───────────────────────────────────────────────────
+def net_chaos_peer(address: str, plan: NetChaos, *, name: str,
+                   retry_for: float = 15.0) -> int:
+    """A scripted worker that misbehaves on the wire as ``plan`` says.
 
-
-def maybe_kill_on_settle(settled: int) -> None:
-    """SIGKILL the current process when the chaos env var says this settle
-    count is the chosen death point (no-op otherwise).
-
-    Called by :meth:`~repro.engine.journal.RunJournal.record` after each
-    record is flushed, so the journal is durable up to and including the
-    fatal settle — the invariant resume depends on.
+    It speaks the worker side of the lease protocol on one connection to
+    the coordinator at ``address`` — ``hello``, then ``lease`` → execute
+    (:func:`repro.engine.units.execute`) → ``result`` — until told
+    ``bye`` or hung up on.  After a torn frame the connection is dead, so
+    it hands over to a real :func:`~repro.engine.remote.run_worker` under
+    the same ``name``, which reconnects and finishes the batch.
     """
-    raw = os.environ.get(KILL_AT_SETTLE_ENV)
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        return
-    if 0 < n <= settled:
-        os.kill(os.getpid(), signal.SIGKILL)
+    index = 0
+    with socket.create_connection(parse_hostport(address)) as sock:
+        try:
+            send_frame(sock, {"op": "hello", "worker": name,
+                              "pid": os.getpid()})
+            recv_frame(sock)  # welcome
+            while True:
+                send_frame(sock, {"op": "lease"})
+                reply = recv_frame(sock)
+                if reply is None or reply.get("op") == "bye":
+                    return 0
+                if reply.get("op") != "unit":
+                    continue  # idle: ask again
+                result = {"op": "result", "lease": reply["lease"],
+                          "key": reply["key"], "ok": True,
+                          "payload": execute(reply["kind"],
+                                             decode_spec(reply["spec"]))}
+                action, delay = plan.plan(index)
+                index += 1
+                time.sleep(delay)
+                if action == "drop":
+                    continue  # the lease expires; the coordinator re-issues
+                if action == "torn":
+                    body = json.dumps(result, separators=(",", ":"),
+                                      default=str).encode()
+                    blob = struct.pack(">I", len(body)) + body
+                    sock.sendall(blob[: max(5, len(blob) // 2)])
+                    break
+                send_frame(sock, result)
+                recv_frame(sock)  # the ack: sent only after the settle
+                if action == "duplicate":
+                    send_frame(sock, result)
+                    recv_frame(sock)  # acked with settled=false
+        except (OSError, ConnectionError):
+            return 0
+    return run_worker(address, name=name, retry_for=retry_for)
 
 
 # ── fault-injecting executors (for pool-level chaos tests) ─────────────────

@@ -1,13 +1,14 @@
 """Pool-level fault injection: killed and hung workers mid-run.
 
 Exercises the chaos executors (registered at import of
-``repro.engine.chaos``) against real local worker processes: the pool
-must retry the unit on a fresh worker and still deliver every result.
+``tests.chaos.injectors``) against real local worker processes, which
+import that module by name: the pool must retry the unit on a fresh
+worker and still deliver every result.
 """
 
-from repro.engine.chaos import HANG_ONCE, KILL_ONCE
 from repro.engine.remote import RemotePool
 from repro.engine.units import WorkUnit, register_executor
+from tests.chaos.injectors import HANG_ONCE, KILL_ONCE
 
 
 def _echo(spec):

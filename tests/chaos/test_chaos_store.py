@@ -8,7 +8,7 @@ Two failure modes the crash-safety contract covers:
   for resumability: the write-ahead journal alone carries the run.
 """
 
-from repro.engine.chaos import Chaos, FlakyStore, corrupt_store_entry
+from tests.chaos.injectors import Chaos, FlakyStore, corrupt_store_entry
 from repro.engine.journal import RunJournal
 from repro.engine.scheduler import EngineSession
 from repro.engine.units import WorkUnit, register_executor

@@ -4,18 +4,23 @@ import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro.engine.chaos import (
-    KILL_AT_SETTLE_ENV,
+from repro.engine.journal import RunJournal
+from repro.experiments.store import SweepStore
+from tests.chaos import kill_at_settle
+from tests.chaos.injectors import (
     Chaos,
     FlakyStore,
     corrupt_file,
     corrupt_store_entry,
     truncate_tail,
 )
-from repro.experiments.store import SweepStore
+
+CHAOS_DIR = Path(__file__).resolve().parent
+REPO_SRC = CHAOS_DIR.parents[1] / "src"
 
 
 class TestChaosDeterminism:
@@ -115,30 +120,48 @@ class TestFlakyStore:
 
 
 class TestKillAtSettle:
-    def test_noop_without_env(self, monkeypatch):
-        from repro.engine.chaos import maybe_kill_on_settle
+    """``tests/chaos/kill_at_settle.py``: SIGKILL after the N-th settle."""
 
-        monkeypatch.delenv(KILL_AT_SETTLE_ENV, raising=False)
-        maybe_kill_on_settle(100)  # must not raise or kill
+    def test_noop_below_threshold_or_garbage(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(RunJournal, "record", RunJournal.record)  # undo arm
+        with pytest.raises(ValueError):
+            kill_at_settle.arm(0)
+        with pytest.raises(ValueError):
+            kill_at_settle.main(["not-a-number", "list"])
+        kill_at_settle.arm(5)
+        with RunJournal(tmp_path / "journal.jsonl") as journal:
+            for i in range(4):
+                assert journal.record(f"k{i}", {"v": i})
+            assert not journal.record("k0", {"v": 0})  # not newly journaled
+            assert len(journal) == 4  # still alive: 4 settles < 5
 
-    def test_noop_below_threshold_or_garbage(self, monkeypatch):
-        from repro.engine.chaos import maybe_kill_on_settle
-
-        monkeypatch.setenv(KILL_AT_SETTLE_ENV, "5")
-        maybe_kill_on_settle(4)
-        monkeypatch.setenv(KILL_AT_SETTLE_ENV, "not-a-number")
-        maybe_kill_on_settle(100)
-        monkeypatch.setenv(KILL_AT_SETTLE_ENV, "0")
-        maybe_kill_on_settle(100)
-
-    def test_kills_process_at_threshold(self):
+    @pytest.fixture(scope="class")
+    def killed(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("kill-at-settle") / "journal.jsonl"
         code = (
-            "from repro.engine.chaos import maybe_kill_on_settle\n"
-            "maybe_kill_on_settle(3)\n"
+            "import sys\n"
+            "from kill_at_settle import arm\n"
+            "from repro.engine.journal import RunJournal\n"
+            "arm(3)\n"
+            "journal = RunJournal(sys.argv[1])\n"
+            "for i in range(5):\n"
+            "    journal.record(f'k{i}', {'v': i})\n"
             "print('survived')\n"
         )
-        env = dict(os.environ, **{KILL_AT_SETTLE_ENV: "3"})
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, env=env)
-        assert proc.returncode == -signal.SIGKILL
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_SRC), str(CHAOS_DIR), env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                              capture_output=True, env=env, timeout=120)
+        return proc, path
+
+    def test_kills_process_at_threshold(self, killed):
+        proc, _ = killed
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
         assert b"survived" not in proc.stdout
+
+    def test_journal_holds_exactly_the_fatal_prefix(self, killed):
+        _, path = killed
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 3  # header + the three settled records
+        assert sorted(RunJournal(path).keys()) == ["k0", "k1", "k2"]

@@ -6,10 +6,10 @@ uninterrupted run — even when every sweep-cache write of the first
 attempt is wiped, and even when the journal's tail was torn by the
 crash.
 
-Each scenario is a real ``python -m repro`` subprocess (the kill is a
-real ``SIGKILL`` delivered mid-append by
-``REPRO_CHAOS_KILL_AT_SETTLE``), isolated via ``REPRO_RUNS_DIR`` /
-``REPRO_SWEEP_CACHE_DIR``.  All chaos decisions come from a fixed seed.
+Each scenario is a real CLI subprocess (the kill is a real ``SIGKILL``
+delivered right after a journal append by ``tests/chaos/kill_at_settle.py``),
+isolated via ``REPRO_RUNS_DIR`` / ``REPRO_SWEEP_CACHE_DIR``.  All chaos
+decisions come from a fixed seed.
 """
 
 import json
@@ -22,9 +22,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.chaos import KILL_AT_SETTLE_ENV, Chaos, truncate_tail
+from tests.chaos.injectors import Chaos, truncate_tail
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+#: runs the CLI and SIGKILLs it after the N-th journal settle
+KILL_AT_SETTLE = Path(__file__).resolve().parent / "kill_at_settle.py"
 
 #: table2 at this scale/threads declares 6 sweep units (3 workloads x 2)
 TABLE2_ARGS = ["run", "table2", "--scale", "0.03", "--threads", "1,2"]
@@ -39,16 +41,20 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("chaos-cli")
 
 
+def cli_argv(args, kill_at=None):
+    """The command line of a CLI run, SIGKILLed at settle ``kill_at``."""
+    if kill_at is None:
+        return [sys.executable, "-m", "repro", *args]
+    return [sys.executable, str(KILL_AT_SETTLE), str(kill_at), *args]
+
+
 def run_cli(args, workdir, *, kill_at=None, sweeps="sweeps"):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_RUNS_DIR"] = str(workdir / "runs")
     env["REPRO_SWEEP_CACHE_DIR"] = str(workdir / sweeps)
-    env.pop(KILL_AT_SETTLE_ENV, None)
-    if kill_at is not None:
-        env[KILL_AT_SETTLE_ENV] = str(kill_at)
     return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        cli_argv(args, kill_at),
         capture_output=True, text=True, env=env, cwd=workdir, timeout=300,
     )
 

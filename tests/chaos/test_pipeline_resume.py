@@ -11,7 +11,7 @@ import signal
 
 import pytest
 
-from repro.engine.chaos import Chaos
+from tests.chaos.injectors import Chaos
 from tests.chaos.test_interrupt_resume import run_cli
 
 #: ablation-machine at this scale/threads declares 10 units

@@ -6,7 +6,8 @@ to the serial run — and stays byte-identical when a worker is SIGKILLed
 mid-run *and* the coordinator itself is SIGKILLed mid-run and resumed
 with ``--resume``.
 
-Every process here is a real ``python -m repro`` subprocess, isolated
+Every process here is a real CLI subprocess (the coordinator that must
+die runs under ``tests/chaos/kill_at_settle.py``), isolated
 via ``REPRO_RUNS_DIR`` / ``REPRO_SWEEP_CACHE_DIR``.  Each scenario gets
 its own sweep-cache directory: a shared cache would satisfy every unit
 locally and nothing would ever reach a worker, making the distribution
@@ -19,13 +20,12 @@ import os
 import signal
 import socket
 import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.engine.chaos import KILL_AT_SETTLE_ENV
+from tests.chaos.test_interrupt_resume import cli_argv
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -40,22 +40,19 @@ def _free_port() -> int:
         return s.getsockname()[1]
 
 
-def _env(workdir, sweeps, *, kill_at=None):
+def _env(workdir, sweeps):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_RUNS_DIR"] = str(workdir / "runs")
     env["REPRO_SWEEP_CACHE_DIR"] = str(workdir / sweeps)
-    env.pop(KILL_AT_SETTLE_ENV, None)
-    if kill_at is not None:
-        env[KILL_AT_SETTLE_ENV] = str(kill_at)
     return env
 
 
 def _spawn(args, workdir, sweeps, *, kill_at=None):
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", *args],
+        cli_argv(args, kill_at),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=_env(workdir, sweeps, kill_at=kill_at), cwd=workdir,
+        env=_env(workdir, sweeps), cwd=workdir,
     )
 
 

@@ -6,7 +6,6 @@ import struct
 
 import pytest
 
-from repro.engine.chaos import NetChaos
 from repro.engine.remote import (
     ProtocolError,
     decode_spec,
@@ -15,6 +14,7 @@ from repro.engine.remote import (
     recv_frame,
     send_frame,
 )
+from tests.chaos.injectors import NetChaos
 
 
 class TestParseHostport:

@@ -3,20 +3,24 @@ settle, journal-before-ack ordering, degradation, drain.
 
 Workers here are :func:`repro.engine.remote.run_worker` on daemon
 threads — the same loop ``repro worker`` runs, minus the process
-boundary, so these tests are fast and deterministic.  The process-level
-SIGKILL scenarios live in ``tests/chaos/test_remote_chaos.py``.
+boundary, so these tests are fast and deterministic.  The lease tests
+use :func:`tests.chaos.injectors.net_chaos_peer` instead, a scripted
+worker that drops, duplicates or tears its result frames.  The
+process-level SIGKILL scenarios live in
+``tests/chaos/test_remote_chaos.py``.
 """
 
+import socket
 import threading
 import time
 
 import pytest
 
-from repro.engine.chaos import NetChaos
 from repro.engine.events import EventLog
 from repro.engine.pool import PoolUnavailable, RunInterrupted, UnitFailure
 from repro.engine.remote import RemotePool, run_worker
 from repro.engine.units import WorkUnit, register_executor
+from tests.chaos.injectors import NetChaos, net_chaos_peer
 
 
 def _echo(spec):
@@ -39,6 +43,14 @@ def start_worker(address, **kwargs):
     kwargs.setdefault("retry_for", 15.0)
     t = threading.Thread(target=run_worker, args=(address,), kwargs=kwargs,
                          daemon=True)
+    t.start()
+    return t
+
+
+def start_peer(address, plan, name):
+    """A scripted worker misbehaving on the wire as ``plan`` says."""
+    t = threading.Thread(target=net_chaos_peer, args=(address, plan),
+                         kwargs={"name": name}, daemon=True)
     t.start()
     return t
 
@@ -92,8 +104,7 @@ class TestLeaseLifecycle:
         # must time out, the unit re-issue, and the second attempt settle
         with RemotePool("127.0.0.1:0", lease_timeout=0.3, backoff=0.05,
                         max_retries=2) as pool:
-            start_worker(pool.address, name="w1",
-                         net_chaos=NetChaos(drop={0}))
+            start_peer(pool.address, NetChaos(drop={0}), "w1")
             results = pool.run([unit("rt-echo", "k0", 5)])
             assert results == {"k0": {"value": 10}}
             assert pool.events.count("lease_expired") == 1
@@ -102,8 +113,7 @@ class TestLeaseLifecycle:
     def test_exhausted_lease_budget_fails_the_unit(self):
         with RemotePool("127.0.0.1:0", lease_timeout=0.2, backoff=0.05,
                         max_retries=1) as pool:
-            start_worker(pool.address, name="w1",
-                         net_chaos=NetChaos(drop={0, 1, 2, 3}))
+            start_peer(pool.address, NetChaos(drop={0, 1, 2, 3}), "w1")
             with pytest.raises(UnitFailure) as err:
                 pool.run([unit("rt-echo", "k0", 5)])
             assert "retry budget" in str(err.value)
@@ -111,8 +121,7 @@ class TestLeaseLifecycle:
     def test_duplicate_result_frame_settles_exactly_once(self, pool):
         # duplicate the first result; a second unit keeps the batch open so
         # the duplicate frame is processed while the run is still active
-        start_worker(pool.address, name="w1",
-                     net_chaos=NetChaos(duplicate={0}))
+        start_peer(pool.address, NetChaos(duplicate={0}), "w1")
         seen = []
         results = pool.run([unit("rt-echo", "k0", 4), unit("rt-echo", "k1", 5)],
                            on_result=lambda k, p: seen.append(k))
@@ -126,8 +135,7 @@ class TestLeaseLifecycle:
         # re-issue the lease, and settle on the worker's reconnect
         with RemotePool("127.0.0.1:0", lease_timeout=30.0, backoff=0.05,
                         max_retries=2) as pool:
-            start_worker(pool.address, name="w1",
-                         net_chaos=NetChaos(torn={0}))
+            start_peer(pool.address, NetChaos(torn={0}), "w1")
             results = pool.run([unit("rt-echo", "k0", 6)])
             assert results == {"k0": {"value": 12}}
             assert pool.events.count("worker_disconnected") == 1
@@ -138,8 +146,7 @@ class TestLeaseLifecycle:
         # the full lease_timeout: the release path zeroes the deadline
         with RemotePool("127.0.0.1:0", lease_timeout=300.0, backoff=0.05,
                         max_retries=2) as pool:
-            start_worker(pool.address, name="dier",
-                         net_chaos=NetChaos(torn={0}))
+            start_peer(pool.address, NetChaos(torn={0}), "dier")
             started = time.monotonic()
             results = pool.run([unit("rt-echo", "k0", 7)])
             assert results == {"k0": {"value": 14}}
@@ -177,6 +184,51 @@ class TestDegradationAndDrain:
         t = start_worker("127.0.0.1:9", retry_for=0.3)  # discard port: refused
         t.join(timeout=15.0)
         assert not t.is_alive()
+
+
+class TestCloseRace:
+    def test_close_racing_a_new_connection_never_joins_an_unstarted_thread(
+            self):
+        # close() runs the moment the new connection's thread is registered
+        # with the pool: it must neither fail nor join a thread that has
+        # not started ("cannot join thread before it is started")
+        pool = RemotePool("127.0.0.1:0")
+        errors = []
+        closers = []
+
+        def close():
+            try:
+                pool.close()
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        class CloseOnRegister(list):
+            def append(self, thread):
+                super().append(thread)
+                closer = threading.Thread(target=close, daemon=True)
+                closers.append(closer)
+                closer.start()
+                closer.join(timeout=0.5)  # let close() run now if it can
+
+        pool._threads = CloseOnRegister()
+        mine, theirs = socket.socketpair()
+        try:
+            pool._serve(mine, 99)
+        finally:
+            theirs.close()  # EOF ends the connection thread
+        [closer] = closers
+        closer.join(timeout=15.0)
+        assert not closer.is_alive()
+        assert errors == []
+
+    def test_a_closed_pool_serves_no_new_connection(self):
+        pool = RemotePool("127.0.0.1:0")
+        pool.close()
+        mine, theirs = socket.socketpair()
+        with theirs:
+            pool._serve(mine, 99)
+            assert pool._threads == []
+            assert theirs.recv(1) == b""  # hung up on
 
 
 class TestSchedulerIntegration:

@@ -188,7 +188,7 @@ class TestWorkerPool:
         """A retry sitting in the delayed queue when the drain starts must
         surface in ``RunInterrupted.abandoned`` — it was dispatched and
         lost, not never-dispatched ``pending`` work."""
-        from repro.engine.chaos import KILL_ONCE
+        from tests.chaos.injectors import KILL_ONCE
 
         events = EventLog()
         victim = WorkUnit(kind=KILL_ONCE, key="victim",

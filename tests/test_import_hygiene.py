@@ -10,6 +10,10 @@ A static scan of the source guards the package, lazy imports included;
 the runtime probes guard what a run actually loads.  Each runtime check
 runs in a fresh interpreter, where no other test can have loaded either
 already.
+
+A second static scan fails on any module-level import in ``src/repro``
+that its module never references (string annotations and ``__all__``
+count as references; package ``__init__`` re-exports are exempt).
 """
 
 import ast
@@ -106,3 +110,70 @@ def test_cli_import_loads_no_multiprocessing():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]", (
         f"importing repro.cli loaded {proc.stdout.strip()}")
+
+
+def _module_level_imports(tree: ast.Module):
+    """``(bound name, lineno)`` of every import outside a function or class
+    body (``if``/``try`` blocks at module level included)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            stack.extend(node.body + node.orelse)
+            stack.extend(getattr(node, "finalbody", []))
+            for handler in getattr(node, "handlers", []):
+                stack.extend(handler.body)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def _referenced_names(tree: ast.Module) -> "set[str]":
+    """Every name the module's code reads, string annotations and
+    ``__all__`` included."""
+    names = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)
+              and isinstance(node.value, (ast.List, ast.Tuple))):
+            names.update(elt.value for elt in node.value.elts
+                         if isinstance(elt, ast.Constant))
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _referenced_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def _unused_imports() -> "list[str]":
+    """``file:line name`` of each module-level import in ``src/repro`` that
+    its module never references (package ``__init__`` re-exports aside)."""
+    unused = []
+    for path in sorted((REPO_SRC / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = _referenced_names(tree)
+        for name, lineno in _module_level_imports(tree):
+            if name not in used:
+                unused.append(f"{path.relative_to(REPO_SRC)}:{lineno} {name}")
+    return sorted(unused)
+
+
+def test_src_has_no_unused_imports():
+    unused = _unused_imports()
+    assert not unused, f"unused imports in src/repro: {unused}"
