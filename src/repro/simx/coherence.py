@@ -73,10 +73,10 @@ class CoherenceController:
     """All caches plus the MESI directory for one simulated machine.
 
     Both engines call :meth:`read` / :meth:`write` for every access the
-    protocol must see, so the entry points test L1 hits and drop remote
-    copies on the L1 sets directly (the ``OrderedDict`` per set that
-    :class:`Cache` keeps) and look each directory entry up once per
-    access.  The protocol is pinned by
+    protocol must see, so the entry points test L1 hits, read an owner's
+    copy and drop remote copies on the L1 sets directly (the
+    ``OrderedDict`` per set that :class:`Cache` keeps) and look each
+    directory entry up once per access.  The protocol is pinned by
     ``tests/simx/test_coherence_oracle.py`` against a frozen copy of the
     controller written over :class:`Cache`'s public methods.
     """
@@ -178,7 +178,9 @@ class CoherenceController:
         stats = self.stats
         slot = line % self._n_sets
         latency = 0
-        for core in sorted(victims):
+        # each copy's invalidation is independent and the tallies are
+        # sums, so the victims go in any order
+        for core in victims:
             ln = self._l1_sets[core][slot].pop(line, None)
             if ln is not None and ln.state is not _INVALID:
                 if ln.state is _MODIFIED:
@@ -227,7 +229,7 @@ class CoherenceController:
 
         owner = e.owner
         if owner is not None and owner != core:
-            owner_line = self.l1s[owner].lookup(line)
+            owner_line = self._l1_sets[owner][line % self._n_sets].get(line)
             if owner_line is not None and owner_line.state is _MODIFIED:
                 # cache-to-cache transfer; owner writes back and both share
                 stats.cache_to_cache += 1
@@ -240,7 +242,7 @@ class CoherenceController:
                 e.owner = None
                 return latency + self._install_l1(core, line, _SHARED, e)
             # remote E: downgrade silently, serve from L2/remote
-            if owner_line is not None:
+            if owner_line is not None and owner_line.state is not _INVALID:
                 owner_line.state = _SHARED
             e.sharers.add(owner)
             e.owner = None
@@ -292,7 +294,8 @@ class CoherenceController:
             e = self.directory[line] = DirectoryEntry()
         owner = e.owner
         if owner is not None and owner != core and (
-            (rl := self.l1s[owner].lookup(line)) is not None and rl.state is _MODIFIED
+            (rl := self._l1_sets[owner][line % self._n_sets].get(line)) is not None
+            and rl.state is _MODIFIED
         ):
             stats.cache_to_cache += 1
             latency += self._remote_lat

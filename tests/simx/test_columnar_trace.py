@@ -183,7 +183,8 @@ class TestColumnarEdges:
         threads = [[PhaseBegin("p"), Compute(40), PhaseEnd("p")], []]
         ref, bat = run_two(tiny_config(), columnar(threads))
         assert_identical(bat, ref)
-        assert compile_batch(columnar([[]]), LINE).thread_entries == ((),)
+        # an empty thread lowers to an empty entry stream: no codes, no args
+        assert compile_batch(columnar([[]]), LINE).thread_entries == (([], []),)
 
     def test_a_program_with_no_loads_or_stores(self):
         threads = [[Compute(10 + t), Barrier(0), Compute(5)] for t in range(3)]

@@ -7,9 +7,12 @@ shared-line set, burst counts, segments and sync entries.  The corpora
 are the differential generator's mixes, the e2e ``simx-merge`` programs
 and columnar trace-generator programs.
 
-The live compiler represents a shared load or store as a ``(kind, addr)``
-pair where the oracle kept the ``Load``/``Store`` object; the comparison
-rebuilds the object from the pair and otherwise compares exactly.
+The live compiler lowers each thread to an entry stream of ``(code,
+arg)`` pairs where the oracle kept a list of entries: a sync point or
+phase marker is its op kind and argument where the oracle kept the op
+object, and a lone private op is a code where the oracle kept a one-op
+segment.  The comparison maps every pair back to the oracle's form and
+otherwise compares exactly.
 """
 
 import sys
@@ -18,8 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.simx.batch import _Seg, compile_batch
-from repro.simx.trace import LOAD, OP_TYPES, STORE
+from repro.simx.batch import _PRIVATE, _PRIVATE_LOAD, _SEG, _Seg, compile_batch
+from repro.simx.trace import COMPUTE, OP_TYPES, PHASE_BEGIN
 from repro.workloads.datasets import make_blobs
 from repro.workloads.kmeans import KMeansWorkload
 from repro.workloads.tracegen import TraceGenerator
@@ -31,16 +34,31 @@ ROOT = Path(__file__).resolve().parents[2]
 LINE = 64
 
 
-def lowered(entry):
-    """A comparable form of one lowered entry of either compiler."""
-    if isinstance(entry, (_Seg, reference_compile._Seg)):
+def lowered(entry, labels=()):
+    """A comparable form of one lowered entry of either compiler: an
+    oracle entry, or a live ``(code, arg)`` pair whose phase labels are
+    ``labels``.  A lone private op maps to the one-op segment the oracle
+    built for it: its lead is 1 for a compute, 0 for an access."""
+    if isinstance(entry, tuple):
+        code, arg = entry
+        if code == _SEG:
+            entry = arg
+        elif code == COMPUTE:
+            return ("seg", (COMPUTE,), (arg,), 1, 0, None)
+        elif code >= _PRIVATE_LOAD:
+            return ("seg", (code - _PRIVATE,), (arg,), 0, 0, None)
+        else:
+            return OP_TYPES[code](labels[arg] if code >= PHASE_BEGIN else arg)
+    if isinstance(entry, reference_compile._Seg):
         carr = None if entry.carr is None else entry.carr.tolist()
         return ("seg", tuple(entry.kinds), tuple(entry.args), entry.lead,
                 entry.total_instr, carr)
-    if isinstance(entry, tuple):
-        kind, addr = entry
-        assert kind in (LOAD, STORE)
-        return OP_TYPES[kind](addr)
+    if isinstance(entry, _Seg):
+        # the live segment keeps no instruction total: the oracle's is
+        # the sum of a pure-compute run's counts, 0 for any other run
+        carr = None if entry.carr is None else entry.carr.tolist()
+        return ("seg", tuple(entry.kinds), tuple(entry.args), entry.lead,
+                0 if carr is None else sum(entry.args), carr)
     return entry
 
 
@@ -51,13 +69,18 @@ def assert_same_lowering(program, oracle_program, line_size=LINE):
     assert got.n_bursts == want.n_bursts
     assert got.n_fused_ops == want.n_fused_ops
     assert len(got.thread_entries) == len(want.thread_entries)
-    for tid, (g, w) in enumerate(zip(got.thread_entries, want.thread_entries)):
-        assert [lowered(e) for e in g] == [lowered(e) for e in w], f"thread {tid}"
-    for entries in got.thread_entries:
-        for e in entries:
-            if isinstance(e, _Seg):
+    for tid, ((codes, args), w) in enumerate(zip(got.thread_entries, want.thread_entries)):
+        labels = got.thread_labels[tid]
+        assert len(codes) == len(args)
+        assert [lowered(e, labels) for e in zip(codes, args)] == [lowered(e) for e in w], \
+            f"thread {tid}"
+        assert all(type(c) is int for c in codes)
+        for c, e in zip(codes, args):
+            if c == _SEG:
                 assert type(e.kinds) is list and type(e.args) is list
                 assert all(type(a) is int for a in e.args)
+            else:
+                assert type(e) is int
 
 
 class TestDifferentialMixes:
@@ -77,6 +100,25 @@ class TestDifferentialMixes:
                     line_size,
                 )
 
+    def test_addresses_too_wide_for_the_packed_sort(self):
+        """Lines near 2**56 leave no room to pack a position beside them,
+        so the shared-line sort falls back to numpy's stable argsort."""
+        from repro.simx import Compute, Load, Store, ThreadTrace, TraceProgram
+
+        def program():
+            top = 1 << 62
+            threads = []
+            for tid in range(2):
+                ops = []
+                for i in range(40):
+                    ops += [Load(top + (i % 7) * LINE), Compute(i),
+                            Store(top + (tid * 100 + i) * LINE)]
+                threads.append(ThreadTrace(tid, ops))
+            return TraceProgram("wide", threads)
+
+        assert_same_lowering(program(), program())
+        assert len(compile_batch(program(), LINE).shared_lines) == 7
+
 
 class TestSimxMergePrograms:
     @pytest.fixture(scope="class")
@@ -94,14 +136,18 @@ class TestSimxMergePrograms:
             program = wl_simx.build_program(seed, index)
             assert_same_lowering(program, wl_simx.build_program(seed, index))
 
-    def test_sync_entries_reuse_the_callers_op_objects(self, wl_simx):
+    def test_only_multi_op_segments_are_objects(self, wl_simx):
         program = wl_simx.build_program(1, 0, smoke=True)
         compiled = compile_batch(program, LINE)
-        for trace, entries in zip(program.threads, compiled.thread_entries):
-            objs = {id(op) for op in trace.ops}
-            for e in entries:
-                if not isinstance(e, (_Seg, tuple)):
-                    assert id(e) in objs
+        n_segments = 0
+        for codes, args in compiled.thread_entries:
+            for c, a in zip(codes, args):
+                if c == _SEG:
+                    n_segments += 1
+                    assert isinstance(a, _Seg) and len(a.kinds) >= 2
+                else:
+                    assert type(a) is int
+        assert n_segments == compiled.n_bursts
 
 
 class TestColumnarTracegenPrograms:
@@ -127,6 +173,6 @@ class TestColumnarTracegenPrograms:
         program = TraceProgram("c", [ThreadTrace.from_columns(
             0, np.zeros(20, dtype=np.int8), np.arange(20), ()
         )])
-        (seg,) = compile_batch(program, LINE).thread_entries[0]
-        assert seg.lead == 20 and seg.total_instr == sum(range(20))
+        ((code,), (seg,)) = compile_batch(program, LINE).thread_entries[0]
+        assert code == _SEG and seg.lead == 20
         assert seg.carr.dtype == np.float64 and seg.carr.tolist() == list(range(20))

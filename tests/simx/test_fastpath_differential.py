@@ -25,8 +25,8 @@ from repro.simx import (
     TraceProgram,
     Unlock,
 )
-from repro.simx.batch import _Seg, compile_batch
-from repro.simx.trace import LOAD, OP_TYPES, STORE
+from repro.simx.batch import _PRIVATE, _PRIVATE_LOAD, _SEG, compile_batch
+from repro.simx.trace import OP_TYPES, PHASE_BEGIN
 from tests.differential.harness import (
     CONFIGS,
     LINE,
@@ -216,17 +216,21 @@ class TestAdversarialTraces:
 # ── compilation invariants ────────────────────────────────────────────────
 
 
-def entry_ops(entry) -> list:
+def entries(comp, tid) -> list:
+    """Thread ``tid``'s lowered entry stream as ``(code, arg)`` pairs."""
+    return list(zip(*comp.thread_entries[tid]))
+
+
+def entry_ops(code, arg, labels=()) -> list:
     """A lowered entry as op objects: a segment's ops rebuilt from its
-    kinds/args, a ``(kind, addr)`` shared access as its Load/Store."""
-    if isinstance(entry, _Seg):
-        assert len(entry.kinds) == len(entry.args)
-        return [OP_TYPES[k](a) for k, a in zip(entry.kinds, entry.args)]
-    if isinstance(entry, tuple):
-        kind, addr = entry
-        assert kind in (LOAD, STORE)
-        return [OP_TYPES[kind](addr)]
-    return [entry]
+    kinds/args, a lone private op from its code less ``_PRIVATE``, and a
+    sync point or phase marker from its kind and argument."""
+    if code == _SEG:
+        assert len(arg.kinds) == len(arg.args)
+        return [OP_TYPES[k](a) for k, a in zip(arg.kinds, arg.args)]
+    if code >= _PRIVATE_LOAD:
+        return [OP_TYPES[code - _PRIVATE](arg)]
+    return [OP_TYPES[code](labels[arg] if code >= PHASE_BEGIN else arg)]
 
 
 class TestCompilation:
@@ -238,11 +242,11 @@ class TestCompilation:
              Store(0x2000 * LINE)],
         ]
         comp = compile_batch(program_of(prog_threads), LINE)
-        for tid, lowered in enumerate(comp.thread_entries):
+        for tid in range(len(prog_threads)):
             flat = []
-            for entry in lowered:
-                ops = entry_ops(entry)
-                if isinstance(entry, _Seg):
+            for code, arg in entries(comp, tid):
+                ops = entry_ops(code, arg)
+                if code == _SEG:
                     assert all(type(o) in (Compute, Load, Store) for o in ops)
                 flat.extend(ops)
             assert flat == prog_threads[tid]
@@ -251,10 +255,10 @@ class TestCompilation:
         prog = program_of([[Load(0), Compute(1)], [Store(0), Compute(1)]])
         comp = compile_batch(prog, LINE)
         assert comp.shared_lines == frozenset({0})
-        for lowered in comp.thread_entries:
-            for entry in lowered:
-                if isinstance(entry, _Seg):
-                    assert all(type(o) is Compute for o in entry_ops(entry))
+        for tid in range(2):
+            for code, arg in entries(comp, tid):
+                if code == _SEG or code >= _PRIVATE_LOAD:
+                    assert all(type(o) is Compute for o in entry_ops(code, arg))
 
     def test_fused_op_accounting(self):
         prog = program_of([[Compute(1), Compute(2), Compute(3)]])
