@@ -9,11 +9,10 @@ the generator's hop scaling) — and prints the resulting parameter tables.
 Takes tens of seconds at the default mem_scale=2; use --mem-scale 1 for
 exact (undersampled-free) memory traces at a few minutes.
 
-``--parallel N`` runs the sweeps on N worker processes via
-``repro.engine``: both experiments' units are gathered up front,
-globally deduplicated (Table II and Fig 2 share their entire sweep), and
-the misses execute concurrently; the reports are byte-identical to a
-serial run.  See docs/engine.md.
+Both experiments' units are gathered up front by one ``repro.engine``
+session and globally deduplicated (Table II and Fig 2 share their entire
+sweep); ``--parallel N`` executes the misses on N worker processes, and
+the reports are byte-identical to a serial run.  See docs/engine.md.
 
 ``--listen HOST:PORT`` executes the sweeps on *remote* workers instead:
 start ``repro worker --connect HOST:PORT`` on as many machines as you
@@ -26,10 +25,10 @@ Run:  python scripts/run_full_scale.py [--threads 1,2,4,8,16] [--parallel 8]
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 import time
 
+from repro import engine
 from repro.experiments.registry import run_experiment
 
 
@@ -40,7 +39,7 @@ def main() -> int:
     parser.add_argument("--parallel", type=int, default=None, metavar="N",
                         help="run the sweeps on N engine worker processes")
     parser.add_argument("--event-log", default=None, metavar="PATH",
-                        help="with --parallel: append engine events as JSONL")
+                        help="append engine events as JSONL")
     parser.add_argument("--listen", default=None, metavar="HOST:PORT",
                         help="execute sweeps on remote 'repro worker' "
                              "processes instead of local ones")
@@ -52,27 +51,17 @@ def main() -> int:
     threads = tuple(int(t) for t in args.threads.split(","))
     options = dict(scale=1.0, thread_counts=threads, mem_scale=args.mem_scale)
 
-    if args.parallel is not None or args.listen is not None:
-        from repro import engine
-
-        context = engine.session(args.parallel or 1, event_log=args.event_log,
-                                 listen=args.listen,
-                                 worker_timeout=args.worker_timeout)
-    else:
-        context = contextlib.nullcontext(None)
-
-    with context as sess:
-        if sess is not None:
-            from repro.engine import precompute
-
-            if sess.remote_address:
-                print(f"[coordinator listening on {sess.remote_address}; "
-                      f"join with: repro worker --connect "
-                      f"{sess.remote_address}]", flush=True)
-            t0 = time.time()
-            n = precompute(sess, ("table2", "fig2"), options)
-            print(f"[precomputed {n} declared units in {time.time() - t0:.0f}s; "
-                  f"engine: {sess.summary()}]\n", flush=True)
+    with engine.session(args.parallel or 1, event_log=args.event_log,
+                        listen=args.listen,
+                        worker_timeout=args.worker_timeout) as sess:
+        if sess.remote_address:
+            print(f"[coordinator listening on {sess.remote_address}; "
+                  f"join with: repro worker --connect "
+                  f"{sess.remote_address}]", flush=True)
+        t0 = time.time()
+        n = engine.precompute(sess, ("table2", "fig2"), options)
+        print(f"[precomputed {n} declared units in {time.time() - t0:.0f}s; "
+              f"engine: {sess.summary()}]\n", flush=True)
         for eid in ("table2", "fig2"):
             print(f"== {eid} at full scale ==", flush=True)
             t0 = time.time()

@@ -7,18 +7,17 @@ Subcommands
     emits a machine-readable listing (id, description, accepted options,
     whether the experiment declares precomputable work units).
 ``run <id> [--csv] [--scale S] [--parallel N] [--run-id ID | --resume ID]``
-    Run one experiment (or ``all``) and print its report.  ``--parallel``
-    executes simulator sweeps on N worker processes via
-    :mod:`repro.engine`; reports are byte-identical to serial runs.
-    ``--run-id`` journals every settled sweep unit so a killed run can be
+    Run one experiment (or ``all``) and print its report.  Every run
+    opens one :mod:`repro.engine` session, which precomputes the
+    experiments' declared units on ``--parallel`` N worker processes
+    (default 1); reports are byte-identical whatever the width.
+    ``--run-id`` journals every settled unit so a killed run can be
     picked up with ``--resume ID`` (which also restores the experiment
-    and options from the run's manifest); while a journaled or parallel
-    run is active, SIGINT/SIGTERM drains gracefully and exits 130 with a
-    resume hint (see ``docs/engine.md``).
+    and options from the run's manifest); SIGINT/SIGTERM drains
+    gracefully and exits 130 with a resume hint (see ``docs/engine.md``).
 ``runall [--parallel N] [--run-id ID | --resume ID]``
-    Run every experiment with one globally-deduplicated parallel
-    precompute pass (Table II and Fig 2 share their entire sweep, so it
-    runs once).  Same crash-safety knobs as ``run``.
+    ``run all`` with the same flags, a pool one worker per CPU wide by
+    default, and an engine summary footer on stdout.
 ``predict --f F --fcon C --fored O [...]``
     One-off speedup prediction for an application you characterise on the
     command line — the library's headline use case without writing code.
@@ -50,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from repro.core import merging, optimizer
@@ -97,99 +97,65 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable listing: id, description, "
                              "accepted options, whether units are declared")
 
-    run_p = sub.add_parser("run", help="run an experiment and print its report")
+    # run and runall take the same flags and share one command function
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--scale", type=float, default=None,
+                      help="dataset scale for simulator-backed experiments (0..1]")
+    runs.add_argument("--threads", default=None, metavar="LIST",
+                      help="comma-separated thread counts for simulator "
+                           "sweeps (e.g. 1,2,4)")
+    runs.add_argument("--csv", action="store_true", help="emit tables as CSV")
+    runs.add_argument("--json", metavar="DIR", default=None,
+                      help="also write each report as JSON into DIR")
+    runs.add_argument("--no-sweep-cache", action="store_true",
+                      help="skip the on-disk simulation sweep cache")
+    runs.add_argument("--parallel", type=int, default=None, metavar="N",
+                      help="run the declared units on N local worker "
+                           "processes (default: 1 for run, one per CPU "
+                           "capped at 8 for runall; reports stay "
+                           "byte-identical to serial runs)")
+    runs.add_argument("--event-log", metavar="PATH", default=None,
+                      help="append engine events (dispatch, cache hits, "
+                           "crashes, ETA) as JSONL")
+    runs.add_argument("--metrics-out", metavar="PATH", default=None,
+                      help="enable observability and write metrics + spans "
+                           "as JSONL to PATH (render with 'repro stats')")
+    runs.add_argument("--run-id", default=None, metavar="ID",
+                      help="journal settled units under "
+                           ".repro-cache/runs/ID so a killed run is "
+                           "resumable with --resume ID")
+    runs.add_argument("--resume", default=None, metavar="ID",
+                      help="resume a journaled run: replay its journal as "
+                           "the first cache tier, restore the options from "
+                           "its manifest and re-execute only what had not "
+                           "settled")
+    runs.add_argument("--listen", default=None, metavar="HOST:PORT",
+                      help="execute units on remote workers: bind the "
+                           "coordinator socket and wait for 'repro worker "
+                           "--connect' processes (port 0 picks a free one)")
+    runs.add_argument("--worker-timeout", type=float, default=None,
+                      metavar="S",
+                      help="with --listen: fall back to in-process serial "
+                           "execution when no worker connects within S "
+                           "seconds (default: wait indefinitely)")
+    runs.add_argument("--lease-timeout", type=float, default=600.0,
+                      metavar="S",
+                      help="re-issue a unit whose worker has not reported "
+                           "back within S seconds; with --parallel the "
+                           "local worker holding it is also killed and "
+                           "respawned (default: 600)")
+
+    run_p = sub.add_parser("run", parents=[runs],
+                           help="run an experiment and print its report")
     run_p.add_argument("experiment", nargs="?", default=None,
                        help="experiment id, or 'all' (optional with "
                             "--resume: the run's manifest supplies it)")
-    run_p.add_argument(
-        "--scale", type=float, default=None,
-        help="dataset scale for simulator-backed experiments (0..1]",
-    )
-    run_p.add_argument("--threads", default=None, metavar="LIST",
-                       help="comma-separated thread counts for simulator "
-                            "sweeps (e.g. 1,2,4)")
-    run_p.add_argument("--csv", action="store_true", help="emit tables as CSV")
     run_p.add_argument("--plot", action="store_true",
                        help="render figure series as terminal line charts")
-    run_p.add_argument("--json", metavar="DIR", default=None,
-                       help="also write each report as JSON into DIR")
-    run_p.add_argument("--no-sweep-cache", action="store_true",
-                       help="skip the on-disk simulation sweep cache")
-    run_p.add_argument("--parallel", type=int, default=None, metavar="N",
-                       help="run simulator sweeps on N local worker "
-                            "processes (reports stay byte-identical to "
-                            "serial runs)")
-    run_p.add_argument("--event-log", metavar="PATH", default=None,
-                       help="with --parallel: append engine events "
-                            "(dispatch, cache hits, crashes, ETA) as JSONL")
-    run_p.add_argument("--metrics-out", metavar="PATH", default=None,
-                       help="enable observability and write metrics + spans "
-                            "as JSONL to PATH (render with 'repro stats')")
-    run_p.add_argument("--run-id", default=None, metavar="ID",
-                       help="journal settled sweep units under "
-                            ".repro-cache/runs/ID so a killed run is "
-                            "resumable with --resume ID")
-    run_p.add_argument("--resume", default=None, metavar="ID",
-                       help="resume a journaled run: replay its journal as "
-                            "the first cache tier and re-execute only what "
-                            "had not settled")
-    run_p.add_argument("--listen", default=None, metavar="HOST:PORT",
-                       help="execute units on remote workers: bind the "
-                            "coordinator socket and wait for 'repro worker "
-                            "--connect' processes (port 0 picks a free one)")
-    run_p.add_argument("--worker-timeout", type=float, default=None,
-                       metavar="S",
-                       help="with --listen: fall back to in-process serial "
-                            "execution when no worker connects within S "
-                            "seconds (default: wait indefinitely)")
-    run_p.add_argument("--lease-timeout", type=float, default=600.0,
-                       metavar="S",
-                       help="re-issue a unit whose worker has not reported "
-                            "back within S seconds; with --parallel the "
-                            "local worker holding it is also killed and "
-                            "respawned (default: 600)")
-
-    runall_p = sub.add_parser(
-        "runall",
+    sub.add_parser(
+        "runall", parents=[runs],
         help="run every experiment, precomputing all sweeps on a worker pool",
-    )
-    runall_p.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="worker processes (default: one per CPU, capped at 8)",
-    )
-    runall_p.add_argument("--scale", type=float, default=None,
-                          help="dataset scale for simulator-backed experiments (0..1]")
-    runall_p.add_argument("--csv", action="store_true", help="emit tables as CSV")
-    runall_p.add_argument("--json", metavar="DIR", default=None,
-                          help="also write each report as JSON into DIR")
-    runall_p.add_argument("--no-sweep-cache", action="store_true",
-                          help="skip the on-disk simulation sweep cache")
-    runall_p.add_argument("--event-log", metavar="PATH", default=None,
-                          help="append engine events as JSONL")
-    runall_p.add_argument("--metrics-out", metavar="PATH", default=None,
-                          help="enable observability and write metrics + "
-                               "spans as JSONL to PATH")
-    runall_p.add_argument("--threads", default=None, metavar="LIST",
-                          help="comma-separated thread counts for simulator "
-                               "sweeps (e.g. 1,2,4)")
-    runall_p.add_argument("--run-id", default=None, metavar="ID",
-                          help="journal settled sweep units for resumability")
-    runall_p.add_argument("--resume", default=None, metavar="ID",
-                          help="resume a journaled runall (restores options "
-                               "from the run's manifest)")
-    runall_p.add_argument("--listen", default=None, metavar="HOST:PORT",
-                          help="execute units on remote workers (see "
-                               "'run --listen')")
-    runall_p.add_argument("--worker-timeout", type=float, default=None,
-                          metavar="S",
-                          help="with --listen: serial fallback when no "
-                               "worker connects within S seconds")
-    runall_p.add_argument("--lease-timeout", type=float, default=600.0,
-                          metavar="S",
-                          help="re-issue a unit whose worker has not "
-                               "reported back within S seconds; with "
-                               "--parallel the local worker holding it is "
-                               "also killed and respawned (default: 600)")
+    ).set_defaults(experiment="all")
 
     pred = sub.add_parser("predict", help="speedup prediction for custom parameters")
     pred.add_argument("--f", type=float, required=True, help="parallel fraction")
@@ -354,7 +320,7 @@ def _all_experiment_ids() -> list:
 def _metrics_context(args: argparse.Namespace):
     """Enable observability for the command when ``--metrics-out`` was
     given; writes the JSONL snapshot on exit (even after a failure)."""
-    path = getattr(args, "metrics_out", None)
+    path = args.metrics_out
     if path is None:
         yield None
         return
@@ -372,8 +338,6 @@ def _metrics_context(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import os
-
     from repro import obs
     from repro.serve import ServeApp
     from repro.serve import server as serve_server
@@ -408,11 +372,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _gather_options(args: argparse.Namespace) -> dict:
     """Driver options from the CLI flags (filtered per driver later)."""
     options: dict = {}
-    if getattr(args, "scale", None) is not None:
+    if args.scale is not None:
         options["scale"] = args.scale
-    threads = getattr(args, "threads", None)
-    if threads:
-        options["thread_counts"] = [int(t) for t in str(threads).split(",") if t]
+    if args.threads:
+        options["thread_counts"] = [int(t) for t in args.threads.split(",") if t]
     return options
 
 
@@ -424,8 +387,8 @@ def _resolve_run(args: argparse.Namespace, options: dict) -> "str | None":
     interrupted run had it — so ``repro run --resume <id>`` needs no
     other arguments.
     """
-    resume = getattr(args, "resume", None)
-    run_id = resume or getattr(args, "run_id", None)
+    resume = args.resume
+    run_id = resume or args.run_id
     if resume:
         from repro.engine import read_manifest, resolve_run_dir
 
@@ -433,7 +396,7 @@ def _resolve_run(args: argparse.Namespace, options: dict) -> "str | None":
         # with a hint) instead of silently opening a fresh journal — the
         # runs root is CWD-relative unless REPRO_RUNS_DIR is set
         manifest = read_manifest(resolve_run_dir(resume)) or {}
-        if getattr(args, "experiment", None) is None:
+        if args.experiment is None:
             args.experiment = manifest.get("experiment")
         for k, v in (manifest.get("options") or {}).items():
             options.setdefault(k, v)
@@ -452,30 +415,9 @@ def _write_run_manifest(run_id: str, command: str, experiment: str,
     })
 
 
-def _engine_context(args: argparse.Namespace, run_id: "str | None" = None):
-    """An installed engine session when ``--parallel`` or a run id was
-    given, else a no-op context yielding None.
-
-    A run id without ``--parallel`` still needs a session (the journal
-    lives on it); it runs on one worker, which degrades to the serial
-    pool — deterministic settle order, byte-identical reports.
-    """
-    parallel = getattr(args, "parallel", None)
-    listen = getattr(args, "listen", None)
-    if parallel is None and run_id is None and listen is None:
-        return contextlib.nullcontext(None)
-    from repro import engine
-
-    return engine.session(parallel if parallel is not None else 1,
-                          event_log=args.event_log, run_id=run_id,
-                          drain_signals=True, listen=listen,
-                          worker_timeout=getattr(args, "worker_timeout", None),
-                          lease_timeout=getattr(args, "lease_timeout", 600.0))
-
-
 def _announce_listener(sess) -> None:
     """Tell the operator where remote workers should connect."""
-    address = getattr(sess, "remote_address", None)
+    address = sess.remote_address
     if address:
         print(f"[coordinator listening on {address}; join with: "
               f"repro worker --connect {address}]", file=sys.stderr)
@@ -546,60 +488,42 @@ def _disk_tier(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    options = _gather_options(args)
-    try:
-        run_id = _resolve_run(args, options)
-    except FileNotFoundError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 2
-    if args.experiment is None:
-        print("run: an experiment id is required (or --resume a run whose "
-              "manifest records one)", file=sys.stderr)
-        return 2
-    ids = _all_experiment_ids() if args.experiment == "all" else [args.experiment]
-    with _metrics_context(args), _engine_context(args, run_id) as sess:
-        if run_id is not None:
-            _write_run_manifest(run_id, "run", args.experiment, options)
-        if sess is not None:
-            from repro.engine import RunInterrupted, precompute
-
-            _announce_listener(sess)
-            try:
-                precompute(sess, ids, options)
-                failed = _print_reports(ids, args, options)
-            except RunInterrupted as exc:
-                return _interrupted_exit(exc, run_id)
-            log.info("engine: %s", sess.summary())
-        else:
-            failed = _print_reports(ids, args, options)
-    return 1 if failed else 0
-
-
-def _cmd_runall(args: argparse.Namespace) -> int:
+    """``run`` and ``runall``: one engine session precomputes the declared
+    units of the selected experiments, then assembles each report."""
     from repro import engine
 
     options = _gather_options(args)
     try:
         run_id = _resolve_run(args, options)
     except FileNotFoundError as exc:
-        print(f"runall: {exc}", file=sys.stderr)
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    ids = _all_experiment_ids()
+    if args.experiment is None:
+        print("run: an experiment id is required (or --resume a run whose "
+              "manifest records one)", file=sys.stderr)
+        return 2
+    ids = _all_experiment_ids() if args.experiment == "all" else [args.experiment]
+    workers = args.parallel
+    if workers is None and args.command == "run":
+        workers = 1  # runall's None is the session's default width
     with _metrics_context(args), \
-            engine.session(args.parallel, event_log=args.event_log,
+            engine.session(workers, event_log=args.event_log,
                            run_id=run_id, drain_signals=True,
                            listen=args.listen,
                            worker_timeout=args.worker_timeout,
                            lease_timeout=args.lease_timeout) as sess:
         if run_id is not None:
-            _write_run_manifest(run_id, "runall", "all", options)
+            _write_run_manifest(run_id, args.command, args.experiment, options)
         _announce_listener(sess)
         try:
             engine.precompute(sess, ids, options)
             failed = _print_reports(ids, args, options)
         except engine.RunInterrupted as exc:
             return _interrupted_exit(exc, run_id)
-        print(f"[{len(ids)} experiments; engine: {sess.summary()}]")
+        if args.command == "runall":
+            print(f"[{len(ids)} experiments; engine: {sess.summary()}]")
+        else:
+            log.info("engine: %s", sess.summary())
     return 1 if failed else 0
 
 
@@ -685,60 +609,61 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_diff(args: argparse.Namespace) -> int:
+    from repro.experiments.diffing import diff_reports
+    from repro.experiments.store import load_report
+
+    diff = diff_reports(load_report(args.old), load_report(args.new))
+    print(diff.render())
+    return 0 if diff.is_clean or not diff.flipped_claims else 1
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.simx import Machine, MachineConfig
+    from repro.simx.traceio import load_program
+
+    config = MachineConfig(
+        n_cores=args.cores,
+        interconnect=args.interconnect,
+        dram=args.dram,
+        coherence_protocol=args.protocol,
+        batch_path=not args.reference_engine,
+        scheduler=args.scheduler,
+        quantum=args.quantum,
+        migration_cost=args.migration_cost,
+        acmp_policy=args.acmp_policy,
+    )
+    try:
+        program = load_program(args.trace)
+    except (OSError, ValueError) as exc:
+        print(f"simulate: {exc}", file=sys.stderr)
+        return 2
+    print(Machine(config).run(program).summary())
+    return 0
+
+
+_COMMANDS = {
+    "list": _cmd_list, "run": _cmd_run, "runall": _cmd_run,
+    "predict": _cmd_predict, "characterize": _cmd_characterize,
+    "cache": _cmd_cache, "stats": _cmd_stats, "serve": _cmd_serve,
+    "worker": _cmd_worker, "diff": _cmd_diff, "simulate": _cmd_simulate,
+}
+
+
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     configure(verbose=args.verbose)
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command == "run":
+    try:
         with _disk_tier(args):
-            return _cmd_run(args)
-    if args.command == "runall":
-        with _disk_tier(args):
-            return _cmd_runall(args)
-    if args.command == "predict":
-        return _cmd_predict(args)
-    if args.command == "characterize":
-        with _disk_tier(args):
-            return _cmd_characterize(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
-    if args.command == "diff":
-        from repro.experiments.diffing import diff_reports
-        from repro.experiments.store import load_report
-
-        diff = diff_reports(load_report(args.old), load_report(args.new))
-        print(diff.render())
-        return 0 if diff.is_clean or not diff.flipped_claims else 1
-    if args.command == "simulate":
-        from repro.simx import Machine, MachineConfig
-        from repro.simx.traceio import load_program
-
-        config = MachineConfig(
-            n_cores=args.cores,
-            interconnect=args.interconnect,
-            dram=args.dram,
-            coherence_protocol=args.protocol,
-            batch_path=not args.reference_engine,
-            scheduler=args.scheduler,
-            quantum=args.quantum,
-            migration_cost=args.migration_cost,
-            acmp_policy=args.acmp_policy,
-        )
-        try:
-            program = load_program(args.trace)
-        except (OSError, ValueError) as exc:
-            print(f"simulate: {exc}", file=sys.stderr)
-            return 2
-        print(Machine(config).run(program).summary())
-        return 0
-    return 2  # pragma: no cover - argparse enforces choices
+            code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # the reader went away (``repro list | head``): send the rest of
+        # the output to devnull so the interpreter's exit flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

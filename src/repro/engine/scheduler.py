@@ -37,12 +37,13 @@ Degradation: if workers cannot start (or no TCP worker connects within
 execution for whatever has not settled, and says so on the event stream
 — a parallel flag can never make a run *fail*, only faster.
 
-:func:`session` is the convenience context manager the CLI uses: it
+:func:`session` is the context manager every CLI run opens: it
 installs the session as the ambient engine (:func:`current_session`),
-through which :func:`repro.pipeline.resolve_units` runs every cache
-miss, and guarantees teardown.  :func:`precompute` warms every cache
-tier for the declared units of a set of experiments in one
-globally-deduplicated batch.
+through which :func:`repro.pipeline.resolve_units` settles every unit,
+and guarantees teardown.  With no session installed, ``resolve_units``
+settles each call through a serial session of its own.
+:func:`precompute` warms every cache tier for the declared units of a
+set of experiments in one globally-deduplicated batch.
 """
 
 from __future__ import annotations
@@ -70,12 +71,12 @@ __all__ = ["EngineSession", "session", "current_session", "precompute",
 
 log = get_logger("engine")
 
-#: the ambient session :func:`session` installs (None = serial)
+#: the ambient session :func:`session` installs (None = none installed)
 _current: "EngineSession | None" = None
 
 
 def current_session() -> "EngineSession | None":
-    """The ambient engine session, or ``None`` when running serially."""
+    """The ambient engine session, or ``None`` when none is installed."""
     return _current
 
 
@@ -173,7 +174,6 @@ class EngineSession:
 
     def _make_pool(self):
         if self._serial():
-            self.events.emit("serial_fallback", reason="single worker requested")
             return SerialPool(events=self.events, should_stop=self._stop.is_set)
         return self._make_remote_pool()
 
@@ -342,11 +342,6 @@ class EngineSession:
             self._pool = None
         if self.journal is not None:
             self.journal.close()
-        if obs.enabled():
-            # fold the observability state into the event stream so JSONL
-            # event logs (and the bench harness) carry the numbers too
-            self.events.emit("metrics_snapshot", metrics=obs.snapshot(),
-                             spans=obs.span_summary())
         self.events.close()
 
     def __enter__(self) -> "EngineSession":
@@ -422,7 +417,9 @@ def session(
     :func:`~repro.engine.journal.run_path`) records every settled unit,
     an existing journal is replayed as the first cache tier, and the
     event log defaults into the same directory.  ``drain_signals`` adds
-    the SIGINT/SIGTERM graceful drain (:func:`drain_on_signal`).
+    the SIGINT/SIGTERM graceful drain (:func:`drain_on_signal`).  With
+    observability enabled, teardown folds a ``metrics_snapshot`` event
+    into the stream.
     """
     journal = None
     if run_id is not None:
@@ -448,6 +445,11 @@ def session(
     finally:
         if install:
             _current = None
+        if obs.enabled():
+            # fold the observability state into the event stream so JSONL
+            # event logs (and the bench harness) carry the numbers too
+            sess.events.emit("metrics_snapshot", metrics=obs.snapshot(),
+                             spans=obs.span_summary())
         sess.close()
 
 

@@ -33,6 +33,9 @@ from repro.workloads.instrument import (
 
 __all__ = ["run", "declare_units", "declare_sim_units", "declare_hardware_units", "SPEC"]
 
+#: measured value of a 16-core claim when the sweep leaves out 16 threads
+NOT_SWEPT = "p=16 not swept"
+
 
 def declare_sim_units(
     scale: float = 0.15,
@@ -85,19 +88,24 @@ def run(
         "cores", list(thread_counts),
         {name: [curve[p] for p in thread_counts] for name, curve in speedups.items()},
     ))
+    # the 2(a)/2(b) claims are about 16 cores: without that point they
+    # cannot hold, and say so instead of failing the run
+    swept16 = 16 in thread_counts
     for name in ("kmeans", "fuzzy"):
         report.add_comparison(PaperComparison(
             claim=f"2(a): {name} scales near-linearly to 16 cores",
             paper_value="speedup close to 16",
-            measured_value=f"{speedups[name][16]:.1f}",
-            qualitative=True, claim_holds=speedups[name][16] > 11.0,
+            measured_value=f"{speedups[name][16]:.1f}" if swept16 else NOT_SWEPT,
+            qualitative=True, claim_holds=swept16 and speedups[name][16] > 11.0,
         ))
     report.add_comparison(PaperComparison(
         claim="2(a): hop scales worse than kmeans/fuzzy",
         paper_value="~13.5 vs ~16",
-        measured_value=f"{speedups['hop'][16]:.1f} vs {speedups['kmeans'][16]:.1f}",
+        measured_value=(f"{speedups['hop'][16]:.1f} vs {speedups['kmeans'][16]:.1f}"
+                        if swept16 else NOT_SWEPT),
         qualitative=True,
-        claim_holds=speedups["hop"][16] < min(speedups["kmeans"][16], speedups["fuzzy"][16]),
+        claim_holds=swept16 and (speedups["hop"][16]
+                                 < min(speedups["kmeans"][16], speedups["fuzzy"][16])),
     ))
 
     # ── (b) serial-section growth (simulated) ─────────────────────────────
@@ -111,8 +119,8 @@ def run(
         report.add_comparison(PaperComparison(
             claim=f"2(b): {name} serial section grows significantly by 16 cores",
             paper_value="grows with cores",
-            measured_value=f"{curve[16]:.2f}x",
-            qualitative=True, claim_holds=curve[16] > 1.5,
+            measured_value=f"{curve[16]:.2f}x" if swept16 else NOT_SWEPT,
+            qualitative=True, claim_holds=swept16 and curve[16] > 1.5,
         ))
 
     # ── (c) hardware validation ───────────────────────────────────────────

@@ -1,20 +1,21 @@
 """Unit resolution: the one execution substrate every experiment shares.
 
-:func:`resolve_units` turns declared work units into payloads through the
-same tier order for every unit kind:
+:func:`resolve_units` hands every batch to
+:meth:`~repro.engine.scheduler.EngineSession.run_units`: the ambient
+session (:func:`repro.engine.scheduler.current_session`) when one is
+installed, else a serial session of its own for the call.  The session
+settles each unit through the same tier order for every unit kind:
 
-1. the in-process memo (``unit.key`` -> payload);
-2. the on-disk :class:`~repro.experiments.store.SweepStore`; a stored
+1. the session's run journal, when it has one (``--run-id`` /
+   ``--resume``);
+2. the in-process memo (``unit.key`` -> payload);
+3. the on-disk :class:`~repro.experiments.store.SweepStore`; a stored
    breakdown payload that does not decode reads as a miss;
-3. the ambient engine session
-   (:func:`repro.engine.scheduler.current_session`), when one is
-   installed — misses run on the worker pool (local processes, or remote
-   ``repro worker`` processes when the session listens via
-   :class:`~repro.engine.remote.RemotePool` — the tier order is
-   backend-agnostic), journaled write-ahead, and parallel resolution
-   stays byte-identical to serial because callers rebuild outputs in
-   their own iteration order;
-4. inline execution in this process, when no session is installed.
+4. the session's pool — in this process for one worker, else local
+   worker processes or remote ``repro worker`` processes
+   (:class:`~repro.engine.remote.RemotePool`; the tier order is
+   backend-agnostic).  Parallel resolution stays byte-identical to
+   serial because callers rebuild outputs in their own iteration order.
 
 :func:`cache_get` / :func:`cache_put` are the scheduler hooks
 :func:`repro.engine.precompute` uses to warm every tier for *any* unit
@@ -35,7 +36,7 @@ from typing import Iterable
 
 from repro import obs
 from repro.engine import scheduler
-from repro.engine import units as engine_units
+from repro.engine.pool import UnitFailure
 from repro.engine.units import WorkUnit
 from repro.experiments.store import SweepStore
 from repro.pipeline.builders import (
@@ -149,28 +150,29 @@ def cache_put(unit: WorkUnit, payload: dict) -> None:
 
 
 def resolve_units(units: Iterable[WorkUnit]) -> "dict[str, dict]":
-    """Resolve units to ``{key: payload}`` (cache -> engine -> inline).
+    """Resolve units to ``{key: payload}`` through an engine session.
 
-    With an ambient engine session installed (``repro.engine.session``,
-    the CLI's ``--parallel``/``--run-id``), misses execute across the
-    session's pool and settle through its journal; otherwise they run
-    inline, hitting the same caches — results are identical either way.
+    The ambient session (``repro.engine.session``, opened by every CLI
+    run) executes misses on its pool and settles them through its
+    journal.  With none installed, a serial session of the call's own
+    executes them in this process and counts them in
+    ``memo_info()["executed"]``; an executor's exception then propagates
+    as itself rather than wrapped in :class:`~repro.engine.pool
+    .UnitFailure`.  Results are identical either way.
     """
-    units = list(units)
     sess = scheduler.current_session()
     if sess is not None:
         return sess.run_units(units, cache_get=cache_get, cache_put=cache_put)
-    out: "dict[str, dict]" = {}
-    for unit in units:
-        if unit.key in out:
-            continue
-        payload = cache_get(unit)
-        if payload is None:
-            payload = engine_units.execute(unit.kind, unit.spec)
-            _stats["executed"] += 1
-            cache_put(unit, payload)
-        out[unit.key] = payload
-    return out
+    with scheduler.EngineSession(1) as sess:
+        try:
+            payloads = sess.run_units(units, cache_get=cache_get,
+                                      cache_put=cache_put)
+        except UnitFailure as exc:
+            if exc.__cause__ is None:
+                raise
+            raise exc.__cause__ from None
+    _stats["executed"] += sess.stats["executed"]
+    return payloads
 
 
 def simulate_breakdowns(
@@ -186,7 +188,7 @@ def simulate_breakdowns(
     ``config`` overrides the machine (default: ``MachineConfig.baseline``
     with ``n_cores`` cores).  The points are :func:`sim_sweep_units`
     resolved like any other units, so they are memoised, disk-cached and
-    — with an engine session installed — run on its worker pool.
+    — with a parallel engine session installed — run on its worker pool.
     """
     thread_counts = list(thread_counts)
     units = sim_sweep_units(workload, thread_counts, n_cores=n_cores,

@@ -125,6 +125,14 @@ class TestDegradation:
             sess.run_units([unit("a", 1)])
             assert isinstance(sess._pool, SerialPool)
 
+    def test_single_worker_is_not_a_fallback(self):
+        """Asking for one worker degrades nothing: no serial_fallback
+        (a WARNING kind) for a unit that ran where it was asked to."""
+        with EngineSession(1) as sess:
+            assert sess.run_units([unit("a", 1)]) == {"a": {"n": 1}}
+        assert sess.events.count("unit_done") == 1
+        assert sess.events.count("serial_fallback") == 0
+
 
 class TestSessionWiring:
     def test_session_installs_ambient_engine(self):
@@ -140,6 +148,27 @@ class TestSessionWiring:
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert lines and all("kind" in l and "t" in l for l in lines)
         assert any(l["kind"] == "unit_done" for l in lines)
+
+    def test_library_resolution_goes_through_run_units(self, monkeypatch):
+        """With no session installed, a library run still settles its
+        units in EngineSession.run_units, on a session it does not
+        install."""
+        from repro.experiments.registry import run_experiment
+
+        calls = []
+        real_run_units = EngineSession.run_units
+
+        def spy(self, units, **hooks):
+            units = list(units)
+            calls.append((len(units), engine.current_session()))
+            return real_run_units(self, units, **hooks)
+
+        monkeypatch.setattr(EngineSession, "run_units", spy)
+        assert engine.current_session() is None
+        report = run_experiment("ext-falsesharing", n_threads=2, updates=50)
+        assert report.render()
+        assert calls
+        assert all(n > 0 and installed is None for n, installed in calls)
 
     def test_event_log_file_exists_before_any_event(self, tmp_path):
         path = tmp_path / "logs" / "events.jsonl"

@@ -1,8 +1,29 @@
 """Unit tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+@pytest.fixture
+def cold_caches(tmp_path):
+    """An empty memo and disk tier, so the units of a run really execute."""
+    from repro import pipeline
+
+    restore = pipeline.get_disk_store()
+    pipeline.set_disk_store(tmp_path / "sweeps")
+    pipeline.clear_memo()
+    yield
+    pipeline.set_disk_store(restore)
+    pipeline.clear_memo()
 
 
 class TestParser:
@@ -41,8 +62,6 @@ class TestCommands:
         assert "Table II" in out  # description, not just the bare id
 
     def test_list_json_includes_accepted_options(self, capsys):
-        import json
-
         assert main(["list", "--json"]) == 0
         entries = json.loads(capsys.readouterr().out)
         by_id = {e["id"]: e for e in entries}
@@ -88,6 +107,55 @@ class TestCommands:
         assert main(["run", "table3", "--no-sweep-cache"]) == 0
         capsys.readouterr()
         assert pipeline.get_disk_store() is before
+
+    def test_run_and_runall_share_their_flags(self):
+        parser = build_parser()
+        run = vars(parser.parse_args(["run", "all"]))
+        runall = vars(parser.parse_args(["runall"]))
+        assert run.pop("command") == "run" and runall.pop("command") == "runall"
+        assert run.pop("plot") is False
+        assert run == runall
+
+    def test_event_log_needs_no_parallel_flag(self, capsys, tmp_path,
+                                              cold_caches):
+        path = tmp_path / "ev.jsonl"
+        rc = main(["run", "table2", "--scale", "0.03", "--threads", "1,2",
+                   "--event-log", str(path)])
+        assert rc in (0, 1)  # tiny scales may miss paper comparisons
+        kinds = [json.loads(line)["kind"]
+                 for line in path.read_text().splitlines()]
+        assert kinds.count("unit_done") == 6  # 3 workloads x 2 points
+        assert "serial_fallback" not in kinds
+        assert "table2" in capsys.readouterr().out
+
+    def test_fig2_without_the_16_core_point(self, capsys, tmp_path):
+        """Its 16-core claims cannot be checked: they read 'p=16 not
+        swept', do not hold, and the run exits 1 instead of crashing."""
+        from repro.experiments.store import load_report
+
+        assert main(["run", "fig2", "--scale", "0.03", "--threads", "1,2",
+                     "--json", str(tmp_path)]) == 1
+        report = load_report(tmp_path / "fig2.json")
+        unswept = [c for c in report.comparisons
+                   if c.measured_value == "p=16 not swept"]
+        assert [c.claim[:4] for c in unswept] == ["2(a)"] * 3 + ["2(b)"] * 3
+        assert not any(c.matches() for c in unswept)
+        assert "p=16 not swept" in capsys.readouterr().out
+
+    def test_list_into_a_closed_pipe_exits_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "list", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""  # no BrokenPipeError traceback
+        assert proc.returncode == 1
 
     def test_run_unknown_experiment(self):
         with pytest.raises(ValueError):
