@@ -31,7 +31,7 @@ detected and raised rather than hanging the simulation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 
 from repro import obs
 from repro.simx.batch import run_batch, supports_batch_path
@@ -267,19 +267,6 @@ class Machine:
         lock_waiters: dict[int, list[int]] = {}
         phase_coherence: dict[str, CoherenceStats] = {}
 
-        def charge_coherence(phase: str, before: CoherenceStats) -> None:
-            """Attribute the protocol events of one memory op to a phase."""
-            bucket = phase_coherence.setdefault(phase, CoherenceStats())
-            after = coherence.stats
-            for field_name in (
-                "reads", "writes", "l1_hits", "l1_misses", "l2_hits",
-                "memory_fetches", "cache_to_cache", "invalidations",
-                "upgrades", "writebacks",
-            ):
-                delta = getattr(after, field_name) - getattr(before, field_name)
-                if delta:
-                    setattr(bucket, field_name, getattr(bucket, field_name) + delta)
-
         def release_barrier(bid: int) -> None:
             arrivals = barrier_arrivals.pop(bid)
             release = max(arrivals.values()) + self.config.barrier_release_latency
@@ -317,18 +304,20 @@ class Machine:
                     ctx.instructions += op.instructions
                     scheduler.on_charge(ctx, cycles)
             elif isinstance(op, Load):
-                snapshot = replace(coherence.stats)
+                # the access's protocol events land in its phase's bucket
+                coherence.stats = phase_coherence.setdefault(
+                    ctx.current_phase(), CoherenceStats())
                 cycles = cores[ctx.core].load_cycles(op.addr, ctx.clock)
-                charge_coherence(ctx.current_phase(), snapshot)
                 stats.add_busy(ctx.current_phase(), ctx.tid, cycles)
                 ctx.clock += cycles
                 if scheduled:
                     ctx.instructions += 1
                     scheduler.on_charge(ctx, cycles)
             elif isinstance(op, Store):
-                snapshot = replace(coherence.stats)
+                # the access's protocol events land in its phase's bucket
+                coherence.stats = phase_coherence.setdefault(
+                    ctx.current_phase(), CoherenceStats())
                 cycles = cores[ctx.core].store_cycles(op.addr, ctx.clock)
-                charge_coherence(ctx.current_phase(), snapshot)
                 stats.add_busy(ctx.current_phase(), ctx.tid, cycles)
                 ctx.clock += cycles
                 if scheduled:
@@ -426,7 +415,8 @@ class Machine:
             total_cycles=max(t.clock for t in threads),
             thread_cycles=tuple(t.clock for t in threads),
             phase_stats=stats,
-            coherence=coherence.stats,
+            coherence=CoherenceStats(
+                *map(sum, zip(*map(astuple, phase_coherence.values())))),
             instructions=(
                 tuple(t.instructions for t in threads)
                 if scheduled
