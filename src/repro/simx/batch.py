@@ -77,7 +77,6 @@ default); equivalence with the reference engine is enforced by
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import astuple, dataclass, field
 from heapq import heappop, heappush, heappushpop
 
@@ -107,13 +106,6 @@ _VEC_MIN = 8
 #: plan a segment for the bulk settle only from this many accesses on:
 #: shorter ones rarely repay their share of the planning
 _BULK_MIN = 512
-#: what the bulk settle costs, in per-op loop iterations (measured on
-#: runall and simx-merge segments): each LRU round, each touched set and
-#: each line resident in one at entry.  A segment settles in bulk only
-#: while these sum to at most its op count.
-_ROUND_COST = 200
-_SET_COST = 4
-_LINE_COST = 4
 
 #: entry codes beyond the op kinds: a multi-op segment, and a lone private
 #: access (its kind plus ``_PRIVATE``); sync points are LOAD..UNLOCK
@@ -126,12 +118,6 @@ _END = -1
 _MODIFIED, _EXCLUSIVE, _SHARED, _INVALID = (
     MesiState.MODIFIED, MesiState.EXCLUSIVE, MesiState.SHARED, MesiState.INVALID,
 )
-#: L1 states as small ints in the bulk settle's state matrix
-_M, _E, _S = 0, 1, 2
-_STATES = (_MODIFIED, _EXCLUSIVE, _SHARED)
-_STATE_CODE = {s: c for c, s in enumerate(_STATES)}
-#: the LRU age of an empty way: older than any line, so it fills first
-_EMPTY_AGE = -(1 << 62)
 
 
 def supports_batch_path(config: MachineConfig) -> bool:
@@ -165,7 +151,7 @@ class _Seg:
     array (``carr``) so the whole run prices as one vectorised ceil-sum.
     A segment of ``_BULK_MIN`` accesses or more is listed in
     :attr:`BatchProgram.bulk_segments`, and a run gives it a ``plan``
-    (:class:`_Plan`) when the bulk settle may take it.
+    (:class:`_Plan`) for the bulk settle.
     """
 
     __slots__ = ("kinds", "args", "lead", "carr", "plan")
@@ -188,23 +174,23 @@ class _Seg:
 
 
 class _Plan:
-    """What a segment's bulk settle knows before it runs: the L1 sets it
-    touches (``touched``, ascending) and those of them that can hold a
-    shared line (``risky``), its visits' slice ``[v0, v1)`` of the run's
-    visit arrays with each LRU round's start in ``rounds``, its slice
-    ``[c0, c1)`` of the compute counts, its access and store counts, and
-    the op budget left for resident lines (``slack``)."""
+    """What a segment's bulk settle knows before it runs.
 
-    __slots__ = ("touched", "risky", "v0", "v1", "rounds", "c0", "c1", "n",
-                 "n_stores", "slack")
+    ``touched`` lists the L1 sets it touches, ascending.  ``[d0, d1)`` is
+    its range of the run's distinct-line arrays (:func:`_plan_settles`):
+    its lines set after set, ``ends[k]`` closing set ``touched[k]``'s run
+    (counted from ``d0``), with ``widest`` the longest run; and its lines
+    again in last-access order.  ``[c0, c1)`` is its slice of the
+    compute counts, ``n`` and ``n_stores`` its access and store counts."""
 
-    def __init__(self, touched, risky, v0, v1, rounds, c0, c1, n, n_stores, slack):
+    __slots__ = ("touched", "ends", "widest", "d0", "d1", "c0", "c1", "n", "n_stores")
+
+    def __init__(self, touched, ends, widest, d0, d1, c0, c1, n, n_stores):
         self.touched = touched
-        self.risky = risky
-        self.slack = slack
-        self.v0 = v0
-        self.v1 = v1
-        self.rounds = rounds
+        self.ends = ends
+        self.widest = widest
+        self.d0 = d0
+        self.d1 = d1
         self.c0 = c0
         self.c1 = c1
         self.n = n
@@ -327,79 +313,71 @@ def compile_batch(program: TraceProgram, line_size: int) -> BatchProgram:
     )
 
 
-def _plan_settles(compiled: BatchProgram, n_sets: int, n_banks: int,
-                  shared_sets: frozenset):
+def _plan_settles(compiled: BatchProgram, n_sets: int):
     """Give every bulk segment the static half of its settle, computed for
-    all of them at once; returns the visit arrays the plans slice.
+    all of them at once; returns the distinct-line arrays the plans index
+    (``None`` without bulk segments): the lines set after set, and the
+    lines in last-access order with how each is accessed (0 loads only,
+    1 loaded first and stored later, 2 stored first).
 
-    A segment's accesses are grouped by L1 set, in time order within a
-    set.  A *visit* is a run of accesses to one line with no other line of
-    its set between them: only its first access can miss or reorder the
-    set, so the LRU replay steps visit by visit.  Round ``t`` of the
-    replay applies the ``t``-th visit of every touched set, so the visit
-    arrays are ordered by (segment, round, set).  A segment whose rounds
-    and touched sets cost more than its ops (``_ROUND_COST``,
-    ``_SET_COST``) gets no plan.  ``shared_sets`` are the L1 set indices
-    any shared line maps to.
+    One sort puts each segment's accesses in (set, line) order, in time
+    order within a line: a line's run yields how it is accessed and its
+    last access, and a set's run of lines its share of the fit check.
+    Marking each line at its last access lists the lines in last-access
+    order.  Both orders keep each segment's lines in one range.
     """
     segs = compiled.bulk_segments
     lines = compiled.access_lines
     n_total = lines.size
     if not n_total:
         return None
+    n_segs = len(segs)
     acc_end = compiled.bulk_bounds[:, 0]
-    acc_start = np.concatenate(([0], acc_end[:-1]))
-    seg_of = np.repeat(np.arange(len(segs)), acc_end - acc_start)
-    key = seg_of * n_sets + lines % n_sets
-    order = _stable_order(key, len(segs) * n_sets)
-    key = key[order]
+    seg_of = np.zeros(n_total, dtype=np.int64)
+    seg_of[acc_end[:-1]] = 1
+    np.cumsum(seg_of, out=seg_of)
+    tag = lines // n_sets
+    span = int(tag.max()) + 1
+    bound = n_segs * n_sets * span
+    # (segment, set, tag) keys; lines - tag * n_sets is each line's set
+    group = seg_of * n_sets + lines - tag * n_sets
+    order = (_stable_order(group * span + tag, bound) if bound.bit_length() < 63
+             else np.lexsort((tag, group)))
     line_s = lines[order]
-    store_s = compiled.access_stores[order]
-    new_set = np.empty(n_total, dtype=bool)
+    new_line = np.empty(n_total, dtype=bool)
+    new_line[0] = True
+    np.not_equal(line_s[1:], line_s[:-1], out=new_line[1:])
+    new_line[acc_end[:-1]] = True
+    starts = np.flatnonzero(new_line)
+    stores = compiled.access_stores
+    store_s = stores[order]
+    how = np.logical_or.reduceat(store_s, starts).view(np.int8) + store_s[starts]
+    at_last = np.zeros(n_total, dtype=np.int8)
+    at_last[order[np.append(starts[1:], n_total) - 1]] = how + 1
+    last = np.flatnonzero(at_last)
+    d_line = line_s[starts]
+    d_seg = seg_of[starts]
+    d_set = d_line - d_line // n_sets * n_sets
+    new_set = np.empty(d_line.size, dtype=bool)
     new_set[0] = True
-    np.not_equal(key[1:], key[:-1], out=new_set[1:])
-    head = new_set.copy()
-    head[1:] |= line_s[1:] != line_s[:-1]
-    visits = np.flatnonzero(head)
-    group = np.cumsum(new_set)[visits] - 1
-    group_first = np.flatnonzero(new_set[visits])
-    rank = np.arange(visits.size) - np.repeat(group_first, np.diff(
-        np.append(group_first, visits.size)))
-    v_seg = seg_of[order[visits]]
-    seg_group0 = group[np.searchsorted(v_seg, np.arange(len(segs)))]
-    n_ranks = int(rank.max()) + 1
-    round_key = v_seg * n_ranks + rank
-    by_round = _stable_order(round_key, len(segs) * n_ranks)
-    round_key = round_key[by_round]
-    round_starts = np.flatnonzero(np.diff(round_key, prepend=-1))
-    seg_v = np.searchsorted(v_seg, np.arange(len(segs) + 1))
-    seg_r = np.searchsorted(round_starts, seg_v)
-    touched = (key[new_set] % n_sets).tolist()
-    n_groups = np.append(seg_group0[1:], len(touched)) - seg_group0
-    stores_end = np.cumsum(compiled.access_stores)[acc_end - 1]
-    n_stores = np.diff(stores_end, prepend=0)
-    comp_end = compiled.bulk_bounds[:, 1]
-    round_starts = round_starts.tolist() + [visits.size]
-    for seg, g0, ng, v0, v1, r0, r1, c1, n, ns in zip(
-        segs, seg_group0.tolist(), n_groups.tolist(), seg_v[:-1].tolist(),
-        seg_v[1:].tolist(), seg_r[:-1].tolist(), seg_r[1:].tolist(),
-        comp_end.tolist(), (acc_end - acc_start).tolist(), n_stores.tolist(),
-    ):
-        slack = len(seg.kinds) - (r1 - r0) * _ROUND_COST - ng * _SET_COST
-        if slack >= 0:
-            sets = touched[g0:g0 + ng]
-            seg.plan = _Plan(sets, [i for i in sets if i in shared_sets], v0, v1,
-                             round_starts[r0:r1 + 1], c1 - (len(seg.kinds) - n), c1,
-                             n, ns, slack)
-    v_line = line_s[visits][by_round]
-    return (
-        v_line,
-        (group - seg_group0[v_seg])[by_round],
-        order[visits][by_round],
-        np.logical_or.reduceat(store_s, visits)[by_round],
-        store_s[visits][by_round],
-        v_line % n_banks,
-    )
+    np.not_equal(d_set[1:], d_set[:-1], out=new_set[1:])
+    seg_d = np.searchsorted(d_seg, np.arange(n_segs + 1))
+    new_set[seg_d[1:-1]] = True
+    set_at = np.flatnonzero(new_set)
+    seg_g = np.searchsorted(set_at, seg_d).tolist()
+    set_end = np.append(set_at[1:], d_line.size)
+    widest = np.maximum.reduceat(set_end - set_at, seg_g[:-1]).tolist()
+    touched = d_set[set_at].tolist()
+    ends = (set_end - seg_d[d_seg[set_at]]).tolist()
+    seg_d = seg_d.tolist()
+    acc = [0] + acc_end.tolist()
+    st = [0] + np.searchsorted(np.flatnonzero(stores), acc_end).tolist()
+    for k, (seg, c1) in enumerate(zip(segs, compiled.bulk_bounds[:, 1].tolist())):
+        g0, g1 = seg_g[k], seg_g[k + 1]
+        n = acc[k + 1] - acc[k]
+        seg.plan = _Plan(touched[g0:g1], ends[g0:g1], widest[k], seg_d[k], seg_d[k + 1],
+                         c1 - (len(seg.kinds) - n), c1, n, st[k + 1] - st[k])
+    return d_line, lines[last], at_last[last] - 1
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -547,17 +525,14 @@ class _PrivateWork:
             self.req_table = ((interconnect.latency,),) * n_threads
         else:
             self.req_table = interconnect.request_table
-        self.req_arrs = [np.array(row, dtype=np.int64) for row in self.req_table]
         self.n_banks = len(self.req_table[0])
         self.load_state = (_SHARED if config.coherence_protocol == "msi"
                            else _EXCLUSIVE)
-        self.load_code = _STATE_CODE[self.load_state]
         # L1 set indices that could ever hold a shared line: fills elsewhere
         # can skip the eviction-hazard scan with one membership test
         self.shared_set_idx = frozenset(l % n_sets for l in self.shared_lines)
-        # the bulk settle's visit arrays, for every planned segment at once
-        self.visit_arrays = _plan_settles(compiled, n_sets, self.n_banks,
-                                          self.shared_set_idx)
+        # the distinct-line arrays every planned segment indexes
+        self.plan_arrays = _plan_settles(compiled, n_sets)
         self.compute_instr = compiled.compute_instr
 
     def bucket(self, ctx: _Thread, clock: int) -> CoherenceStats:
@@ -580,134 +555,85 @@ class _PrivateWork:
         return b
 
     def settle(self, ctx: _Thread, seg: _Seg) -> bool:
-        """Run a planned segment's accesses in bulk, by LRU stack replay.
+        """Run a planned segment's accesses in bulk, in closed form.
 
-        Returns False, touching nothing, when a touched L1 set holds a
-        shared line or an INVALID entry (a fill could then bail), or holds
-        more lines than the plan's slack pays for; the caller runs the
-        per-op loop instead.  Otherwise charges exactly what that loop
-        would.
+        Takes the segment only when no L1 set it touches can overflow:
+        the set's entries (INVALID ones too) plus the segment's lines not
+        among them fit in its ways.  Then no fill evicts, so none can
+        bail, and each line misses at most once, on its first access;
+        hits, fills, upgrades, final states and LRU order follow from
+        each line's first, last and stored accesses, and the charges are
+        exactly the per-op loop's.  Otherwise returns False, touching
+        nothing, and the caller runs that loop.
         """
         plan = seg.plan
-        touched = plan.touched
         ways = self.ways
         l1_sets = self.l1_sets[ctx.tid]
-        for i in plan.risky:
-            if not self.shared_lines.isdisjoint(l1_sets[i]):
-                return False
-        residents = [l1_sets[i] for i in touched]
-        counts = list(map(len, residents))
-        if sum(counts) * _LINE_COST > plan.slack:
-            return False
-        # the touched sets' current contents, oldest first
-        keys: list = []
-        states: list = []
-        for s in residents:
-            if s:
-                keys.extend(s)
-                states.extend([ln.state for ln in s.values()])
-        if _INVALID in states:
-            return False
-        n_touched = len(touched)
-        tag = np.full((n_touched, ways), -1, dtype=np.int64)
-        age = np.full((n_touched, ways), _EMPTY_AGE, dtype=np.int64)
-        st = np.zeros((n_touched, ways), dtype=np.int8)
-        codes = [_STATE_CODE[x] for x in states]
-        if keys:
-            counts = np.array(counts)
-            row = np.repeat(np.arange(n_touched), counts)
-            col = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            tag[row, col] = keys
-            age[row, col] = col - ways
-            st[row, col] = codes
+        sets = [l1_sets[i] for i in plan.touched]
+        d0, d1 = plan.d0, plan.d1
+        by_set, by_last, how_of = self.plan_arrays
+        if max(map(len, sets)) > ways - plan.widest:
+            lines = by_set[d0:d1].tolist()
+            lo = 0
+            for s, hi in zip(sets, plan.ends):
+                room = ways - len(s)
+                if hi - lo > room and sum(x not in s for x in lines[lo:hi]) > room:
+                    return False
+                lo = hi
 
-        # the replay: round t applies the t-th visit of every touched set
-        v0, v1 = plan.v0, plan.v1
-        v_line, v_group, v_time, v_store, v_head_store, v_bank = (
-            a[v0:v1] for a in self.visit_arrays)
-        n_visits = v1 - v0
-        hit = np.empty(n_visits, dtype=bool)
-        prior = np.empty(n_visits, dtype=np.int8)
-        victim = np.empty(n_visits, dtype=np.int64)
-        rounds = plan.rounds
-        load_code = self.load_code
-        for a, b in zip(rounds, rounds[1:]):
-            a -= v0
-            b -= v0
-            g = v_group[a:b]
-            x = v_line[a:b]
-            ways_of = tag[g]
-            match = ways_of == x[:, None]
-            h = match.any(axis=1)
-            slot = np.where(h, match.argmax(axis=1), age[g].argmin(axis=1))
-            old = st[g, slot]
-            hit[a:b] = h
-            prior[a:b] = old
-            victim[a:b] = np.where(h, -1, ways_of[np.arange(b - a), slot])
-            tag[g, slot] = x
-            age[g, slot] = v_time[a:b]
-            st[g, slot] = np.where(v_store[a:b], _M, np.where(h, old, load_code))
+        req_row = self.req_table[ctx.tid]
+        n_sets, n_banks = self.n_sets, self.n_banks
+        load_state = self.load_state
+        msi = load_state is _SHARED
+        missed = []
+        n_up = busy_req = 0
+        # lines in last-access order: each one touched goes to the back
+        for line, how in zip(by_last[d0:d1].tolist(), how_of[d0:d1].tolist()):
+            s = l1_sets[line % n_sets]
+            ent = s.get(line)
+            if ent is not None and ent.state is not _INVALID:
+                s.move_to_end(line)
+                if how:
+                    if ent.state is _SHARED:
+                        n_up += 1
+                        busy_req += req_row[line % n_banks]
+                    ent.state = _MODIFIED
+                continue
+            if ent is not None:
+                del s[line]
+            missed.append(line)
+            busy_req += req_row[line % n_banks]
+            if how:
+                # a load fill under MSI is S, so the later store upgrades
+                if how == 1 and msi:
+                    n_up += 1
+                    busy_req += req_row[line % n_banks]
+                s[line] = CacheLine(line, _MODIFIED)
+            else:
+                s[line] = CacheLine(line, load_state)
 
-        miss = ~hit
         n = plan.n
-        n_miss = int(np.count_nonzero(miss))
-        req = self.req_arrs[ctx.tid]
-        evicted = miss & (victim >= 0)
-        n_ev = int(np.count_nonzero(evicted))
-        busy_req = int(req[v_bank[miss]].sum())
-        n_wb = n_up = 0
-        missed = v_line[miss]
-        if n_ev:
-            dirty = evicted & (prior == _M)
-            n_wb = int(np.count_nonzero(dirty))
-            busy_req += int(req[victim[dirty] % self.n_banks].sum())
-            # an evicted line can miss again: count each line once
-            missed = np.sort(missed)
-            missed = missed[np.append(True, missed[1:] != missed[:-1])]
-        if load_code == _S or _S in codes:
-            # a store finds S (an upgrade) when its visit hit an S line,
-            # or filled one under MSI before its first store
-            upgrade = v_store & np.where(hit, prior == _S,
-                                         ~v_head_store & (load_code == _S))
-            n_up = int(np.count_nonzero(upgrade))
-            busy_req += int(req[v_bank[upgrade]].sum())
-        missed = missed.tolist()
-        n_mem = len(missed) - len(self.filled.intersection(missed))
+        n_miss = len(missed)
+        n_mem = n_miss - len(self.filled.intersection(missed))
         self.filled.update(missed)
         cycles = np.ceil(self.compute_instr[plan.c0:plan.c1] / ctx.denom).astype(np.int64)
         busy = (int(cycles.sum()) + n * self.hit_lat + n_miss * self.l2_lat
                 + n_mem * self.mem_lat + busy_req)
-
-        # write the touched sets back, oldest line first
-        by_age = np.argsort(age, axis=1)
-        tag = np.take_along_axis(tag, by_age, axis=1)
-        valid = tag >= 0
-        prev = -1
-        for r, line, c in zip(np.nonzero(valid)[0].tolist(), tag[valid].tolist(),
-                              np.take_along_axis(st, by_age, axis=1)[valid].tolist()):
-            if r != prev:
-                prev = r
-                od = l1_sets[touched[r]] = OrderedDict()
-            od[line] = CacheLine(line, _STATES[c])
-
         n_stores = plan.n_stores
-        n_loads = n - n_stores
         l1 = self.coherence.l1s[ctx.tid]
         l1.hits += n - n_miss
         l1.misses += n_miss
-        l1.evictions += n_ev
         at = ctx.clock
         if seg.lead:
             at += int(cycles[:seg.lead].sum())
         b = self.bucket(ctx, at)
-        b.reads += n_loads
+        b.reads += n - n_stores
         b.writes += n_stores
         b.l1_hits += n - n_miss
         b.l1_misses += n_miss
         b.l2_hits += n_miss - n_mem
         b.memory_fetches += n_mem
         b.upgrades += n_up
-        b.writebacks += n_wb
         ctx.charge_busy(self.stats, busy)
         ctx.clock += busy
         return True

@@ -7,7 +7,6 @@ itself lives in :mod:`repro.simx.coherence`, which drives these caches.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
@@ -43,40 +42,18 @@ class AccessResult:
     evicted: "CacheLine | None" = None
 
 
-class _Unfilled(OrderedDict):
-    """The empty set every set of a new :class:`Cache` starts as, one
-    object shared by all of them.  Reads see an empty set; the first
-    store into it puts a real ``OrderedDict`` holding the line in the
-    set's place.  Every fill stores its line last, after any lookup,
-    pop or eviction on the set, so nothing else ever writes to it.  It
-    holds its cache weakly: a cycle would keep every finished run's
-    caches alive until a full garbage collection.
-    """
-
-    def __init__(self, cache: "Cache"):
-        super().__init__()
-        self.cache = weakref.ref(cache)
-
-    def __setitem__(self, line_addr: int, line: CacheLine) -> None:
-        cache = self.cache()
-        s = cache._sets[line_addr % cache.n_sets] = OrderedDict()
-        s[line_addr] = line
-
-
 class Cache:
     """A set-associative, LRU cache indexed by line address.
 
     The structure is an OrderedDict per set: oldest entry first, so LRU
-    eviction pops from the front and touches move lines to the back.  A
-    set's dict is built on its first fill; until then the set is a shared
-    empty stand-in, so a cache costs nothing per set it never uses.
+    eviction pops from the front and touches move lines to the back.
     """
 
     def __init__(self, config: CacheConfig):
         self.config = config
         self.n_sets = config.n_sets
         self.ways = config.ways
-        self._sets: list[OrderedDict[int, CacheLine]] = [_Unfilled(self)] * self.n_sets
+        self._sets: list[OrderedDict[int, CacheLine]] = [OrderedDict() for _ in range(self.n_sets)]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
