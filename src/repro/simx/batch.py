@@ -1,8 +1,8 @@
 """Lockstep batch execution: per-thread private segments between sync points.
 
 The reference interpreter in :mod:`repro.simx.machine` advances one
-operation at a time, paying Python dispatch, a coherence-stats snapshot
-and a scheduler pass per op.  This module removes the scheduler from
+operation at a time, paying Python dispatch and a scheduler pass per
+op.  This module removes the scheduler from
 private work entirely: each thread's trace is compiled, from its
 integer columns (:meth:`~repro.simx.trace.ThreadTrace.columns`), into
 an **entry stream** — two parallel lists of entry codes and arguments,
@@ -20,13 +20,13 @@ then alternates two regimes:
   back-to-back with no scheduler involvement, charging busy cycles,
   cache state and coherence counters for private work, until it parks
   at its next sync point (or bails on an eviction hazard).  A segment
-  with many accesses whose touched L1 sets hold only this thread's
-  valid private lines, and whose replay costs less than its ops, is
-  *settled in bulk*: numpy replays each touched set's LRU stack
-  (Mattson et al.'s stack-distance view: one round per visit to a set,
-  every set at once) and derives hits, fills, victims, writebacks and
-  upgrades from it; any other segment runs the per-op inlined
-  private-line protocol (L1 hit, or miss filled from L2/memory);
+  with many accesses none of whose touched L1 sets can overflow (its
+  entries plus the segment's new lines fit in its ways) is *settled in
+  bulk*, in closed form: each line misses at most once, on its first
+  access, and hits, fills, upgrades, states and LRU order follow from
+  each line's first, last and stored accesses; any other segment runs
+  the per-op inlined private-line protocol (L1 hit, or miss filled
+  from L2/memory);
 * **global order** — parked threads wait on a ``(clock, tid)`` heap and
   their sync ops execute one at a time in heap order — exactly the
   reference scheduler's earliest-runnable-first order — through the full
@@ -45,8 +45,8 @@ Why this is cycle- and stats-identical to the reference interleaving:
   full and holds a valid shared line — then the victim, and whether an
   eviction happens at all, depend on concurrent remote invalidations, so
   the offending op is parked and executed at its exact global position.
-  A set holding no shared line at a segment's entry holds none until its
-  end, which is why the bulk settle needs no per-op check;
+  A set that cannot overflow during a segment never evicts, whatever it
+  holds, which is why the bulk settle needs no per-op check;
 * a private line needs no directory entry in an epoch: its sharers are
   ``{tid}`` while it is valid in its thread's L1 (owner ``tid`` in E/M)
   and empty otherwise, and its sticky ``in_l2`` bit (the controller
@@ -77,7 +77,7 @@ default); equivalence with the reference engine is enforced by
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from heapq import heappop, heappush, heappushpop
 
 import numpy as np
@@ -343,6 +343,8 @@ def _plan_settles(compiled: BatchProgram, n_sets: int):
     group = seg_of * n_sets + lines - tag * n_sets
     order = (_stable_order(group * span + tag, bound) if bound.bit_length() < 63
              else np.lexsort((tag, group)))
+    # segments keep their places, so seg_of and acc_end hold for the
+    # sorted accesses too
     line_s = lines[order]
     new_line = np.empty(n_total, dtype=bool)
     new_line[0] = True
@@ -357,7 +359,7 @@ def _plan_settles(compiled: BatchProgram, n_sets: int):
     last = np.flatnonzero(at_last)
     d_line = line_s[starts]
     d_seg = seg_of[starts]
-    d_set = d_line - d_line // n_sets * n_sets
+    d_set = d_line % n_sets
     new_set = np.empty(d_line.size, dtype=bool)
     new_set[0] = True
     np.not_equal(d_set[1:], d_set[:-1], out=new_set[1:])
@@ -572,6 +574,8 @@ class _PrivateWork:
         sets = [l1_sets[i] for i in plan.touched]
         d0, d1 = plan.d0, plan.d1
         by_set, by_last, how_of = self.plan_arrays
+        # no set overflows when the fullest has room for the widest run;
+        # otherwise count each crowded set's lines that are not in it
         if max(map(len, sets)) > ways - plan.widest:
             lines = by_set[d0:d1].tolist()
             lo = 0
@@ -998,7 +1002,6 @@ def run_batch(config: MachineConfig, program: TraceProgram):
         )
 
     buckets = work.phase_coherence
-    totals = CoherenceStats(*map(sum, zip(*map(astuple, buckets.values()))))
     phase_coherence = dict(sorted(buckets.items(), key=lambda kv: work.first_access[kv[0]]))
     stats.spans = dict(sorted(stats.spans.items(), key=lambda kv: first_begin[kv[0]]))
     return SimulationResult(
@@ -1008,7 +1011,7 @@ def run_batch(config: MachineConfig, program: TraceProgram):
         total_cycles=max(t.clock for t in threads),
         thread_cycles=tuple(t.clock for t in threads),
         phase_stats=stats,
-        coherence=totals,
+        coherence=CoherenceStats.total(buckets.values()),
         instructions=compiled.thread_instructions,
         coherence_by_phase=phase_coherence,
         engine="batch",

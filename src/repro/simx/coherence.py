@@ -30,7 +30,7 @@ write hit   local E                  silent upgrade → M
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from repro.simx.cache import Cache, CacheLine, MesiState
 from repro.simx.config import MachineConfig
@@ -67,6 +67,12 @@ class CoherenceStats:
     invalidations: int = 0
     upgrades: int = 0
     writebacks: int = 0
+
+    @classmethod
+    def total(cls, buckets) -> "CoherenceStats":
+        """The field-by-field sum of ``buckets``, e.g. a run's per-phase
+        counters."""
+        return cls(*map(sum, zip(*map(astuple, buckets))))
 
 
 class CoherenceController:

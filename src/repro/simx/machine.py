@@ -31,7 +31,7 @@ detected and raised rather than hanging the simulation.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 from repro import obs
 from repro.simx.batch import run_batch, supports_batch_path
@@ -415,8 +415,7 @@ class Machine:
             total_cycles=max(t.clock for t in threads),
             thread_cycles=tuple(t.clock for t in threads),
             phase_stats=stats,
-            coherence=CoherenceStats(
-                *map(sum, zip(*map(astuple, phase_coherence.values())))),
+            coherence=CoherenceStats.total(phase_coherence.values()),
             instructions=(
                 tuple(t.instructions for t in threads)
                 if scheduled

@@ -359,3 +359,24 @@ def test_a_big_cache_geometry(bulk_everywhere):
     ops = [access(rng.choice((Load, Store)), rng.choice(pool)) for _ in range(600)]
     took, _, _ = settle_and_loop(config, [ops])
     assert took
+
+
+def test_lines_too_far_apart_for_one_sort_key(bulk_everywhere):
+    """Addresses near the top of int64 over enough segments that the
+    plan's (segment, set, line) sort key would overflow: the plan sorts
+    by two keys instead, and the run matches the reference engine.  The
+    segments revisit three lines per 2-way set, so some settle and some
+    overflow."""
+    cfg = tiny_config()
+    top = (1 << 63) // LINE - 100
+    rng = random.Random("bulk-settle:top")
+    n_segs = 80
+    ops = []
+    for k in range(n_segs):
+        for _ in range(rng.randrange(2, 9)):
+            ops.append(access(rng.choice((Load, Store)), top - rng.randrange(12)))
+            ops.append(Compute(rng.randrange(1, 9)))
+        ops.append(Barrier(k))
+    assert n_segs * cfg.l1d.n_sets * (top // cfg.l1d.n_sets + 1) >= 1 << 63
+    ref, bat = run_two(cfg, program_of([ops]))
+    assert_identical(bat, ref)
