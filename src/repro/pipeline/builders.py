@@ -29,12 +29,10 @@ simulator only when it runs its first unit.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import importlib
 from dataclasses import asdict
 from typing import Callable, Iterable
-
-import numpy as np
 
 from repro.engine.units import WorkUnit, register_executor
 from repro.experiments.store import SweepStore
@@ -112,51 +110,18 @@ def breakdown_from_payload(payload: dict) -> PhaseBreakdown:
 # ── workload identity ─────────────────────────────────────────────────────
 
 
-def _dataset_descriptor(ds) -> dict:
-    """Full identity of a dataset: label, shape, and a content digest.
-
-    The digest covers the actual array bytes, so two datasets that differ
-    only in their generator seed (same label, same shape) still key
-    differently — without it, Table IV's dim/center/base variants (equal
-    N, equal name) would silently share one cache entry.
-    """
-    digest = hashlib.sha256()
-    shape: dict = {}
-    for field in ("points", "positions", "masses"):
-        arr = getattr(ds, field, None)
-        if arr is not None:
-            digest.update(np.ascontiguousarray(arr).tobytes())
-            shape[field] = list(np.asarray(arr).shape)
-    for field in ("n_centers", "n_groups_hint"):
-        v = getattr(ds, field, None)
-        if v is not None:
-            shape[field] = int(v)
-    return {
-        "label": getattr(ds, "label", ""),
-        "shape": shape,
-        "digest": digest.hexdigest(),
-    }
-
-
-#: workload knobs that change simulation results and so belong in the key
-_WORKLOAD_KNOBS = (
-    "n_items", "n_bins", "seed", "max_iterations", "tolerance",
-    "n_neighbors", "reduction_strategy",
-)
-
-
 def workload_descriptor(workload) -> dict:
-    """Everything that identifies a workload for caching purposes: its
-    name, its algorithmic knobs, and the exact dataset content."""
-    desc: dict = {"name": workload.name}
-    ds = getattr(workload, "dataset", None)
-    if ds is not None:
-        desc["dataset"] = _dataset_descriptor(ds)
-    for knob in _WORKLOAD_KNOBS:
-        v = getattr(workload, knob, None)
-        if v is not None:
-            desc[knob] = v
-    return desc
+    """The workload part of a unit key: the workload's
+    :meth:`~repro.workloads.base.ClusteringWorkloadBase.identity` (name,
+    every knob, and the dataset's label, shapes and content digest)."""
+    return workload.identity()
+
+
+@functools.lru_cache(maxsize=64)
+def _config_dict(config) -> dict:
+    """``asdict`` of a frozen (hashable) machine description, computed
+    once per distinct configuration; callers only serialise it."""
+    return asdict(config)
 
 
 # ── simulator sweeps ──────────────────────────────────────────────────────
@@ -176,7 +141,7 @@ def sim_point_unit(workload, p: int, mem_scale: int, config) -> WorkUnit:
         "workload": workload_descriptor(workload),
         "threads": p,
         "mem_scale": mem_scale,
-        "machine": asdict(config),
+        "machine": _config_dict(config),
     })
     return WorkUnit(
         kind=SWEEP_POINT, key=key, spec=(workload, p, mem_scale, config),
@@ -227,7 +192,7 @@ def sim_program_unit(builder: Callable, kwargs: dict, config,
         "sim_version": _SIM_VERSION,
         "builder": ref,
         "kwargs": dict(sorted(kwargs.items())),
-        "machine": asdict(config),
+        "machine": _config_dict(config),
     })
     return WorkUnit(
         kind=SIM_PROGRAM,
@@ -274,7 +239,7 @@ def hardware_model_units(
             "hw_model_version": _HW_MODEL_VERSION,
             "workload": workload_descriptor(workload),
             "threads": int(p),
-            "model": asdict(model),
+            "model": _config_dict(model),
         })
         units.append(WorkUnit(
             kind=HARDWARE_MODEL, key=key, spec=(workload, int(p), model),

@@ -780,7 +780,8 @@ def run_batch(config: MachineConfig, program: TraceProgram):
     cycle- and stats-identical to the reference interpreter's."""
     from repro.simx.machine import DeadlockError, SimulationResult, TraceError
 
-    coherence = CoherenceController(config)
+    # pinned dispatch: thread i runs on core i, so only n_threads L1s live
+    coherence = CoherenceController(config, live_cores=program.n_threads)
     compiled = compile_batch(program, config.line_size)
     # each stream ends in an _END entry, so no loop tests its length; a
     # completed run retires the instruction counts the lowering totalled

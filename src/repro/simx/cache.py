@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from repro.simx.config import CacheConfig
 
@@ -42,18 +43,29 @@ class AccessResult:
     evicted: "CacheLine | None" = None
 
 
+#: every set of an idle cache: empty, and read-only, so a fill fails loudly
+_NO_LINES = MappingProxyType({})
+
+
 class Cache:
     """A set-associative, LRU cache indexed by line address.
 
     The structure is an OrderedDict per set: oldest entry first, so LRU
     eviction pops from the front and touches move lines to the back.
+
+    An ``idle`` cache (the L1 of a core that runs no thread) builds no
+    sets: each is one shared empty read-only mapping, so lookups miss and
+    an insert raises ``TypeError``.
     """
 
-    def __init__(self, config: CacheConfig):
+    def __init__(self, config: CacheConfig, idle: bool = False):
         self.config = config
         self.n_sets = config.n_sets
         self.ways = config.ways
-        self._sets: list[OrderedDict[int, CacheLine]] = [OrderedDict() for _ in range(self.n_sets)]
+        self._sets: list[OrderedDict[int, CacheLine]] = (
+            [_NO_LINES] * self.n_sets if idle
+            else [OrderedDict() for _ in range(self.n_sets)]
+        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0

@@ -87,9 +87,13 @@ class CoherenceController:
     controller written over :class:`Cache`'s public methods.
     """
 
-    def __init__(self, config: MachineConfig, interconnect: "Interconnect | None" = None):
+    def __init__(self, config: MachineConfig, interconnect: "Interconnect | None" = None,
+                 live_cores: "int | None" = None):
         self.config = config
-        self.l1s = [Cache(config.l1d) for _ in range(config.n_cores)]
+        # only the first ``live_cores`` cores run threads (all of them by
+        # default); the rest get idle L1s, which build no sets
+        live = config.n_cores if live_cores is None else live_cores
+        self.l1s = [Cache(config.l1d, idle=core >= live) for core in range(config.n_cores)]
         self.directory: dict[int, DirectoryEntry] = {}
         self.interconnect = interconnect or build_interconnect(config)
         self.stats = CoherenceStats()

@@ -237,10 +237,12 @@ class Machine:
         if supports_batch_path(self.config):
             return run_batch(self.config, program)
 
-        coherence = CoherenceController(self.config)
         # pinned: thread i owns core i, so only n_threads cores are live.
         # time-multiplexed: threads move, so all n_cores are live and a
         # thread's L1/perf identity follows the physical core under it.
+        coherence = CoherenceController(
+            self.config, live_cores=None if scheduled else program.n_threads
+        )
         cores = [
             CoreModel(
                 i, self.config.core, coherence,

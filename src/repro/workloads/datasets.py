@@ -22,7 +22,9 @@ converge); HOP inputs are particle positions with density concentrations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +39,56 @@ __all__ = [
 ]
 
 
+class _Frozen:
+    """Read-only arrays and a content digest computed once.
+
+    A dataset's arrays are made read-only when it is built (and again when
+    it is unpickled), so the digest cached on the object cannot go stale.
+    """
+
+    #: the array fields the digest covers, in hashing order
+    _DIGESTED: "tuple[str, ...]" = ()
+    #: the integer fields that join the shapes in :meth:`identity`
+    _SIZES: "tuple[str, ...]" = ()
+
+    def __post_init__(self) -> None:
+        self._freeze()
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 over the bytes of the digested arrays."""
+        h = hashlib.sha256()
+        for name in self._DIGESTED:
+            h.update(np.ascontiguousarray(getattr(self, name)).tobytes())
+        return h.hexdigest()
+
+    def identity(self) -> dict:
+        """Label, shapes and content digest: the dataset part of a
+        workload identity.
+
+        The digest covers the array bytes, so two datasets that differ
+        only in their generator seed (same label, same shape) still differ
+        here; without it, Table IV's dim/center/base variants (equal N,
+        equal name) would share one cache entry.
+        """
+        shape: dict = {name: list(getattr(self, name).shape) for name in self._DIGESTED}
+        for name in self._SIZES:
+            shape[name] = int(getattr(self, name))
+        return {"label": self.label, "shape": shape, "digest": self.digest}
+
+
 @dataclass(frozen=True)
-class ClusteringDataset:
+class ClusteringDataset(_Frozen):
     """Points for kmeans / fuzzy c-means.
 
     Attributes
@@ -58,6 +108,9 @@ class ClusteringDataset:
     n_centers: int
     true_centers: np.ndarray
 
+    _DIGESTED = ("points",)
+    _SIZES = ("n_centers",)
+
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
@@ -68,13 +121,16 @@ class ClusteringDataset:
 
 
 @dataclass(frozen=True)
-class ParticleDataset:
+class ParticleDataset(_Frozen):
     """Particle positions (and masses) for HOP density-based clustering."""
 
     label: str
     positions: np.ndarray  # (N, 3)
     masses: np.ndarray     # (N,)
     n_groups_hint: int
+
+    _DIGESTED = ("positions", "masses")
+    _SIZES = ("n_groups_hint",)
 
     @property
     def n_particles(self) -> int:

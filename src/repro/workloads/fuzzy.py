@@ -23,11 +23,13 @@ from repro.util.validation import check_positive, check_positive_int
 from repro.workloads.base import (
     PHASE_INIT,
     PHASE_PARALLEL,
-    PHASE_REDUCTION,
     PHASE_SERIAL,
+    CanonicalRun,
     ClusteringWorkloadBase,
     PhaseWork,
     WorkloadExecution,
+    master_only,
+    reduction_work,
 )
 from repro.workloads.datasets import ClusteringDataset
 from repro.workloads.reduction import resolve_strategy
@@ -130,91 +132,55 @@ class FuzzyCMeansWorkload(ClusteringWorkloadBase):
         return self.dataset.n_centers * (self.dataset.n_dims + 1)
 
     # ── execution ─────────────────────────────────────────────────────────
-    def execute(self, n_threads: int) -> WorkloadExecution:
-        """Run fuzzy c-means with ``n_threads`` logical threads."""
-        check_positive_int(n_threads, "n_threads")
+    def _work_items(self) -> "tuple[int, str]":
+        return self.dataset.n_points, "points"
+
+    def _canonical_run(self) -> CanonicalRun:
+        """The fuzzy c-means iterations over all points as one partition
+        (thread-count independent up to floating-point associativity)."""
         ds = self.dataset
-        if n_threads > ds.n_points:
-            raise ValueError(f"more threads ({n_threads}) than points ({ds.n_points})")
-        C, D = ds.n_centers, ds.n_dims
-        rng = np.random.default_rng(self.seed)
-        reduce_fn = resolve_strategy(self.reduction_strategy)
-        execution = WorkloadExecution(
-            workload=self.name, n_threads=n_threads, n_iterations=0
-        )
-        serial_only = lambda v: tuple(  # noqa: E731
-            int(v) if t == 0 else 0 for t in range(n_threads)
-        )
-
-        centers = self._initial_centers(rng)
-        execution.add(PhaseWork(
-            phase=PHASE_INIT,
-            per_thread_instructions=serial_only(C * D * 2 + 80),
-            per_thread_reads=serial_only(C * D),
-            per_thread_writes=serial_only(C * D),
-        ))
-
-        slices = self.partition(ds.n_points, n_threads)
-        counts_per_thread = self.per_thread_counts(ds.n_points, n_threads)
-        memberships = np.empty((ds.n_points, C), dtype=np.float64)
-
+        centers = self._initial_centers(np.random.default_rng(self.seed))
+        n_iterations = 0
         for iteration in range(self.max_iterations):
-            numers, denoms = [], []
-            for sl in slices:
-                u, numer, denom = self._partials(ds.points[sl], centers)
-                memberships[sl] = u
-                numers.append(numer)
-                denoms.append(denom)
-            execution.add(PhaseWork(
-                phase=PHASE_PARALLEL,
-                per_thread_instructions=tuple(
-                    self._parallel_instr(int(n)) for n in counts_per_thread
-                ),
-                per_thread_reads=tuple(int(n) * D for n in counts_per_thread),
-                per_thread_writes=tuple(int(n) * 2 for n in counts_per_thread),
-            ))
-
-            merged_numer, cost_n = reduce_fn(numers)
-            merged_denom, cost_d = reduce_fn(denoms)
-            serial_ops = cost_n.serial_element_ops + cost_d.serial_element_ops
-            parallel_ops = cost_n.parallel_element_ops + cost_d.parallel_element_ops
-            messages = cost_n.messages + cost_d.messages
-            # master walks the critical path; other threads carry the
-            # distributed share (per-thread, see ReductionCost semantics)
-            red_instr = [parallel_ops * _COMBINE_INSTR] * n_threads
-            red_reads = [parallel_ops] * n_threads
-            if serial_ops:
-                red_instr[0] = serial_ops * _COMBINE_INSTR
-                red_reads[0] = serial_ops
-            shared = [messages // n_threads] * n_threads
-            if self.reduction_strategy == "serial":
-                shared = [0] * n_threads
-                shared[0] = messages
-            execution.add(PhaseWork(
-                phase=PHASE_REDUCTION,
-                per_thread_instructions=tuple(red_instr),
-                per_thread_reads=tuple(red_reads),
-                per_thread_writes=tuple(
-                    self.reduction_elements if t == 0 else 0 for t in range(n_threads)
-                ),
-                shared_reads=tuple(shared),
-            ))
-
-            new_centers = merged_numer / np.maximum(merged_denom, 1e-12)[:, None]
+            memberships, numer, denom = self._partials(ds.points, centers)
+            new_centers = numer / np.maximum(denom, 1e-12)[:, None]
             movement = float(np.abs(new_centers - centers).sum())
             centers = new_centers
-            execution.add(PhaseWork(
-                phase=PHASE_SERIAL,
-                per_thread_instructions=serial_only(C * D * _UPDATE_INSTR + C),
-                per_thread_reads=serial_only(C * D),
-                per_thread_writes=serial_only(C * D),
-            ))
-            execution.n_iterations = iteration + 1
+            n_iterations = iteration + 1
             if movement < self.tolerance:
                 break
-
-        execution.outputs = {
+        return CanonicalRun(n_iterations, {
             "centers": centers,
             "memberships": memberships,
-        }
-        return execution
+        })
+
+    def _account(self, run: CanonicalRun, execution: WorkloadExecution) -> None:
+        """Init, then per iteration: memberships and weighted partials over
+        each thread's points, the merge of one ``C×D`` numerator and one
+        ``C`` denominator partial per thread, and the center update."""
+        p = execution.n_threads
+        C, D = self.dataset.n_centers, self.dataset.n_dims
+        counts = self.per_thread_counts(self.dataset.n_points, p).tolist()
+        execution.add(PhaseWork(
+            phase=PHASE_INIT,
+            per_thread_instructions=master_only(C * D * 2 + 80, p),
+            per_thread_reads=master_only(C * D, p),
+            per_thread_writes=master_only(C * D, p),
+        ))
+        iteration = (
+            PhaseWork(
+                phase=PHASE_PARALLEL,
+                per_thread_instructions=tuple(self._parallel_instr(n) for n in counts),
+                per_thread_reads=tuple(n * D for n in counts),
+                per_thread_writes=tuple(n * 2 for n in counts),
+            ),
+            reduction_work(self.reduction_strategy, (C * D, C), p,
+                           _COMBINE_INSTR, self.reduction_elements),
+            PhaseWork(
+                phase=PHASE_SERIAL,
+                per_thread_instructions=master_only(C * D * _UPDATE_INSTR + C, p),
+                per_thread_reads=master_only(C * D, p),
+                per_thread_writes=master_only(C * D, p),
+            ),
+        )
+        execution.phases.extend(iteration * run.n_iterations)

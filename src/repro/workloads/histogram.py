@@ -24,11 +24,13 @@ from repro.util.validation import check_positive_int
 from repro.workloads.base import (
     PHASE_INIT,
     PHASE_PARALLEL,
-    PHASE_REDUCTION,
     PHASE_SERIAL,
+    CanonicalRun,
     ClusteringWorkloadBase,
     PhaseWork,
     WorkloadExecution,
+    master_only,
+    reduction_work,
 )
 from repro.workloads.reduction import resolve_strategy
 
@@ -82,69 +84,41 @@ class HistogramWorkload(ClusteringWorkloadBase):
         ).astype(np.int64)
         return np.concatenate([background, bump1, bump2])
 
-    def execute(self, n_threads: int) -> WorkloadExecution:
-        """Run the histogram with ``n_threads`` logical threads."""
-        check_positive_int(n_threads, "n_threads")
-        if n_threads > self.n_items:
-            raise ValueError(f"more threads ({n_threads}) than items ({self.n_items})")
-        data = self._data()
-        reduce_fn = resolve_strategy(self.reduction_strategy)
-        ex = WorkloadExecution(
-            workload=self.name, n_threads=n_threads, n_iterations=1
-        )
-        master = lambda v: tuple(  # noqa: E731
-            int(v) if t == 0 else 0 for t in range(n_threads)
-        )
+    def _work_items(self) -> "tuple[int, str]":
+        return self.n_items, "items"
 
-        ex.add(PhaseWork(
-            phase=PHASE_INIT,
-            per_thread_instructions=master(self.n_bins + 40),
-            per_thread_reads=master(0),
-            per_thread_writes=master(self.n_bins),
-        ))
-
-        counts = self.per_thread_counts(self.n_items, n_threads)
-        slices = self.partition(self.n_items, n_threads)
-        partials = [
-            np.bincount(data[sl], minlength=self.n_bins).astype(np.float64)
-            for sl in slices
-        ]
-        ex.add(PhaseWork(
-            phase=PHASE_PARALLEL,
-            per_thread_instructions=tuple(int(c) * _BIN_INSTR for c in counts),
-            per_thread_reads=tuple(int(c) for c in counts),
-            per_thread_writes=tuple(int(c) for c in counts),
-        ))
-
-        total, cost = reduce_fn(partials)
-        red_instr = [cost.parallel_element_ops * _COMBINE_INSTR] * n_threads
-        red_reads = [cost.parallel_element_ops] * n_threads
-        if cost.serial_element_ops:
-            red_instr[0] = cost.serial_element_ops * _COMBINE_INSTR
-            red_reads[0] = cost.serial_element_ops
-        shared = [cost.messages // n_threads] * n_threads
-        if self.reduction_strategy == "serial":
-            shared = [0] * n_threads
-            shared[0] = cost.messages
-        ex.add(PhaseWork(
-            phase=PHASE_REDUCTION,
-            per_thread_instructions=tuple(red_instr),
-            per_thread_reads=tuple(red_reads),
-            per_thread_writes=master(self.n_bins),
-            shared_reads=tuple(shared),
-        ))
-
-        histogram = total.astype(np.int64)
-        mode_bin = int(np.argmax(histogram))
-        ex.add(PhaseWork(
-            phase=PHASE_SERIAL,
-            per_thread_instructions=master(self.n_bins * _NORMALISE_INSTR),
-            per_thread_reads=master(self.n_bins),
-            per_thread_writes=master(self.n_bins),
-        ))
-        ex.outputs = {
+    def _canonical_run(self) -> CanonicalRun:
+        """Bin every item (integer counts, so exact at any thread count)."""
+        histogram = np.bincount(self._data(), minlength=self.n_bins)
+        return CanonicalRun(1, {
             "histogram": histogram,
-            "mode_bin": mode_bin,
+            "mode_bin": int(np.argmax(histogram)),
             "density": histogram / self.n_items,
-        }
-        return ex
+        })
+
+    def _account(self, run: CanonicalRun, execution: WorkloadExecution) -> None:
+        """Zero the bins, bin each thread's slice privately, merge one
+        ``n_bins`` partial per thread, normalise on the master."""
+        p = execution.n_threads
+        counts = self.per_thread_counts(self.n_items, p).tolist()
+        execution.add(PhaseWork(
+            phase=PHASE_INIT,
+            per_thread_instructions=master_only(self.n_bins + 40, p),
+            per_thread_reads=master_only(0, p),
+            per_thread_writes=master_only(self.n_bins, p),
+        ))
+        execution.add(PhaseWork(
+            phase=PHASE_PARALLEL,
+            per_thread_instructions=tuple(c * _BIN_INSTR for c in counts),
+            per_thread_reads=tuple(counts),
+            per_thread_writes=tuple(counts),
+        ))
+        execution.add(reduction_work(
+            self.reduction_strategy, (self.n_bins,), p, _COMBINE_INSTR, self.n_bins
+        ))
+        execution.add(PhaseWork(
+            phase=PHASE_SERIAL,
+            per_thread_instructions=master_only(self.n_bins * _NORMALISE_INSTR, p),
+            per_thread_reads=master_only(self.n_bins, p),
+            per_thread_writes=master_only(self.n_bins, p),
+        ))

@@ -26,15 +26,18 @@ boundaries rather than saturating immediately.
 The kd-tree build and its per-particle queries are *modelled* work (the
 instruction counts below).  The host numerics find the neighbours with the
 exact numpy grid search of :func:`repro.workloads.neighbors.knn`, which
-returns what ``cKDTree.query`` returns, bit for bit.  Neighbours do not
-depend on the thread count, so a workload computes them once per dataset
-and every ``execute`` reuses them; the grouping result is independent of
-the thread count.
+returns what ``cKDTree.query`` returns, bit for bit.
+
+Neighbours, density, hop chains, the grouping and the slab order do not
+depend on the thread count: they are the canonical run, computed once per
+workload identity.  Per thread count, only the slab boundaries move, so
+only each slab's local group count and the cross-slab hop edges are
+counted anew.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +47,11 @@ from repro.workloads.base import (
     PHASE_PARALLEL,
     PHASE_REDUCTION,
     PHASE_SERIAL,
+    CanonicalRun,
     ClusteringWorkloadBase,
     PhaseWork,
     WorkloadExecution,
+    master_only,
 )
 from repro.workloads.datasets import ParticleDataset
 from repro.workloads.neighbors import knn
@@ -81,8 +86,6 @@ class HopWorkload(ClusteringWorkloadBase):
     dataset: ParticleDataset
     n_neighbors: int = 16
     density_threshold_quantile: float = 0.2
-    #: (dataset, n_neighbors, distances, indices) of the last neighbour search
-    _neighbors: tuple = field(default=None, init=False, repr=False, compare=False)
 
     name = "hop"
 
@@ -99,94 +102,30 @@ class HopWorkload(ClusteringWorkloadBase):
                 f"{self.dataset.n_particles}"
             )
 
-    def __getstate__(self) -> dict:
-        # a pickled workload (a work unit bound for a worker) leaves the
-        # neighbour arrays behind; the receiver recomputes them on demand
-        return {**self.__dict__, "_neighbors": None}
-
-    def neighbors(self) -> "tuple[np.ndarray, np.ndarray]":
-        """``(distances, indices)`` of each particle's ``n_neighbors + 1``
-        nearest particles, itself included, nearest first (see
-        :func:`~repro.workloads.neighbors.knn`).  Computed once per
-        dataset and ``n_neighbors``; the arrays are read-only."""
-        cached = self._neighbors
-        if (cached is None or cached[0] is not self.dataset
-                or cached[1] != self.n_neighbors):
-            dists, idx = knn(self.dataset.positions, self.n_neighbors + 1)
-            dists.flags.writeable = idx.flags.writeable = False
-            cached = self._neighbors = (self.dataset, self.n_neighbors, dists, idx)
-        return cached[2], cached[3]
-
     # ── execution ─────────────────────────────────────────────────────────
-    def execute(self, n_threads: int) -> WorkloadExecution:
-        """Run HOP with ``n_threads`` logical threads (single pass — HOP is
-        not iterative like the center-based methods)."""
-        check_positive_int(n_threads, "n_threads")
+    def _work_items(self) -> "tuple[int, str]":
+        return self.dataset.n_particles, "particles"
+
+    def _canonical_run(self) -> CanonicalRun:
+        """Neighbours, density, hop chains and grouping (single pass — HOP
+        is not iterative like the center-based methods).
+
+        ``state`` holds what the per-thread-count merge accounting reads,
+        in slab order (particles sorted along the first axis):
+        ``total_hops``, each particle's root (-1 when ungrouped), and the
+        slab position of each particle's next hop.
+        """
         ds = self.dataset
         n = ds.n_particles
-        if n_threads > n:
-            raise ValueError(f"more threads ({n_threads}) than particles ({n})")
-        k = self.n_neighbors
-        levels = max(1, int(np.ceil(np.log2(n))))
-        execution = WorkloadExecution(
-            workload=self.name, n_threads=n_threads, n_iterations=1
-        )
-        serial_only = lambda v: tuple(  # noqa: E731
-            int(v) if t == 0 else 0 for t in range(n_threads)
-        )
-        counts = self.per_thread_counts(n, n_threads)
-        slices = self.partition(n, n_threads)
-        # domain decomposition: slab-partition along the first axis so each
-        # thread owns a spatially coherent region (cross-partition edges
-        # then scale with the slab boundaries, as on a real N-body code)
-        order = np.argsort(ds.positions[:, 0], kind="stable")
-
-        # ── init (serial): bounding box, allocation ──────────────────────
-        execution.add(PhaseWork(
-            phase=PHASE_INIT,
-            per_thread_instructions=serial_only(n // 8 + 60),
-            per_thread_reads=serial_only(n // 8),
-            per_thread_writes=serial_only(20),
-        ))
-
-        # ── tree build (parallel, imperfectly scalable) ──────────────────
-        # each thread builds its subtree ((n/p)·levels work) but the top
-        # log2(p) split levels scan the whole input on every participating
-        # thread — the non-scaling term that caps hop's speedup (~13.5@16).
-        top_levels = max(1, int(np.ceil(np.log2(n_threads)))) if n_threads > 1 else 0
-        tree_instr = tuple(
-            int(c) * levels * _TREE_INSTR_PER_LEVEL
-            + (n // max(n_threads, 1)) * top_levels * _TREE_INSTR_PER_LEVEL
-            for c in counts
-        )
-        execution.add(PhaseWork(
-            phase=PHASE_PARALLEL,
-            per_thread_instructions=tree_instr,
-            per_thread_reads=tuple(int(c) * levels for c in counts),
-            per_thread_writes=tuple(int(c) * 2 for c in counts),
-        ))
-
-        # ── density (parallel) ────────────────────────────────────────────
-        dists, neighbors = self.neighbors()
+        dists, neighbors = knn(ds.positions, self.n_neighbors + 1)
         # smoothed density: inverse-distance-weighted neighbour masses
         eps = 1e-9
         weights = 1.0 / (dists[:, 1:] ** 2 + eps)
         density = (weights * ds.masses[neighbors[:, 1:]]).sum(axis=1)
-        execution.add(PhaseWork(
-            phase=PHASE_PARALLEL,
-            per_thread_instructions=tuple(
-                int(c) * (k * _DENSITY_INSTR_PER_NEIGH + levels * _QUERY_INSTR_PER_LEVEL)
-                for c in counts
-            ),
-            per_thread_reads=tuple(int(c) * k for c in counts),
-            per_thread_writes=tuple(int(c) for c in counts),
-        ))
 
-        # ── hop (parallel pointer chasing) ────────────────────────────────
-        candidates = neighbors  # includes self in column 0
-        cand_density = density[candidates]
-        next_hop = candidates[np.arange(n), np.argmax(cand_density, axis=1)]
-        # particles denser than all neighbours point to themselves (maxima)
+        # each particle hops to its densest candidate (itself included, in
+        # column 0); particles denser than all neighbours are maxima
+        next_hop = neighbors[np.arange(n), np.argmax(density[neighbors], axis=1)]
         roots = next_hop.copy()
         total_hops = n  # every particle does at least its own lookup
         changed = True
@@ -195,32 +134,98 @@ class HopWorkload(ClusteringWorkloadBase):
             changed = bool(np.any(compressed != roots))
             total_hops += int(np.count_nonzero(compressed != roots))
             roots = compressed
-        execution.add(PhaseWork(
-            phase=PHASE_PARALLEL,
-            per_thread_instructions=tuple(
-                int(c) * (total_hops // n + 1) * _HOP_INSTR_PER_STEP for c in counts
-            ),
-            per_thread_reads=tuple(int(c) * 2 for c in counts),
-            per_thread_writes=tuple(int(c) for c in counts),
-        ))
 
         # background suppression: low-density particles stay ungrouped
         threshold = float(np.quantile(density, self.density_threshold_quantile))
         grouped_mask = density >= threshold
+        unique_roots, group_of = np.unique(roots[grouped_mask], return_inverse=True)
+        groups = np.full(n, -1, dtype=np.int64)
+        groups[grouped_mask] = group_of
+
+        # domain decomposition: slab-partition along the first axis so each
+        # thread owns a spatially coherent region (cross-partition edges
+        # then scale with the slab boundaries, as on a real N-body code)
+        order = np.argsort(ds.positions[:, 0], kind="stable")
+        slab_position = np.empty(n, dtype=np.int64)
+        slab_position[order] = np.arange(n)
+        slab_roots = np.where(grouped_mask, roots, -1)[order]
+        next_slab_position = slab_position[next_hop[order]]
+        return CanonicalRun(1, {
+            "groups": groups,
+            "n_groups": int(unique_roots.size),
+            "density": density,
+            "roots": roots,
+        }, state=(total_hops, slab_roots, next_slab_position))
+
+    def _account(self, run: CanonicalRun, execution: WorkloadExecution) -> None:
+        """Init, tree build, density and hop passes over each thread's
+        slab, the master's merge of the per-slab group tables and
+        cross-slab hop edges, and the final renumbering.  The merge counts
+        join the execution's ``outputs`` as ``table_entries`` and
+        ``cross_edges``."""
+        p = execution.n_threads
+        n = self.dataset.n_particles
+        k = self.n_neighbors
+        total_hops, slab_roots, next_slab_position = run.state
+        levels = max(1, int(np.ceil(np.log2(n))))
+        counts = self.per_thread_counts(n, p).tolist()
+
+        # ── init (serial): bounding box, allocation ──────────────────────
+        execution.add(PhaseWork(
+            phase=PHASE_INIT,
+            per_thread_instructions=master_only(n // 8 + 60, p),
+            per_thread_reads=master_only(n // 8, p),
+            per_thread_writes=master_only(20, p),
+        ))
+
+        # ── tree build (parallel, imperfectly scalable) ──────────────────
+        # each thread builds its subtree ((n/p)·levels work) but the top
+        # log2(p) split levels scan the whole input on every participating
+        # thread — the non-scaling term that caps hop's speedup (~13.5@16).
+        top_levels = max(1, int(np.ceil(np.log2(p)))) if p > 1 else 0
+        execution.add(PhaseWork(
+            phase=PHASE_PARALLEL,
+            per_thread_instructions=tuple(
+                c * levels * _TREE_INSTR_PER_LEVEL
+                + (n // p) * top_levels * _TREE_INSTR_PER_LEVEL
+                for c in counts
+            ),
+            per_thread_reads=tuple(c * levels for c in counts),
+            per_thread_writes=tuple(c * 2 for c in counts),
+        ))
+
+        # ── density (parallel) ────────────────────────────────────────────
+        execution.add(PhaseWork(
+            phase=PHASE_PARALLEL,
+            per_thread_instructions=tuple(
+                c * (k * _DENSITY_INSTR_PER_NEIGH + levels * _QUERY_INSTR_PER_LEVEL)
+                for c in counts
+            ),
+            per_thread_reads=tuple(c * k for c in counts),
+            per_thread_writes=tuple(counts),
+        ))
+
+        # ── hop (parallel pointer chasing) ────────────────────────────────
+        execution.add(PhaseWork(
+            phase=PHASE_PARALLEL,
+            per_thread_instructions=tuple(
+                c * (total_hops // n + 1) * _HOP_INSTR_PER_STEP for c in counts
+            ),
+            per_thread_reads=tuple(c * 2 for c in counts),
+            per_thread_writes=tuple(counts),
+        ))
 
         # ── merge (serial reduction on the master) ────────────────────────
         # per-thread local group tables: unique roots within each slab
+        slabs = self.partition(n, p)
         local_group_counts = []
-        for sl in slices:
-            members = order[sl]
-            r = roots[members][grouped_mask[members]]
-            local_group_counts.append(int(np.unique(r).size))
-        table_entries = int(sum(local_group_counts))
+        for sl in slabs:
+            r = slab_roots[sl]
+            local_group_counts.append(int(np.unique(r[r >= 0]).size))
+        table_entries = sum(local_group_counts)
         # cross-partition hop edges the master must resolve (slab owners)
-        owner = np.empty(n, dtype=np.int64)
-        for t, sl in enumerate(slices):
-            owner[order[sl.start:sl.stop]] = t
-        cross_edges = int(np.count_nonzero(owner != owner[next_hop]))
+        owner = np.repeat(np.arange(p), counts)
+        cross_edges = int(np.count_nonzero(owner != owner[next_slab_position]))
         # probe cost grows with the already-accumulated global table: the
         # t-th table's entries probe a structure holding ~t earlier tables —
         # the superlinear, memory-bound component the paper observes.
@@ -228,36 +233,24 @@ class HopWorkload(ClusteringWorkloadBase):
             g * (_MERGE_INSTR_PER_ENTRY + _MERGE_PROBE_SCALE * t)
             for t, g in enumerate(local_group_counts)
         )
-        merge_instr = probe_instr + cross_edges * _EDGE_INSTR
         execution.add(PhaseWork(
             phase=PHASE_REDUCTION,
-            per_thread_instructions=serial_only(merge_instr),
-            per_thread_reads=serial_only(table_entries + cross_edges),
-            per_thread_writes=serial_only(table_entries),
-            shared_reads=serial_only(
+            per_thread_instructions=master_only(probe_instr + cross_edges * _EDGE_INSTR, p),
+            per_thread_reads=master_only(table_entries + cross_edges, p),
+            per_thread_writes=master_only(table_entries, p),
+            shared_reads=master_only(
                 # entries contributed by remote threads are coherence misses
-                table_entries - (local_group_counts[0] if local_group_counts else 0)
-                + cross_edges
+                table_entries - local_group_counts[0] + cross_edges, p
             ),
         ))
 
         # ── serial: final group renumbering and stats ─────────────────────
-        unique_roots, group_of = np.unique(roots[grouped_mask], return_inverse=True)
-        groups = np.full(n, -1, dtype=np.int64)
-        groups[grouped_mask] = group_of
+        n_groups = run.outputs["n_groups"]
         execution.add(PhaseWork(
             phase=PHASE_SERIAL,
-            per_thread_instructions=serial_only(int(unique_roots.size) * 4 + 40),
-            per_thread_reads=serial_only(int(unique_roots.size)),
-            per_thread_writes=serial_only(int(unique_roots.size)),
+            per_thread_instructions=master_only(n_groups * 4 + 40, p),
+            per_thread_reads=master_only(n_groups, p),
+            per_thread_writes=master_only(n_groups, p),
         ))
-
-        execution.outputs = {
-            "groups": groups,
-            "n_groups": int(unique_roots.size),
-            "density": density,
-            "roots": roots,
-            "cross_edges": cross_edges,
-            "table_entries": table_entries,
-        }
-        return execution
+        execution.outputs["cross_edges"] = cross_edges
+        execution.outputs["table_entries"] = table_entries

@@ -24,11 +24,13 @@ from repro.util.validation import check_positive, check_positive_int
 from repro.workloads.base import (
     PHASE_INIT,
     PHASE_PARALLEL,
-    PHASE_REDUCTION,
     PHASE_SERIAL,
+    CanonicalRun,
     ClusteringWorkloadBase,
     PhaseWork,
     WorkloadExecution,
+    master_only,
+    reduction_work,
 )
 from repro.workloads.datasets import ClusteringDataset
 from repro.workloads.reduction import resolve_strategy
@@ -102,7 +104,7 @@ class KMeansWorkload(ClusteringWorkloadBase):
     def _assign_and_accumulate(
         self, points: np.ndarray, centers: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Assignment + privatised partial sums for one thread's points."""
+        """Assignment plus per-center sums and counts over ``points``."""
         # pairwise squared distances (n_t, C)
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(d2, axis=1)
@@ -128,110 +130,64 @@ class KMeansWorkload(ClusteringWorkloadBase):
         return self.dataset.n_centers * (self.dataset.n_dims + 1)
 
     # ── execution ─────────────────────────────────────────────────────────
-    def execute(self, n_threads: int) -> WorkloadExecution:
-        """Run k-means with ``n_threads`` logical threads.
+    def _work_items(self) -> "tuple[int, str]":
+        return self.dataset.n_points, "points"
 
-        The numerics are exact (independent of n_threads up to floating
-        point associativity); the accounting reflects the per-thread
-        partitioning.
+    def _canonical_run(self) -> CanonicalRun:
+        """Lloyd's iterations over all points as one partition.
+
+        Per-thread partials only reorder the floating-point sums, so the
+        numerics (and with them ``n_iterations``) are the same at every
+        thread count up to associativity.
         """
-        check_positive_int(n_threads, "n_threads")
         ds = self.dataset
-        if n_threads > ds.n_points:
-            raise ValueError(
-                f"more threads ({n_threads}) than points ({ds.n_points})"
-            )
-        C, D = ds.n_centers, ds.n_dims
-        rng = np.random.default_rng(self.seed)
-        reduce_fn = resolve_strategy(self.reduction_strategy)
-        execution = WorkloadExecution(
-            workload=self.name, n_threads=n_threads, n_iterations=0
-        )
-
-        # ── init (serial): choose initial centers ────────────────────────
-        centers = self._initial_centers(rng)
-        serial_only = lambda v: tuple(  # noqa: E731 - tiny local helper
-            int(v) if t == 0 else 0 for t in range(n_threads)
-        )
-        zeros = tuple(0 for _ in range(n_threads))
-        execution.add(PhaseWork(
-            phase=PHASE_INIT,
-            per_thread_instructions=serial_only(C * D * 2 + 50),
-            per_thread_reads=serial_only(C * D),
-            per_thread_writes=serial_only(C * D),
-        ))
-
-        slices = self.partition(ds.n_points, n_threads)
-        counts_per_thread = self.per_thread_counts(ds.n_points, n_threads)
-        assignments = np.empty(ds.n_points, dtype=np.int64)
-
+        centers = self._initial_centers(np.random.default_rng(self.seed))
+        n_iterations = 0
         for iteration in range(self.max_iterations):
-            # ── parallel: assignment + privatised partials ────────────────
-            partial_sums, partial_counts = [], []
-            for sl in slices:
-                a, ps, pc = self._assign_and_accumulate(ds.points[sl], centers)
-                assignments[sl] = a
-                partial_sums.append(ps)
-                partial_counts.append(pc)
-            execution.add(PhaseWork(
-                phase=PHASE_PARALLEL,
-                per_thread_instructions=tuple(
-                    self._parallel_instr(int(n)) for n in counts_per_thread
-                ),
-                per_thread_reads=tuple(int(n) * D for n in counts_per_thread),
-                per_thread_writes=tuple(int(n) * 2 for n in counts_per_thread),
-            ))
-
-            # ── reduction (merging phase) ────────────────────────────────
-            merged_sums, cost_s = reduce_fn(partial_sums)
-            merged_counts, cost_c = reduce_fn(partial_counts)
-            serial_ops = cost_s.serial_element_ops + cost_c.serial_element_ops
-            parallel_ops = cost_s.parallel_element_ops + cost_c.parallel_element_ops
-            messages = cost_s.messages + cost_c.messages
-            # master walks the critical path; other threads carry the
-            # distributed share (per-thread, see ReductionCost semantics)
-            red_instr = [parallel_ops * _COMBINE_INSTR] * n_threads
-            red_reads = [parallel_ops] * n_threads
-            if serial_ops:
-                red_instr[0] = serial_ops * _COMBINE_INSTR
-                red_reads[0] = serial_ops
-            shared = [messages // n_threads] * n_threads
-            if self.reduction_strategy == "serial":
-                shared = [0] * n_threads
-                shared[0] = messages  # the master reads every remote partial
-            execution.add(PhaseWork(
-                phase=PHASE_REDUCTION,
-                per_thread_instructions=tuple(red_instr),
-                per_thread_reads=tuple(red_reads),
-                per_thread_writes=tuple(
-                    self.reduction_elements if t == 0 else 0 for t in range(n_threads)
-                ),
-                shared_reads=tuple(shared),
-            ))
-
-            # ── serial: recompute centers, convergence test ──────────────
-            safe_counts = np.maximum(merged_counts, 1.0)
-            new_centers = merged_sums / safe_counts[:, None]
+            assignments, sums, counts = self._assign_and_accumulate(ds.points, centers)
+            safe_counts = np.maximum(counts, 1.0)
+            new_centers = sums / safe_counts[:, None]
             # empty clusters keep their previous position
-            empty = merged_counts < 0.5
+            empty = counts < 0.5
             new_centers[empty] = centers[empty]
             movement = float(np.abs(new_centers - centers).sum())
             centers = new_centers
-            execution.add(PhaseWork(
-                phase=PHASE_SERIAL,
-                per_thread_instructions=serial_only(C * D * _UPDATE_INSTR + C),
-                per_thread_reads=serial_only(C * D),
-                per_thread_writes=serial_only(C * D),
-            ))
-            execution.n_iterations = iteration + 1
+            n_iterations = iteration + 1
             if movement < self.tolerance:
                 break
-
-        execution.outputs = {
+        return CanonicalRun(n_iterations, {
             "centers": centers,
             "assignments": assignments,
-            "inertia": float(
-                ((ds.points - centers[assignments]) ** 2).sum()
+            "inertia": float(((ds.points - centers[assignments]) ** 2).sum()),
+        })
+
+    def _account(self, run: CanonicalRun, execution: WorkloadExecution) -> None:
+        """Init, then per iteration: assignment over each thread's points,
+        the merge of one ``C×D`` sum and one ``C`` count partial per
+        thread, and the center update on the master."""
+        p = execution.n_threads
+        C, D = self.dataset.n_centers, self.dataset.n_dims
+        counts = self.per_thread_counts(self.dataset.n_points, p).tolist()
+        execution.add(PhaseWork(
+            phase=PHASE_INIT,
+            per_thread_instructions=master_only(C * D * 2 + 50, p),
+            per_thread_reads=master_only(C * D, p),
+            per_thread_writes=master_only(C * D, p),
+        ))
+        iteration = (
+            PhaseWork(
+                phase=PHASE_PARALLEL,
+                per_thread_instructions=tuple(self._parallel_instr(n) for n in counts),
+                per_thread_reads=tuple(n * D for n in counts),
+                per_thread_writes=tuple(n * 2 for n in counts),
             ),
-        }
-        return execution
+            reduction_work(self.reduction_strategy, (C * D, C), p,
+                           _COMBINE_INSTR, self.reduction_elements),
+            PhaseWork(
+                phase=PHASE_SERIAL,
+                per_thread_instructions=master_only(C * D * _UPDATE_INSTR + C, p),
+                per_thread_reads=master_only(C * D, p),
+                per_thread_writes=master_only(C * D, p),
+            ),
+        )
+        execution.phases.extend(iteration * run.n_iterations)

@@ -25,6 +25,7 @@ __all__ = [
     "serial_reduce",
     "tree_reduce",
     "parallel_reduce",
+    "reduction_cost",
     "STRATEGIES",
     "resolve_strategy",
 ]
@@ -74,14 +75,7 @@ def serial_reduce(partials: Sequence[np.ndarray]) -> tuple[np.ndarray, Reduction
     total = arrays[0].copy()
     for a in arrays[1:]:
         total += a
-    x = int(np.prod(arrays[0].shape)) if arrays[0].shape else 1
-    p = len(arrays)
-    return total, ReductionCost(
-        strategy="serial", x=x, p=p,
-        serial_element_ops=x * p,
-        parallel_element_ops=0,
-        messages=x * (p - 1),
-    )
+    return total, reduction_cost("serial", _size(arrays), len(arrays))
 
 
 def tree_reduce(partials: Sequence[np.ndarray]) -> tuple[np.ndarray, ReductionCost]:
@@ -93,29 +87,13 @@ def tree_reduce(partials: Sequence[np.ndarray]) -> tuple[np.ndarray, ReductionCo
     while the total work stays ``x·(p−1)`` spread over threads.
     """
     arrays = _check(partials)
-    p = len(arrays)
-    x = int(np.prod(arrays[0].shape)) if arrays[0].shape else 1
     live = [a.copy() for a in arrays]
-    messages = 0
     while len(live) > 1:
-        nxt = []
-        for i in range(0, len(live) - 1, 2):
-            nxt.append(live[i] + live[i + 1])
-            messages += x
+        nxt = [live[i] + live[i + 1] for i in range(0, len(live) - 1, 2)]
         if len(live) % 2 == 1:
             nxt.append(live[-1])
         live = nxt
-    rounds = max(1, math.ceil(math.log2(p))) if p > 1 else 1
-    # total combines x·(p−1); the master's chain is the critical path
-    # (x per round); the rest spreads over the p−1 other threads
-    off_critical = max(0, x * (p - 1) - x * rounds)
-    per_thread = math.ceil(off_critical / (p - 1)) if p > 1 else 0
-    return live[0], ReductionCost(
-        strategy="tree", x=x, p=p,
-        serial_element_ops=x * rounds,
-        parallel_element_ops=per_thread,
-        messages=messages,
-    )
+    return live[0], reduction_cost("tree", _size(arrays), len(arrays))
 
 
 def parallel_reduce(
@@ -133,23 +111,52 @@ def parallel_reduce(
     """
     arrays = _check(partials)
     p = len(arrays)
-    x = int(np.prod(arrays[0].shape)) if arrays[0].shape else 1
     flat = np.stack([a.ravel() for a in arrays])  # (p, x)
     total_flat = np.zeros(flat.shape[1], dtype=np.float64)
     # slice ownership: thread t owns elements [t::p] (cyclic, balanced)
     for t in range(p):
         total_flat[t::p] = flat[:, t::p].sum(axis=0)
     total = total_flat.reshape(arrays[0].shape)
-    messages = x * (p - 1)
-    if broadcast_back:
-        messages *= 2
-    per_thread = (x // p + (1 if x % p else 0)) * p
-    return total, ReductionCost(
-        strategy="parallel", x=x, p=p,
-        serial_element_ops=0,
+    return total, reduction_cost("parallel", _size(arrays), p, broadcast_back)
+
+
+def reduction_cost(
+    strategy: str, x: int, p: int, broadcast_back: bool = True
+) -> ReductionCost:
+    """What ``strategy`` costs to reduce ``p`` partials of ``x`` elements.
+
+    The cost depends on the shapes only, never on the values, so the
+    per-thread-count accounting prices a reduction without performing it.
+    ``broadcast_back`` applies to the parallel strategy (see
+    :func:`parallel_reduce`).
+    """
+    resolve_strategy(strategy)
+    if strategy == "serial":
+        serial, per_thread, messages = x * p, 0, x * (p - 1)
+    elif strategy == "tree":
+        rounds = max(1, math.ceil(math.log2(p))) if p > 1 else 1
+        # total combines x·(p−1), one message each; the master's chain is
+        # the critical path (x per round); the rest spreads over the p−1
+        # other threads
+        off_critical = max(0, x * (p - 1) - x * rounds)
+        serial = x * rounds
+        per_thread = math.ceil(off_critical / (p - 1)) if p > 1 else 0
+        messages = x * (p - 1)
+    else:
+        serial = 0
+        per_thread = (x // p + (1 if x % p else 0)) * p
+        messages = x * (p - 1) * (2 if broadcast_back else 1)
+    return ReductionCost(
+        strategy=strategy, x=x, p=p,
+        serial_element_ops=serial,
         parallel_element_ops=per_thread,
         messages=messages,
     )
+
+
+def _size(arrays: "list[np.ndarray]") -> int:
+    """Elements per partial."""
+    return int(np.prod(arrays[0].shape)) if arrays[0].shape else 1
 
 
 STRATEGIES = {

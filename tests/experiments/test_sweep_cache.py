@@ -18,7 +18,15 @@ from repro import pipeline
 from repro.experiments.store import SweepStore
 from repro.pipeline import clear_memo, memo_info, simulate_breakdowns
 from repro.simx import MachineConfig
-from repro.workloads import default_workloads
+from repro.pipeline.builders import sim_point_unit
+from repro.workloads import (
+    FuzzyCMeansWorkload,
+    HopWorkload,
+    KMeansWorkload,
+    default_workloads,
+    make_blobs,
+    make_particles,
+)
 
 payloads = st.dictionaries(
     st.text(min_size=1, max_size=12),
@@ -125,6 +133,19 @@ class TestKeySensitivity:
         keys = {store.key_for({"machine": asdict(c)}) for c in [cfg, *variants]}
         assert len(keys) == len(variants) + 1  # all distinct
 
+    @pytest.mark.parametrize("make,knob,value", [
+        (lambda: KMeansWorkload(make_blobs(200, 3, 4, seed=1)), "init", "kmeans++"),
+        (lambda: FuzzyCMeansWorkload(make_blobs(200, 3, 4, seed=1)), "init", "kmeans++"),
+        (lambda: FuzzyCMeansWorkload(make_blobs(200, 3, 4, seed=1)), "fuzziness", 3.0),
+        (lambda: HopWorkload(make_particles(300, seed=1)),
+         "density_threshold_quantile", 0.5),
+    ], ids=["kmeans-init", "fuzzy-init", "fuzzy-fuzziness", "hop-quantile"])
+    def test_every_workload_knob_changes_key(self, make, knob, value):
+        cfg = MachineConfig.baseline(n_cores=4)
+        base, changed = make(), make()
+        setattr(changed, knob, value)
+        assert sim_point_unit(base, 2, 2, cfg).key != sim_point_unit(changed, 2, 2, cfg).key
+
     def test_sim_version_changes_key(self, store):
         a = store.key_for({"sim_version": 1, "w": "kmeans"})
         b = store.key_for({"sim_version": 2, "w": "kmeans"})
@@ -214,6 +235,18 @@ class TestSimsweepDiskTier:
         out = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
         assert out[1].total > 0
         assert memo_info()["disk_entries"] == 0
+
+    def test_kmeanspp_init_gets_its_own_breakdown(self, isolated_store):
+        ds = make_blobs(400, 4, 6, seed=3)
+        random_init = KMeansWorkload(ds, init="random")
+        plusplus = KMeansWorkload(ds, init="kmeans++")
+        # the two inits converge after different iteration counts ...
+        assert random_init.execute(1).n_iterations != plusplus.execute(1).n_iterations
+        a = simulate_breakdowns(random_init, (2,), n_cores=2, mem_scale=8)
+        b = simulate_breakdowns(plusplus, (2,), n_cores=2, mem_scale=8)
+        # ... so each is simulated, and their breakdowns differ
+        assert memo_info()["executed"] == 2
+        assert asdict(a[2]) != asdict(b[2])
 
     def test_machine_config_is_part_of_the_memo_key(self, isolated_store):
         wl = self._workload()

@@ -140,8 +140,11 @@ class TestDegenerateInputs:
 
 
 class TestHopNeighbourCache:
+    """HOP's k-NN runs in the canonical run, once per workload identity
+    in a process (:meth:`~repro.workloads.base.ClusteringWorkloadBase.canonical_run`)."""
+
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def calls(self, monkeypatch, fresh_numerics):
         calls = []
 
         def counting_knn(points, k):
@@ -166,24 +169,26 @@ class TestHopNeighbourCache:
         wl.execute(1)
         assert calls == [9, 9, 7]
 
-        fresh = HopWorkload(other, n_neighbors=8).execute(2)
+        # a second workload over identical data shares the one search
+        fresh = HopWorkload(make_particles(400, n_halos=3, seed=7), n_neighbors=8).execute(2)
+        assert calls == [9, 9, 7]
         assert swapped.phases == fresh.phases
         np.testing.assert_array_equal(swapped.outputs["density"], fresh.outputs["density"])
 
-    def test_pickle_leaves_the_cache_behind(self, calls):
+    def test_pickle_leaves_the_cache_behind(self, calls, fresh_numerics):
         wl = HopWorkload(make_particles(300, n_halos=3, seed=8), n_neighbors=8)
         want = wl.execute(2)
+        # the workload itself holds no numerics: it pickles as a fresh one
+        assert pickle.dumps(wl) == pickle.dumps(HopWorkload(wl.dataset, n_neighbors=8))
         copy = pickle.loads(pickle.dumps(wl))
-        assert copy._neighbors is None
+        fresh_numerics.clear()  # as in a worker process's empty memo
         got = copy.execute(2)
         assert calls == [9, 9]
         assert got.phases == want.phases
         np.testing.assert_array_equal(got.outputs["groups"], want.outputs["groups"])
 
-    def test_cached_neighbours_are_read_only(self):
-        wl = HopWorkload(make_particles(300, n_halos=3, seed=8), n_neighbors=8)
-        dists, idx = wl.neighbors()
-        with pytest.raises(ValueError):
-            idx[0, 0] = 1
-        with pytest.raises(ValueError):
-            dists[0, 0] = 1.0
+    def test_canonical_outputs_are_read_only(self):
+        ex = HopWorkload(make_particles(300, n_halos=3, seed=8), n_neighbors=8).execute(2)
+        for name in ("groups", "density", "roots"):
+            with pytest.raises(ValueError):
+                ex.outputs[name][0] = 1
