@@ -240,13 +240,14 @@ def time_runall_precompute() -> dict:
     """The ``runall`` precompute pass: declare every experiment's units,
     measure the cross-experiment dedup ratio, and time resolving the
     union cold vs disk-warm."""
-    from repro.experiments.registry import SWEEP_DECLARATIONS, declare_units
+    from repro.experiments.registry import SPECS, declare_units
     from repro.pipeline import clear_memo, get_disk_store, resolve_units, set_disk_store
 
     options = dict(scale=0.03, thread_counts=(1, 2, 16),
                    hw_thread_counts=(1, 2))
+    declaring = sorted(eid for eid, spec in SPECS.items() if spec.declares_units)
     units = []
-    for eid in sorted(SWEEP_DECLARATIONS):
+    for eid in declaring:
         units.extend(declare_units(eid, **options))
     unique = {u.key for u in units}
 
@@ -269,7 +270,7 @@ def time_runall_precompute() -> dict:
         clear_memo()
 
     return {
-        "experiments": len(SWEEP_DECLARATIONS),
+        "experiments": len(declaring),
         "declared_units": len(units),
         "unique_units": len(unique),
         "dedup_ratio": round(len(units) / len(unique), 3),

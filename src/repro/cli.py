@@ -282,23 +282,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
     if getattr(args, "json", False):
         import json
 
-        from repro.experiments.registry import SPECS
-        from repro.pipeline import accepted_options
+        from repro.experiments.registry import SPECS, listing
 
-        entries = []
-        for name in sorted(SPECS):
-            spec = SPECS[name]
-            accepted = accepted_options(spec.assemble)
-            options = sorted(accepted) if accepted is not None else None
-            entries.append({
-                "id": name,
-                "description": describe_experiment(name),
-                "options": options,
-                # canonical name, matching repro.pipeline.accepted_options;
-                # "options" stays for older consumers
-                "accepted_options": options,
-                "declares_units": spec.declares_units,
-            })
+        entries = [{**entry, "declares_units": SPECS[entry["id"]].declares_units}
+                   for entry in listing()]
         print(json.dumps(entries, indent=2))
         return 0
     width = max(len(name) for name in EXPERIMENTS)

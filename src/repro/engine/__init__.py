@@ -45,7 +45,6 @@ Typical use is via the CLI (``repro run <id> --parallel N``,
 from repro.engine.events import EngineEvent, EventLog
 from repro.engine.journal import (
     RunJournal,
-    new_run_id,
     read_manifest,
     resolve_run_dir,
     run_path,
@@ -83,7 +82,6 @@ __all__ = [
     "current_session",
     "default_workers",
     "drain_on_signal",
-    "new_run_id",
     "precompute",
     "read_manifest",
     "register_executor",

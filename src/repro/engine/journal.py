@@ -50,7 +50,6 @@ __all__ = [
     "runs_root",
     "run_path",
     "resolve_run_dir",
-    "new_run_id",
     "read_manifest",
     "write_manifest",
 ]
@@ -74,12 +73,6 @@ def validate_run_id(run_id: str) -> str:
             "(max 128 chars, no leading punctuation)"
         )
     return run_id
-
-
-def new_run_id() -> str:
-    """A fresh, human-sortable run id (timestamp plus random suffix)."""
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    return f"run-{stamp}-{os.urandom(3).hex()}"
 
 
 def run_path(run_id: str, *, root: "str | Path | None" = None,

@@ -22,7 +22,7 @@ from repro.core.params import AppParams
 from repro.core.perf import PollackPerf
 from repro.experiments.report import ExperimentReport, PaperComparison, series_table
 from repro.noc.comm_cost import topology_growcomm
-from repro.pipeline import ExperimentSpec, Stage, sim_sweep_units, simulate_breakdowns
+from repro.pipeline import ExperimentSpec, resolve_units, sim_sweep_units, sweep_breakdowns
 from repro.util.tables import TextTable
 from repro.workloads.datasets import make_blobs
 from repro.workloads.instrument import extract_parameters
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-def _reduction_workloads(scale: float = 0.08) -> dict:
+def _reduction_workloads(scale: float) -> dict:
     """The three merge-strategy variants of the kmeans workload."""
     n = max(300, int(17695 * scale))
     return {
@@ -53,14 +53,10 @@ def _reduction_workloads(scale: float = 0.08) -> dict:
     }
 
 
-def declare_units_reduction(
-    scale: float = 0.08, thread_counts: tuple = (1, 2, 4, 8, 16)
-) -> list:
+def declare_units_reduction(scale: float, thread_counts: tuple) -> list:
     """The reduction-strategy ablation's sweep as engine work units."""
-    units = []
-    for wl in _reduction_workloads(scale).values():
-        units.extend(sim_sweep_units(wl, thread_counts, mem_scale=2))
-    return units
+    return [u for wl in _reduction_workloads(scale).values()
+            for u in sim_sweep_units(wl, thread_counts, mem_scale=2)]
 
 
 def _machine_variants(n_cores: int) -> dict:
@@ -83,15 +79,11 @@ def _machine_workload(scale: float) -> KMeansWorkload:
     )
 
 
-def declare_units_machine(
-    scale: float = 0.06, thread_counts: tuple = (1, 2, 4, 8, 16)
-) -> list:
+def declare_units_machine(scale: float, thread_counts: tuple) -> list:
     """The machine-model ablation's sweep as engine work units."""
     wl = _machine_workload(scale)
-    units = []
-    for cfg in _machine_variants(max(thread_counts)).values():
-        units.extend(sim_sweep_units(wl, thread_counts, mem_scale=2, config=cfg))
-    return units
+    return [u for cfg in _machine_variants(max(thread_counts)).values()
+            for u in sim_sweep_units(wl, thread_counts, mem_scale=2, config=cfg)]
 
 
 def run_perf_law(n: int = 256) -> ExperimentReport:
@@ -167,8 +159,10 @@ def run_reduction_strategy(
         "ablation-reduction", "Reduction strategy, measured on the simulator"
     )
     rows = {}
-    for strategy, wl in _reduction_workloads(scale).items():
-        breakdowns = simulate_breakdowns(wl, thread_counts, mem_scale=2)
+    units = declare_units_reduction(scale, thread_counts)
+    for wl, breakdowns in sweep_breakdowns(
+            units, resolve_units(units), len(thread_counts)):
+        strategy = wl.reduction_strategy
         top = max(thread_counts)
         rows[strategy] = {
             "reduction@1": breakdowns[1].reduction,
@@ -234,15 +228,14 @@ def run_machine_model(
     report = ExperimentReport(
         "ablation-machine", "Parameter robustness across machine models"
     )
-    wl = _machine_workload(scale)
-    variants = _machine_variants(max(thread_counts))
+    units = declare_units_machine(scale, thread_counts)
+    sweeps = sweep_breakdowns(units, resolve_units(units), len(thread_counts))
     t = TextTable(
         title="kmeans parameters per machine model",
         columns=["machine", "serial (%)", "fcon (%)", "fored (%)", "alpha"],
     )
     extracted = {}
-    for name, cfg in variants.items():
-        breakdowns = simulate_breakdowns(wl, thread_counts, mem_scale=2, config=cfg)
+    for name, (_, breakdowns) in zip(_machine_variants(max(thread_counts)), sweeps):
         ep = extract_parameters(breakdowns, name)
         extracted[name] = ep
         t.add_row([
@@ -281,26 +274,21 @@ def run() -> ExperimentReport:
     return combined
 
 
+_REDUCTION = ExperimentSpec(
+    "ablation-reduction", run_reduction_strategy, declare_units_reduction)
+
+
 def _declare_units_aggregate() -> list:
     """The aggregate runner takes no options, so its only simulator work
-    is the reduction-strategy ablation at its defaults."""
-    return declare_units_reduction()
+    is the reduction-strategy ablation at that driver's defaults."""
+    return _REDUCTION.declare_units()
 
 
 SPECS = (
     ExperimentSpec("ablation-perf", run_perf_law),
     ExperimentSpec("ablation-topology", run_topology),
-    ExperimentSpec(
-        "ablation-reduction", run_reduction_strategy,
-        stages=(Stage("sim-sweep", declare_units_reduction),),
-    ),
+    _REDUCTION,
     ExperimentSpec("ablation-rmap", run_optimal_r_map),
-    ExperimentSpec(
-        "ablation-machine", run_machine_model,
-        stages=(Stage("sim-sweep", declare_units_machine),),
-    ),
-    ExperimentSpec(
-        "ablations", run,
-        stages=(Stage("sim-sweep", _declare_units_aggregate),),
-    ),
+    ExperimentSpec("ablation-machine", run_machine_model, declare_units_machine),
+    ExperimentSpec("ablations", run, _declare_units_aggregate),
 )

@@ -27,7 +27,12 @@ from repro.core.scaled import (
 )
 from repro.experiments.report import ExperimentReport, PaperComparison, series_table
 from repro.noc.contention import contended_growcomm
-from repro.pipeline import ExperimentSpec, Stage, sim_point_unit, simulate_breakdowns
+from repro.pipeline import (
+    ExperimentSpec,
+    breakdown_from_payload,
+    resolve_units,
+    sim_point_unit,
+)
 from repro.util.tables import TextTable
 
 __all__ = [
@@ -240,9 +245,7 @@ def _crossover_designs(budget: int) -> list:
     return designs
 
 
-def declare_units_crossover(
-    budget: int = 16, n_items: int = 20000, n_bins: int = 8192
-) -> list:
+def declare_units_crossover(budget: int, n_items: int, n_bins: int) -> list:
     """Every fixed-budget design's simulator run as an engine work unit."""
     wl = _crossover_workload(n_items, n_bins)
     return [
@@ -267,11 +270,10 @@ def run_crossover_sim(
         "ext-crossover-sim",
         "The fewer-larger-cores crossover, measured in simulation",
     )
-    wl = _crossover_workload(n_items, n_bins)
-    cycles: dict[int, int] = {}
-    for r, nc, cfg in _crossover_designs(budget):
-        b = simulate_breakdowns(wl, [nc], mem_scale=2, config=cfg)[nc]
-        cycles[r] = int(b.total)
+    units = declare_units_crossover(budget, n_items, n_bins)
+    payloads = resolve_units(units)
+    cycles = {r: int(breakdown_from_payload(payloads[u.key]).total)
+              for (r, _, _), u in zip(_crossover_designs(budget), units)}
     t = TextTable(
         title=f"histogram (x={n_bins} bins) on every {budget}-BCE symmetric design",
         columns=["r (BCEs/core)", "cores", "cycles", "speedup vs r=1"],
@@ -315,9 +317,7 @@ def _acmp_configs(rl: int, n_threads: int) -> tuple:
     )
 
 
-def declare_units_acmp(
-    scale: float = 0.08, rl: int = 16, n_threads: int = 8
-) -> list:
+def declare_units_acmp(scale: float, rl: int, n_threads: int) -> list:
     """Both machines' kmeans runs as engine work units."""
     wl = _acmp_workload(scale)
     return [
@@ -330,10 +330,9 @@ def run_acmp_sim(scale: float = 0.08, rl: int = 16, n_threads: int = 8) -> Exper
     report = ExperimentReport(
         "ext-acmp-sim", "Simulated ACMP: serial sections on the large core"
     )
-    wl = _acmp_workload(scale)
-    sym_cfg, acmp_cfg = _acmp_configs(rl, n_threads)
-    sym = simulate_breakdowns(wl, [n_threads], mem_scale=2, config=sym_cfg)[n_threads]
-    acmp = simulate_breakdowns(wl, [n_threads], mem_scale=2, config=acmp_cfg)[n_threads]
+    units = declare_units_acmp(scale, rl, n_threads)
+    payloads = resolve_units(units)
+    sym, acmp = (breakdown_from_payload(payloads[u.key]) for u in units)
     t = TextTable(
         title=f"kmeans at {n_threads} threads: symmetric vs ACMP (rl={rl})",
         columns=["machine", "total", "parallel", "reduction", "init+serial"],
@@ -378,12 +377,6 @@ SPECS = (
     ExperimentSpec("ext-energy", run_energy),
     ExperimentSpec("ext-scaled", run_scaled),
     ExperimentSpec("ext-contention", run_contention),
-    ExperimentSpec(
-        "ext-acmp-sim", run_acmp_sim,
-        stages=(Stage("sim-sweep", declare_units_acmp),),
-    ),
-    ExperimentSpec(
-        "ext-crossover-sim", run_crossover_sim,
-        stages=(Stage("sim-sweep", declare_units_crossover),),
-    ),
+    ExperimentSpec("ext-acmp-sim", run_acmp_sim, declare_units_acmp),
+    ExperimentSpec("ext-crossover-sim", run_crossover_sim, declare_units_crossover),
 )

@@ -12,7 +12,7 @@ phase to be truly parallel).
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import SIM_PROGRAM, ExperimentSpec, Stage, resolve_units, sim_program_unit
+from repro.pipeline import ExperimentSpec, resolve_units, sim_program_unit
 from repro.simx import Compute, MachineConfig, Store, ThreadTrace, TraceProgram
 from repro.util.tables import TextTable
 
@@ -44,7 +44,7 @@ def _accumulation_program(
     )
 
 
-def declare_units(n_threads: int = 8, updates: int = 300) -> list:
+def declare_units(n_threads: int, updates: int) -> list:
     """Both layouts' simulator runs as engine work units."""
     cfg = MachineConfig.baseline(n_cores=n_threads)
     return [
@@ -97,6 +97,4 @@ def run(n_threads: int = 8, updates: int = 300) -> ExperimentReport:
     return report
 
 
-SPEC = ExperimentSpec(
-    "ext-falsesharing", run, stages=(Stage(SIM_PROGRAM, declare_units),)
-)
+SPEC = ExperimentSpec("ext-falsesharing", run, declare_units)

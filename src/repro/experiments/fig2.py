@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from repro.core import measured as measured_model
 from repro.core.accuracy import evaluate_accuracy
+from repro.experiments import table2
 from repro.experiments.report import ExperimentReport, PaperComparison, series_table
 from repro.pipeline import (
+    HARDWARE_MODEL,
+    SWEEP_POINT,
     ExperimentSpec,
-    Stage,
-    breakdown_from_payload,
     hardware_model_units,
     resolve_units,
-    sim_sweep_units,
-    simulate_breakdowns,
+    sweep_breakdowns,
 )
 from repro.workloads import default_workloads
 from repro.workloads.instrument import (
@@ -31,39 +31,21 @@ from repro.workloads.instrument import (
     speedup_curve,
 )
 
-__all__ = ["run", "declare_units", "declare_sim_units", "declare_hardware_units", "SPEC"]
+__all__ = ["run", "declare_units", "SPEC"]
 
 #: measured value of a 16-core claim when the sweep leaves out 16 threads
 NOT_SWEPT = "p=16 not swept"
 
 
-def declare_sim_units(
-    scale: float = 0.15,
-    thread_counts: tuple = (1, 2, 4, 8, 16),
-    mem_scale: int = 2,
+def declare_units(
+    scale: float, thread_counts: tuple, hw_thread_counts: tuple, mem_scale: int
 ) -> list:
-    """Fig 2's simulator sweep as engine work units — identical to
-    Table II's, which is exactly why the engine's global dedup pays off."""
-    units = []
-    for workload in default_workloads(scale).values():
-        units.extend(sim_sweep_units(workload, thread_counts, mem_scale=mem_scale))
-    return units
-
-
-def declare_hardware_units(
-    scale: float = 0.15,
-    hw_thread_counts: tuple = (1, 2, 4, 8),
-) -> list:
-    """Panel (c)'s hardware-model executions as engine work units."""
-    units = []
-    for workload in default_workloads(scale).values():
-        units.extend(hardware_model_units(workload, hw_thread_counts))
-    return units
-
-
-def declare_units(**options) -> list:
-    """Every unit Fig 2 needs (simulator sweep + hardware runs)."""
-    return SPEC.declare_units(**options)
+    """Fig 2's work units: Table II's simulator sweep, then panel (c)'s
+    hardware-model runs of the same workloads."""
+    workloads = default_workloads(scale).values()
+    return table2.sweep_units(workloads, thread_counts, mem_scale) + [
+        u for w in workloads for u in hardware_model_units(w, hw_thread_counts)
+    ]
 
 
 def run(
@@ -74,12 +56,13 @@ def run(
 ) -> ExperimentReport:
     """Regenerate all four panels of Fig 2."""
     report = ExperimentReport("fig2", "Application characterisation")
-    workloads = default_workloads(scale)
-
-    sim = {
-        name: simulate_breakdowns(w, thread_counts, mem_scale=mem_scale)
-        for name, w in workloads.items()
-    }
+    units = declare_units(scale, thread_counts, hw_thread_counts, mem_scale)
+    payloads = resolve_units(units)
+    sim = {w.name: b for w, b in sweep_breakdowns(
+        [u for u in units if u.kind == SWEEP_POINT], payloads, len(thread_counts))}
+    hw = {w.name: b for w, b in sweep_breakdowns(
+        [u for u in units if u.kind == HARDWARE_MODEL], payloads,
+        len(hw_thread_counts))}
 
     # ── (a) scalability ───────────────────────────────────────────────────
     speedups = {name: speedup_curve(b) for name, b in sim.items()}
@@ -124,13 +107,7 @@ def run(
         ))
 
     # ── (c) hardware validation ───────────────────────────────────────────
-    hw_growth = {}
-    for name, w in workloads.items():
-        units = hardware_model_units(w, hw_thread_counts)
-        payloads = resolve_units(units)
-        hw = {p: breakdown_from_payload(payloads[u.key])
-              for p, u in zip(hw_thread_counts, units)}
-        hw_growth[name] = serial_growth_curve(hw)
+    hw_growth = {name: serial_growth_curve(b) for name, b in hw.items()}
     report.add_table(series_table(
         "Fig 2(c) — serial section time on hardware (model backend)",
         "cores", list(hw_thread_counts),
@@ -176,7 +153,4 @@ def run(
     return report
 
 
-SPEC = ExperimentSpec("fig2", run, stages=(
-    Stage("sim-sweep", declare_sim_units),
-    Stage("hardware", declare_hardware_units),
-))
+SPEC = ExperimentSpec("fig2", run, declare_units)

@@ -19,7 +19,7 @@ pattern — and hence for the paper's whole problem setting.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import SIM_PROGRAM, ExperimentSpec, Stage, resolve_units, sim_program_unit
+from repro.pipeline import ExperimentSpec, resolve_units, sim_program_unit
 from repro.simx import (
     Compute,
     Load,
@@ -93,10 +93,7 @@ def _privatised_program(
 
 
 def declare_units(
-    n_threads: int = 8,
-    updates_per_thread: int = 2000,
-    batch: int = 64,
-    merge_elements: int = 256,
+    n_threads: int, updates_per_thread: int, batch: int, merge_elements: int
 ) -> list:
     """Both disciplines' simulator runs as engine work units."""
     cfg = MachineConfig.baseline(n_cores=max(n_threads, 2))
@@ -158,6 +155,4 @@ def run(
     return report
 
 
-SPEC = ExperimentSpec(
-    "ext-locked-reduction", run, stages=(Stage(SIM_PROGRAM, declare_units),)
-)
+SPEC = ExperimentSpec("ext-locked-reduction", run, declare_units)

@@ -2,10 +2,10 @@
 
 Every experiment module exports its spec(s) — ``SPEC`` for a single
 experiment, ``SPECS`` for a family — and this module collects them into
-one table.  The classic driver map (``EXPERIMENTS``) and the engine's
-sweep-declaration map (``SWEEP_DECLARATIONS``) are both *derived* from
-the specs, so adding an experiment is one ``ExperimentSpec`` in its own
-module and nothing else.
+one table from the modules in ``_MODULES``.  The classic driver map
+(``EXPERIMENTS``) and every declaration (:func:`declare_units`) are
+*derived* from the specs, so adding an experiment is one
+``ExperimentSpec`` in its own module plus its module in ``_MODULES``.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from repro.pipeline import ExperimentSpec, accepted_options, filter_kwargs
 __all__ = [
     "SPECS",
     "EXPERIMENTS",
-    "SWEEP_DECLARATIONS",
     "get_spec",
     "get_experiment",
     "run_experiment",
     "validate_options",
     "filter_options",
     "describe_experiment",
+    "listing",
     "declare_units",
 ]
 
@@ -62,15 +62,6 @@ SPECS: Mapping[str, ExperimentSpec] = _collect_specs()
 #: id → assemble function (the classic driver map, derived from SPECS)
 EXPERIMENTS: Mapping[str, Callable[..., ExperimentReport]] = {
     eid: spec.assemble for eid, spec in SPECS.items()
-}
-
-#: id → declarer returning the experiment's expensive work as engine
-#: :class:`~repro.engine.units.WorkUnit`\ s (same defaults and cache keys
-#: as the driver's own calls).  Derived from SPECS: experiments without
-#: stages have nothing worth precomputing — they are pure model
-#: evaluations or derive everything from another experiment's sweep.
-SWEEP_DECLARATIONS: Mapping[str, Callable[..., list]] = {
-    eid: spec.declare_units for eid, spec in SPECS.items() if spec.declares_units
 }
 
 
@@ -146,12 +137,28 @@ def describe_experiment(experiment_id: str) -> str:
     return doc.splitlines()[0].strip() if doc else ""
 
 
+def listing() -> list:
+    """One entry per experiment, in id order: its id, description and
+    the options its driver accepts (``None`` when it takes
+    ``**kwargs``) — ``repro list --json`` and serve's
+    ``GET /v1/experiments`` both list this."""
+    entries = []
+    for eid in sorted(SPECS):
+        accepted = accepted_options(SPECS[eid].assemble)
+        entries.append({
+            "id": eid,
+            "description": describe_experiment(eid),
+            "options": sorted(accepted) if accepted is not None else None,
+        })
+    return entries
+
+
 def declare_units(experiment_id: str, **options) -> list:
     """The experiment's declared work as units (``[]`` if none).
 
-    Options a stage does not understand are dropped rather than
-    rejected: callers pass one option set for a whole batch of
-    experiments (e.g. ``repro runall --scale 0.1``) and each stage
-    picks out what applies to it.
+    Options its driver does not take are dropped rather than rejected:
+    callers pass one option set for a whole batch of experiments (e.g.
+    ``repro runall --scale 0.1``) and each experiment picks out what
+    applies to it.
     """
     return get_spec(experiment_id).declare_units(**options)

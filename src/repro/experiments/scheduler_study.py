@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import SIM_PROGRAM, ExperimentSpec, Stage, resolve_units, sim_program_unit
+from repro.pipeline import ExperimentSpec, resolve_units, sim_program_unit
 from repro.simx import (
     Barrier,
     Compute,
@@ -182,12 +182,12 @@ def _oversub_config(base_cores: int, quantum: int, migration_cost: int) -> Machi
 
 
 def declare_units_oversubscription(
-    ratios: tuple = (1, 2, 3, 4),
-    base_cores: int = 4,
-    quantum: int = 1200,
-    migration_cost: int = 30,
-    total_updates: int = 4800,
-    merge_elements: int = 64,
+    ratios: tuple,
+    base_cores: int,
+    quantum: int,
+    migration_cost: int,
+    total_updates: int,
+    merge_elements: int,
 ) -> list:
     """One round-robin run per threads/cores ratio, fixed total work."""
     cfg = _oversub_config(base_cores, quantum, migration_cost)
@@ -297,12 +297,12 @@ def _acmp_config(
 
 
 def declare_units_acmp_policy(
-    rl: int = 4,
-    n_small: int = 3,
-    work: int = 1500,
-    merge_elements: int = 64,
-    quantum: int = 2000,
-    migration_cost: int = 25,
+    rl: int,
+    n_small: int,
+    work: int,
+    merge_elements: int,
+    quantum: int,
+    migration_cost: int,
 ) -> list:
     """The same merge program under each big-core ownership policy."""
     n_threads = n_small + 1
@@ -399,12 +399,12 @@ def _pi_config(cores: int, quantum: int) -> MachineConfig:
 
 
 def declare_units_priority_inversion(
-    quanta: tuple = (150, 600, 4800),
-    cores: int = 2,
-    n_reducers: int = 3,
-    n_spinners: int = 3,
-    updates: int = 400,
-    merge_elements: int = 64,
+    quanta: tuple,
+    cores: int,
+    n_reducers: int,
+    n_spinners: int,
+    updates: int,
+    merge_elements: int,
 ) -> list:
     """The same locked merge under each quantum."""
     return [
@@ -494,19 +494,10 @@ def run_priority_inversion(
 
 
 SPECS = (
-    ExperimentSpec(
-        "ext-oversubscription-sweep",
-        run_oversubscription,
-        stages=(Stage(SIM_PROGRAM, declare_units_oversubscription),),
-    ),
-    ExperimentSpec(
-        "ext-acmp-merge-policy",
-        run_acmp_policy,
-        stages=(Stage(SIM_PROGRAM, declare_units_acmp_policy),),
-    ),
-    ExperimentSpec(
-        "ext-priority-inversion-reduction",
-        run_priority_inversion,
-        stages=(Stage(SIM_PROGRAM, declare_units_priority_inversion),),
-    ),
+    ExperimentSpec("ext-oversubscription-sweep", run_oversubscription,
+                   declare_units_oversubscription),
+    ExperimentSpec("ext-acmp-merge-policy", run_acmp_policy,
+                   declare_units_acmp_policy),
+    ExperimentSpec("ext-priority-inversion-reduction", run_priority_inversion,
+                   declare_units_priority_inversion),
 )

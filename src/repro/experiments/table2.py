@@ -13,25 +13,23 @@ from __future__ import annotations
 
 from repro.core.params import TABLE2
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import ExperimentSpec, Stage, sim_sweep_units, simulate_breakdowns
+from repro.pipeline import ExperimentSpec, resolve_units, sim_sweep_units, sweep_breakdowns
 from repro.util.tables import TextTable
 from repro.workloads import default_workloads
 from repro.workloads.instrument import extract_parameters
 
-__all__ = ["run", "declare_units", "SPEC"]
+__all__ = ["run", "declare_units", "sweep_units", "SPEC"]
 
 
-def declare_units(
-    scale: float = 0.15,
-    thread_counts: tuple = (1, 2, 4, 8, 16),
-    mem_scale: int = 2,
-) -> list:
-    """Table II's simulator sweep as engine work units (mirrors
-    :func:`run`'s defaults so the keys match what the driver will ask for)."""
-    units = []
-    for workload in default_workloads(scale).values():
-        units.extend(sim_sweep_units(workload, thread_counts, mem_scale=mem_scale))
-    return units
+def declare_units(scale: float, thread_counts: tuple, mem_scale: int) -> list:
+    """Table II's simulator sweep as engine work units."""
+    return sweep_units(default_workloads(scale).values(), thread_counts, mem_scale)
+
+
+def sweep_units(workloads, thread_counts: tuple, mem_scale: int) -> list:
+    """One simulator sweep per workload, in order (Fig 2 runs the same)."""
+    return [u for w in workloads
+            for u in sim_sweep_units(w, thread_counts, mem_scale=mem_scale)]
 
 
 def run(
@@ -49,8 +47,10 @@ def run(
         ],
     )
     extracted = {}
-    for name, workload in default_workloads(scale).items():
-        breakdowns = simulate_breakdowns(workload, thread_counts, mem_scale=mem_scale)
+    units = declare_units(scale, thread_counts, mem_scale)
+    for workload, breakdowns in sweep_breakdowns(
+            units, resolve_units(units), len(thread_counts)):
+        name = workload.name
         ep = extract_parameters(breakdowns, name)
         extracted[name] = ep
         table.add_row([
@@ -109,4 +109,4 @@ def run(
     return report
 
 
-SPEC = ExperimentSpec("table2", run, stages=(Stage("sim-sweep", declare_units),))
+SPEC = ExperimentSpec("table2", run, declare_units)

@@ -10,7 +10,7 @@ roughly unchanged; hop's parallel fraction drops on the larger set.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import ExperimentSpec, Stage, sim_sweep_units, simulate_breakdowns
+from repro.pipeline import ExperimentSpec, resolve_units, sim_sweep_units, sweep_breakdowns
 from repro.util.tables import TextTable
 from repro.workloads.datasets import make_blobs, make_particles
 from repro.workloads.fuzzy import FuzzyCMeansWorkload
@@ -21,19 +21,14 @@ from repro.workloads.kmeans import KMeansWorkload
 __all__ = ["run", "declare_units", "SPEC"]
 
 
-def declare_units(
-    scale: float = 0.08,
-    thread_counts: tuple = (1, 2, 4, 8),
-    mem_scale: int = 4,
-) -> list:
-    """Table IV's ten-variant sweep as engine work units (mirrors
-    :func:`run`'s defaults so the keys match what the driver will ask for)."""
-    units = []
-    for workload in _variants(scale).values():
-        units.extend(sim_sweep_units(
-            workload, thread_counts, n_cores=max(thread_counts), mem_scale=mem_scale
-        ))
-    return units
+def declare_units(scale: float, thread_counts: tuple, mem_scale: int) -> list:
+    """Table IV's ten-variant sweep as engine work units."""
+    return _sweep_units(_variants(scale).values(), thread_counts, mem_scale)
+
+
+def _sweep_units(workloads, thread_counts: tuple, mem_scale: int) -> list:
+    return [u for w in workloads for u in sim_sweep_units(
+        w, thread_counts, n_cores=max(thread_counts), mem_scale=mem_scale)]
 
 
 def _variants(scale: float):
@@ -73,10 +68,12 @@ def run(
         columns=["data label", "N", "D", "C", "f", "fred (%)", "fcon (%)"],
     )
     extracted = {}
-    for label, workload in _variants(scale).items():
-        breakdowns = simulate_breakdowns(
-            workload, thread_counts, n_cores=max(thread_counts), mem_scale=mem_scale
-        )
+    # the rows are labelled by variant, so build the grid once and derive
+    # its units the way declare_units does
+    variants = _variants(scale)
+    units = _sweep_units(variants.values(), thread_counts, mem_scale)
+    sweeps = sweep_breakdowns(units, resolve_units(units), len(thread_counts))
+    for label, (workload, breakdowns) in zip(variants, sweeps):
         ep = extract_parameters(breakdowns, label)
         extracted[label] = ep
         ds = workload.dataset
@@ -143,4 +140,4 @@ def run(
     return report
 
 
-SPEC = ExperimentSpec("table4", run, stages=(Stage("sim-sweep", declare_units),))
+SPEC = ExperimentSpec("table4", run, declare_units)

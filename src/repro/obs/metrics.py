@@ -177,9 +177,6 @@ class Gauge(_Family):
         key = self._series_key(labels)
         self._series[key] = self._series.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: str) -> float:
         return float(self._series.get(self._series_key(labels), 0.0))
 
@@ -233,17 +230,6 @@ class Histogram(_Family):
         hv.bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
         hv.sum += value
         hv.count += 1
-
-    def series_stats(self, **labels: str) -> dict:
-        """``{count, sum, mean}`` for one series (zeros when empty)."""
-        hv = self._series.get(self._series_key(labels))
-        if hv is None:
-            return {"count": 0, "sum": 0.0, "mean": 0.0}
-        return {
-            "count": hv.count,
-            "sum": hv.sum,
-            "mean": hv.sum / hv.count if hv.count else 0.0,
-        }
 
     def _value_to_dict(self, hv: _HistValue) -> dict:
         cumulative = []

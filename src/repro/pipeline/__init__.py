@@ -2,13 +2,14 @@
 
 The pipeline layer sits between the experiments and the execution engine
 (see ``docs/architecture.md``).  Experiments describe themselves as
-:class:`ExperimentSpec`\\ s — stages *declare* content-hashed work units
-over any expensive backend (simulator sweeps and trace programs,
-hardware-model executions), and an *assemble* function
-builds the report from warm caches.
+:class:`ExperimentSpec`\\ s — an optional *declare* function lists
+content-hashed work units over any expensive backend (simulator sweeps
+and trace programs, hardware-model executions), and an *assemble*
+function resolves the same units and builds the report from warm caches.
 :func:`resolve_units` is the one execution substrate all of them share:
 memo -> disk store -> engine pool -> inline, in that order, for every
-unit kind (:func:`simulate_breakdowns` is the sweep-point shorthand).
+unit kind (:func:`sweep_breakdowns` decodes resolved sweeps;
+:func:`simulate_breakdowns` is the one-sweep shorthand).
 """
 
 from repro.pipeline.builders import (
@@ -30,17 +31,12 @@ from repro.pipeline.runtime import (
     resolve_units,
     set_disk_store,
     simulate_breakdowns,
+    sweep_breakdowns,
 )
-from repro.pipeline.spec import (
-    ExperimentSpec,
-    Stage,
-    accepted_options,
-    filter_kwargs,
-)
+from repro.pipeline.spec import ExperimentSpec, accepted_options, filter_kwargs
 
 __all__ = [
     "ExperimentSpec",
-    "Stage",
     "accepted_options",
     "filter_kwargs",
     "SWEEP_POINT",
@@ -53,6 +49,7 @@ __all__ = [
     "breakdown_from_payload",
     "resolve_units",
     "simulate_breakdowns",
+    "sweep_breakdowns",
     "cache_get",
     "cache_put",
     "clear_memo",

@@ -48,7 +48,6 @@ __all__ = [
     "sim_point_unit",
     "sim_program_unit",
     "hardware_model_units",
-    "workload_descriptor",
     "breakdown_to_payload",
     "breakdown_from_payload",
     "execute_sweep_point",
@@ -107,16 +106,6 @@ def breakdown_from_payload(payload: dict) -> PhaseBreakdown:
         raise ValueError(f"malformed breakdown payload: {payload!r}") from exc
 
 
-# ── workload identity ─────────────────────────────────────────────────────
-
-
-def workload_descriptor(workload) -> dict:
-    """The workload part of a unit key: the workload's
-    :meth:`~repro.workloads.base.ClusteringWorkloadBase.identity` (name,
-    every knob, and the dataset's label, shapes and content digest)."""
-    return workload.identity()
-
-
 @functools.lru_cache(maxsize=64)
 def _config_dict(config) -> dict:
     """``asdict`` of a frozen (hashable) machine description, computed
@@ -138,7 +127,7 @@ def sim_point_unit(workload, p: int, mem_scale: int, config) -> WorkUnit:
     """
     key = SweepStore.key_for({
         "sim_version": _SIM_VERSION,
-        "workload": workload_descriptor(workload),
+        "workload": workload.identity(),
         "threads": p,
         "mem_scale": mem_scale,
         "machine": _config_dict(config),
@@ -237,7 +226,7 @@ def hardware_model_units(
         key = SweepStore.key_for({
             "kind": HARDWARE_MODEL,
             "hw_model_version": _HW_MODEL_VERSION,
-            "workload": workload_descriptor(workload),
+            "workload": workload.identity(),
             "threads": int(p),
             "model": _config_dict(model),
         })

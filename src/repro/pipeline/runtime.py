@@ -49,6 +49,7 @@ from repro.workloads.instrument import PhaseBreakdown
 __all__ = [
     "resolve_units",
     "simulate_breakdowns",
+    "sweep_breakdowns",
     "cache_get",
     "cache_put",
     "clear_memo",
@@ -196,6 +197,25 @@ def simulate_breakdowns(
     payloads = resolve_units(units)
     return {p: breakdown_from_payload(payloads[u.key])
             for p, u in zip(thread_counts, units)}
+
+
+def sweep_breakdowns(
+    units: "list[WorkUnit]", payloads: "dict[str, dict]", size: int
+) -> "list[tuple[object, dict[int, PhaseBreakdown]]]":
+    """Decode resolved sweeps into ``(workload, {p: PhaseBreakdown})``
+    pairs, one per sweep.
+
+    ``units`` are consecutive sweeps of ``size`` units each, in the order
+    a declare function lists them: sweep-point or hardware-model units of
+    one workload and machine, whose specs carry the workload first and
+    the thread count second.
+    """
+    return [
+        (units[i].spec[0],
+         {u.spec[1]: breakdown_from_payload(payloads[u.key])
+          for u in units[i:i + size]})
+        for i in range(0, len(units), size)
+    ]
 
 
 def clear_memo() -> None:

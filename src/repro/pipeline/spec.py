@@ -2,10 +2,10 @@
 
 Every experiment is one :class:`ExperimentSpec`: an id, an *assemble*
 function (the classic driver — a pure function from warm caches to an
-:class:`~repro.experiments.report.ExperimentReport`), and zero or more
-:class:`Stage`\\ s, each able to *declare* the experiment's expensive
-work as content-hashed :class:`~repro.engine.units.WorkUnit`\\ s without
-running anything.
+:class:`~repro.experiments.report.ExperimentReport`), and an optional
+*declare* function that lists the experiment's expensive work as
+content-hashed :class:`~repro.engine.units.WorkUnit`\\ s without running
+anything.
 
 The split is the engine's contract with the experiments layer:
 
@@ -17,10 +17,14 @@ The split is the engine's contract with the experiments layer:
   hardware work of its own, so it is cheap, deterministic, and
   byte-identical between serial and parallel runs.
 
-Stages take keyword options and, like drivers, different stages accept
-different knobs — :meth:`ExperimentSpec.declare_units` filters one
-shared option set per stage signature, so ``repro runall --scale 0.1``
-can hand the same options to every experiment it runs.
+A declare function takes a subset of its driver's parameters, by name
+and without defaults: :meth:`ExperimentSpec.declare_units` binds the
+options to the *driver's* signature, applies the driver's defaults and
+passes ``declare`` the values it names.  The driver resolves the units
+its declare function returns, so the two phases make one decision in
+one place.  Options a driver does not take are dropped, so
+``repro runall --scale 0.1`` can hand the same options to every
+experiment it runs.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable, Mapping
 from repro.engine.units import WorkUnit
 from repro.experiments.report import ExperimentReport
 
-__all__ = ["Stage", "ExperimentSpec", "accepted_options", "filter_kwargs"]
+__all__ = ["ExperimentSpec", "accepted_options", "filter_kwargs"]
 
 
 def accepted_options(fn: Callable) -> "set[str] | None":
@@ -57,44 +61,32 @@ def filter_kwargs(fn: Callable, options: Mapping[str, object]) -> dict:
 
 
 @dataclass(frozen=True)
-class Stage:
-    """One declarable slice of an experiment's work.
-
-    ``declare`` takes keyword options (a subset of the driver's) and
-    returns the stage's work units.  Its defaults must mirror the
-    driver's, so declared keys match what assembly will look up.
-    """
-
-    name: str
-    declare: Callable[..., "list[WorkUnit]"]
-
-    def declare_units(self, **options) -> "list[WorkUnit]":
-        return list(self.declare(**filter_kwargs(self.declare, options)))
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
-    """An experiment: declare stages + an assemble function."""
+    """An experiment: an assemble function and, when it has expensive
+    work, the declare function that lists it."""
 
     experiment_id: str
     assemble: Callable[..., ExperimentReport]
-    stages: "tuple[Stage, ...]" = ()
+    declare: "Callable[..., list[WorkUnit]] | None" = None
 
     @property
     def declares_units(self) -> bool:
         """Whether this experiment has any declarable work at all."""
-        return bool(self.stages)
+        return self.declare is not None
 
     def declare_units(self, **options) -> "list[WorkUnit]":
-        """Every unit the experiment will need, across all its stages.
+        """Every unit the experiment will need at ``options``.
 
-        Options a stage does not understand are dropped per stage, so
-        one option set can drive a heterogeneous batch of experiments.
+        The options are bound to the driver's signature with its
+        defaults applied; ``declare`` receives the parameters it names.
         """
-        units: "list[WorkUnit]" = []
-        for stage in self.stages:
-            units.extend(stage.declare_units(**options))
-        return units
+        if self.declare is None:
+            return []
+        bound = inspect.signature(self.assemble).bind(
+            **filter_kwargs(self.assemble, options))
+        bound.apply_defaults()
+        wanted = inspect.signature(self.declare).parameters
+        return list(self.declare(**{name: bound.arguments[name] for name in wanted}))
 
     def run(self, **options) -> ExperimentReport:
         """Assemble the report (options filtered to the driver's knobs)."""

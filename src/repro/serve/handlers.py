@@ -320,18 +320,9 @@ class ServeApp:
         return obs.render_prometheus()
 
     def experiments(self) -> list:
-        from repro.experiments.registry import SPECS, describe_experiment
-        from repro.pipeline import accepted_options
+        from repro.experiments.registry import listing
 
-        entries = []
-        for name in sorted(SPECS):
-            accepted = accepted_options(SPECS[name].assemble)
-            entries.append({
-                "id": name,
-                "description": describe_experiment(name),
-                "options": sorted(accepted) if accepted is not None else None,
-            })
-        return entries
+        return listing()
 
     # ── dispatch ──────────────────────────────────────────────────────────
 

@@ -39,11 +39,6 @@ from repro.workloads.histogram import HistogramWorkload
 from repro.workloads.hop import HopWorkload
 from repro.workloads.instrument import PhaseBreakdown, extract_parameters
 from repro.workloads.kmeans import KMeansWorkload
-from repro.workloads.reduction import (
-    parallel_reduce,
-    serial_reduce,
-    tree_reduce,
-)
 
 __all__ = [
     "PHASE_INIT",
@@ -61,9 +56,6 @@ __all__ = [
     "FuzzyCMeansWorkload",
     "HopWorkload",
     "HistogramWorkload",
-    "serial_reduce",
-    "tree_reduce",
-    "parallel_reduce",
     "PhaseBreakdown",
     "extract_parameters",
     "default_workloads",

@@ -6,7 +6,6 @@ import pytest
 
 from repro.engine.journal import (
     RunJournal,
-    new_run_id,
     read_manifest,
     resolve_run_dir,
     run_path,
@@ -137,11 +136,6 @@ class TestRunDirectories:
         for bad in ("", "../escape", "a/b", ".hidden", "x" * 200):
             with pytest.raises(ValueError):
                 validate_run_id(bad)
-
-    def test_new_run_id_is_valid_and_unique(self):
-        a, b = new_run_id(), new_run_id()
-        validate_run_id(a)
-        assert a != b
 
     def test_run_path_creates_under_root(self, tmp_path):
         p = run_path("r1", root=tmp_path, create=True)

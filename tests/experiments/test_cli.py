@@ -69,10 +69,9 @@ class TestCommands:
                           ("ext-acmp-merge-policy", "quantum"),
                           ("ext-priority-inversion-reduction", "quanta")):
             assert by_id[eid]["declares_units"], eid
-            assert knob in by_id[eid]["accepted_options"], eid
-        # canonical key mirrors the legacy one for every experiment
+            assert knob in by_id[eid]["options"], eid
         for entry in entries:
-            assert entry["accepted_options"] == entry["options"]
+            assert set(entry) == {"id", "description", "options", "declares_units"}
 
     def test_run_parallel_flag(self, capsys):
         assert main(["run", "fig4", "--parallel", "2"]) == 0

@@ -1,20 +1,23 @@
 """Registry coverage: every experiment that performs simulator or
-hardware-model work must *declare* that work as pipeline units.
+hardware-model work must *declare* exactly that work as pipeline units.
 
 The enforcement is mechanical rather than a hand-maintained list: warm
 every declared unit of every declaring experiment, then forbid the
 inline execution paths (``Machine.run`` and the hardware executors) and
 assemble all registered experiments.  A driver that sneaks simulator or
-hardware work past its declare stage — or a new experiment added without
-one — trips the guard, naming the experiment.
+hardware work past its declare function — or a new experiment added
+without one — trips the guard, naming the experiment; a driver that
+resolves other units than it declares fails the exact-declaration check.
 """
+
+import inspect
 
 import pytest
 
 from repro import pipeline
+from repro.engine.scheduler import EngineSession
 from repro.experiments.registry import (
     SPECS,
-    SWEEP_DECLARATIONS,
     declare_units,
     filter_options,
     run_experiment,
@@ -63,7 +66,7 @@ def warmed(tmp_path_factory):
     pipeline.set_disk_store(root)
     pipeline.clear_memo()
     try:
-        for eid in sorted(SWEEP_DECLARATIONS):
+        for eid in sorted(eid for eid, spec in SPECS.items() if spec.declares_units):
             units = declare_units(eid, **OPTIONS)
             assert units, f"{eid} is registered as declaring but emitted no units"
             resolve_units(units)
@@ -90,9 +93,35 @@ def test_assembles_on_warm_caches_alone(eid, no_inline_simulation):
     assert report.render()
 
 
-def test_every_staged_spec_is_collected_as_declaring():
-    staged = {eid for eid, spec in SPECS.items() if spec.declares_units}
-    assert staged == set(SWEEP_DECLARATIONS)
+@pytest.mark.parametrize("eid", sorted(SPECS))
+def test_driver_resolves_exactly_the_units_it_declares(eid, no_inline_simulation,
+                                                       monkeypatch):
+    """On warm caches, the unit keys a driver resolves equal the keys its
+    spec declares at the same options — not merely a subset of them."""
+    resolved = set()
+    run_units = EngineSession.run_units
+
+    def spy(self, units, **kwargs):
+        units = list(units)
+        resolved.update(u.key for u in units)
+        return run_units(self, units, **kwargs)
+
+    monkeypatch.setattr(EngineSession, "run_units", spy)
+    run_experiment(eid, **filter_options(eid, OPTIONS))
+    assert resolved == {u.key for u in declare_units(eid, **OPTIONS)}
+
+
+def test_declare_parameters_are_driver_parameters_without_defaults():
+    """A declare function takes its driver's options by name and keeps no
+    default of its own: the driver's defaults are the only ones."""
+    for eid, spec in SPECS.items():
+        if spec.declare is None:
+            continue
+        driver = inspect.signature(spec.assemble).parameters
+        for name, param in inspect.signature(spec.declare).parameters.items():
+            assert name in driver, f"{eid}: declare takes {name!r}, its driver does not"
+            assert param.default is inspect.Parameter.empty, (
+                f"{eid}: declare keeps a default for {name!r}")
 
 
 def test_guard_trips_on_cold_caches(warmed, monkeypatch, tmp_path):

@@ -64,10 +64,10 @@ class TestDeclarations:
         assert all(u.kind == "sweep-point" for u in units)
 
     def test_declarers_drop_options_they_do_not_understand(self):
-        # fig2 declares two stages: the sim sweep (3 workloads x 2 thread
-        # counts) plus hardware-model runs at the default hw_thread_counts
-        # (3 workloads x 4); `thread_counts` means nothing to the hardware
-        # stage and is dropped there rather than rejected.
+        # fig2 declares the sim sweep (3 workloads x 2 thread counts) plus
+        # hardware-model runs at its driver's default hw_thread_counts
+        # (3 workloads x 4); `hardware_backend` means nothing to the
+        # driver and is dropped rather than rejected.
         units = declare_units(
             "fig2", scale=0.03, thread_counts=(1, 2), hardware_backend="model"
         )

@@ -6,6 +6,7 @@ import json
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder, span
+from tests.obs.conftest import series_stats
 
 
 def _populated_registry():
@@ -104,7 +105,7 @@ class TestJsonlRoundTrip:
         rebuilt.merge_snapshot(data["metrics"])
         assert rebuilt.get("runs_total").value(engine="fast") == 3.0
         assert rebuilt.get("depth").value() == 2.0
-        assert rebuilt.get("latency_seconds").series_stats()["count"] == 2
+        assert series_stats(rebuilt.get("latency_seconds"))["count"] == 2
 
     def test_truncated_trailing_line_skipped(self, tmp_path):
         path = obs.write_jsonl(tmp_path / "m.jsonl",

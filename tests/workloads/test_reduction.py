@@ -1,130 +1,66 @@
-"""Unit + property tests for reduction strategies."""
+"""Unit + property tests for the reduction strategies' cost models."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.reduction import (
-    parallel_reduce,
-    resolve_strategy,
-    serial_reduce,
-    tree_reduce,
-)
-
-
-def partials(p: int, shape=(4, 3), seed: int = 0) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    return [rng.normal(size=shape) for _ in range(p)]
-
-
-class TestCorrectness:
-    @pytest.mark.parametrize("reduce_fn", [serial_reduce, tree_reduce, parallel_reduce])
-    def test_matches_numpy_sum(self, reduce_fn):
-        parts = partials(7)
-        total, _ = reduce_fn(parts)
-        assert np.allclose(total, np.sum(parts, axis=0))
-
-    @pytest.mark.parametrize("reduce_fn", [serial_reduce, tree_reduce, parallel_reduce])
-    def test_single_partial_is_identity(self, reduce_fn):
-        parts = partials(1)
-        total, _ = reduce_fn(parts)
-        assert np.allclose(total, parts[0])
-
-    @pytest.mark.parametrize("reduce_fn", [serial_reduce, tree_reduce, parallel_reduce])
-    def test_does_not_mutate_inputs(self, reduce_fn):
-        parts = partials(4)
-        copies = [p.copy() for p in parts]
-        reduce_fn(parts)
-        for a, b in zip(parts, copies):
-            assert np.array_equal(a, b)
-
-    def test_all_strategies_agree(self):
-        parts = partials(8, shape=(16,))
-        s, _ = serial_reduce(parts)
-        t, _ = tree_reduce(parts)
-        p, _ = parallel_reduce(parts)
-        assert np.allclose(s, t)
-        assert np.allclose(s, p)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            serial_reduce([np.zeros((2, 2)), np.zeros((3, 2))])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            tree_reduce([])
+from repro.workloads.reduction import reduction_cost, resolve_strategy
 
 
 class TestCostModels:
     def test_serial_cost_linear_in_threads(self):
         # serial_element_ops = x·p: the model's grow_linear(nc) = nc
-        _, c4 = serial_reduce(partials(4, shape=(10,)))
-        _, c8 = serial_reduce(partials(8, shape=(10,)))
+        c4 = reduction_cost("serial", 10, 4)
+        c8 = reduction_cost("serial", 10, 8)
         assert c4.serial_element_ops == 40
         assert c8.serial_element_ops == 80
         assert c8.serial_element_ops == 2 * c4.serial_element_ops
 
     def test_serial_cost_at_one_thread_is_x(self):
-        _, c = serial_reduce(partials(1, shape=(10,)))
+        c = reduction_cost("serial", 10, 1)
         assert c.serial_element_ops == 10  # one full pass, grow(1) = 1
 
     def test_tree_cost_logarithmic(self):
-        _, c16 = tree_reduce(partials(16, shape=(10,)))
+        c16 = reduction_cost("tree", 10, 16)
         assert c16.serial_element_ops == 40  # x · log2(16)
-        _, c1 = tree_reduce(partials(1, shape=(10,)))
+        c1 = reduction_cost("tree", 10, 1)
         assert c1.serial_element_ops == 10  # x · grow_log(1) = x
 
     def test_parallel_cost_constant_per_thread(self):
-        _, c4 = parallel_reduce(partials(4, shape=(12,)))
-        _, c12 = parallel_reduce(partials(12, shape=(12,)))
+        c4 = reduction_cost("parallel", 12, 4)
+        c12 = reduction_cost("parallel", 12, 12)
         assert c4.parallel_element_ops == 12   # (x/p)·p = x
         assert c12.parallel_element_ops == 12
         assert c4.serial_element_ops == 0
 
     def test_messages_grow_with_threads(self):
-        _, c2 = serial_reduce(partials(2, shape=(10,)))
-        _, c8 = serial_reduce(partials(8, shape=(10,)))
+        c2 = reduction_cost("serial", 10, 2)
+        c8 = reduction_cost("serial", 10, 8)
         assert c2.messages == 10
         assert c8.messages == 70
 
     def test_parallel_broadcast_doubles_messages(self):
-        parts = partials(4, shape=(10,))
-        _, with_bcast = parallel_reduce(parts, broadcast_back=True)
-        _, without = parallel_reduce(parts, broadcast_back=False)
+        with_bcast = reduction_cost("parallel", 10, 4, broadcast_back=True)
+        without = reduction_cost("parallel", 10, 4, broadcast_back=False)
         assert with_bcast.messages == 2 * without.messages
 
 
 class TestResolve:
     def test_known_names(self):
-        assert resolve_strategy("serial") is serial_reduce
-        assert resolve_strategy("tree") is tree_reduce
-        assert resolve_strategy("parallel") is parallel_reduce
+        for name in ("serial", "tree", "parallel"):
+            assert resolve_strategy(name) == name
 
     def test_unknown(self):
         with pytest.raises(ValueError):
             resolve_strategy("quantum")
+        with pytest.raises(ValueError):
+            reduction_cost("quantum", 10, 4)
 
 
 class TestProperties:
     @settings(max_examples=40, deadline=None)
-    @given(
-        p=st.integers(min_value=1, max_value=12),
-        x=st.integers(min_value=1, max_value=50),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_strategies_numerically_equivalent(self, p, x, seed):
-        parts = partials(p, shape=(x,), seed=seed)
-        s, _ = serial_reduce(parts)
-        t, _ = tree_reduce(parts)
-        q, _ = parallel_reduce(parts)
-        assert np.allclose(s, t, atol=1e-9)
-        assert np.allclose(s, q, atol=1e-9)
-
-    @settings(max_examples=40, deadline=None)
     @given(p=st.integers(min_value=2, max_value=32), x=st.integers(min_value=1, max_value=64))
     def test_cost_ordering_serial_vs_tree(self, p, x):
-        parts = [np.ones(x) for _ in range(p)]
-        _, cs = serial_reduce(parts)
-        _, ct = tree_reduce(parts)
+        cs = reduction_cost("serial", x, p)
+        ct = reduction_cost("tree", x, p)
         assert ct.serial_element_ops <= cs.serial_element_ops
