@@ -2,7 +2,7 @@
 """Regenerate EXPERIMENTS.md: run every experiment and record
 paper-vs-measured for each table and figure.
 
-Run:  python scripts/make_experiments_md.py            (~2 min)
+Run:  python scripts/make_experiments_md.py            (a few seconds)
 """
 
 from __future__ import annotations

@@ -243,8 +243,7 @@ def time_runall_precompute() -> dict:
     from repro.experiments.registry import SPECS, declare_units
     from repro.pipeline import clear_memo, get_disk_store, resolve_units, set_disk_store
 
-    options = dict(scale=0.03, thread_counts=(1, 2, 16),
-                   hw_thread_counts=(1, 2))
+    options = dict(scale=0.03, thread_counts=(1, 2, 16))
     declaring = sorted(eid for eid, spec in SPECS.items() if spec.declares_units)
     units = []
     for eid in declaring:

@@ -352,10 +352,7 @@ class EngineSession:
 
 
 @contextlib.contextmanager
-def drain_on_signal(
-    sess: EngineSession,
-    signals: "tuple[int, ...]" = (signal_mod.SIGINT, signal_mod.SIGTERM),
-) -> Iterator[EngineSession]:
+def drain_on_signal(sess: EngineSession) -> Iterator[EngineSession]:
     """Turn SIGINT/SIGTERM into a graceful drain of ``sess``.
 
     The first signal only flags the session (:meth:`EngineSession
@@ -378,7 +375,7 @@ def drain_on_signal(
 
     previous = {}
     try:
-        for sig in signals:
+        for sig in (signal_mod.SIGINT, signal_mod.SIGTERM):
             previous[sig] = signal_mod.signal(sig, _handler)
     except (OSError, ValueError):  # pragma: no cover - exotic platforms
         pass
@@ -397,9 +394,7 @@ def session(
     n_workers: "int | None" = None,
     *,
     event_log: "str | None" = None,
-    install: bool = True,
     run_id: "str | None" = None,
-    runs_root: "str | None" = None,
     drain_signals: bool = False,
     **pool_options,
 ) -> Iterator[EngineSession]:
@@ -409,7 +404,7 @@ def session(
     :func:`repro.pipeline.resolve_units` routes every cache miss through
     its worker pool, so *any* experiment driver parallelizes without code
     changes.  ``event_log`` additionally appends every engine event to a
-    JSONL file.  Pass ``install=False`` to drive the session manually.
+    JSONL file.
 
     ``run_id`` makes the session **crash-safe and resumable**: a
     :class:`~repro.engine.journal.RunJournal` under the run's directory
@@ -423,7 +418,7 @@ def session(
     """
     journal = None
     if run_id is not None:
-        rd = run_path(run_id, root=runs_root, create=True)
+        rd = run_path(run_id, create=True)
         journal = RunJournal(rd / "journal.jsonl", run_id=run_id)
         if event_log is None:
             event_log = str(rd / "events.jsonl")
@@ -436,15 +431,13 @@ def session(
             tail_truncated=journal.tail_truncated,
         )
     global _current
-    if install:
-        _current = sess
+    _current = sess
     try:
         with (drain_on_signal(sess) if drain_signals
               else contextlib.nullcontext()):
             yield sess
     finally:
-        if install:
-            _current = None
+        _current = None
         if obs.enabled():
             # fold the observability state into the event stream so JSONL
             # event logs (and the bench harness) carry the numbers too

@@ -158,12 +158,11 @@ def run_energy(n: int = 256) -> ExperimentReport:
     return report
 
 
-def run_scaled(max_cores: int = 4096) -> ExperimentReport:
+def run_scaled() -> ExperimentReport:
     """Weak scaling (Gustafson) with merging phases."""
     report = ExperimentReport("ext-scaled", "Weak scaling with merging phases")
     p = _base()
     cores = np.array([1, 4, 16, 64, 256, 1024, 4096], dtype=np.float64)
-    cores = cores[cores <= max_cores]
     gus = np.asarray(scaled_speedup_gustafson(p.f, cores))
     lin = np.asarray(scaled_speedup_merging(p, cores))
     log = np.asarray(scaled_speedup_merging(p, cores, "log"))
@@ -223,20 +222,20 @@ def run_contention(n: int = 256) -> ExperimentReport:
     return report
 
 
-def _crossover_workload(n_items: int, n_bins: int):
-    from repro.workloads.histogram import HistogramWorkload
+# ext-crossover-sim's chip budget in BCEs, and its histogram's size
+_CROSSOVER_BUDGET = 16
+_CROSSOVER_ITEMS = 20000
+_CROSSOVER_BINS = 8192
 
-    return HistogramWorkload(n_items=n_items, n_bins=n_bins, seed=7)
 
-
-def _crossover_designs(budget: int) -> list:
-    """Every power-of-two split of ``budget`` BCEs into (r, cores, config)."""
+def _crossover_designs() -> list:
+    """Every power-of-two split of the BCE budget into (r, cores, config)."""
     from repro.simx import MachineConfig
 
     designs = []
     r = 1
-    while r <= budget:
-        nc = budget // r
+    while r <= _CROSSOVER_BUDGET:
+        nc = _CROSSOVER_BUDGET // r
         designs.append((r, nc, MachineConfig(
             n_cores=nc,
             core_perf_factors=tuple(float(r) ** 0.5 for _ in range(nc)),
@@ -245,17 +244,15 @@ def _crossover_designs(budget: int) -> list:
     return designs
 
 
-def declare_units_crossover(budget: int, n_items: int, n_bins: int) -> list:
+def declare_units_crossover() -> list:
     """Every fixed-budget design's simulator run as an engine work unit."""
-    wl = _crossover_workload(n_items, n_bins)
-    return [
-        sim_point_unit(wl, nc, 2, cfg) for _, nc, cfg in _crossover_designs(budget)
-    ]
+    from repro.workloads.histogram import HistogramWorkload
+
+    wl = HistogramWorkload(n_items=_CROSSOVER_ITEMS, n_bins=_CROSSOVER_BINS, seed=7)
+    return [sim_point_unit(wl, nc, 2, cfg) for _, nc, cfg in _crossover_designs()]
 
 
-def run_crossover_sim(
-    budget: int = 16, n_items: int = 20000, n_bins: int = 8192
-) -> ExperimentReport:
+def run_crossover_sim() -> ExperimentReport:
     """Conclusion (b) reproduced in full-system simulation.
 
     Every symmetric design of a fixed BCE budget is *built* (nc cores of
@@ -270,16 +267,17 @@ def run_crossover_sim(
         "ext-crossover-sim",
         "The fewer-larger-cores crossover, measured in simulation",
     )
-    units = declare_units_crossover(budget, n_items, n_bins)
+    units = declare_units_crossover()
     payloads = resolve_units(units)
     cycles = {r: int(breakdown_from_payload(payloads[u.key]).total)
-              for (r, _, _), u in zip(_crossover_designs(budget), units)}
+              for (r, _, _), u in zip(_crossover_designs(), units)}
     t = TextTable(
-        title=f"histogram (x={n_bins} bins) on every {budget}-BCE symmetric design",
+        title=(f"histogram (x={_CROSSOVER_BINS} bins) on every "
+               f"{_CROSSOVER_BUDGET}-BCE symmetric design"),
         columns=["r (BCEs/core)", "cores", "cycles", "speedup vs r=1"],
     )
     for r, c in cycles.items():
-        t.add_row([r, budget // r, c, round(cycles[1] / c, 2)])
+        t.add_row([r, _CROSSOVER_BUDGET // r, c, round(cycles[1] / c, 2)])
     report.add_table(t)
     best_r = min(cycles, key=cycles.get)
     report.add_comparison(PaperComparison(
@@ -291,8 +289,8 @@ def run_crossover_sim(
     report.add_comparison(PaperComparison(
         claim="the optimum is interior: one giant core is not best either",
         paper_value="peaks at intermediate r",
-        measured_value=f"r={best_r} of 1..{budget}",
-        qualitative=True, claim_holds=best_r < budget,
+        measured_value=f"r={best_r} of 1..{_CROSSOVER_BUDGET}",
+        qualitative=True, claim_holds=best_r < _CROSSOVER_BUDGET,
     ))
     report.raw["cycles"] = cycles
     return report
@@ -308,33 +306,36 @@ def _acmp_workload(scale: float):
     )
 
 
-def _acmp_configs(rl: int, n_threads: int) -> tuple:
+# ext-acmp-sim's big core in BCEs, and its thread (and core) count
+_ACMP_RL = 16
+_ACMP_THREADS = 8
+
+
+def declare_units_acmp(scale: float) -> list:
+    """Both machines' kmeans runs as engine work units: a symmetric CMP
+    and an ACMP whose core 0 is the big core."""
     from repro.simx import MachineConfig
 
-    return (
-        MachineConfig.baseline(n_cores=n_threads),
-        MachineConfig.asymmetric(rl=rl, n_small=n_threads - 1, r=1),
-    )
-
-
-def declare_units_acmp(scale: float, rl: int, n_threads: int) -> list:
-    """Both machines' kmeans runs as engine work units."""
     wl = _acmp_workload(scale)
     return [
-        sim_point_unit(wl, n_threads, 2, cfg) for cfg in _acmp_configs(rl, n_threads)
+        sim_point_unit(wl, _ACMP_THREADS, 2, cfg) for cfg in (
+            MachineConfig.baseline(n_cores=_ACMP_THREADS),
+            MachineConfig.asymmetric(rl=_ACMP_RL, n_small=_ACMP_THREADS - 1, r=1),
+        )
     ]
 
 
-def run_acmp_sim(scale: float = 0.08, rl: int = 16, n_threads: int = 8) -> ExperimentReport:
+def run_acmp_sim(scale: float = 0.08) -> ExperimentReport:
     """Simulated ACMP vs symmetric CMP on kmeans (Eq 5's structure)."""
     report = ExperimentReport(
         "ext-acmp-sim", "Simulated ACMP: serial sections on the large core"
     )
-    units = declare_units_acmp(scale, rl, n_threads)
+    rl = _ACMP_RL
+    units = declare_units_acmp(scale)
     payloads = resolve_units(units)
     sym, acmp = (breakdown_from_payload(payloads[u.key]) for u in units)
     t = TextTable(
-        title=f"kmeans at {n_threads} threads: symmetric vs ACMP (rl={rl})",
+        title=f"kmeans at {_ACMP_THREADS} threads: symmetric vs ACMP (rl={rl})",
         columns=["machine", "total", "parallel", "reduction", "init+serial"],
     )
     for name, b in (("symmetric", sym), (f"ACMP rl={rl}", acmp)):

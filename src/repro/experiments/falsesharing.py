@@ -19,6 +19,9 @@ from repro.util.tables import TextTable
 __all__ = ["run", "declare_units", "SPEC"]
 
 _LINE = 64
+# threads, each updating its own accumulator this many times
+_N_THREADS = 8
+_UPDATES = 300
 
 
 def _accumulation_program(
@@ -44,13 +47,13 @@ def _accumulation_program(
     )
 
 
-def declare_units(n_threads: int, updates: int) -> list:
+def declare_units() -> list:
     """Both layouts' simulator runs as engine work units."""
-    cfg = MachineConfig.baseline(n_cores=n_threads)
+    cfg = MachineConfig.baseline(n_cores=_N_THREADS)
     return [
         sim_program_unit(
             _accumulation_program,
-            {"n_threads": n_threads, "updates": updates, "padded": padded},
+            {"n_threads": _N_THREADS, "updates": _UPDATES, "padded": padded},
             cfg,
             label=f"accum-{'padded' if padded else 'packed'}",
         )
@@ -58,19 +61,19 @@ def declare_units(n_threads: int, updates: int) -> list:
     ]
 
 
-def run(n_threads: int = 8, updates: int = 300) -> ExperimentReport:
+def run() -> ExperimentReport:
     """Measure packed vs padded per-thread accumulators."""
     report = ExperimentReport(
         "ext-falsesharing", "False sharing in packed per-thread accumulators"
     )
-    units = declare_units(n_threads, updates)
+    units = declare_units()
     payloads = resolve_units(units)
     results = {
         ("padded" if padded else "packed"): payloads[u.key]
         for padded, u in zip((True, False), units)
     }
     t = TextTable(
-        title=f"{n_threads} threads x {updates} private accumulator updates",
+        title=f"{_N_THREADS} threads x {_UPDATES} private accumulator updates",
         columns=["layout", "cycles", "invalidations", "cache-to-cache"],
     )
     for name, res in results.items():

@@ -3,7 +3,7 @@
 These paper figures are illustrative (no measured data): Fig 1 splits the
 serial fraction into fcon / fred = fcred + fored; Fig 6 further splits the
 reduction into computation and communication halves (Section V.E).  The
-drivers render the decomposition *with concrete numbers* for a chosen
+drivers render the decomposition *with concrete numbers* for one example
 parameter set, so the diagrams double as a numeric cross-check that the
 shares sum correctly.
 """
@@ -18,13 +18,13 @@ from repro.pipeline import ExperimentSpec
 __all__ = ["run_fig1", "run_fig6", "SPECS"]
 
 
-def _default_params() -> AppParams:
-    return AppParams(f=0.99, fcon_share=0.60, fored_share=0.80, name="example")
+#: the example application both diagrams decompose
+_PARAMS = AppParams(f=0.99, fcon_share=0.60, fored_share=0.80, name="example")
 
 
-def run_fig1(params: "AppParams | None" = None) -> ExperimentReport:
+def run_fig1() -> ExperimentReport:
     """Fig 1: serial-section split-up, with concrete values."""
-    p = params or _default_params()
+    p = _PARAMS
     report = ExperimentReport("fig1", "Serial section split-up (Fig 1)")
     tree = "\n".join([
         f"execution time (1.0)",
@@ -52,9 +52,9 @@ def run_fig1(params: "AppParams | None" = None) -> ExperimentReport:
     return report
 
 
-def run_fig6(params: "AppParams | None" = None) -> ExperimentReport:
+def run_fig6() -> ExperimentReport:
     """Fig 6: reduction-fraction split-up into computation/communication."""
-    p = params or _default_params()
+    p = _PARAMS
     report = ExperimentReport(
         "fig6", "Reduction fraction split-up (Fig 6, Section V.E)"
     )

@@ -36,33 +36,33 @@ __all__ = ["run", "declare_units", "SPEC"]
 #: measured value of a 16-core claim when the sweep leaves out 16 threads
 NOT_SWEPT = "p=16 not swept"
 
+#: panel (c)'s thread counts: the modelled two-socket Xeon E5520 has 8 cores
+_HW_THREAD_COUNTS = (1, 2, 4, 8)
 
-def declare_units(
-    scale: float, thread_counts: tuple, hw_thread_counts: tuple, mem_scale: int
-) -> list:
+
+def declare_units(scale: float, thread_counts: tuple, mem_scale: int) -> list:
     """Fig 2's work units: Table II's simulator sweep, then panel (c)'s
     hardware-model runs of the same workloads."""
     workloads = default_workloads(scale).values()
     return table2.sweep_units(workloads, thread_counts, mem_scale) + [
-        u for w in workloads for u in hardware_model_units(w, hw_thread_counts)
+        u for w in workloads for u in hardware_model_units(w, _HW_THREAD_COUNTS)
     ]
 
 
 def run(
     scale: float = 0.15,
     thread_counts: tuple = (1, 2, 4, 8, 16),
-    hw_thread_counts: tuple = (1, 2, 4, 8),
     mem_scale: int = 2,
 ) -> ExperimentReport:
     """Regenerate all four panels of Fig 2."""
     report = ExperimentReport("fig2", "Application characterisation")
-    units = declare_units(scale, thread_counts, hw_thread_counts, mem_scale)
+    units = declare_units(scale, thread_counts, mem_scale)
     payloads = resolve_units(units)
     sim = {w.name: b for w, b in sweep_breakdowns(
         [u for u in units if u.kind == SWEEP_POINT], payloads, len(thread_counts))}
     hw = {w.name: b for w, b in sweep_breakdowns(
         [u for u in units if u.kind == HARDWARE_MODEL], payloads,
-        len(hw_thread_counts))}
+        len(_HW_THREAD_COUNTS))}
 
     # ── (a) scalability ───────────────────────────────────────────────────
     speedups = {name: speedup_curve(b) for name, b in sim.items()}
@@ -110,16 +110,16 @@ def run(
     hw_growth = {name: serial_growth_curve(b) for name, b in hw.items()}
     report.add_table(series_table(
         "Fig 2(c) — serial section time on hardware (model backend)",
-        "cores", list(hw_thread_counts),
-        {n: [c[p] for p in hw_thread_counts] for n, c in hw_growth.items()},
+        "cores", list(_HW_THREAD_COUNTS),
+        {n: [c[p] for p in _HW_THREAD_COUNTS] for n, c in hw_growth.items()},
     ))
     for name, curve in hw_growth.items():
         report.add_comparison(PaperComparison(
             claim=f"2(c): {name} serial growth also appears on hardware",
             paper_value="similar to simulation",
-            measured_value=f"{curve[max(hw_thread_counts)]:.2f}x",
+            measured_value=f"{curve[max(_HW_THREAD_COUNTS)]:.2f}x",
             qualitative=True,
-            claim_holds=curve[max(hw_thread_counts)] > 1.2,
+            claim_holds=curve[max(_HW_THREAD_COUNTS)] > 1.2,
         ))
 
     # ── (d) model accuracy ────────────────────────────────────────────────

@@ -18,13 +18,12 @@ from repro.pipeline import ExperimentSpec
 __all__ = ["run", "SPEC"]
 
 
-def run(max_cores: int = 256) -> ExperimentReport:
+def run() -> ExperimentReport:
     """Regenerate the three panels of Fig 3 (kmeans, fuzzy, hop)."""
     report = ExperimentReport(
         "fig3", "Scalability prediction with and without reduction overhead"
     )
     cores = np.array([1, 2, 4, 8, 16, 32, 64, 128, 256], dtype=np.float64)
-    cores = cores[cores <= max_cores]
 
     for name, params in TABLE2.items():
         amdahl = np.asarray(mm.speedup_amdahl(params, cores))

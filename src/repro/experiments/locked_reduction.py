@@ -39,6 +39,13 @@ __all__ = ["run", "declare_units", "SPEC"]
 _LINE = 64
 _SHARED = 0x3000_0000
 _PRIVATE = 0x2000_0000
+# threads and the updates each contributes; the locked version applies
+# them in batches per critical section, the privatised one merges
+# partials of this many elements
+_N_THREADS = 8
+_UPDATES_PER_THREAD = 2000
+_BATCH = 64
+_MERGE_ELEMENTS = 256
 
 
 def _locked_program(n_threads: int, updates_per_thread: int, batch: int) -> TraceProgram:
@@ -92,42 +99,35 @@ def _privatised_program(
     return TraceProgram("privatised", threads)
 
 
-def declare_units(
-    n_threads: int, updates_per_thread: int, batch: int, merge_elements: int
-) -> list:
+def declare_units() -> list:
     """Both disciplines' simulator runs as engine work units."""
-    cfg = MachineConfig.baseline(n_cores=max(n_threads, 2))
+    cfg = MachineConfig.baseline(n_cores=_N_THREADS)
     return [
         sim_program_unit(
             _locked_program,
-            {"n_threads": n_threads, "updates_per_thread": updates_per_thread,
-             "batch": batch},
+            {"n_threads": _N_THREADS, "updates_per_thread": _UPDATES_PER_THREAD,
+             "batch": _BATCH},
             cfg, label="locked",
         ),
         sim_program_unit(
             _privatised_program,
-            {"n_threads": n_threads, "updates_per_thread": updates_per_thread,
-             "merge_elements": merge_elements},
+            {"n_threads": _N_THREADS, "updates_per_thread": _UPDATES_PER_THREAD,
+             "merge_elements": _MERGE_ELEMENTS},
             cfg, label="privatised",
         ),
     ]
 
 
-def run(
-    n_threads: int = 8,
-    updates_per_thread: int = 2000,
-    batch: int = 64,
-    merge_elements: int = 256,
-) -> ExperimentReport:
+def run() -> ExperimentReport:
     """Compare the two reduction disciplines on the simulator."""
     report = ExperimentReport(
         "ext-locked-reduction", "Locked shared accumulation vs privatise-and-merge"
     )
-    units = declare_units(n_threads, updates_per_thread, batch, merge_elements)
+    units = declare_units()
     payloads = resolve_units(units)
     locked, privatised = (payloads[u.key] for u in units)
     t = TextTable(
-        title=f"{n_threads} threads x {updates_per_thread} updates",
+        title=f"{_N_THREADS} threads x {_UPDATES_PER_THREAD} updates",
         columns=["discipline", "cycles", "lock waits (cycles)", "merge cycles"],
     )
     locked_wait = locked["parallel_wait_cycles"]

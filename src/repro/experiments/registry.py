@@ -20,7 +20,7 @@ from repro.experiments import locked_reduction, mix_study, scheduler_study
 from repro.experiments import fig1_fig6, fig2, fig3, fig4, fig5, fig7
 from repro.experiments import table1, table2, table3, table4
 from repro.experiments.report import ExperimentReport
-from repro.pipeline import ExperimentSpec, accepted_options, filter_kwargs
+from repro.pipeline import ExperimentSpec
 
 __all__ = [
     "SPECS",
@@ -85,13 +85,11 @@ def validate_options(experiment_id: str, options: Mapping[str, object]) -> None:
     Drivers take different knobs (``scale`` means nothing to ``fig4``),
     so blind ``**options`` forwarding would surface as an unhelpful
     low-level ``TypeError`` from the driver call; this checks the
-    driver's signature up front and names the offender and the accepted
+    driver's options up front and names the offender and the accepted
     set instead.
     """
-    accepted = accepted_options(get_experiment(experiment_id))
-    if accepted is None:
-        return
-    unknown = sorted(set(options) - accepted)
+    accepted = get_spec(experiment_id).options
+    unknown = sorted(o for o in options if o not in accepted)
     if unknown:
         raise TypeError(
             f"experiment {experiment_id!r} got unknown option(s) "
@@ -107,9 +105,9 @@ def filter_options(experiment_id: str,
     The forgiving counterpart of :func:`validate_options`, for callers
     that apply one option set across many experiments (``repro runall
     --scale 0.1``, resume manifests): each driver receives only the
-    knobs it understands.  Drivers taking ``**kwargs`` accept all.
+    knobs it understands.
     """
-    return filter_kwargs(get_experiment(experiment_id), options)
+    return get_spec(experiment_id).filter_options(options)
 
 
 _EXPERIMENT_SECONDS = obs.histogram(
@@ -139,18 +137,12 @@ def describe_experiment(experiment_id: str) -> str:
 
 def listing() -> list:
     """One entry per experiment, in id order: its id, description and
-    the options its driver accepts (``None`` when it takes
-    ``**kwargs``) — ``repro list --json`` and serve's
+    the options its driver accepts — ``repro list --json`` and serve's
     ``GET /v1/experiments`` both list this."""
-    entries = []
-    for eid in sorted(SPECS):
-        accepted = accepted_options(SPECS[eid].assemble)
-        entries.append({
-            "id": eid,
-            "description": describe_experiment(eid),
-            "options": sorted(accepted) if accepted is not None else None,
-        })
-    return entries
+    return [{"id": eid,
+             "description": describe_experiment(eid),
+             "options": sorted(SPECS[eid].options)}
+            for eid in sorted(SPECS)]
 
 
 def declare_units(experiment_id: str, **options) -> list:

@@ -172,63 +172,52 @@ def _locked_merge_program(
 # ── ext-oversubscription-sweep ────────────────────────────────────────────
 
 
-def _oversub_config(base_cores: int, quantum: int, migration_cost: int) -> MachineConfig:
-    return replace(
-        MachineConfig.baseline(n_cores=base_cores),
-        scheduler="round-robin",
-        quantum=quantum,
-        migration_cost=migration_cost,
-    )
+# threads/cores ratios, on a round-robin machine of this many cores
+_OVERSUB_RATIOS = (1, 2, 3, 4)
+_OVERSUB_CORES = 4
+_OVERSUB_QUANTUM = 1200
+_OVERSUB_MIGRATION_COST = 30
+# the fixed work every ratio splits, and each partial's size
+_OVERSUB_UPDATES = 4800
+_OVERSUB_MERGE_ELEMENTS = 64
 
 
-def declare_units_oversubscription(
-    ratios: tuple,
-    base_cores: int,
-    quantum: int,
-    migration_cost: int,
-    total_updates: int,
-    merge_elements: int,
-) -> list:
+def declare_units_oversubscription() -> list:
     """One round-robin run per threads/cores ratio, fixed total work."""
-    cfg = _oversub_config(base_cores, quantum, migration_cost)
+    cfg = replace(
+        MachineConfig.baseline(n_cores=_OVERSUB_CORES),
+        scheduler="round-robin",
+        quantum=_OVERSUB_QUANTUM,
+        migration_cost=_OVERSUB_MIGRATION_COST,
+    )
     return [
         sim_program_unit(
             _merging_program,
             {
-                "n_threads": base_cores * ratio,
-                "total_updates": total_updates,
-                "merge_elements": merge_elements,
+                "n_threads": _OVERSUB_CORES * ratio,
+                "total_updates": _OVERSUB_UPDATES,
+                "merge_elements": _OVERSUB_MERGE_ELEMENTS,
             },
             cfg,
             label=f"oversub-{ratio}x",
         )
-        for ratio in ratios
+        for ratio in _OVERSUB_RATIOS
     ]
 
 
-def run_oversubscription(
-    ratios: tuple = (1, 2, 3, 4),
-    base_cores: int = 4,
-    quantum: int = 1200,
-    migration_cost: int = 30,
-    total_updates: int = 4800,
-    merge_elements: int = 64,
-) -> ExperimentReport:
+def run_oversubscription() -> ExperimentReport:
     """Merging-phase behaviour when threads outnumber cores 1x..4x."""
     report = ExperimentReport(
         "ext-oversubscription-sweep",
         "Fixed work on a round-robin scheduler, threads/cores 1x..4x",
     )
-    units = declare_units_oversubscription(
-        ratios, base_cores, quantum, migration_cost, total_updates,
-        merge_elements,
-    )
+    units = declare_units_oversubscription()
     payloads = resolve_units(units)
     rows = [payloads[u.key] for u in units]
     t = TextTable(
         title=(
-            f"{total_updates} updates on {base_cores} cores, "
-            f"quantum={quantum}"
+            f"{_OVERSUB_UPDATES} updates on {_OVERSUB_CORES} cores, "
+            f"quantum={_OVERSUB_QUANTUM}"
         ),
         columns=[
             "threads/cores", "threads", "cycles", "vs 1x", "merge span",
@@ -236,10 +225,10 @@ def run_oversubscription(
         ],
     )
     base_cycles = rows[0]["total_cycles"]
-    for ratio, row in zip(ratios, rows):
+    for ratio, row in zip(_OVERSUB_RATIOS, rows):
         t.add_row([
             f"{ratio}x",
-            base_cores * ratio,
+            _OVERSUB_CORES * ratio,
             row["total_cycles"],
             f"{row['total_cycles'] / base_cycles:.2f}x",
             row["reduction_span_cycles"],
@@ -266,12 +255,13 @@ def run_oversubscription(
     report.add_comparison(PaperComparison(
         claim="the merge grows with the thread count, not the core count",
         paper_value="merge work is x*p (Algorithm 1)",
-        measured_value=f"{merge_growth:.1f}x merge span at {ratios[-1]}x threads",
+        measured_value=(f"{merge_growth:.1f}x merge span at "
+                        f"{_OVERSUB_RATIOS[-1]}x threads"),
         qualitative=True,
         claim_holds=merge_growth > 1.5,
     ))
     report.raw.update(
-        ratios=list(ratios),
+        ratios=list(_OVERSUB_RATIOS),
         cycles=[r["total_cycles"] for r in rows],
         preemptions=[r["preemptions"] for r in rows],
         involuntary_wait=[r["involuntary_wait_cycles"] for r in rows],
@@ -282,65 +272,50 @@ def run_oversubscription(
 # ── ext-acmp-merge-policy ─────────────────────────────────────────────────
 
 _POLICIES = ("first-come", "reduction-owns-big", "migrate-on-phase")
+# the ACMP: one big core of this many BCEs plus small ones, one thread each
+_ACMP_RL = 4
+_ACMP_N_SMALL = 3
+_ACMP_WORK = 1500
+_ACMP_MERGE_ELEMENTS = 64
+_ACMP_QUANTUM = 2000
+_ACMP_MIGRATION_COST = 25
 
 
-def _acmp_config(
-    rl: int, n_small: int, policy: str, quantum: int, migration_cost: int
-) -> MachineConfig:
-    return replace(
-        MachineConfig.asymmetric(rl=rl, n_small=n_small),
-        scheduler="acmp",
-        acmp_policy=policy,
-        quantum=quantum,
-        migration_cost=migration_cost,
-    )
-
-
-def declare_units_acmp_policy(
-    rl: int,
-    n_small: int,
-    work: int,
-    merge_elements: int,
-    quantum: int,
-    migration_cost: int,
-) -> list:
+def declare_units_acmp_policy() -> list:
     """The same merge program under each big-core ownership policy."""
-    n_threads = n_small + 1
     return [
         sim_program_unit(
             _acmp_merge_program,
             {
-                "n_threads": n_threads,
-                "work": work,
-                "merge_elements": merge_elements,
+                "n_threads": _ACMP_N_SMALL + 1,
+                "work": _ACMP_WORK,
+                "merge_elements": _ACMP_MERGE_ELEMENTS,
             },
-            _acmp_config(rl, n_small, policy, quantum, migration_cost),
+            replace(
+                MachineConfig.asymmetric(rl=_ACMP_RL, n_small=_ACMP_N_SMALL),
+                scheduler="acmp",
+                acmp_policy=policy,
+                quantum=_ACMP_QUANTUM,
+                migration_cost=_ACMP_MIGRATION_COST,
+            ),
             label=f"acmp-{policy}",
         )
         for policy in _POLICIES
     ]
 
 
-def run_acmp_policy(
-    rl: int = 4,
-    n_small: int = 3,
-    work: int = 1500,
-    merge_elements: int = 64,
-    quantum: int = 2000,
-    migration_cost: int = 25,
-) -> ExperimentReport:
+def run_acmp_policy() -> ExperimentReport:
     """Who gets the big core during the merge on an ACMP?"""
     report = ExperimentReport(
         "ext-acmp-merge-policy",
-        f"Big-core ownership during the merge (rl={rl}, {n_small} small cores)",
+        f"Big-core ownership during the merge (rl={_ACMP_RL}, "
+        f"{_ACMP_N_SMALL} small cores)",
     )
-    units = declare_units_acmp_policy(
-        rl, n_small, work, merge_elements, quantum, migration_cost
-    )
+    units = declare_units_acmp_policy()
     payloads = resolve_units(units)
     rows = dict(zip(_POLICIES, (payloads[u.key] for u in units)))
     t = TextTable(
-        title=f"merge thread = last tid; big core = core 0 ({rl}-BCE)",
+        title=f"merge thread = last tid; big core = core 0 ({_ACMP_RL}-BCE)",
         columns=[
             "policy", "cycles", "merge busy", "merge span", "preempt",
             "migrate",
@@ -390,66 +365,57 @@ def run_acmp_policy(
 # ── ext-priority-inversion-reduction ──────────────────────────────────────
 
 
-def _pi_config(cores: int, quantum: int) -> MachineConfig:
-    return replace(
-        MachineConfig.baseline(n_cores=cores),
-        scheduler="round-robin",
-        quantum=quantum,
-    )
+# the quantum sweep, on a round-robin machine of this many cores that
+# runs reducers and spinners, one thread each
+_PI_QUANTA = (150, 600, 4800)
+_PI_CORES = 2
+_PI_REDUCERS = 3
+_PI_SPINNERS = 3
+_PI_UPDATES = 400
+_PI_MERGE_ELEMENTS = 64
 
 
-def declare_units_priority_inversion(
-    quanta: tuple,
-    cores: int,
-    n_reducers: int,
-    n_spinners: int,
-    updates: int,
-    merge_elements: int,
-) -> list:
+def declare_units_priority_inversion() -> list:
     """The same locked merge under each quantum."""
     return [
         sim_program_unit(
             _locked_merge_program,
             {
-                "n_reducers": n_reducers,
-                "n_spinners": n_spinners,
-                "updates": updates,
-                "merge_elements": merge_elements,
+                "n_reducers": _PI_REDUCERS,
+                "n_spinners": _PI_SPINNERS,
+                "updates": _PI_UPDATES,
+                "merge_elements": _PI_MERGE_ELEMENTS,
             },
-            _pi_config(cores, quantum),
+            replace(
+                MachineConfig.baseline(n_cores=_PI_CORES),
+                scheduler="round-robin",
+                quantum=quantum,
+            ),
             label=f"pi-quantum-{quantum}",
         )
-        for quantum in quanta
+        for quantum in _PI_QUANTA
     ]
 
 
-def run_priority_inversion(
-    quanta: tuple = (150, 600, 4800),
-    cores: int = 2,
-    n_reducers: int = 3,
-    n_spinners: int = 3,
-    updates: int = 400,
-    merge_elements: int = 64,
-) -> ExperimentReport:
+def run_priority_inversion() -> ExperimentReport:
     """A preempted lock-holder stalls the whole reduction."""
     report = ExperimentReport(
         "ext-priority-inversion-reduction",
         "Locked merge vs quantum on an oversubscribed round-robin machine",
     )
-    units = declare_units_priority_inversion(
-        quanta, cores, n_reducers, n_spinners, updates, merge_elements
-    )
+    units = declare_units_priority_inversion()
     payloads = resolve_units(units)
     rows = [payloads[u.key] for u in units]
     t = TextTable(
         title=(
-            f"{n_reducers} reducers + {n_spinners} spinners on {cores} cores"
+            f"{_PI_REDUCERS} reducers + {_PI_SPINNERS} spinners on "
+            f"{_PI_CORES} cores"
         ),
         columns=[
             "quantum", "cycles", "merge wait", "preempt", "queue wait",
         ],
     )
-    for quantum, row in zip(quanta, rows):
+    for quantum, row in zip(_PI_QUANTA, rows):
         t.add_row([
             quantum,
             row["total_cycles"],
@@ -467,8 +433,8 @@ def run_priority_inversion(
         paper_value="priority inversion on the merge path",
         measured_value=(
             f"{large['reduction_wait_cycles']:,} merge-wait cycles at "
-            f"quantum={quanta[-1]} vs {small['reduction_wait_cycles']:,} at "
-            f"quantum={quanta[0]}"
+            f"quantum={_PI_QUANTA[-1]} vs {small['reduction_wait_cycles']:,} at "
+            f"quantum={_PI_QUANTA[0]}"
         ),
         qualitative=True,
         claim_holds=(
@@ -485,7 +451,7 @@ def run_priority_inversion(
         claim_holds=small["preemptions"] > large["preemptions"],
     ))
     report.raw.update(
-        quanta=list(quanta),
+        quanta=list(_PI_QUANTA),
         cycles=[r["total_cycles"] for r in rows],
         reduction_wait=[r["reduction_wait_cycles"] for r in rows],
         preemptions=[r["preemptions"] for r in rows],

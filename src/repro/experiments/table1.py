@@ -10,9 +10,9 @@ from repro.pipeline import ExperimentSpec
 __all__ = ["run", "SPEC"]
 
 
-def run(n_cores: int = 16) -> ExperimentReport:
+def run() -> ExperimentReport:
     """Render the baseline machine configuration as the paper's Table I."""
-    cfg = MachineConfig.baseline(n_cores=n_cores)
+    cfg = MachineConfig.baseline()
     report = ExperimentReport("table1", "Baseline configuration")
     t = TextTable(title="Table I — baseline configuration", columns=["parameter", "value"])
     t.add_row(["Fetch, Issue, Commit", str(cfg.core.issue_width)])

@@ -21,14 +21,19 @@ from repro.workloads.kmeans import KMeansWorkload
 __all__ = ["run", "declare_units", "SPEC"]
 
 
-def declare_units(scale: float, thread_counts: tuple, mem_scale: int) -> list:
+#: memory-trace undersampling, coarser than Table II's 2 to keep the
+#: ten-variant sweep cheap
+_MEM_SCALE = 4
+
+
+def declare_units(scale: float, thread_counts: tuple) -> list:
     """Table IV's ten-variant sweep as engine work units."""
-    return _sweep_units(_variants(scale).values(), thread_counts, mem_scale)
+    return _sweep_units(_variants(scale).values(), thread_counts)
 
 
-def _sweep_units(workloads, thread_counts: tuple, mem_scale: int) -> list:
+def _sweep_units(workloads, thread_counts: tuple) -> list:
     return [u for w in workloads for u in sim_sweep_units(
-        w, thread_counts, n_cores=max(thread_counts), mem_scale=mem_scale)]
+        w, thread_counts, n_cores=max(thread_counts), mem_scale=_MEM_SCALE)]
 
 
 def _variants(scale: float):
@@ -56,11 +61,7 @@ def _variants(scale: float):
     }
 
 
-def run(
-    scale: float = 0.08,
-    thread_counts: tuple = (1, 2, 4, 8),
-    mem_scale: int = 4,
-) -> ExperimentReport:
+def run(scale: float = 0.08, thread_counts: tuple = (1, 2, 4, 8)) -> ExperimentReport:
     """Regenerate Table IV from simulator measurements."""
     report = ExperimentReport("table4", "Dataset sensitivity")
     table = TextTable(
@@ -71,7 +72,7 @@ def run(
     # the rows are labelled by variant, so build the grid once and derive
     # its units the way declare_units does
     variants = _variants(scale)
-    units = _sweep_units(variants.values(), thread_counts, mem_scale)
+    units = _sweep_units(variants.values(), thread_counts)
     sweeps = sweep_breakdowns(units, resolve_units(units), len(thread_counts))
     for label, (workload, breakdowns) in zip(variants, sweeps):
         ep = extract_parameters(breakdowns, label)

@@ -33,12 +33,10 @@ from repro.pipeline.runtime import (
     simulate_breakdowns,
     sweep_breakdowns,
 )
-from repro.pipeline.spec import ExperimentSpec, accepted_options, filter_kwargs
+from repro.pipeline.spec import ExperimentSpec
 
 __all__ = [
     "ExperimentSpec",
-    "accepted_options",
-    "filter_kwargs",
     "SWEEP_POINT",
     "SIM_PROGRAM",
     "HARDWARE_MODEL",

@@ -17,47 +17,30 @@ The split is the engine's contract with the experiments layer:
   hardware work of its own, so it is cheap, deterministic, and
   byte-identical between serial and parallel runs.
 
-A declare function takes a subset of its driver's parameters, by name
-and without defaults: :meth:`ExperimentSpec.declare_units` binds the
-options to the *driver's* signature, applies the driver's defaults and
-passes ``declare`` the values it names.  The driver resolves the units
-its declare function returns, so the two phases make one decision in
-one place.  Options a driver does not take are dropped, so
-``repro runall --scale 0.1`` can hand the same options to every
+A driver's parameters are exactly the options some interface passes
+(``scale``, ``thread_counts``, ``n``, and ``mem_scale`` for Table II and
+Fig 2), each with a default; every other setting of an experiment is a
+module constant its driver and declare function both read.  A declare
+function takes a subset of its driver's parameters, by name and without
+defaults: :meth:`ExperimentSpec.declare_units` applies the driver's
+defaults and passes ``declare`` the values it names.  The driver
+resolves the units its declare function returns, so the two phases make
+one decision in one place.  Options a driver does not take are dropped,
+so ``repro runall --scale 0.1`` can hand the same options to every
 experiment it runs.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from repro.engine.units import WorkUnit
 from repro.experiments.report import ExperimentReport
 
-__all__ = ["ExperimentSpec", "accepted_options", "filter_kwargs"]
-
-
-def accepted_options(fn: Callable) -> "set[str] | None":
-    """Keyword names ``fn`` accepts, or None when it takes ``**kwargs``."""
-    params = inspect.signature(fn).parameters.values()
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
-        return None
-    return {
-        p.name
-        for p in params
-        if p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                      inspect.Parameter.KEYWORD_ONLY)
-    }
-
-
-def filter_kwargs(fn: Callable, options: Mapping[str, object]) -> dict:
-    """The subset of ``options`` that ``fn``'s signature accepts."""
-    accepted = accepted_options(fn)
-    if accepted is None:
-        return dict(options)
-    return {k: v for k, v in options.items() if k in accepted}
+__all__ = ["ExperimentSpec"]
 
 
 @dataclass(frozen=True)
@@ -68,26 +51,36 @@ class ExperimentSpec:
     experiment_id: str
     assemble: Callable[..., ExperimentReport]
     declare: "Callable[..., list[WorkUnit]] | None" = None
+    #: the driver's options, each mapped to its default (read once)
+    options: "Mapping[str, object]" = field(init=False, repr=False, compare=False)
+    #: the driver options ``declare`` takes, in its parameter order
+    _declared: "tuple[str, ...]" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        params = inspect.signature(self.assemble).parameters.values()
+        object.__setattr__(self, "options", MappingProxyType(
+            {p.name: p.default for p in params}))
+        object.__setattr__(self, "_declared", tuple(
+            inspect.signature(self.declare).parameters) if self.declare else ())
 
     @property
     def declares_units(self) -> bool:
         """Whether this experiment has any declarable work at all."""
         return self.declare is not None
 
-    def declare_units(self, **options) -> "list[WorkUnit]":
-        """Every unit the experiment will need at ``options``.
+    def filter_options(self, options: Mapping[str, object]) -> dict:
+        """The subset of ``options`` the driver takes."""
+        return {k: v for k, v in options.items() if k in self.options}
 
-        The options are bound to the driver's signature with its
-        defaults applied; ``declare`` receives the parameters it names.
-        """
+    def declare_units(self, **options) -> "list[WorkUnit]":
+        """Every unit the experiment will need at ``options``, with the
+        driver's defaults for the options ``declare`` names but
+        ``options`` leaves out."""
         if self.declare is None:
             return []
-        bound = inspect.signature(self.assemble).bind(
-            **filter_kwargs(self.assemble, options))
-        bound.apply_defaults()
-        wanted = inspect.signature(self.declare).parameters
-        return list(self.declare(**{name: bound.arguments[name] for name in wanted}))
+        return list(self.declare(**{
+            name: options.get(name, self.options[name]) for name in self._declared}))
 
     def run(self, **options) -> ExperimentReport:
         """Assemble the report (options filtered to the driver's knobs)."""
-        return self.assemble(**filter_kwargs(self.assemble, options))
+        return self.assemble(**self.filter_options(options))

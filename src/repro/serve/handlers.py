@@ -273,13 +273,15 @@ class ServeApp:
         if experiment_id not in SPECS:
             raise HttpError(404, f"unknown experiment {experiment_id!r}")
         options = filter_options(experiment_id, self._report_options(params))
+        # the JSON shape of the options: the response body and cache key
+        listed = {k: list(v) if isinstance(v, tuple) else v
+                  for k, v in sorted(options.items())}
 
         async def factory():
             def run():
                 report = run_experiment(experiment_id, **options)
                 return {"experiment_id": experiment_id,
-                        "options": {k: list(v) if isinstance(v, tuple) else v
-                                    for k, v in sorted(options.items())},
+                        "options": listed,
                         "render": report.render(),
                         "all_match": report.all_match,
                         "report": report_to_dict(report)}
@@ -289,8 +291,7 @@ class ServeApp:
         return await self.cached(
             "report",
             {"endpoint": "report", "experiment": experiment_id,
-             "options": {k: list(v) if isinstance(v, tuple) else v
-                         for k, v in sorted(options.items())}},
+             "options": listed},
             factory,
         )
 

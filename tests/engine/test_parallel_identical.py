@@ -55,13 +55,13 @@ def test_table2_parallel_report_is_byte_identical(fresh_store):
 def test_fig2_parallel_report_is_byte_identical(fresh_store):
     """Sweep points plus fig2's hardware-model stage, run on two real
     workers, must give the serial report's bytes."""
-    options = dict(scale=0.03, thread_counts=(1, 2, 16), hw_thread_counts=(1, 2))
+    options = dict(scale=0.03, thread_counts=(1, 2, 16))
     fresh_store("fig2")
     serial = run_experiment("fig2", **options)
     fresh_store("fig2-parallel")  # else the memo answers the parallel run
     with engine.session(2) as sess:
         parallel = run_experiment("fig2", **options)
-    assert sess.stats["units"] == 15  # 3 workloads x (3 sweep + 2 hardware)
+    assert sess.stats["units"] == 21  # 3 workloads x (3 sweep + 4 hardware)
     assert sess.events.count("worker_started") == 2
     assert sess.events.count("serial_fallback") == 0
     assert as_bytes(parallel) == as_bytes(serial)

@@ -165,7 +165,7 @@ class TestSessionWiring:
 
         monkeypatch.setattr(EngineSession, "run_units", spy)
         assert engine.current_session() is None
-        report = run_experiment("ext-falsesharing", n_threads=2, updates=50)
+        report = run_experiment("ext-falsesharing")
         assert report.render()
         assert calls
         assert all(n > 0 and installed is None for n, installed in calls)
@@ -198,16 +198,15 @@ class TestPrecompute:
             with engine.session(1) as sess:
                 declared = engine.precompute(
                     sess, ["table2", "fig2", "fig4"],
-                    {"scale": 0.03, "thread_counts": (1, 2),
-                     "hw_thread_counts": (1, 2)},
+                    {"scale": 0.03, "thread_counts": (1, 2)},
                 )
             # sweep: 2 experiments x 3 workloads x 2 points, shared
             # between table2 and fig2; hardware: fig2's own stage,
-            # 3 workloads x 2 points; fig4 evaluates its model in
+            # 3 workloads x 4 points; fig4 evaluates its model in
             # assemble and declares nothing
-            assert declared == 18
+            assert declared == 24
             assert sess.stats["deduped"] == 6
-            assert sess.stats["executed"] == 12
+            assert sess.stats["executed"] == 18
         finally:
             pipeline.set_disk_store(restore)
             pipeline.clear_memo()

@@ -65,11 +65,12 @@ class TestCommands:
         assert main(["list", "--json"]) == 0
         entries = json.loads(capsys.readouterr().out)
         by_id = {e["id"]: e for e in entries}
-        for eid, knob in (("ext-oversubscription-sweep", "quantum"),
-                          ("ext-acmp-merge-policy", "quantum"),
-                          ("ext-priority-inversion-reduction", "quanta")):
-            assert by_id[eid]["declares_units"], eid
-            assert knob in by_id[eid]["options"], eid
+        for eid, options in (("table2", ["mem_scale", "scale", "thread_counts"]),
+                             ("fig4", ["n"]),
+                             ("ext-oversubscription-sweep", [])):
+            assert by_id[eid]["options"] == options, eid
+        assert by_id["ext-oversubscription-sweep"]["declares_units"]
+        assert not by_id["fig4"]["declares_units"]
         for entry in entries:
             assert set(entry) == {"id", "description", "options", "declares_units"}
 

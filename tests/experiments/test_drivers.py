@@ -72,14 +72,13 @@ class TestSimulatorDrivers:
         report = run_experiment(
             "fig2", scale=0.12,
             thread_counts=(1, 2, 4, 8, 16),
-            hw_thread_counts=(1, 2, 4, 8),
             mem_scale=4,
         )
         assert report.all_match, report.render()
 
     def test_table4(self):
         report = run_experiment(
-            "table4", scale=0.04, thread_counts=(1, 2, 4, 8), mem_scale=4
+            "table4", scale=0.04, thread_counts=(1, 2, 4, 8)
         )
         assert report.all_match, report.render()
 

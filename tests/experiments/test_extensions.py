@@ -34,17 +34,15 @@ class TestExtensionDrivers:
         assert report.all_match, report.render()
 
     def test_crossover_sim(self):
-        report = run_experiment("ext-crossover-sim", n_items=8000, n_bins=4096)
+        report = run_experiment("ext-crossover-sim")
         assert report.all_match, report.render()
 
     def test_falsesharing(self):
-        report = run_experiment("ext-falsesharing", n_threads=4, updates=200)
+        report = run_experiment("ext-falsesharing")
         assert report.all_match, report.render()
 
     def test_locked_reduction(self):
-        report = run_experiment(
-            "ext-locked-reduction", n_threads=4, updates_per_thread=800
-        )
+        report = run_experiment("ext-locked-reduction")
         assert report.all_match, report.render()
 
     def test_mix(self):

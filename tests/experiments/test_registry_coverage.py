@@ -27,22 +27,7 @@ from repro.simx import Machine
 
 #: one option set for the whole registry, as ``runall`` would pass it
 #: (fig2's claims index the 16-core point; ext-critical sweeps rl to 128)
-OPTIONS = dict(
-    scale=0.03,
-    thread_counts=(1, 2, 16),
-    hw_thread_counts=(1, 2),
-    n=128,
-    max_cores=64,
-    budget=4,
-    n_items=2000,
-    n_bins=256,
-    updates=50,
-    updates_per_thread=200,
-    batch=32,
-    merge_elements=64,
-    rl=4,
-    n_threads=2,
-)
+OPTIONS = dict(scale=0.03, thread_counts=(1, 2, 16), n=128)
 
 
 class InlineSimulationForbidden(AssertionError):

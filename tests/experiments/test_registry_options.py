@@ -1,14 +1,24 @@
 """Registry option validation, descriptions, and sweep declarations."""
 
+import inspect
+
 import pytest
 
 from repro.experiments.registry import (
     EXPERIMENTS,
+    SPECS,
     declare_units,
     describe_experiment,
+    listing,
     run_experiment,
     validate_options,
 )
+
+#: the options some interface passes: ``repro run``/``runall`` set
+#: ``scale`` and ``thread_counts``, serve's ``/v1/report`` also ``n``
+INTERFACE_OPTIONS = {"scale", "thread_counts", "n"}
+#: ``scripts/run_full_scale.py`` also sets ``mem_scale``, for these only
+MEM_SCALE_EXPERIMENTS = {"table2", "fig2"}
 
 
 class TestOptionValidation:
@@ -35,6 +45,34 @@ class TestOptionValidation:
     def test_validate_options_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             validate_options("nope", {})
+
+
+class TestInterfaceOptions:
+    def test_driver_parameters_are_interface_options(self):
+        """A driver takes only options some interface passes, each with a
+        default; any other setting is a module constant."""
+        offenders = {}
+        for eid, spec in SPECS.items():
+            allowed = INTERFACE_OPTIONS | (
+                {"mem_scale"} if eid in MEM_SCALE_EXPERIMENTS else set())
+            params = inspect.signature(spec.assemble).parameters.values()
+            extra = [p.name for p in params if p.name not in allowed]
+            if extra:
+                offenders[eid] = extra
+            for p in params:
+                assert p.default is not inspect.Parameter.empty, (
+                    f"{eid}: option {p.name!r} has no default")
+        n = sum(map(len, offenders.values()))
+        assert not offenders, (
+            f"{n} driver parameter(s) in {len(offenders)} experiment(s) "
+            f"that no interface passes: {offenders}")
+
+    def test_listing_names_every_driver_option(self):
+        for entry in listing():
+            driver = SPECS[entry["id"]].assemble
+            assert isinstance(entry["options"], list), entry["id"]
+            assert entry["options"] == sorted(
+                inspect.signature(driver).parameters), entry["id"]
 
 
 class TestDescriptions:
@@ -65,21 +103,15 @@ class TestDeclarations:
 
     def test_declarers_drop_options_they_do_not_understand(self):
         # fig2 declares the sim sweep (3 workloads x 2 thread counts) plus
-        # hardware-model runs at its driver's default hw_thread_counts
-        # (3 workloads x 4); `hardware_backend` means nothing to the
-        # driver and is dropped rather than rejected.
+        # hardware-model runs at panel (c)'s four thread counts (3
+        # workloads x 4); `hardware_backend` means nothing to the driver
+        # and is dropped rather than rejected.
         units = declare_units(
             "fig2", scale=0.03, thread_counts=(1, 2), hardware_backend="model"
         )
         assert len(units) == 18
         assert sum(u.kind == "sweep-point" for u in units) == 6
         assert sum(u.kind == "hardware-model" for u in units) == 12
-
-    def test_hardware_stage_follows_its_own_thread_counts(self):
-        units = declare_units(
-            "fig2", scale=0.03, thread_counts=(1, 2), hw_thread_counts=(1, 2)
-        )
-        assert sum(u.kind == "hardware-model" for u in units) == 6
 
     def test_scheduler_specs_are_registered_and_declare_units(self):
         # one unit per sweep point, all simulator programs, distinct keys

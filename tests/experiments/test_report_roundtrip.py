@@ -25,19 +25,7 @@ from repro.experiments.store import (
 OPTIONS = dict(
     scale=0.03,
     thread_counts=(1, 2, 16),
-    hw_thread_counts=(1, 2),
     n=128,  # ext-critical's ACS table sweeps rl up to 128
-    max_cores=64,
-    budget=4,
-    n_items=2000,
-    n_bins=256,
-    updates=50,
-    updates_per_thread=200,
-    batch=32,
-    merge_elements=64,
-    rl=4,
-    n_threads=2,
-    n_cores=8,
 )
 
 _reports: dict = {}
