@@ -2,6 +2,10 @@
 """Regenerate EXPERIMENTS.md: run every experiment and record
 paper-vs-measured for each table and figure.
 
+All of ``RUNS`` is one :func:`~repro.experiments.registry.run_experiments`
+batch, so the units two runs share (Fig 2 re-reads Table II's sweep)
+settle once even with the disk cache off.
+
 Run:  python scripts/make_experiments_md.py            (a few seconds)
 """
 
@@ -10,7 +14,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import run_experiments
 
 HEADER = """\
 # EXPERIMENTS — paper vs measured
@@ -70,9 +74,9 @@ RUNS = [
 def main() -> int:
     rows = []
     details = []
-    for eid, klass, opts in RUNS:
-        print(f"running {eid}...", flush=True)
-        report = run_experiment(eid, **opts)
+    print(f"running {len(RUNS)} experiments...", flush=True)
+    reports = run_experiments((eid, opts) for eid, _, opts in RUNS)
+    for (eid, klass, opts), report in zip(RUNS, reports):
         status = "all hold" if report.all_match else "SOME FAIL"
         n_ok = sum(1 for c in report.comparisons if c.matches())
         rows.append(

@@ -5,8 +5,8 @@ Runs the pytest-benchmark suites (``benchmarks/test_throughput.py``,
 ``benchmarks/test_engines.py`` and ``benchmarks/test_obs_overhead.py``),
 derives simulated ops/sec, the batch-engine speedup ratios and the
 observability overhead, times a simulator sweep cold vs disk-warm,
-measures the ``runall`` precompute pass (cross-experiment unit dedup
-ratio and cold-vs-warm resolve wall-clock), and writes everything to
+measures ``runall``'s resolve batch (cross-experiment unit dedup ratio
+and cold-vs-warm resolve wall-clock), and writes everything to
 ``BENCH_simx.json`` in the repo root — the artifact CI uploads so the
 perf trajectory is tracked across commits.
 
@@ -174,7 +174,7 @@ def check_regressions(rows: dict, baseline: dict, threshold: float = 0.25) -> li
 def collect_metrics(path: Path) -> None:
     """Run a small instrumented sweep and dump its metrics/spans as JSONL."""
     from repro import obs
-    from repro.pipeline import clear_memo, get_disk_store, set_disk_store, simulate_breakdowns
+    from repro.pipeline import get_disk_store, set_disk_store, simulate_breakdowns
     from repro.workloads import default_workloads
 
     obs.set_enabled(True)
@@ -182,13 +182,11 @@ def collect_metrics(path: Path) -> None:
     try:
         with tempfile.TemporaryDirectory(prefix="repro-obsbench-") as tmp:
             set_disk_store(tmp)
-            clear_memo()
             wl = default_workloads(0.03)["kmeans"]
             simulate_breakdowns(wl, (1, 2), n_cores=4, mem_scale=4)
         obs.write_jsonl(path, meta={"command": "scripts/run_bench.py"})
     finally:
         set_disk_store(restore)
-        clear_memo()
         obs.set_enabled(False)
         obs.reset()
         obs.RECORDER.clear()
@@ -196,52 +194,45 @@ def collect_metrics(path: Path) -> None:
 
 def time_sweep_cache(scale: float = 0.05, threads: tuple = (1, 2, 4)) -> dict:
     """Cold vs disk-warm wall time for a small simulator sweep."""
-    from repro.pipeline import (
-        clear_memo,
-        get_disk_store,
-        memo_info,
-        set_disk_store,
-        simulate_breakdowns,
-    )
+    from repro.pipeline import get_disk_store, memo_info, set_disk_store, simulate_breakdowns
     from repro.workloads import default_workloads
 
     restore = get_disk_store()
     try:
         with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
             set_disk_store(tmp)
-            clear_memo()
             wl = default_workloads(scale)["kmeans"]
 
             t0 = time.perf_counter()
             cold = simulate_breakdowns(wl, threads, n_cores=4, mem_scale=4)
             cold_s = time.perf_counter() - t0
 
-            clear_memo()  # drop memo, keep disk
+            before = memo_info()
             t0 = time.perf_counter()
             warm = simulate_breakdowns(wl, threads, n_cores=4, mem_scale=4)
             warm_s = time.perf_counter() - t0
-            info = memo_info()
+            # the warm pass's own lookups: the counters are per process
+            hits, misses = (memo_info()[k] - before[k] for k in ("disk_hits", "misses"))
     finally:
         set_disk_store(restore)
-        clear_memo()
 
     assert {p: w.total for p, w in cold.items()} == {p: w.total for p, w in warm.items()}
     return {
         "cold_seconds": round(cold_s, 4),
         "disk_warm_seconds": round(warm_s, 4),
         "warm_speedup": round(cold_s / warm_s, 1) if warm_s else None,
-        "hit_rate": info["hit_rate"],
-        "disk_hits": info["disk_hits"],
-        "misses": info["misses"],
+        "hit_rate": hits / (hits + misses),
+        "disk_hits": hits,
+        "misses": misses,
     }
 
 
 def time_runall_precompute() -> dict:
-    """The ``runall`` precompute pass: declare every experiment's units,
+    """``runall``'s resolve batch: declare every experiment's units,
     measure the cross-experiment dedup ratio, and time resolving the
     union cold vs disk-warm."""
     from repro.experiments.registry import SPECS, declare_units
-    from repro.pipeline import clear_memo, get_disk_store, resolve_units, set_disk_store
+    from repro.pipeline import get_disk_store, resolve_units, set_disk_store
 
     options = dict(scale=0.03, thread_counts=(1, 2, 16))
     declaring = sorted(eid for eid, spec in SPECS.items() if spec.declares_units)
@@ -254,19 +245,16 @@ def time_runall_precompute() -> dict:
     try:
         with tempfile.TemporaryDirectory(prefix="repro-runall-") as tmp:
             set_disk_store(tmp)
-            clear_memo()
 
             t0 = time.perf_counter()
             resolve_units(units)
             cold_s = time.perf_counter() - t0
 
-            clear_memo()  # drop the memo, keep disk
             t0 = time.perf_counter()
             resolve_units(units)
             warm_s = time.perf_counter() - t0
     finally:
         set_disk_store(restore)
-        clear_memo()
 
     return {
         "experiments": len(declaring),

@@ -6,13 +6,15 @@ reruns Table II and Fig 2 with ``scale=1.0`` — the actual Table IV
 attribute values (kmeans/fuzzy: 17 695 x 9, C=8; hop: ~15k particles after
 the generator's hop scaling) — and prints the resulting parameter tables.
 
-Takes tens of seconds at the default mem_scale=2; use --mem-scale 1 for
-exact (undersampled-free) memory traces at a few minutes.
+A cold serial run takes about 2 s at the default mem_scale=2 and about
+4 s with --mem-scale 1 (exact, undersampling-free memory traces) on a
+2-vCPU host.
 
-Both experiments' units are gathered up front by one ``repro.engine``
-session and globally deduplicated (Table II and Fig 2 share their entire
-sweep); ``--parallel N`` executes the misses on N worker processes, and
-the reports are byte-identical to a serial run.  See docs/engine.md.
+Both experiments run as one ``run_experiments`` batch in one
+``repro.engine`` session, so their units are declared once and settled
+together (Table II and Fig 2 share their entire sweep, which runs once);
+``--parallel N`` executes the misses on N worker processes, and the
+reports are byte-identical to a serial run.  See docs/engine.md.
 
 ``--listen HOST:PORT`` executes the sweeps on *remote* workers instead:
 start ``repro worker --connect HOST:PORT`` on as many machines as you
@@ -29,7 +31,7 @@ import sys
 import time
 
 from repro import engine
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import run_experiments
 
 
 def main() -> int:
@@ -58,17 +60,15 @@ def main() -> int:
             print(f"[coordinator listening on {sess.remote_address}; "
                   f"join with: repro worker --connect "
                   f"{sess.remote_address}]", flush=True)
-        t0 = time.time()
-        n = engine.precompute(sess, ("table2", "fig2"), options)
-        print(f"[precomputed {n} declared units in {time.time() - t0:.0f}s; "
-              f"engine: {sess.summary()}]\n", flush=True)
-        for eid in ("table2", "fig2"):
+        ids = ("table2", "fig2")
+        t0 = time.time()  # the first report's time includes the shared sweep
+        for eid, report in zip(ids, run_experiments((eid, options) for eid in ids)):
             print(f"== {eid} at full scale ==", flush=True)
-            t0 = time.time()
-            report = run_experiment(eid, **options)
             print(report.render())
             status = "all claims hold" if report.all_match else "SOME CLAIMS FAILED"
             print(f"[{eid}: {status}; {time.time() - t0:.0f}s]\n", flush=True)
+            t0 = time.time()
+        print(f"[engine: {sess.summary()}]", flush=True)
     return 0
 
 

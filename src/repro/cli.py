@@ -8,9 +8,9 @@ Subcommands
     whether the experiment declares precomputable work units).
 ``run <id> [--csv] [--scale S] [--parallel N] [--run-id ID | --resume ID]``
     Run one experiment (or ``all``) and print its report.  Every run
-    opens one :mod:`repro.engine` session, which precomputes the
-    experiments' declared units on ``--parallel`` N worker processes
-    (default 1); reports are byte-identical whatever the width.
+    opens one :mod:`repro.engine` session, which settles the units the
+    selected experiments declare in one batch on ``--parallel`` N worker
+    processes (default 1); reports are byte-identical whatever the width.
     ``--run-id`` journals every settled unit so a killed run can be
     picked up with ``--resume ID`` (which also restores the experiment
     and options from the run's manifest); SIGINT/SIGTERM drains
@@ -22,8 +22,8 @@ Subcommands
     One-off speedup prediction for an application you characterise on the
     command line — the library's headline use case without writing code.
 ``cache info|clear``
-    Inspect or drop the on-disk simulation sweep cache (simulator-backed
-    experiments reuse results across invocations; ``--no-sweep-cache`` on
+    Inspect or drop the on-disk unit cache (simulator-backed experiments
+    reuse results across invocations; ``--no-sweep-cache`` on
     ``run``/``characterize`` opts a single invocation out).
 ``stats <metrics.jsonl> [--prometheus]``
     Render a metrics/span JSONL file written by ``--metrics-out`` (see
@@ -58,7 +58,8 @@ from repro.core.params import AppParams
 from repro.experiments.registry import (
     EXPERIMENTS,
     describe_experiment,
-    run_experiment,
+    filter_options,
+    run_experiments,
 )
 from repro.util.logging import configure, get_logger
 
@@ -200,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect or clear the on-disk simulation sweep cache"
     )
     cache_p.add_argument("action", choices=["info", "clear"])
-    cache_p.add_argument("--memory-only", action="store_true",
-                         help="with 'clear': keep the disk tier")
 
     stats_p = sub.add_parser(
         "stats", help="render a metrics JSONL file written by --metrics-out"
@@ -300,9 +299,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "clear":
         clear_memo()
         disk = get_disk_store()
-        if not args.memory_only and disk is not None:
+        if disk is not None:
             disk.clear()
-        print("sweep cache cleared" + (" (memory tier only)" if args.memory_only else ""))
+        print("sweep cache cleared")
         return 0
     for k, v in memo_info().items():
         print(f"{k:15} {v}")
@@ -429,17 +428,16 @@ def _interrupted_exit(exc, run_id: "str | None") -> int:
     return 130
 
 
-def _print_reports(ids, args: argparse.Namespace, options=None) -> bool:
+def _print_reports(ids, args: argparse.Namespace, options: dict) -> bool:
     """Run and print each experiment; True when any comparison failed.
 
     ``options`` applies across the whole batch; each driver receives
     only the knobs it accepts (:func:`~repro.experiments.registry
-    .filter_options`)."""
-    from repro.experiments.registry import filter_options
-
+    .filter_options`).  All of the experiments run as one
+    :func:`~repro.experiments.registry.run_experiments` batch."""
     failed = False
-    for eid in ids:
-        report = run_experiment(eid, **filter_options(eid, options or {}))
+    reports = run_experiments([(eid, filter_options(eid, options)) for eid in ids])
+    for eid, report in zip(ids, reports):
         if args.csv:
             for t in report.tables:
                 print(t.to_csv())
@@ -485,8 +483,9 @@ def _disk_tier(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """``run`` and ``runall``: one engine session precomputes the declared
-    units of the selected experiments, then assembles each report."""
+    """``run`` and ``runall``: one engine session settles the declared
+    units of the selected experiments in one batch, then each report
+    assembles from them."""
     from repro import engine
 
     options = _gather_options(args)
@@ -513,7 +512,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             _write_run_manifest(run_id, args.command, args.experiment, options)
         _announce_listener(sess)
         try:
-            engine.precompute(sess, ids, options)
             failed = _print_reports(ids, args, options)
         except engine.RunInterrupted as exc:
             return _interrupted_exit(exc, run_id)

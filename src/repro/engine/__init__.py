@@ -36,10 +36,14 @@ Typical use is via the CLI (``repro run <id> --parallel N``,
 ``repro runall``) or::
 
     from repro import engine
+    from repro.experiments.registry import run_experiments
 
-    with engine.session(n_workers=4) as sess:
-        engine.precompute(sess, ["table2", "fig2"], {"scale": 0.15})
-        report = run_experiment("table2")   # hot caches, serial semantics
+    with engine.session(n_workers=4):
+        # one batch settles both experiments' units (their shared sweep
+        # once); each report assembles serially from the payloads
+        for report in run_experiments([("table2", {"scale": 0.15}),
+                                       ("fig2", {"scale": 0.15})]):
+            print(report.render())
 """
 
 from repro.engine.events import EngineEvent, EventLog
@@ -63,7 +67,6 @@ from repro.engine.scheduler import (
     EngineSession,
     current_session,
     drain_on_signal,
-    precompute,
     session,
 )
 from repro.engine.units import WorkUnit, register_executor
@@ -82,7 +85,6 @@ __all__ = [
     "current_session",
     "default_workers",
     "drain_on_signal",
-    "precompute",
     "read_manifest",
     "register_executor",
     "resolve_run_dir",

@@ -9,18 +9,17 @@ implements the scheduling contract:
    to one execution;
 2. **dedupe against caches** — the caller supplies ``cache_get`` /
    ``cache_put`` hooks (:func:`repro.pipeline.runtime.cache_get` checks
-   the in-process memo and the on-disk
-   :class:`~repro.experiments.store.SweepStore`); hits never reach a
-   worker, and fresh results are written back *as they land*, so a
+   the on-disk :class:`~repro.experiments.store.SweepStore`); hits never
+   reach a worker, and fresh results are written back *as they land*, so a
    concurrent run on another process benefits immediately;
 3. **dispatch misses** across the pool and return ``{key: payload}``.
 
 Accounting: ``stats`` counts each distinct unit key once per session,
 under the tier that first settled it (journal, cache or execution).
 ``units`` counts every reference, and a reference to a key the session
-already counted, in the same batch or an earlier one (the assemble pass
-re-reading what precompute settled), counts as ``deduped``.  So
-``units - deduped`` is the number of distinct units.
+already counted, in the same batch or an earlier one (Fig 2 declaring
+Table II's sweep again), counts as ``deduped``.  So ``units - deduped``
+is the number of distinct units.
 
 Determinism: results are keyed by content hash and units are pure, so
 callers rebuild their outputs in *their own* iteration order — the
@@ -42,8 +41,6 @@ installs the session as the ambient engine (:func:`current_session`),
 through which :func:`repro.pipeline.resolve_units` settles every unit,
 and guarantees teardown.  With no session installed, ``resolve_units``
 settles each call through a serial session of its own.
-:func:`precompute` warms every cache tier for the declared units of a
-set of experiments in one globally-deduplicated batch.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ import contextlib
 import signal as signal_mod
 import threading
 import time
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from repro import obs
 from repro.engine.events import EventLog
@@ -64,12 +61,8 @@ from repro.engine.pool import (
     default_workers,
 )
 from repro.engine.units import WorkUnit
-from repro.util.logging import get_logger
 
-__all__ = ["EngineSession", "session", "current_session", "precompute",
-           "drain_on_signal"]
-
-log = get_logger("engine")
+__all__ = ["EngineSession", "session", "current_session", "drain_on_signal"]
 
 #: the ambient session :func:`session` installs (None = none installed)
 _current: "EngineSession | None" = None
@@ -203,7 +196,7 @@ class EngineSession:
 
         Returns ``{key: payload}``.  Tier order for each unique unit:
         the run journal (a resumed run re-executes nothing that settled
-        before the crash), then the caller's ``cache_get`` (memo +
+        before the crash), then the caller's ``cache_get`` (the
         :class:`~repro.experiments.store.SweepStore`), then the pool.
         Every settled unit is journaled *before* the cache write — the
         write-ahead ordering crash safety rests on.
@@ -445,32 +438,3 @@ def session(
                              spans=obs.span_summary())
         sess.close()
 
-
-def precompute(
-    sess: EngineSession,
-    experiment_ids: Iterable[str],
-    options: "Mapping[str, object] | None" = None,
-) -> int:
-    """Warm every cache tier for the declared work of ``experiment_ids``.
-
-    Collects every work unit the experiments declare — simulator sweeps,
-    hand-built trace programs and hardware executions alike (see the
-    experiment specs in :mod:`repro.experiments.registry`) — deduplicates
-    them *globally* (Table II and Fig 2 share their entire sweep, so it
-    runs once) and executes the misses across the pool in one journaled
-    pass.  The drivers then assemble serially against hot caches, which
-    is what makes a parallel report byte-identical to a serial one.
-    Returns the number of units declared.
-    """
-    from repro.experiments.registry import declare_units
-    from repro.pipeline import runtime
-
-    units: list[WorkUnit] = []
-    for eid in experiment_ids:
-        units.extend(declare_units(eid, **dict(options or {})))
-    if units:
-        log.info("precomputing %d declared work unit(s) on %d worker(s)",
-                 len(units), sess.workers)
-        sess.run_units(units, cache_get=runtime.cache_get,
-                       cache_put=runtime.cache_put)
-    return len(units)

@@ -22,7 +22,7 @@ from repro.core.params import AppParams
 from repro.core.perf import PollackPerf
 from repro.experiments.report import ExperimentReport, PaperComparison, series_table
 from repro.noc.comm_cost import topology_growcomm
-from repro.pipeline import ExperimentSpec, resolve_units, sim_sweep_units, sweep_breakdowns
+from repro.pipeline import ExperimentSpec, sim_sweep_units, sweep_breakdowns
 from repro.util.tables import TextTable
 from repro.workloads.datasets import make_blobs
 from repro.workloads.instrument import extract_parameters
@@ -152,16 +152,15 @@ def run_topology(n: int = 256) -> ExperimentReport:
 
 
 def run_reduction_strategy(
-    scale: float = 0.08, thread_counts: tuple = (1, 2, 4, 8, 16)
+    units: list, payloads: dict,
+    scale: float = 0.08, thread_counts: tuple = (1, 2, 4, 8, 16),
 ) -> ExperimentReport:
     """Measured (simulator) ablation of the merge implementation."""
     report = ExperimentReport(
         "ablation-reduction", "Reduction strategy, measured on the simulator"
     )
     rows = {}
-    units = declare_units_reduction(scale, thread_counts)
-    for wl, breakdowns in sweep_breakdowns(
-            units, resolve_units(units), len(thread_counts)):
+    for wl, breakdowns in sweep_breakdowns(units, payloads, len(thread_counts)):
         strategy = wl.reduction_strategy
         top = max(thread_counts)
         rows[strategy] = {
@@ -215,7 +214,8 @@ def run_optimal_r_map(n: int = 256) -> ExperimentReport:
 
 
 def run_machine_model(
-    scale: float = 0.06, thread_counts: tuple = (1, 2, 4, 8, 16)
+    units: list, payloads: dict,
+    scale: float = 0.06, thread_counts: tuple = (1, 2, 4, 8, 16),
 ) -> ExperimentReport:
     """Are the extracted parameters robust to the simulator's timing model?
 
@@ -228,8 +228,7 @@ def run_machine_model(
     report = ExperimentReport(
         "ablation-machine", "Parameter robustness across machine models"
     )
-    units = declare_units_machine(scale, thread_counts)
-    sweeps = sweep_breakdowns(units, resolve_units(units), len(thread_counts))
+    sweeps = sweep_breakdowns(units, payloads, len(thread_counts))
     t = TextTable(
         title="kmeans parameters per machine model",
         columns=["machine", "serial (%)", "fcon (%)", "fored (%)", "alpha"],
@@ -263,10 +262,11 @@ def run_machine_model(
     return report
 
 
-def run() -> ExperimentReport:
+def run(units: list, payloads: dict) -> ExperimentReport:
     """All ablations, concatenated into one report."""
     combined = ExperimentReport("ablations", "Design-choice ablations")
-    for sub in (run_perf_law(), run_topology(), run_reduction_strategy(), run_optimal_r_map()):
+    for sub in (run_perf_law(), run_topology(),
+                run_reduction_strategy(units, payloads), run_optimal_r_map()):
         combined.tables.extend(sub.tables)
         combined.comparisons.extend(sub.comparisons)
         combined.notes.extend(sub.notes)

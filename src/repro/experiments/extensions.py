@@ -27,12 +27,7 @@ from repro.core.scaled import (
 )
 from repro.experiments.report import ExperimentReport, PaperComparison, series_table
 from repro.noc.contention import contended_growcomm
-from repro.pipeline import (
-    ExperimentSpec,
-    breakdown_from_payload,
-    resolve_units,
-    sim_point_unit,
-)
+from repro.pipeline import ExperimentSpec, breakdown_from_payload, sim_point_unit
 from repro.util.tables import TextTable
 
 __all__ = [
@@ -252,7 +247,7 @@ def declare_units_crossover() -> list:
     return [sim_point_unit(wl, nc, 2, cfg) for _, nc, cfg in _crossover_designs()]
 
 
-def run_crossover_sim() -> ExperimentReport:
+def run_crossover_sim(units: list, payloads: dict) -> ExperimentReport:
     """Conclusion (b) reproduced in full-system simulation.
 
     Every symmetric design of a fixed BCE budget is *built* (nc cores of
@@ -267,8 +262,6 @@ def run_crossover_sim() -> ExperimentReport:
         "ext-crossover-sim",
         "The fewer-larger-cores crossover, measured in simulation",
     )
-    units = declare_units_crossover()
-    payloads = resolve_units(units)
     cycles = {r: int(breakdown_from_payload(payloads[u.key]).total)
               for (r, _, _), u in zip(_crossover_designs(), units)}
     t = TextTable(
@@ -325,14 +318,12 @@ def declare_units_acmp(scale: float) -> list:
     ]
 
 
-def run_acmp_sim(scale: float = 0.08) -> ExperimentReport:
+def run_acmp_sim(units: list, payloads: dict, scale: float = 0.08) -> ExperimentReport:
     """Simulated ACMP vs symmetric CMP on kmeans (Eq 5's structure)."""
     report = ExperimentReport(
         "ext-acmp-sim", "Simulated ACMP: serial sections on the large core"
     )
     rl = _ACMP_RL
-    units = declare_units_acmp(scale)
-    payloads = resolve_units(units)
     sym, acmp = (breakdown_from_payload(payloads[u.key]) for u in units)
     t = TextTable(
         title=f"kmeans at {_ACMP_THREADS} threads: symmetric vs ACMP (rl={rl})",

@@ -12,7 +12,7 @@ phase to be truly parallel).
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import ExperimentSpec, resolve_units, sim_program_unit
+from repro.pipeline import ExperimentSpec, sim_program_unit
 from repro.simx import Compute, MachineConfig, Store, ThreadTrace, TraceProgram
 from repro.util.tables import TextTable
 
@@ -61,13 +61,11 @@ def declare_units() -> list:
     ]
 
 
-def run() -> ExperimentReport:
+def run(units: list, payloads: dict) -> ExperimentReport:
     """Measure packed vs padded per-thread accumulators."""
     report = ExperimentReport(
         "ext-falsesharing", "False sharing in packed per-thread accumulators"
     )
-    units = declare_units()
-    payloads = resolve_units(units)
     results = {
         ("padded" if padded else "packed"): payloads[u.key]
         for padded, u in zip((True, False), units)

@@ -21,7 +21,6 @@ from repro.pipeline import (
     SWEEP_POINT,
     ExperimentSpec,
     hardware_model_units,
-    resolve_units,
     sweep_breakdowns,
 )
 from repro.workloads import default_workloads
@@ -50,14 +49,14 @@ def declare_units(scale: float, thread_counts: tuple, mem_scale: int) -> list:
 
 
 def run(
+    units: list,
+    payloads: dict,
     scale: float = 0.15,
     thread_counts: tuple = (1, 2, 4, 8, 16),
     mem_scale: int = 2,
 ) -> ExperimentReport:
     """Regenerate all four panels of Fig 2."""
     report = ExperimentReport("fig2", "Application characterisation")
-    units = declare_units(scale, thread_counts, mem_scale)
-    payloads = resolve_units(units)
     sim = {w.name: b for w, b in sweep_breakdowns(
         [u for u in units if u.kind == SWEEP_POINT], payloads, len(thread_counts))}
     hw = {w.name: b for w, b in sweep_breakdowns(

@@ -19,7 +19,7 @@ pattern — and hence for the paper's whole problem setting.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import ExperimentSpec, resolve_units, sim_program_unit
+from repro.pipeline import ExperimentSpec, sim_program_unit
 from repro.simx import (
     Compute,
     Load,
@@ -118,13 +118,11 @@ def declare_units() -> list:
     ]
 
 
-def run() -> ExperimentReport:
+def run(units: list, payloads: dict) -> ExperimentReport:
     """Compare the two reduction disciplines on the simulator."""
     report = ExperimentReport(
         "ext-locked-reduction", "Locked shared accumulation vs privatise-and-merge"
     )
-    units = declare_units()
-    payloads = resolve_units(units)
     locked, privatised = (payloads[u.key] for u in units)
     t = TextTable(
         title=f"{_N_THREADS} threads x {_UPDATES_PER_THREAD} updates",

@@ -6,13 +6,18 @@ one table from the modules in ``_MODULES``.  The classic driver map
 (``EXPERIMENTS``) and every declaration (:func:`declare_units`) are
 *derived* from the specs, so adding an experiment is one
 ``ExperimentSpec`` in its own module plus its module in ``_MODULES``.
+
+:func:`run_experiments` is the one runner: it declares each requested
+experiment once, settles the union of their units in one batch, and
+hands each driver its own units and the payloads that resolved them.
 """
 
 from __future__ import annotations
 
 import inspect
 import time
-from typing import Callable, Mapping
+from collections import deque
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro import obs
 from repro.experiments import ablations, conclusions, extensions, falsesharing
@@ -20,7 +25,7 @@ from repro.experiments import locked_reduction, mix_study, scheduler_study
 from repro.experiments import fig1_fig6, fig2, fig3, fig4, fig5, fig7
 from repro.experiments import table1, table2, table3, table4
 from repro.experiments.report import ExperimentReport
-from repro.pipeline import ExperimentSpec
+from repro.pipeline import ExperimentSpec, resolve_units
 
 __all__ = [
     "SPECS",
@@ -28,6 +33,7 @@ __all__ = [
     "get_spec",
     "get_experiment",
     "run_experiment",
+    "run_experiments",
     "validate_options",
     "filter_options",
     "describe_experiment",
@@ -59,9 +65,9 @@ def _collect_specs() -> "dict[str, ExperimentSpec]":
 
 SPECS: Mapping[str, ExperimentSpec] = _collect_specs()
 
-#: id → assemble function (the classic driver map, derived from SPECS)
+#: id → options → report (the classic driver map, derived from SPECS)
 EXPERIMENTS: Mapping[str, Callable[..., ExperimentReport]] = {
-    eid: spec.assemble for eid, spec in SPECS.items()
+    eid: spec.run for eid, spec in SPECS.items()
 }
 
 
@@ -75,8 +81,9 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
 
 
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentReport]:
-    """Look up a driver by id; raises with the list of known ids."""
-    return get_spec(experiment_id).assemble
+    """Look up an experiment's options → report callable by id; raises
+    with the list of known ids."""
+    return get_spec(experiment_id).run
 
 
 def validate_options(experiment_id: str, options: Mapping[str, object]) -> None:
@@ -116,22 +123,50 @@ _EXPERIMENT_SECONDS = obs.histogram(
 )
 
 
+def run_experiments(
+    requests: "Iterable[tuple[str, Mapping[str, object]]]",
+) -> Iterator[ExperimentReport]:
+    """Run ``(experiment_id, options)`` requests, yielding each report in
+    request order as it is assembled.
+
+    Options are validated against each driver up front.  Every
+    experiment is declared once and the union of the declared units
+    settles in one :func:`~repro.pipeline.resolve_units` batch, so work
+    two experiments share (Table II and Fig 2 share their whole sweep)
+    runs once.  Each driver then assembles from its own units and the
+    batch's payloads; an experiment's units are dropped once its report
+    is yielded.
+    """
+    planned = deque()
+    for eid, options in requests:
+        validate_options(eid, options)
+        spec = get_spec(eid)
+        planned.append((spec, options, spec.declare_units(**options)))
+    payloads = resolve_units([u for _, _, units in planned for u in units])
+    while planned:
+        yield _assemble(*planned.popleft(), payloads)
+
+
+def _assemble(spec: ExperimentSpec, options: Mapping[str, object],
+              units: list, payloads: "dict[str, dict]") -> ExperimentReport:
+    if not obs.enabled():
+        return spec.report(units, payloads, **options)
+    t0 = time.perf_counter()
+    with obs.span("experiment.run", experiment=spec.experiment_id):
+        report = spec.report(units, payloads, **options)
+    _EXPERIMENT_SECONDS.observe(time.perf_counter() - t0,
+                                experiment=spec.experiment_id)
+    return report
+
+
 def run_experiment(experiment_id: str, **options) -> ExperimentReport:
     """Run one experiment by id (options validated against the driver)."""
-    spec = get_spec(experiment_id)
-    validate_options(experiment_id, options)
-    if not obs.enabled():
-        return spec.run(**options)
-    t0 = time.perf_counter()
-    with obs.span("experiment.run", experiment=experiment_id):
-        report = spec.run(**options)
-    _EXPERIMENT_SECONDS.observe(time.perf_counter() - t0, experiment=experiment_id)
-    return report
+    return next(run_experiments([(experiment_id, options)]))
 
 
 def describe_experiment(experiment_id: str) -> str:
     """One-line description of an experiment (its driver's docstring)."""
-    doc = inspect.getdoc(get_experiment(experiment_id))
+    doc = inspect.getdoc(get_spec(experiment_id).assemble)
     return doc.splitlines()[0].strip() if doc else ""
 
 

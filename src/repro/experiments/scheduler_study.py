@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import ExperimentSpec, resolve_units, sim_program_unit
+from repro.pipeline import ExperimentSpec, sim_program_unit
 from repro.simx import (
     Barrier,
     Compute,
@@ -205,14 +205,12 @@ def declare_units_oversubscription() -> list:
     ]
 
 
-def run_oversubscription() -> ExperimentReport:
+def run_oversubscription(units: list, payloads: dict) -> ExperimentReport:
     """Merging-phase behaviour when threads outnumber cores 1x..4x."""
     report = ExperimentReport(
         "ext-oversubscription-sweep",
         "Fixed work on a round-robin scheduler, threads/cores 1x..4x",
     )
-    units = declare_units_oversubscription()
-    payloads = resolve_units(units)
     rows = [payloads[u.key] for u in units]
     t = TextTable(
         title=(
@@ -304,15 +302,13 @@ def declare_units_acmp_policy() -> list:
     ]
 
 
-def run_acmp_policy() -> ExperimentReport:
+def run_acmp_policy(units: list, payloads: dict) -> ExperimentReport:
     """Who gets the big core during the merge on an ACMP?"""
     report = ExperimentReport(
         "ext-acmp-merge-policy",
         f"Big-core ownership during the merge (rl={_ACMP_RL}, "
         f"{_ACMP_N_SMALL} small cores)",
     )
-    units = declare_units_acmp_policy()
-    payloads = resolve_units(units)
     rows = dict(zip(_POLICIES, (payloads[u.key] for u in units)))
     t = TextTable(
         title=f"merge thread = last tid; big core = core 0 ({_ACMP_RL}-BCE)",
@@ -397,14 +393,12 @@ def declare_units_priority_inversion() -> list:
     ]
 
 
-def run_priority_inversion() -> ExperimentReport:
+def run_priority_inversion(units: list, payloads: dict) -> ExperimentReport:
     """A preempted lock-holder stalls the whole reduction."""
     report = ExperimentReport(
         "ext-priority-inversion-reduction",
         "Locked merge vs quantum on an oversubscribed round-robin machine",
     )
-    units = declare_units_priority_inversion()
-    payloads = resolve_units(units)
     rows = [payloads[u.key] for u in units]
     t = TextTable(
         title=(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.params import TABLE2
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import ExperimentSpec, resolve_units, sim_sweep_units, sweep_breakdowns
+from repro.pipeline import ExperimentSpec, sim_sweep_units, sweep_breakdowns
 from repro.util.tables import TextTable
 from repro.workloads import default_workloads
 from repro.workloads.instrument import extract_parameters
@@ -33,6 +33,8 @@ def sweep_units(workloads, thread_counts: tuple, mem_scale: int) -> list:
 
 
 def run(
+    units: list,
+    payloads: dict,
     scale: float = 0.15,
     thread_counts: tuple = (1, 2, 4, 8, 16),
     mem_scale: int = 2,
@@ -47,9 +49,7 @@ def run(
         ],
     )
     extracted = {}
-    units = declare_units(scale, thread_counts, mem_scale)
-    for workload, breakdowns in sweep_breakdowns(
-            units, resolve_units(units), len(thread_counts)):
+    for workload, breakdowns in sweep_breakdowns(units, payloads, len(thread_counts)):
         name = workload.name
         ep = extract_parameters(breakdowns, name)
         extracted[name] = ep

@@ -10,9 +10,9 @@ roughly unchanged; hop's parallel fraction drops on the larger set.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, PaperComparison
-from repro.pipeline import ExperimentSpec, resolve_units, sim_sweep_units, sweep_breakdowns
+from repro.pipeline import ExperimentSpec, sim_sweep_units, sweep_breakdowns
 from repro.util.tables import TextTable
-from repro.workloads.datasets import make_blobs, make_particles
+from repro.workloads.datasets import TABLE4_DATASETS, make_blobs, make_particles
 from repro.workloads.fuzzy import FuzzyCMeansWorkload
 from repro.workloads.hop import HopWorkload
 from repro.workloads.instrument import extract_parameters
@@ -28,16 +28,13 @@ _MEM_SCALE = 4
 
 def declare_units(scale: float, thread_counts: tuple) -> list:
     """Table IV's ten-variant sweep as engine work units."""
-    return _sweep_units(_variants(scale).values(), thread_counts)
-
-
-def _sweep_units(workloads, thread_counts: tuple) -> list:
-    return [u for w in workloads for u in sim_sweep_units(
+    return [u for w in _variants(scale).values() for u in sim_sweep_units(
         w, thread_counts, n_cores=max(thread_counts), mem_scale=_MEM_SCALE)]
 
 
 def _variants(scale: float):
-    """The Table IV grid at ``scale`` times the paper's sizes."""
+    """The Table IV grid at ``scale`` times the paper's sizes, keyed by
+    the labels of ``TABLE4_DATASETS`` in its order."""
     n = max(300, int(17695 * scale))
     n2 = 2 * n
     nh = max(500, int(61440 * scale * 0.2))
@@ -61,7 +58,8 @@ def _variants(scale: float):
     }
 
 
-def run(scale: float = 0.08, thread_counts: tuple = (1, 2, 4, 8)) -> ExperimentReport:
+def run(units: list, payloads: dict, scale: float = 0.08,
+        thread_counts: tuple = (1, 2, 4, 8)) -> ExperimentReport:
     """Regenerate Table IV from simulator measurements."""
     report = ExperimentReport("table4", "Dataset sensitivity")
     table = TextTable(
@@ -69,12 +67,8 @@ def run(scale: float = 0.08, thread_counts: tuple = (1, 2, 4, 8)) -> ExperimentR
         columns=["data label", "N", "D", "C", "f", "fred (%)", "fcon (%)"],
     )
     extracted = {}
-    # the rows are labelled by variant, so build the grid once and derive
-    # its units the way declare_units does
-    variants = _variants(scale)
-    units = _sweep_units(variants.values(), thread_counts)
-    sweeps = sweep_breakdowns(units, resolve_units(units), len(thread_counts))
-    for label, (workload, breakdowns) in zip(variants, sweeps):
+    sweeps = sweep_breakdowns(units, payloads, len(thread_counts))
+    for label, (workload, breakdowns) in zip(TABLE4_DATASETS, sweeps):
         ep = extract_parameters(breakdowns, label)
         extracted[label] = ep
         ds = workload.dataset

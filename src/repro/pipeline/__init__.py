@@ -5,10 +5,10 @@ The pipeline layer sits between the experiments and the execution engine
 :class:`ExperimentSpec`\\ s — an optional *declare* function lists
 content-hashed work units over any expensive backend (simulator sweeps
 and trace programs, hardware-model executions), and an *assemble*
-function resolves the same units and builds the report from warm caches.
-:func:`resolve_units` is the one execution substrate all of them share:
-memo -> disk store -> engine pool -> inline, in that order, for every
-unit kind (:func:`sweep_breakdowns` decodes resolved sweeps;
+function builds the report from those units and the payloads that
+resolved them.  :func:`resolve_units` is the one execution substrate all
+of them share: run journal -> disk store -> engine pool, in that order,
+for every unit kind (:func:`sweep_breakdowns` decodes resolved sweeps;
 :func:`simulate_breakdowns` is the one-sweep shorthand).
 """
 

@@ -8,19 +8,21 @@ settles each unit through the same tier order for every unit kind:
 
 1. the session's run journal, when it has one (``--run-id`` /
    ``--resume``);
-2. the in-process memo (``unit.key`` -> payload);
-3. the on-disk :class:`~repro.experiments.store.SweepStore`; a stored
+2. the on-disk :class:`~repro.experiments.store.SweepStore`; a stored
    breakdown payload that does not decode reads as a miss;
-4. the session's pool — in this process for one worker, else local
+3. the session's pool — in this process for one worker, else local
    worker processes or remote ``repro worker`` processes
    (:class:`~repro.engine.remote.RemotePool`; the tier order is
    backend-agnostic).  Parallel resolution stays byte-identical to
    serial because callers rebuild outputs in their own iteration order.
 
-:func:`cache_get` / :func:`cache_put` are the scheduler hooks
-:func:`repro.engine.precompute` uses to warm every tier for *any* unit
-kind — the piece that makes ``runall``'s single cross-experiment
-precompute pass possible.
+There is no in-process payload tier: a batch settles each distinct key
+once, and a caller that needs a payload again keeps the ``{key:
+payload}`` it was handed (:func:`repro.experiments.registry
+.run_experiments` resolves a whole ``runall`` in one batch), so a
+long-lived process such as ``repro serve`` holds no payloads between
+calls.  :func:`cache_get` / :func:`cache_put` are the scheduler hooks
+for the disk tier.
 
 The disk tier defaults to ``.repro-cache/sweeps`` under the current
 directory; override with the ``REPRO_SWEEP_CACHE_DIR`` environment
@@ -58,9 +60,7 @@ __all__ = [
     "get_disk_store",
 ]
 
-#: unit.key -> payload, for every unit kind
-_memo: "dict[str, dict]" = {}
-_stats = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "executed": 0}
+_stats = {"disk_hits": 0, "misses": 0, "executed": 0}
 
 _CACHE_LOOKUPS = obs.counter(
     "sweep_cache_lookups_total",
@@ -70,7 +70,6 @@ _CACHE_LOOKUPS = obs.counter(
 
 #: _stats key → (tier, result) label pair on ``sweep_cache_lookups_total``
 _LOOKUP_LABELS = {
-    "memory_hits": ("memory", "hit"),
     "disk_hits": ("disk", "hit"),
     "misses": ("all", "miss"),
 }
@@ -124,27 +123,19 @@ def _decodes(unit: WorkUnit, payload: dict) -> bool:
 
 
 def cache_get(unit: WorkUnit) -> "dict | None":
-    """Scheduler hook: look one unit up in the memo and then the disk
-    store."""
-    hit = _memo.get(unit.key)
-    if hit is not None:
-        _record_lookup("memory_hits")
-        return hit
+    """Scheduler hook: look one unit up in the disk store."""
     disk = get_disk_store()
     if disk is not None:
         payload = disk.get(unit.key)
         if payload is not None and _decodes(unit, payload):
             _record_lookup("disk_hits")
-            _memo[unit.key] = payload
             return payload
     _record_lookup("misses")
     return None
 
 
 def cache_put(unit: WorkUnit, payload: dict) -> None:
-    """Scheduler hook: write a fresh result into the memo and the disk
-    store."""
-    _memo[unit.key] = payload
+    """Scheduler hook: write a fresh result into the disk store."""
     disk = get_disk_store()
     if disk is not None:
         disk.put(unit.key, payload)
@@ -188,7 +179,7 @@ def simulate_breakdowns(
 
     ``config`` overrides the machine (default: ``MachineConfig.baseline``
     with ``n_cores`` cores).  The points are :func:`sim_sweep_units`
-    resolved like any other units, so they are memoised, disk-cached and
+    resolved like any other units, so they are disk-cached and
     — with a parallel engine session installed — run on its worker pool.
     """
     thread_counts = list(thread_counts)
@@ -219,28 +210,26 @@ def sweep_breakdowns(
 
 
 def clear_memo() -> None:
-    """Drop the memo and restart its counters (the disk tier is kept;
+    """Restart this process's lookup counters (the disk tier is kept;
     clear it with ``get_disk_store().clear()``)."""
-    _memo.clear()
     for k in _stats:
         _stats[k] = 0
 
 
 def memo_info() -> dict:
-    """Hit/miss counters and tier sizes (``repro cache info``).
+    """This process's lookup counters and the tier sizes (``repro cache
+    info``).
 
     When the ambient engine session carries a run journal (a ``--run-id``
     / ``--resume`` run), the journal tier is reported too — its entries
-    are consulted *ahead of* the memo and the disk store.
+    are consulted *ahead of* the disk store.
     """
     disk = get_disk_store()
-    lookups = _stats["memory_hits"] + _stats["disk_hits"] + _stats["misses"]
+    lookups = _stats["disk_hits"] + _stats["misses"]
     info = {
         **_stats,
         "lookups": lookups,
-        "hit_rate": (_stats["memory_hits"] + _stats["disk_hits"]) / lookups
-        if lookups else 0.0,
-        "memory_entries": len(_memo),
+        "hit_rate": _stats["disk_hits"] / lookups if lookups else 0.0,
         "disk_entries": len(disk) if disk is not None else 0,
         "disk_path": str(disk.root) if disk is not None else None,
     }

@@ -1,7 +1,7 @@
 """Declarative experiment specifications.
 
 Every experiment is one :class:`ExperimentSpec`: an id, an *assemble*
-function (the classic driver — a pure function from warm caches to an
+function (the driver — a pure function to an
 :class:`~repro.experiments.report.ExperimentReport`), and an optional
 *declare* function that lists the experiment's expensive work as
 content-hashed :class:`~repro.engine.units.WorkUnit`\\ s without running
@@ -10,24 +10,27 @@ anything.
 The split is the engine's contract with the experiments layer:
 
 * **declare** — enumerate every simulator sweep point, trace program
-  and hardware execution the experiment will need, as units whose keys
-  equal the cache keys the assemble phase will look up;
-* **assemble** — run the driver against caches the engine has warmed.
-  With every unit resolved up front, assembly performs no simulator or
-  hardware work of its own, so it is cheap, deterministic, and
-  byte-identical between serial and parallel runs.
+  and hardware execution the experiment will need;
+* **assemble** — build the report from exactly those units and the
+  payloads that resolved them: a declaring driver takes
+  ``(units, payloads, **options)``, where ``units`` is its declare
+  function's list and ``payloads`` maps each unit key to its result.
+  Assembly performs no simulator or hardware work of its own, so it is
+  cheap, deterministic, and byte-identical between serial and parallel
+  runs.
 
-A driver's parameters are exactly the options some interface passes
+A driver's options are exactly the ones some interface passes
 (``scale``, ``thread_counts``, ``n``, and ``mem_scale`` for Table II and
 Fig 2), each with a default; every other setting of an experiment is a
 module constant its driver and declare function both read.  A declare
-function takes a subset of its driver's parameters, by name and without
+function takes a subset of its driver's options, by name and without
 defaults: :meth:`ExperimentSpec.declare_units` applies the driver's
-defaults and passes ``declare`` the values it names.  The driver
-resolves the units its declare function returns, so the two phases make
-one decision in one place.  Options a driver does not take are dropped,
-so ``repro runall --scale 0.1`` can hand the same options to every
-experiment it runs.
+defaults and passes ``declare`` the values it names.  Each unit is
+declared once, by the caller that resolves it —
+:func:`repro.experiments.registry.run_experiments` for a batch of
+experiments, :meth:`ExperimentSpec.run` for one.  Options a driver does
+not take are dropped, so ``repro runall --scale 0.1`` can hand the same
+options to every experiment it runs.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Callable, Mapping
 
 from repro.engine.units import WorkUnit
 from repro.experiments.report import ExperimentReport
+from repro.pipeline.runtime import resolve_units
 
 __all__ = ["ExperimentSpec"]
 
@@ -49,6 +53,7 @@ class ExperimentSpec:
     work, the declare function that lists it."""
 
     experiment_id: str
+    #: ``(**options)``, or ``(units, payloads, **options)`` with a declare
     assemble: Callable[..., ExperimentReport]
     declare: "Callable[..., list[WorkUnit]] | None" = None
     #: the driver's options, each mapped to its default (read once)
@@ -57,7 +62,9 @@ class ExperimentSpec:
     _declared: "tuple[str, ...]" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        params = inspect.signature(self.assemble).parameters.values()
+        params = list(inspect.signature(self.assemble).parameters.values())
+        if self.declare is not None:
+            params = params[2:]  # units, payloads
         object.__setattr__(self, "options", MappingProxyType(
             {p.name: p.default for p in params}))
         object.__setattr__(self, "_declared", tuple(
@@ -81,6 +88,17 @@ class ExperimentSpec:
         return list(self.declare(**{
             name: options.get(name, self.options[name]) for name in self._declared}))
 
+    def report(self, units: "list[WorkUnit]", payloads: "Mapping[str, dict]",
+               **options) -> ExperimentReport:
+        """Assemble the report from ``units`` (what :meth:`declare_units`
+        returned at ``options``) and the payloads that resolved them."""
+        options = self.filter_options(options)
+        if self.declare is None:
+            return self.assemble(**options)
+        return self.assemble(units, payloads, **options)
+
     def run(self, **options) -> ExperimentReport:
-        """Assemble the report (options filtered to the driver's knobs)."""
-        return self.assemble(**self.filter_options(options))
+        """Declare, resolve and assemble the report (options filtered to
+        the driver's knobs)."""
+        units = self.declare_units(**options)
+        return self.report(units, resolve_units(units), **options)

@@ -15,6 +15,5 @@ from repro import pipeline
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_sweep_cache(tmp_path_factory):
     pipeline.set_disk_store(tmp_path_factory.mktemp("sweep-cache"))
-    pipeline.clear_memo()
     yield
     pipeline.set_disk_store(None)

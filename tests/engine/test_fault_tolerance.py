@@ -164,7 +164,6 @@ class TestWorkerKill:
         restore = pipeline.get_disk_store()
         try:
             pipeline.set_disk_store(tmp_path / "serial-store")
-            pipeline.clear_memo()
             serial = run_experiment("table2", **options)
 
             # reroute the first declared unit through the crashing executor
@@ -185,7 +184,6 @@ class TestWorkerKill:
             monkeypatch.setattr(builders, "sim_point_unit", crashing_point_unit)
 
             pipeline.set_disk_store(tmp_path / "engine-store")
-            pipeline.clear_memo()
             with engine.session(2, max_retries=2, backoff=0.01) as sess:
                 parallel = run_experiment("table2", **options)
 
@@ -199,4 +197,3 @@ class TestWorkerKill:
             )
         finally:
             pipeline.set_disk_store(restore)
-            pipeline.clear_memo()

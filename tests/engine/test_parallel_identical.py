@@ -23,13 +23,11 @@ def fresh_store(tmp_path):
 
     def switch(name):
         pipeline.set_disk_store(tmp_path / name)
-        pipeline.clear_memo()
 
     try:
         yield switch
     finally:
         pipeline.set_disk_store(restore)
-        pipeline.clear_memo()
 
 
 def as_bytes(report) -> str:
@@ -58,7 +56,7 @@ def test_fig2_parallel_report_is_byte_identical(fresh_store):
     options = dict(scale=0.03, thread_counts=(1, 2, 16))
     fresh_store("fig2")
     serial = run_experiment("fig2", **options)
-    fresh_store("fig2-parallel")  # else the memo answers the parallel run
+    fresh_store("fig2-parallel")  # else the disk tier answers the parallel run
     with engine.session(2) as sess:
         parallel = run_experiment("fig2", **options)
     assert sess.stats["units"] == 21  # 3 workloads x (3 sweep + 4 hardware)

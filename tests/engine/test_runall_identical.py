@@ -1,7 +1,7 @@
 """The tentpole contract, for *every* experiment at once: a ``runall``
-with a parallel engine session — one globally-deduplicated precompute
-pass over the union of all declared units, then assembly — produces
-byte-identical reports to a plain serial loop.
+with a parallel engine session — one ``run_experiments`` batch that
+settles the union of all declared units, then assembly — produces
+byte-identical reports to a plain serial loop of ``run_experiment``.
 
 This extends the table2/fig4 identity tests to the full registry: sim
 sweeps, config-bearing sweep points (ACMP, crossover, machine variants),
@@ -13,7 +13,7 @@ import json
 
 from repro import engine
 from repro import pipeline
-from repro.experiments.registry import filter_options, run_experiment
+from repro.experiments.registry import filter_options, run_experiment, run_experiments
 from repro.experiments.store import report_to_dict
 
 
@@ -33,13 +33,8 @@ def _runall_ids():
     return _all_experiment_ids()
 
 
-def _reports(ids):
-    return {
-        eid: json.dumps(report_to_dict(
-            run_experiment(eid, **filter_options(eid, OPTIONS))
-        ), sort_keys=True)
-        for eid in ids
-    }
+def _encode(report) -> str:
+    return json.dumps(report_to_dict(report), sort_keys=True)
 
 
 def test_runall_parallel_matches_serial_for_every_experiment(tmp_path):
@@ -47,16 +42,15 @@ def test_runall_parallel_matches_serial_for_every_experiment(tmp_path):
     restore = pipeline.get_disk_store()
     try:
         pipeline.set_disk_store(tmp_path / "serial")
-        pipeline.clear_memo()
-        serial = _reports(ids)
+        serial = {eid: _encode(run_experiment(eid, **filter_options(eid, OPTIONS)))
+                  for eid in ids}
 
         pipeline.set_disk_store(tmp_path / "parallel")
-        pipeline.clear_memo()
         with engine.session(2) as sess:
-            engine.precompute(sess, ids, OPTIONS)
-            parallel = _reports(ids)
+            parallel = dict(zip(ids, map(_encode, run_experiments(
+                (eid, filter_options(eid, OPTIONS)) for eid in ids))))
 
-        # the precompute genuinely executed work, and the cross-experiment
+        # the batch genuinely executed work, and the cross-experiment
         # dedup collapsed the table2/fig2 shared sweep to single units
         assert sess.stats["executed"] > 0
         assert sess.stats["deduped"] > 0
@@ -66,4 +60,3 @@ def test_runall_parallel_matches_serial_for_every_experiment(tmp_path):
             assert parallel[eid] == serial[eid], f"{eid} diverged"
     finally:
         pipeline.set_disk_store(restore)
-        pipeline.clear_memo()

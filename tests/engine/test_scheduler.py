@@ -84,8 +84,8 @@ class TestScheduling:
         assert not CALLS
 
     def test_summary_counts_each_key_once_per_session(self):
-        """A second batch over settled keys (assemble re-reading what
-        precompute settled) adds references, not units or hits."""
+        """A second batch over settled keys (a second resolve in the same
+        session) adds references, not units or hits."""
         memo = {}
         with EngineSession(1) as sess:
             for _ in range(2):
@@ -186,27 +186,26 @@ class TestSessionWiring:
         assert "cannot write event log" in caplog.text
 
 
-class TestPrecompute:
-    def test_precompute_dedups_across_experiments(self, tmp_path):
+class TestRunExperiments:
+    def test_batch_dedups_across_experiments(self, tmp_path):
         """table2 and fig2 declare the same sweep — it must run once."""
         from repro import pipeline
+        from repro.experiments.registry import run_experiments
 
+        options = {"scale": 0.03, "thread_counts": (1, 2)}
         restore = pipeline.get_disk_store()
         try:
             pipeline.set_disk_store(tmp_path / "store")
-            pipeline.clear_memo()
             with engine.session(1) as sess:
-                declared = engine.precompute(
-                    sess, ["table2", "fig2", "fig4"],
-                    {"scale": 0.03, "thread_counts": (1, 2)},
-                )
+                reports = list(run_experiments([
+                    ("table2", options), ("fig2", options), ("fig4", {})]))
             # sweep: 2 experiments x 3 workloads x 2 points, shared
             # between table2 and fig2; hardware: fig2's own stage,
             # 3 workloads x 4 points; fig4 evaluates its model in
             # assemble and declares nothing
-            assert declared == 24
+            assert [r.experiment_id for r in reports] == ["table2", "fig2", "fig4"]
+            assert sess.stats["units"] == 24
             assert sess.stats["deduped"] == 6
             assert sess.stats["executed"] == 18
         finally:
             pipeline.set_disk_store(restore)
-            pipeline.clear_memo()

@@ -15,15 +15,13 @@ REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 @pytest.fixture
 def cold_caches(tmp_path):
-    """An empty memo and disk tier, so the units of a run really execute."""
+    """An empty disk tier, so the units of a run really execute."""
     from repro import pipeline
 
     restore = pipeline.get_disk_store()
     pipeline.set_disk_store(tmp_path / "sweeps")
-    pipeline.clear_memo()
     yield
     pipeline.set_disk_store(restore)
-    pipeline.clear_memo()
 
 
 class TestParser:
@@ -347,19 +345,10 @@ class TestCacheCommand:
 
     def test_info_prints_every_tier(self, capsys, warm_store):
         info = self._info(capsys)
-        assert {"memory_hits", "disk_hits", "misses",
-                "disk_entries", "disk_path"} <= set(info)
+        assert {"disk_hits", "misses", "disk_entries", "disk_path"} <= set(info)
         assert info["misses"] == "1"
         assert info["disk_entries"] == "1"
         assert info["disk_path"] == str(warm_store.root)
-
-    def test_clear_memory_only_keeps_disk_entries(self, capsys, warm_store):
-        assert main(["cache", "clear", "--memory-only"]) == 0
-        assert "memory tier only" in capsys.readouterr().out
-        info = self._info(capsys)
-        assert info["memory_entries"] == "0" and info["misses"] == "0"
-        assert info["disk_entries"] == "1"
-        assert len(warm_store) == 1
 
     def test_clear_empties_disk_entries(self, capsys, warm_store):
         assert main(["cache", "clear"]) == 0

@@ -45,11 +45,10 @@ def _forbid(*args, **kwargs):
 @pytest.fixture(scope="module")
 def warmed(tmp_path_factory):
     """Resolve every declared unit of every declaring experiment into a
-    fresh store, exactly as ``runall``'s precompute pass would."""
+    fresh store, as ``runall``'s one resolve batch would."""
     root = tmp_path_factory.mktemp("coverage-store")
     restore = pipeline.get_disk_store()
     pipeline.set_disk_store(root)
-    pipeline.clear_memo()
     try:
         for eid in sorted(eid for eid, spec in SPECS.items() if spec.declares_units):
             units = declare_units(eid, **OPTIONS)
@@ -58,7 +57,6 @@ def warmed(tmp_path_factory):
         yield
     finally:
         pipeline.set_disk_store(restore)
-        pipeline.clear_memo()
 
 
 @pytest.fixture
@@ -116,9 +114,7 @@ def test_guard_trips_on_cold_caches(warmed, monkeypatch, tmp_path):
     restore = pipeline.get_disk_store()
     try:
         pipeline.set_disk_store(tmp_path / "cold")
-        pipeline.clear_memo()
         with pytest.raises(InlineSimulationForbidden):
             run_experiment("table2", **filter_options("table2", OPTIONS))
     finally:
         pipeline.set_disk_store(restore)
-        pipeline.clear_memo()

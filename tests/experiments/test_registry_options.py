@@ -47,6 +47,16 @@ class TestOptionValidation:
             validate_options("nope", {})
 
 
+def _option_parameters(spec) -> list:
+    """The driver's parameters after a declaring driver's units and
+    payloads, which come first."""
+    params = list(inspect.signature(spec.assemble).parameters.values())
+    if not spec.declares_units:
+        return params
+    assert [p.name for p in params[:2]] == ["units", "payloads"], spec.experiment_id
+    return params[2:]
+
+
 class TestInterfaceOptions:
     def test_driver_parameters_are_interface_options(self):
         """A driver takes only options some interface passes, each with a
@@ -55,7 +65,7 @@ class TestInterfaceOptions:
         for eid, spec in SPECS.items():
             allowed = INTERFACE_OPTIONS | (
                 {"mem_scale"} if eid in MEM_SCALE_EXPERIMENTS else set())
-            params = inspect.signature(spec.assemble).parameters.values()
+            params = _option_parameters(spec)
             extra = [p.name for p in params if p.name not in allowed]
             if extra:
                 offenders[eid] = extra
@@ -69,10 +79,9 @@ class TestInterfaceOptions:
 
     def test_listing_names_every_driver_option(self):
         for entry in listing():
-            driver = SPECS[entry["id"]].assemble
+            params = _option_parameters(SPECS[entry["id"]])
             assert isinstance(entry["options"], list), entry["id"]
-            assert entry["options"] == sorted(
-                inspect.signature(driver).parameters), entry["id"]
+            assert entry["options"] == sorted(p.name for p in params), entry["id"]
 
 
 class TestDescriptions:

@@ -1,5 +1,5 @@
 """Unit tests for the simulator sweep: the paper workloads and sweep-point
-resolution through the one pipeline memo."""
+resolution through the pipeline's disk tier."""
 
 from dataclasses import asdict
 
@@ -29,10 +29,10 @@ class TestDefaultWorkloads:
 
 class TestMemoisation:
     @pytest.fixture(autouse=True)
-    def memo_only(self):
-        """No disk tier: every memo miss is a full miss."""
+    def private_store(self, tmp_path):
+        """A private disk tier, the one cache below the engine session."""
         restore = pipeline.get_disk_store()
-        pipeline.set_disk_store(None)
+        pipeline.set_disk_store(tmp_path / "sweeps")
         clear_memo()
         yield
         pipeline.set_disk_store(restore)
@@ -44,10 +44,10 @@ class TestMemoisation:
         before = memo_info()
         b = simulate_breakdowns(wl, (1, 2), n_cores=2, mem_scale=8)
         after = memo_info()
-        # memoised, not recomputed
+        # served from disk, not recomputed
         assert after["executed"] == before["executed"]
         assert after["misses"] == before["misses"]
-        assert after["memory_hits"] == before["memory_hits"] + 2
+        assert after["disk_hits"] == before["disk_hits"] + 2
         assert {p: asdict(v) for p, v in a.items()} == {p: asdict(v) for p, v in b.items()}
 
     def test_different_mem_scale_different_entry(self):
@@ -60,9 +60,10 @@ class TestMemoisation:
     def test_clear_cache(self):
         wl = default_workloads(0.03)["kmeans"]
         a = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        pipeline.get_disk_store().clear()
         clear_memo()
         b = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        # the memo kept nothing: a fresh miss, executed again
+        # nothing kept: a fresh miss, executed again
         assert memo_info()["misses"] == 1
         assert memo_info()["executed"] == 1
         # but deterministic: equal values

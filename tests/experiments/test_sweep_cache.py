@@ -196,7 +196,7 @@ class TestSimsweepDiskTier:
     def test_disk_hit_restores_equal_breakdown(self, isolated_store):
         wl = self._workload()
         a = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        clear_memo()  # drop memo, keep disk
+        clear_memo()  # restart the counters
         b = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
         assert memo_info()["disk_hits"] == 1
         assert memo_info()["executed"] == 0  # served, not re-simulated
@@ -221,13 +221,6 @@ class TestSimsweepDiskTier:
         assert memo_info()["disk_entries"] == 0
         simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
         assert memo_info()["misses"] == 1  # nothing survived
-
-    def test_clear_cache_memory_only_keeps_disk(self, isolated_store):
-        wl = self._workload()
-        simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        clear_memo()
-        assert memo_info()["memory_entries"] == 0
-        assert memo_info()["disk_entries"] == 1
 
     def test_disabled_disk_tier_still_simulates(self, isolated_store):
         pipeline.set_disk_store(None)

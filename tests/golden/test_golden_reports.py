@@ -52,13 +52,11 @@ def fresh_store(tmp_path):
 
     def switch(name):
         pipeline.set_disk_store(tmp_path / name)
-        pipeline.clear_memo()
 
     try:
         yield switch
     finally:
         pipeline.set_disk_store(restore)
-        pipeline.clear_memo()
 
 
 @pytest.mark.parametrize("experiment_id", sorted(GOLDEN_CASES))

@@ -19,12 +19,10 @@ from tests.obs.conftest import series_stats
 def fresh_store(tmp_path):
     restore = pipeline.get_disk_store()
     pipeline.set_disk_store(tmp_path / "store")
-    pipeline.clear_memo()
     try:
         yield
     finally:
         pipeline.set_disk_store(restore)
-        pipeline.clear_memo()
 
 
 def _simple_program(n_rounds=50):

@@ -194,10 +194,12 @@ class TestCacheTier:
                              tier="lru", result="hit") == 7
 
     def test_model_queries_stay_within_the_lru_bound(self):
-        """Distinct eval/sweep/optimize misses land in the LRU alone: the
-        pipeline memo does not grow, so --cache-size bounds their memory."""
+        """Distinct eval/sweep/optimize misses land in the LRU alone: they
+        look up and store no pipeline unit, so --cache-size bounds their
+        memory."""
         app = ServeApp(cache_size=8)
-        entries = memo_info()["memory_entries"]
+        tiers = ("lookups", "disk_entries", "executed")
+        before = {k: memo_info()[k] for k in tiers}
         for i in range(12):
             f = 0.9 + i / 1000
             for path, body in (
@@ -208,7 +210,7 @@ class TestCacheTier:
                                                   "fored_share": 0.8}]})):
                 status, _, _ = _request(app, "POST", path, body=body)
                 assert status == 200
-        assert memo_info()["memory_entries"] == entries
+        assert {k: memo_info()[k] for k in tiers} == before
         assert len(app.lru) <= 8
 
     def test_cache_size_zero_disables_the_tier(self):

@@ -200,12 +200,10 @@ class TestColumnarEdges:
 def fresh_store(tmp_path):
     restore = pipeline.get_disk_store()
     pipeline.set_disk_store(tmp_path / "store")
-    pipeline.clear_memo()
     try:
         yield
     finally:
         pipeline.set_disk_store(restore)
-        pipeline.clear_memo()
 
 
 def test_a_simulated_experiment_builds_no_compute_load_or_store(

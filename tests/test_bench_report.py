@@ -62,10 +62,11 @@ def test_previous_report_missing_or_corrupt(run_bench, tmp_path):
 
 def test_sweep_cache_timing_helpers(run_bench, tmp_path):
     """``time_sweep_cache`` and ``collect_metrics`` run a tiny sweep in a
-    temporary store and leave the suite's store and memo as they were."""
+    temporary store and leave the suite's store as it was."""
     from repro import obs, pipeline
 
     restore = pipeline.get_disk_store()
+    entries = pipeline.memo_info()["disk_entries"]
     row = run_bench.time_sweep_cache(scale=0.03, threads=(1, 2))
     # counters cover the warm pass: served from disk, nothing simulated
     assert row["disk_hits"] == 2 and row["misses"] == 0
@@ -78,4 +79,4 @@ def test_sweep_cache_timing_helpers(run_bench, tmp_path):
     assert {"sweep_cache_lookups_total", "simx_runs_total"} <= families
 
     assert pipeline.get_disk_store() is restore
-    assert pipeline.memo_info()["memory_entries"] == 0
+    assert pipeline.memo_info()["disk_entries"] == entries
