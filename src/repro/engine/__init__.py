@@ -38,9 +38,7 @@ Typical use is via the CLI (``repro run <id> --parallel N``,
     from repro import engine
     from repro.experiments.registry import run_experiments
 
-    with engine.session(n_workers=4):
-        # one batch settles both experiments' units (their shared sweep
-        # once); each report assembles serially from the payloads
+    with engine.session(n_workers=4):   # one batch, the shared sweep once
         for report in run_experiments([("table2", {"scale": 0.15}),
                                        ("fig2", {"scale": 0.15})]):
             print(report.render())

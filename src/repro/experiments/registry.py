@@ -5,18 +5,15 @@ experiment, ``SPECS`` for a family — and this module collects them into
 one table from the modules in ``_MODULES``.  The classic driver map
 (``EXPERIMENTS``) and every declaration (:func:`declare_units`) are
 *derived* from the specs, so adding an experiment is one
-``ExperimentSpec`` in its own module plus its module in ``_MODULES``.
-
-:func:`run_experiments` is the one runner: it declares each requested
-experiment once, settles the union of their units in one batch, and
-hands each driver its own units and the payloads that resolved them.
+``ExperimentSpec`` in its own module plus its module in ``_MODULES``;
+:func:`run_experiments` is the one runner every interface goes through.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import time
-from collections import deque
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro import obs
@@ -65,11 +62,6 @@ def _collect_specs() -> "dict[str, ExperimentSpec]":
 
 SPECS: Mapping[str, ExperimentSpec] = _collect_specs()
 
-#: id → options → report (the classic driver map, derived from SPECS)
-EXPERIMENTS: Mapping[str, Callable[..., ExperimentReport]] = {
-    eid: spec.run for eid, spec in SPECS.items()
-}
-
 
 def get_spec(experiment_id: str) -> ExperimentSpec:
     """Look up a spec by id; raises with the list of known ids."""
@@ -83,7 +75,7 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentReport]:
     """Look up an experiment's options → report callable by id; raises
     with the list of known ids."""
-    return get_spec(experiment_id).run
+    return EXPERIMENTS[get_spec(experiment_id).experiment_id]
 
 
 def validate_options(experiment_id: str, options: Mapping[str, object]) -> None:
@@ -126,42 +118,62 @@ _EXPERIMENT_SECONDS = obs.histogram(
 def run_experiments(
     requests: "Iterable[tuple[str, Mapping[str, object]]]",
 ) -> Iterator[ExperimentReport]:
-    """Run ``(experiment_id, options)`` requests, yielding each report in
-    request order as it is assembled.
-
-    Options are validated against each driver up front.  Every
-    experiment is declared once and the union of the declared units
-    settles in one :func:`~repro.pipeline.resolve_units` batch, so work
-    two experiments share (Table II and Fig 2 share their whole sweep)
-    runs once.  Each driver then assembles from its own units and the
-    batch's payloads; an experiment's units are dropped once its report
-    is yielded.
+    """Run ``(experiment_id, options)`` requests, yielding the reports in
+    request order.  Every experiment is declared once and the union of
+    the declared units settles in one :func:`~repro.pipeline.resolve_units`
+    batch.  The declaring drivers assemble right after it, so their units
+    (which carry workload datasets) and the payloads are dropped before
+    any other driver runs; a declaring driver's error is raised in turn.
     """
-    planned = deque()
-    for eid, options in requests:
-        validate_options(eid, options)
-        spec = get_spec(eid)
-        planned.append((spec, options, spec.declare_units(**options)))
-    payloads = resolve_units([u for _, _, units in planned for u in units])
-    while planned:
-        yield _assemble(*planned.popleft(), payloads)
+    planned = [(get_spec(eid), options) for eid, options in requests]
+    for spec, options in planned:
+        validate_options(spec.experiment_id, options)
+    ready = _assemble_declaring(planned)
+    for index, (spec, options) in enumerate(planned):
+        report = ready.pop(index) if index in ready else _assemble(spec, options, [], {})
+        if isinstance(report, Exception):
+            raise report
+        yield report
+
+
+def _assemble_declaring(planned: list) -> "dict[int, ExperimentReport | Exception]":
+    """Declare, resolve and assemble the declaring experiments of
+    ``planned`` by index; an error ends the pass and takes its place."""
+    declared = [(index, spec, options, spec.declare_units(**options))
+                for index, (spec, options) in enumerate(planned) if spec.declares_units]
+    payloads = resolve_units([u for *_, units in declared for u in units])
+    ready = {}
+    declared.reverse()
+    while declared:  # popped, so each experiment's units go once it has assembled
+        index, spec, options, units = declared.pop()
+        try:
+            ready[index] = _assemble(spec, options, units, payloads)
+        except Exception as exc:
+            ready[index] = exc
+            break
+    return ready
 
 
 def _assemble(spec: ExperimentSpec, options: Mapping[str, object],
-              units: list, payloads: "dict[str, dict]") -> ExperimentReport:
+              units: list, payloads: "Mapping[str, dict]") -> ExperimentReport:
     if not obs.enabled():
-        return spec.report(units, payloads, **options)
+        return spec.run(units, payloads, **options)
     t0 = time.perf_counter()
     with obs.span("experiment.run", experiment=spec.experiment_id):
-        report = spec.report(units, payloads, **options)
-    _EXPERIMENT_SECONDS.observe(time.perf_counter() - t0,
-                                experiment=spec.experiment_id)
+        report = spec.run(units, payloads, **options)
+    _EXPERIMENT_SECONDS.observe(time.perf_counter() - t0, experiment=spec.experiment_id)
     return report
 
 
 def run_experiment(experiment_id: str, **options) -> ExperimentReport:
     """Run one experiment by id (options validated against the driver)."""
     return next(run_experiments([(experiment_id, options)]))
+
+
+#: id → options → report (the classic driver map, derived from SPECS)
+EXPERIMENTS: Mapping[str, Callable[..., ExperimentReport]] = {
+    eid: functools.partial(run_experiment, eid) for eid in SPECS
+}
 
 
 def describe_experiment(experiment_id: str) -> str:

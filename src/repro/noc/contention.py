@@ -109,8 +109,9 @@ def all_to_all_pattern(mesh: Mesh2D, x: int = 1) -> np.ndarray:
     _check_multiplier(x)
     n = mesh.n_nodes
     srcs, k = np.divmod(np.arange(n * (n - 1), dtype=np.int64), max(n - 1, 1))
-    dsts = k + (k >= srcs)  # skip the diagonal
-    return np.repeat(np.column_stack((srcs, dsts)), x, axis=0)
+    k += k >= srcs  # skip the diagonal
+    pairs = np.column_stack((srcs, k))
+    return pairs if x == 1 else np.repeat(pairs, x, axis=0)
 
 
 def analyse_pattern(mesh: Mesh2D, pairs: ArrayLike) -> TrafficAnalysis:

@@ -73,18 +73,18 @@ def path_link_loads(mesh: Mesh2D, pairs: ArrayLike) -> dict[tuple[int, int], int
         node = int(arr[bad][0])
         raise ValueError(f"node {node} out of range [0, {mesh.n_nodes})")
     rows, cols = mesh.rows, mesh.cols
-    r1, c1 = np.divmod(arr[:, 0], cols)
-    r2, c2 = np.divmod(arr[:, 1], cols)
-
-    # horizontal link (r, c) joins nodes r·cols + c and r·cols + c + 1
-    horiz = np.zeros((rows, cols), dtype=np.int64)
-    np.add.at(horiz, (r1, np.minimum(c1, c2)), 1)
-    np.add.at(horiz, (r1, np.maximum(c1, c2)), -1)
-    horiz = np.cumsum(horiz, axis=1)[:, :-1]
+    # horizontal link (r, c) joins nodes r·cols + c and r·cols + c + 1;
     # vertical link (r, c) joins nodes r·cols + c and (r + 1)·cols + c
+    horiz = np.zeros((rows, cols), dtype=np.int64)
     vert = np.zeros((rows, cols), dtype=np.int64)
-    np.add.at(vert, (np.minimum(r1, r2), c2), 1)
-    np.add.at(vert, (np.maximum(r1, r2), c2), -1)
+    for chunk in np.split(arr, range(4096, len(arr), 4096)):  # bounded temporaries
+        r1, c1 = np.divmod(chunk[:, 0], cols)
+        r2, c2 = np.divmod(chunk[:, 1], cols)
+        np.add.at(horiz, (r1, np.minimum(c1, c2)), 1)
+        np.add.at(horiz, (r1, np.maximum(c1, c2)), -1)
+        np.add.at(vert, (np.minimum(r1, r2), c2), 1)
+        np.add.at(vert, (np.maximum(r1, r2), c2), -1)
+    horiz = np.cumsum(horiz, axis=1)[:, :-1]
     vert = np.cumsum(vert, axis=0)[:-1, :]
 
     loads: dict[tuple[int, int], int] = {}

@@ -16,13 +16,9 @@ settles each unit through the same tier order for every unit kind:
    backend-agnostic).  Parallel resolution stays byte-identical to
    serial because callers rebuild outputs in their own iteration order.
 
-There is no in-process payload tier: a batch settles each distinct key
-once, and a caller that needs a payload again keeps the ``{key:
-payload}`` it was handed (:func:`repro.experiments.registry
-.run_experiments` resolves a whole ``runall`` in one batch), so a
-long-lived process such as ``repro serve`` holds no payloads between
-calls.  :func:`cache_get` / :func:`cache_put` are the scheduler hooks
-for the disk tier.
+There is no in-process payload tier, so a long-lived process such as
+``repro serve`` holds no payloads between calls.  :func:`cache_get` /
+:func:`cache_put` are the scheduler hooks for the disk tier.
 
 The disk tier defaults to ``.repro-cache/sweeps`` under the current
 directory; override with the ``REPRO_SWEEP_CACHE_DIR`` environment

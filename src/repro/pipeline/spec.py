@@ -11,13 +11,10 @@ The split is the engine's contract with the experiments layer:
 
 * **declare** — enumerate every simulator sweep point, trace program
   and hardware execution the experiment will need;
-* **assemble** — build the report from exactly those units and the
-  payloads that resolved them: a declaring driver takes
-  ``(units, payloads, **options)``, where ``units`` is its declare
-  function's list and ``payloads`` maps each unit key to its result.
-  Assembly performs no simulator or hardware work of its own, so it is
-  cheap, deterministic, and byte-identical between serial and parallel
-  runs.
+* **assemble** — build the report from ``(units, payloads, **options)``:
+  the declare function's list and each unit key's result.  Assembly
+  performs no simulator or hardware work of its own, so it is cheap,
+  deterministic, and byte-identical between serial and parallel runs.
 
 A driver's options are exactly the ones some interface passes
 (``scale``, ``thread_counts``, ``n``, and ``mem_scale`` for Table II and
@@ -26,11 +23,10 @@ module constant its driver and declare function both read.  A declare
 function takes a subset of its driver's options, by name and without
 defaults: :meth:`ExperimentSpec.declare_units` applies the driver's
 defaults and passes ``declare`` the values it names.  Each unit is
-declared once, by the caller that resolves it —
-:func:`repro.experiments.registry.run_experiments` for a batch of
-experiments, :meth:`ExperimentSpec.run` for one.  Options a driver does
-not take are dropped, so ``repro runall --scale 0.1`` can hand the same
-options to every experiment it runs.
+declared once, by :func:`repro.experiments.registry.run_experiments`,
+which resolves it and hands it to :meth:`ExperimentSpec.run`.  Options
+a driver does not take are dropped, so ``repro runall --scale 0.1`` can
+hand the same options to every experiment it runs.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from typing import Callable, Mapping
 
 from repro.engine.units import WorkUnit
 from repro.experiments.report import ExperimentReport
-from repro.pipeline.runtime import resolve_units
 
 __all__ = ["ExperimentSpec"]
 
@@ -88,17 +83,11 @@ class ExperimentSpec:
         return list(self.declare(**{
             name: options.get(name, self.options[name]) for name in self._declared}))
 
-    def report(self, units: "list[WorkUnit]", payloads: "Mapping[str, dict]",
-               **options) -> ExperimentReport:
-        """Assemble the report from ``units`` (what :meth:`declare_units`
-        returned at ``options``) and the payloads that resolved them."""
+    def run(self, units: "list[WorkUnit]", payloads: "Mapping[str, dict]",
+            **options) -> ExperimentReport:
+        """Assemble the report from ``units`` (``declare_units(**options)``,
+        ``[]`` without a declare) and the ``payloads`` that resolved them."""
         options = self.filter_options(options)
         if self.declare is None:
             return self.assemble(**options)
         return self.assemble(units, payloads, **options)
-
-    def run(self, **options) -> ExperimentReport:
-        """Declare, resolve and assemble the report (options filtered to
-        the driver's knobs)."""
-        units = self.declare_units(**options)
-        return self.report(units, resolve_units(units), **options)

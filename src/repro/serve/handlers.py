@@ -26,9 +26,7 @@ whose cost grows with the client's point list, runs it off-loop in
 ``asyncio.to_thread``.  The LRU is the only cache these answers enter,
 so ``--cache-size`` bounds their memory.  Reports go through
 :func:`~repro.experiments.registry.run_experiment` and its journal →
-disk → pool tiers, exactly as ``repro run`` does; no unit payload
-outlives the request that resolved it, so the LRU is also the only
-place a report's inputs stay in memory.
+disk → pool tiers, exactly as ``repro run`` does.
 """
 
 from __future__ import annotations

@@ -70,11 +70,11 @@ def default_workloads(scale: float = 0.15, max_iterations: int = 4) -> dict:
     """The three paper workloads at ``scale`` times the paper's data size.
 
     The paper uses the full MineBench datasets; the drivers default to
-    scaled-down data.  Paper scale is affordable: a cold ``repro runall
-    --scale 1.0 --parallel 1`` took about 7 s on a 2-vCPU host, against
-    under 2 s at the defaults.  The extracted quantities are *fractions and growth slopes*, stable
-    under dataset scaling (Table IV's argument); the absolute serial
-    percentage shifts with scale, which EXPERIMENTS.md records.
+    scaled-down data (a cold ``repro runall --parallel 1`` took about 7 s
+    at ``--scale 1.0``, under 2 s at the defaults, on a 2-vCPU host).  The
+    extracted quantities are *fractions and growth slopes*, stable under
+    dataset scaling (Table IV's argument); the absolute serial percentage
+    shifts with scale, which EXPERIMENTS.md records.
     """
     if not (0 < scale <= 1.0):
         raise ValueError(f"scale must be in (0, 1], got {scale}")

@@ -22,7 +22,9 @@ converge); HOP inputs are particle positions with density concentrations
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -137,6 +139,24 @@ class ParticleDataset(_Frozen):
         return self.positions.shape[0]
 
 
+#: the datasets the builders handed out that something still holds, by
+#: call: datasets are immutable, so equal calls share one while it lives
+_LIVE: "weakref.WeakValueDictionary[tuple, _Frozen]" = weakref.WeakValueDictionary()
+
+
+def _shared(build):
+    """Make ``build`` return the live dataset of an equal earlier call."""
+    @functools.wraps(build)
+    def shared(*args, **kwargs):
+        key = (build.__name__, args, tuple(sorted(kwargs.items())))
+        dataset = _LIVE.get(key)
+        if dataset is None:
+            dataset = _LIVE[key] = build(*args, **kwargs)
+        return dataset
+    return shared
+
+
+@_shared
 def make_blobs(
     n_points: int,
     n_dims: int,
@@ -166,6 +186,7 @@ def make_blobs(
     )
 
 
+@_shared
 def make_particles(
     n_particles: int,
     n_halos: int = 8,

@@ -26,6 +26,10 @@ class TestOptionValidation:
         with pytest.raises(TypeError, match=r"fig4.*'bogus'"):
             run_experiment("fig4", bogus=1)
 
+    def test_driver_map_validates_options_too(self):
+        with pytest.raises(TypeError, match=r"fig4.*'bogus'"):
+            EXPERIMENTS["fig4"](bogus=1)
+
     def test_error_lists_accepted_options(self):
         with pytest.raises(TypeError, match=r"accepted: .*\bn\b"):
             run_experiment("fig4", scale=0.1)

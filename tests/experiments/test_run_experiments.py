@@ -18,6 +18,7 @@ import repro.experiments.table4 as table4
 import repro.workloads as workloads
 from repro import engine
 from repro.engine.scheduler import EngineSession
+from repro.pipeline import ExperimentSpec
 from repro.experiments import registry
 from repro.workloads.datasets import TABLE4_DATASETS
 
@@ -66,15 +67,61 @@ def test_each_experiment_declares_once_and_resolves_in_one_batch(counted, tmp_pa
         pipeline.set_disk_store(restore)
     assert [r.experiment_id for r in reports] == list(IDS)
     assert {eid: counted[eid] for eid in IDS} == dict.fromkeys(IDS, 1)
-    # one build per dataset a declaration names: table2 and fig2 each
-    # declare the three default workloads (two blob sets and one particle
-    # set), table4 its ten variants (eight blob sets, two particle sets)
+    # one builder call per dataset a declaration names: table2 and fig2
+    # each declare the three default workloads (two blob sets and one
+    # particle set), table4 its ten variants (eight blob sets, two
+    # particle sets); fig2's calls hand back table2's live datasets
     assert counted["make_blobs"] == 2 + 2 + 8
     assert counted["make_particles"] == 1 + 1 + 2
     assert counted["run_units"] == 1
     # 2 x 3 workloads x 2 points shared by table2 and fig2, fig2's 3 x 4
     # hardware points, table4's 10 variants x 2 points
     assert sess.stats["units"] - sess.stats["deduped"] == 6 + 12 + 20
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """Record the order specs assemble in; each report is its id, and
+    nothing resolves."""
+    order = []
+
+    def run(self, units, payloads, **options):
+        order.append(self.experiment_id)
+        if self.experiment_id == "table4":
+            raise RuntimeError("table4 failed")
+        return self.experiment_id
+
+    monkeypatch.setattr(ExperimentSpec, "run", run)
+    monkeypatch.setattr(registry, "resolve_units", lambda units: {})
+    return order
+
+
+def _requests(ids):
+    return [(eid, registry.filter_options(eid, OPTIONS)) for eid in ids]
+
+
+def test_declaring_drivers_assemble_first_and_reports_keep_request_order(assembled):
+    """Declared units (and their datasets) are dropped before any
+    model-only driver runs, and the reports still come in request order."""
+    ids = ("fig4", "table2", "table1", "fig2")
+    assert list(registry.run_experiments(_requests(ids))) == list(ids)
+    assert assembled == ["table2", "fig2", "fig4", "table1"]
+
+
+def test_a_declaring_drivers_error_is_raised_at_its_place(assembled):
+    reports = registry.run_experiments(_requests(("fig4", "table4", "table2")))
+    assert next(reports) == "fig4"
+    with pytest.raises(RuntimeError, match="table4 failed"):
+        next(reports)
+    assert assembled == ["table4", "fig4"]
+
+
+def test_table2_and_fig2_hold_one_copy_of_their_datasets():
+    table2 = registry.declare_units("table2", **OPTIONS)
+    fig2 = registry.declare_units("fig2", **OPTIONS)
+    datasets = {id(u.spec[0].dataset) for u in table2}
+    assert len(datasets) == 3
+    assert {id(u.spec[0].dataset) for u in fig2} == datasets
 
 
 def test_table4_rows_are_labelled_in_variant_order():

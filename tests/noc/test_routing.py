@@ -101,3 +101,16 @@ class TestLinkLoads:
         pairs = [(1, 5), (8, 0)]
         loads = path_link_loads(m, pairs)
         assert sum(loads.values()) == sum(m.hop_distance(s, d) for s, d in pairs)
+
+    def test_loads_match_walked_routes_across_chunks(self):
+        """An all-to-all on 81 nodes (6,480 pairs) is routed in several
+        steps; the counts equal walking every XY route."""
+        from collections import Counter
+
+        m = Mesh2D(81)
+        pairs = [(s, d) for s in range(81) for d in range(81) if s != d]
+        walked = Counter()
+        for s, d in pairs:
+            path = xy_route(m, s, d)
+            walked.update((min(u, v), max(u, v)) for u, v in zip(path, path[1:]))
+        assert path_link_loads(m, pairs) == dict(walked)

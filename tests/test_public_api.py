@@ -178,11 +178,11 @@ def test_every_public_function_class_and_method_is_named():
 
 class TestRegistryConsistency:
     def test_every_experiment_callable_and_documented(self):
-        from repro.experiments.registry import EXPERIMENTS
+        from repro.experiments.registry import EXPERIMENTS, SPECS
 
         for eid, fn in EXPERIMENTS.items():
             assert callable(fn), eid
-            assert fn.__doc__, f"experiment {eid} driver lacks a docstring"
+            assert SPECS[eid].assemble.__doc__, f"experiment {eid} driver lacks a docstring"
 
     def test_make_experiments_md_covers_registry(self):
         """Every registered experiment (except the roll-up aliases) is

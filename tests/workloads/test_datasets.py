@@ -25,6 +25,20 @@ class TestMakeBlobs:
         b = make_blobs(100, 4, 3, seed=7)
         assert np.array_equal(a.points, b.points)
 
+    def test_equal_calls_share_one_dataset_while_it_lives(self):
+        import gc
+        import weakref
+
+        a = make_blobs(100, 4, 3, seed=7)
+        assert make_blobs(100, 4, 3, seed=7) is a
+        assert make_blobs(100, 4, 3, seed=8) is not a
+        assert make_blobs(100, 4, 3, seed=7, label="other") is not a
+        alive = weakref.ref(a)
+        del a
+        gc.collect()
+        assert alive() is None  # sharing keeps nothing alive
+        assert make_particles(50, seed=1) is make_particles(50, seed=1)
+
     def test_different_seeds_differ(self):
         a = make_blobs(100, 4, 3, seed=7)
         b = make_blobs(100, 4, 3, seed=8)
