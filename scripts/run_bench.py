@@ -194,7 +194,8 @@ def collect_metrics(path: Path) -> None:
 
 def time_sweep_cache(scale: float = 0.05, threads: tuple = (1, 2, 4)) -> dict:
     """Cold vs disk-warm wall time for a small simulator sweep."""
-    from repro.pipeline import get_disk_store, memo_info, set_disk_store, simulate_breakdowns
+    from repro import engine
+    from repro.pipeline import get_disk_store, set_disk_store, simulate_breakdowns
     from repro.workloads import default_workloads
 
     restore = get_disk_store()
@@ -207,12 +208,12 @@ def time_sweep_cache(scale: float = 0.05, threads: tuple = (1, 2, 4)) -> dict:
             cold = simulate_breakdowns(wl, threads, n_cores=4, mem_scale=4)
             cold_s = time.perf_counter() - t0
 
-            before = memo_info()
-            t0 = time.perf_counter()
-            warm = simulate_breakdowns(wl, threads, n_cores=4, mem_scale=4)
-            warm_s = time.perf_counter() - t0
-            # the warm pass's own lookups: the counters are per process
-            hits, misses = (memo_info()[k] - before[k] for k in ("disk_hits", "misses"))
+            with engine.session(1) as sess:
+                t0 = time.perf_counter()
+                warm = simulate_breakdowns(wl, threads, n_cores=4, mem_scale=4)
+                warm_s = time.perf_counter() - t0
+            # the warm pass's session settled every unit by a hit or a run
+            hits, misses = sess.stats["cache_hits"], sess.stats["executed"]
     finally:
         set_disk_store(restore)
 

@@ -294,17 +294,16 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.pipeline import clear_memo, get_disk_store, memo_info
+    from repro.pipeline import get_disk_store
 
-    if args.action == "clear":
-        clear_memo()
-        disk = get_disk_store()
-        if disk is not None:
-            disk.clear()
-        print("sweep cache cleared")
-        return 0
-    for k, v in memo_info().items():
-        print(f"{k:15} {v}")
+    disk = get_disk_store()
+    if disk is None:
+        print("sweep cache disabled (REPRO_SWEEP_CACHE=off)")
+    elif args.action == "clear":
+        print(f"sweep cache cleared: {disk.clear()} entries removed")
+    else:
+        print(f"{'disk_path':15} {disk.root}")
+        print(f"{'disk_entries':15} {len(disk)}")
     return 0
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.growth import GrowthFunction, resolve_growth
+from repro.core.measured import _as_core_array
 from repro.core.params import AppParams
 
 __all__ = [
@@ -33,13 +34,6 @@ __all__ = [
     "scaled_speedup_merging",
     "scaled_speedup_limit",
 ]
-
-
-def _as_core_array(p: "float | np.ndarray") -> np.ndarray:
-    arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr < 1):
-        raise ValueError(f"core count p must be >= 1, got {p!r}")
-    return arr
 
 
 def scaled_speedup_gustafson(f: float, p: "float | np.ndarray") -> "float | np.ndarray":

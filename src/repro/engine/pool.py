@@ -49,12 +49,6 @@ __all__ = [
 _POLL_S = 0.05
 
 # ── observability ─────────────────────────────────────────────────────────
-_UNITS_DONE = obs.counter("engine_units_total", "work units completed",
-                          labels=("pool",))
-_UNIT_RETRIES = obs.counter("engine_unit_retries_total",
-                            "unit retries after worker deaths")
-_RESPAWNS = obs.counter("engine_worker_respawns_total",
-                        "workers respawned after a crash/timeout")
 _QUEUE_DEPTH = obs.gauge("engine_queue_depth",
                          "units not yet settled (ready + delayed + in flight)")
 _UNIT_SECONDS = obs.histogram("engine_unit_seconds",
@@ -142,7 +136,6 @@ class SerialPool:
                     unit, f"executor raised:\n{traceback.format_exc(limit=30)}"
                 ) from exc
             results[unit.key] = payload
-            _UNITS_DONE.inc(pool="serial")
             _UNIT_SECONDS.observe(time.monotonic() - started, pool="serial")
             self.events.emit("unit_done", key=unit.key, label=unit.describe(),
                              worker=-1,

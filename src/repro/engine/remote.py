@@ -105,10 +105,7 @@ from repro.engine.pool import (
     UnitFailure,
     _POLL_S,
     _QUEUE_DEPTH,
-    _RESPAWNS,
-    _UNIT_RETRIES,
     _UNIT_SECONDS,
-    _UNITS_DONE,
 )
 from repro.engine.units import WorkUnit, execute, executor_modules
 from repro.util.logging import get_logger
@@ -143,10 +140,6 @@ _LOCAL_ENTRY = ("import json, sys; boot = json.loads(sys.argv[1]); "
                 "from repro.engine.remote import _local_worker; "
                 "sys.exit(_local_worker(boot))")
 
-_REMOTE_SETTLES = obs.counter("engine_remote_settles_total",
-                              "units settled over the remote protocol",
-                              labels=("outcome",))
-_LEASES = obs.counter("engine_remote_leases_total", "leases issued")
 _WORKERS_CONNECTED = obs.gauge("engine_remote_workers",
                                "remote workers currently connected")
 
@@ -479,7 +472,6 @@ class RemotePool:
                         if self.lease_timeout else float("inf"))
             batch.leases[lease_id] = _Lease(lease_id, key, worker, conn_id,
                                             deadline, now)
-        _LEASES.inc()
         self._emit("lease_issued", key=key, label=unit.describe(),
                    worker=worker, lease=lease_id,
                    attempt=batch.attempts.get(key, 0))
@@ -578,7 +570,6 @@ class RemotePool:
             fresh = self._spawn_local()
         except OSError:
             return  # _reap_local fails over once no worker is left
-        _RESPAWNS.inc()
         self._emit("worker_restarted", worker=fresh.name, replaces=worker.name)
 
     # ── the run loop (the caller's thread) ────────────────────────────────
@@ -697,7 +688,6 @@ class RemotePool:
                         )
                     delay = min(self.backoff * (2 ** (attempt - 1)),
                                 self.max_backoff)
-                    _UNIT_RETRIES.inc()
                     with self._lock:
                         if draining:
                             batch.delayed.append((float("inf"), lease.key))
@@ -745,7 +735,6 @@ class RemotePool:
             lease = batch.leases.pop(lease_id, None)
         obs.merge_delta(message.get("obs"), worker=worker)
         if key not in by_key or key in results:
-            _REMOTE_SETTLES.inc(outcome="duplicate")
             self._emit("duplicate_settle", key=key, worker=worker,
                        lease=lease_id, stale=lease is None)
             box["settled"] = False
@@ -770,11 +759,9 @@ class RemotePool:
             on_result(key, payload)  # write-ahead: journal before the ack
         with self._lock:
             batch.settled.add(key)
-        _UNITS_DONE.inc(pool=self._label)
         if lease is not None:
             _UNIT_SECONDS.observe(time.monotonic() - lease.issued,
                                   pool=self._label)
-        _REMOTE_SETTLES.inc(outcome="settled")
         box["settled"] = True
         box["done"].set()
         self._emit("unit_done", key=key, label=by_key[key].describe(),

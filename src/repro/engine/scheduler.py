@@ -80,22 +80,14 @@ class EngineSession:
         self,
         n_workers: "int | None" = None,
         *,
-        max_retries: int = 2,
-        backoff: float = 0.25,
-        max_backoff: float = 5.0,
         events: "EventLog | None" = None,
         journal: "RunJournal | None" = None,
         run_id: "str | None" = None,
-        drain_grace: float = 10.0,
         listen: "str | None" = None,
         lease_timeout: "float | None" = 600.0,
         worker_timeout: "float | None" = None,
     ):
         self.n_workers = default_workers() if n_workers is None else max(1, int(n_workers))
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.max_backoff = max_backoff
-        self.drain_grace = drain_grace
         self.listen = listen
         self.lease_timeout = lease_timeout
         self.worker_timeout = worker_timeout
@@ -153,12 +145,8 @@ class EngineSession:
             self.listen,
             local_workers=0 if self.listen is not None else self.n_workers,
             lease_timeout=self.lease_timeout,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            max_backoff=self.max_backoff,
             events=self.events,
             should_stop=self._stop.is_set,
-            drain_grace=self.drain_grace,
             worker_timeout=self.worker_timeout,
         )
 

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.experiments.report import ExperimentReport, PaperComparison
+from repro.util.plain import plainify
 from repro.util.tables import TextTable
 
 __all__ = [
@@ -37,27 +38,8 @@ __all__ = [
 
 _SCHEMA_VERSION = 1
 
-_STORE_READS = obs.counter("sweep_store_reads_total",
-                           "disk sweep-store reads", labels=("result",))
 _STORE_WRITES = obs.counter("sweep_store_writes_total",
                             "disk sweep-store writes", labels=("result",))
-
-
-def _plain(value):
-    """Collapse numpy scalars to the Python scalar they render as.
-
-    Table cells and comparison values may arrive as ``np.float64`` /
-    ``np.int64``; ``json.dumps(default=str)`` would stringify those, so a
-    loaded report would render ``"5.0"`` where the original rendered
-    ``5.0``.  Both str() identically, so the collapse keeps round-trips
-    (serialise → deserialise → render) byte-exact.
-    """
-    if hasattr(value, "item") and not isinstance(value, (str, bytes, bool, int, float)):
-        try:
-            return value.item()
-        except (AttributeError, TypeError, ValueError):
-            return value
-    return value
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
@@ -70,16 +52,16 @@ def report_to_dict(report: ExperimentReport) -> dict:
             {
                 "title": t.title,
                 "columns": list(t.columns),
-                "rows": [[_plain(c) for c in row] for row in t.rows],
+                "rows": [[plainify(c) for c in row] for row in t.rows],
             }
             for t in report.tables
         ],
         "comparisons": [
             {
                 "claim": c.claim,
-                "paper_value": _plain(c.paper_value),
-                "measured_value": _plain(c.measured_value),
-                "tolerance": _plain(c.tolerance),
+                "paper_value": plainify(c.paper_value),
+                "measured_value": plainify(c.measured_value),
+                "tolerance": plainify(c.tolerance),
                 "qualitative": bool(c.qualitative),
                 "claim_holds": None if c.claim_holds is None else bool(c.claim_holds),
                 "matches": c.matches(),
@@ -180,7 +162,6 @@ class SweepStore:
         try:
             data = json.loads(self.path_for(key).read_text())
         except (OSError, ValueError):
-            _STORE_READS.inc(result="miss")
             return None
         if (
             not isinstance(data, dict)
@@ -188,9 +169,7 @@ class SweepStore:
             or data.get("key") != key
             or "payload" not in data
         ):
-            _STORE_READS.inc(result="miss")
             return None
-        _STORE_READS.inc(result="hit")
         return data["payload"]
 
     def put(self, key: str, payload: dict) -> "Path | None":

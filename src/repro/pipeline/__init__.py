@@ -25,9 +25,7 @@ from repro.pipeline.builders import (
 from repro.pipeline.runtime import (
     cache_get,
     cache_put,
-    clear_memo,
     get_disk_store,
-    memo_info,
     resolve_units,
     set_disk_store,
     simulate_breakdowns,
@@ -50,8 +48,6 @@ __all__ = [
     "sweep_breakdowns",
     "cache_get",
     "cache_put",
-    "clear_memo",
-    "memo_info",
     "set_disk_store",
     "get_disk_store",
 ]

@@ -18,7 +18,9 @@ settles each unit through the same tier order for every unit kind:
 
 There is no in-process payload tier, so a long-lived process such as
 ``repro serve`` holds no payloads between calls.  :func:`cache_get` /
-:func:`cache_put` are the scheduler hooks for the disk tier.
+:func:`cache_put` are the scheduler hooks for the disk tier.  The
+session's ``stats`` and its ``journal_hit`` / ``cache_hit`` /
+``unit_done`` events are the one account of which tier settled a unit.
 
 The disk tier defaults to ``.repro-cache/sweeps`` under the current
 directory; override with the ``REPRO_SWEEP_CACHE_DIR`` environment
@@ -32,7 +34,6 @@ import os
 from pathlib import Path
 from typing import Iterable
 
-from repro import obs
 from repro.engine import scheduler
 from repro.engine.pool import UnitFailure
 from repro.engine.units import WorkUnit
@@ -50,25 +51,9 @@ __all__ = [
     "sweep_breakdowns",
     "cache_get",
     "cache_put",
-    "clear_memo",
-    "memo_info",
     "set_disk_store",
     "get_disk_store",
 ]
-
-_stats = {"disk_hits": 0, "misses": 0, "executed": 0}
-
-_CACHE_LOOKUPS = obs.counter(
-    "sweep_cache_lookups_total",
-    "unit cache lookups by tier and outcome",
-    labels=("tier", "result"),
-)
-
-#: _stats key → (tier, result) label pair on ``sweep_cache_lookups_total``
-_LOOKUP_LABELS = {
-    "disk_hits": ("disk", "hit"),
-    "misses": ("all", "miss"),
-}
 
 _DISK_DEFAULT = object()  # sentinel: resolve from the environment
 _disk_store: "SweepStore | None | object" = _DISK_DEFAULT
@@ -101,12 +86,6 @@ def get_disk_store() -> "SweepStore | None":
     return _disk_store
 
 
-def _record_lookup(stat: str) -> None:
-    _stats[stat] += 1
-    tier, result = _LOOKUP_LABELS[stat]
-    _CACHE_LOOKUPS.inc(tier=tier, result=result)
-
-
 def _decodes(unit: WorkUnit, payload: dict) -> bool:
     """Whether a stored payload is usable for ``unit``'s kind."""
     if unit.kind not in BREAKDOWN_KINDS:
@@ -124,9 +103,7 @@ def cache_get(unit: WorkUnit) -> "dict | None":
     if disk is not None:
         payload = disk.get(unit.key)
         if payload is not None and _decodes(unit, payload):
-            _record_lookup("disk_hits")
             return payload
-    _record_lookup("misses")
     return None
 
 
@@ -143,8 +120,7 @@ def resolve_units(units: Iterable[WorkUnit]) -> "dict[str, dict]":
     The ambient session (``repro.engine.session``, opened by every CLI
     run) executes misses on its pool and settles them through its
     journal.  With none installed, a serial session of the call's own
-    executes them in this process and counts them in
-    ``memo_info()["executed"]``; an executor's exception then propagates
+    executes them in this process; an executor's exception then propagates
     as itself rather than wrapped in :class:`~repro.engine.pool
     .UnitFailure`.  Results are identical either way.
     """
@@ -159,7 +135,6 @@ def resolve_units(units: Iterable[WorkUnit]) -> "dict[str, dict]":
             if exc.__cause__ is None:
                 raise
             raise exc.__cause__ from None
-    _stats["executed"] += sess.stats["executed"]
     return payloads
 
 
@@ -203,36 +178,3 @@ def sweep_breakdowns(
           for u in units[i:i + size]})
         for i in range(0, len(units), size)
     ]
-
-
-def clear_memo() -> None:
-    """Restart this process's lookup counters (the disk tier is kept;
-    clear it with ``get_disk_store().clear()``)."""
-    for k in _stats:
-        _stats[k] = 0
-
-
-def memo_info() -> dict:
-    """This process's lookup counters and the tier sizes (``repro cache
-    info``).
-
-    When the ambient engine session carries a run journal (a ``--run-id``
-    / ``--resume`` run), the journal tier is reported too — its entries
-    are consulted *ahead of* the disk store.
-    """
-    disk = get_disk_store()
-    lookups = _stats["disk_hits"] + _stats["misses"]
-    info = {
-        **_stats,
-        "lookups": lookups,
-        "hit_rate": _stats["disk_hits"] / lookups if lookups else 0.0,
-        "disk_entries": len(disk) if disk is not None else 0,
-        "disk_path": str(disk.root) if disk is not None else None,
-    }
-    sess = scheduler.current_session()
-    journal = getattr(sess, "journal", None)
-    if journal is not None:
-        info["journal_entries"] = len(journal)
-        info["journal_path"] = str(journal.path)
-        info["journal_hits"] = sess.stats.get("journal_hits", 0)
-    return info

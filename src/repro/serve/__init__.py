@@ -11,7 +11,7 @@ journal → memo → disk tiers):
 * :mod:`repro.serve.queries` — the module-level evaluators a query runs
   on an LRU miss (points, size sweeps, optimal-(r, rl) search);
 * :mod:`repro.serve.handlers` — endpoint logic and obs instrumentation
-  (request counters, latency histograms, per-tier cache counters);
+  (request counters, latency histograms, LRU hit/miss counters);
 * :mod:`repro.serve.server` — minimal HTTP/1.1 framing with keep-alive.
 
 Start it with ``repro-merging serve``; benchmark it with

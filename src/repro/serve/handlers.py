@@ -308,18 +308,6 @@ class ServeApp:
             "lru": self.lru.info(),
         }
 
-    def metrics(self) -> str:
-        """The Prometheus exposition, with the pipeline tiers' counters
-        mirrored in as gauges so one scrape shows every cache tier."""
-        from repro.pipeline import memo_info
-
-        tiers = obs.gauge("serve_pipeline_tier", "pipeline cache-tier counters "
-                          "as seen at scrape time", labels=("tier", "event"))
-        for event, value in memo_info().items():
-            if isinstance(value, (int, float)):  # not disk_path/journal_path
-                tiers.set(float(value), tier="memo", event=event)
-        return obs.render_prometheus()
-
     def experiments(self) -> list:
         from repro.experiments.registry import listing
 
@@ -341,7 +329,7 @@ class ServeApp:
                 endpoint = "metrics"
                 return self._finish(endpoint, t0, 200,
                                     "text/plain; version=0.0.4",
-                                    self.metrics().encode())
+                                    obs.render_prometheus().encode())
             if path == "/v1/experiments" and method == "GET":
                 endpoint = "experiments"
                 return self._finish(endpoint, t0, 200, "application/json",

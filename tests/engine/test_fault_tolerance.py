@@ -184,7 +184,7 @@ class TestWorkerKill:
             monkeypatch.setattr(builders, "sim_point_unit", crashing_point_unit)
 
             pipeline.set_disk_store(tmp_path / "engine-store")
-            with engine.session(2, max_retries=2, backoff=0.01) as sess:
+            with engine.session(2) as sess:
                 parallel = run_experiment("table2", **options)
 
             assert sess.events.count("worker_crashed") >= 1

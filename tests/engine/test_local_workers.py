@@ -159,7 +159,7 @@ def test_broken_worker_launch_falls_back_to_serial(monkeypatch, executable):
     if executable is None:
         pytest.skip("no 'false' binary on this host")
     monkeypatch.setattr(sys, "executable", executable)
-    with EngineSession(2, backoff=0.01) as sess:
+    with EngineSession(2) as sess:
         results = sess.run_units([unit(f"k{i}", i) for i in range(4)])
     assert results == {f"k{i}": {"value": 3 * i} for i in range(4)}
     assert sess.events.count("serial_fallback") == 1

@@ -15,7 +15,6 @@ import pytest
 
 from repro.engine.pool import UnitFailure
 from repro.engine.remote import RemotePool
-from repro.engine.scheduler import EngineSession
 from repro.engine.units import WorkUnit, register_executor
 
 
@@ -66,15 +65,6 @@ class TestRetryBackoff:
     def test_max_backoff_never_below_base_backoff(self):
         pool = RemotePool(local_workers=1, backoff=0.5, max_backoff=0.1)
         assert pool.max_backoff == 0.5
-
-    def test_session_forwards_max_backoff_to_pool(self):
-        sess = EngineSession(2, max_retries=1, backoff=0.01, max_backoff=0.07)
-        try:
-            pool = sess._make_pool()
-            assert isinstance(pool, RemotePool)
-            assert pool.max_backoff == 0.07
-        finally:
-            sess.close()
 
     def test_other_units_complete_despite_doomed_sibling(self):
         """The structured failure aborts the batch, but only after the

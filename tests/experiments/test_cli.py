@@ -330,12 +330,10 @@ class TestCacheCommand:
 
         restore = pipeline.get_disk_store()
         pipeline.set_disk_store(tmp_path / "sweeps")
-        pipeline.clear_memo()
         wl = default_workloads(0.03)["kmeans"]
         pipeline.simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
         yield pipeline.get_disk_store()
         pipeline.set_disk_store(restore)
-        pipeline.clear_memo()
 
     @staticmethod
     def _info(capsys) -> dict:
@@ -345,14 +343,24 @@ class TestCacheCommand:
 
     def test_info_prints_every_tier(self, capsys, warm_store):
         info = self._info(capsys)
-        assert {"disk_hits", "misses", "disk_entries", "disk_path"} <= set(info)
-        assert info["misses"] == "1"
-        assert info["disk_entries"] == "1"
-        assert info["disk_path"] == str(warm_store.root)
+        assert info == {"disk_path": str(warm_store.root), "disk_entries": "1"}
+
+    def test_info_says_when_the_tier_is_disabled(self, capsys):
+        from repro import pipeline
+
+        restore = pipeline.get_disk_store()
+        pipeline.set_disk_store(None)
+        try:
+            assert main(["cache", "info"]) == 0
+            out = capsys.readouterr().out
+        finally:
+            pipeline.set_disk_store(restore)
+        assert "disabled" in out
+        assert "disk_hits" not in out  # no per-process counters to report
 
     def test_clear_empties_disk_entries(self, capsys, warm_store):
         assert main(["cache", "clear"]) == 0
-        assert "sweep cache cleared" in capsys.readouterr().out
+        assert "sweep cache cleared: 1 entries removed" in capsys.readouterr().out
         assert self._info(capsys)["disk_entries"] == "0"
         assert len(warm_store) == 0
 

@@ -5,8 +5,8 @@ from dataclasses import asdict
 
 import pytest
 
-from repro import pipeline
-from repro.pipeline import clear_memo, memo_info, simulate_breakdowns
+from repro import engine, pipeline
+from repro.pipeline import simulate_breakdowns
 from repro.workloads import default_workloads
 
 
@@ -33,39 +33,38 @@ class TestMemoisation:
         """A private disk tier, the one cache below the engine session."""
         restore = pipeline.get_disk_store()
         pipeline.set_disk_store(tmp_path / "sweeps")
-        clear_memo()
         yield
         pipeline.set_disk_store(restore)
-        clear_memo()
+
+    @staticmethod
+    def _resolve(wl, thread_counts, mem_scale):
+        """Breakdowns plus the stats of the session that settled them."""
+        with engine.session(1) as sess:
+            out = simulate_breakdowns(wl, thread_counts, n_cores=2,
+                                      mem_scale=mem_scale)
+        return out, sess.stats
 
     def test_cache_hit_executes_nothing(self):
         wl = default_workloads(0.03)["kmeans"]
-        a = simulate_breakdowns(wl, (1, 2), n_cores=2, mem_scale=8)
-        before = memo_info()
-        b = simulate_breakdowns(wl, (1, 2), n_cores=2, mem_scale=8)
-        after = memo_info()
+        a, _ = self._resolve(wl, (1, 2), 8)
+        b, stats = self._resolve(wl, (1, 2), 8)
         # served from disk, not recomputed
-        assert after["executed"] == before["executed"]
-        assert after["misses"] == before["misses"]
-        assert after["disk_hits"] == before["disk_hits"] + 2
+        assert (stats["cache_hits"], stats["executed"]) == (2, 0)
         assert {p: asdict(v) for p, v in a.items()} == {p: asdict(v) for p, v in b.items()}
 
     def test_different_mem_scale_different_entry(self):
         wl = default_workloads(0.03)["kmeans"]
-        simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        misses = memo_info()["misses"]
-        simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=4)
-        assert memo_info()["misses"] == misses + 1
+        self._resolve(wl, (1,), 8)
+        _, stats = self._resolve(wl, (1,), 4)
+        assert (stats["cache_hits"], stats["executed"]) == (0, 1)
 
     def test_clear_cache(self):
         wl = default_workloads(0.03)["kmeans"]
-        a = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        a, _ = self._resolve(wl, (1,), 8)
         pipeline.get_disk_store().clear()
-        clear_memo()
-        b = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
+        b, stats = self._resolve(wl, (1,), 8)
         # nothing kept: a fresh miss, executed again
-        assert memo_info()["misses"] == 1
-        assert memo_info()["executed"] == 1
+        assert (stats["cache_hits"], stats["executed"]) == (0, 1)
         # but deterministic: equal values
         assert a[1].total == b[1].total
 

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import pipeline
+from repro import engine, pipeline
 from repro.experiments.store import SweepStore
-from repro.pipeline import clear_memo, memo_info, simulate_breakdowns
+from repro.pipeline import simulate_breakdowns
 from repro.simx import MachineConfig
 from repro.pipeline.builders import sim_point_unit
 from repro.workloads import (
@@ -51,9 +51,7 @@ def isolated_store(tmp_path):
     """Point the pipeline at a fresh disk store; restore the suite's after."""
     saved = pipeline.get_disk_store()
     pipeline.set_disk_store(tmp_path / "sweeps")
-    clear_memo()
     yield pipeline.get_disk_store()
-    clear_memo()
     pipeline.set_disk_store(saved)
 
 
@@ -189,6 +187,14 @@ class TestCorruptEntriesAreMisses:
         store.clear()  # no-op, no crash
 
 
+def _settle(*args, **kwargs):
+    """``simulate_breakdowns`` in a session of its own: the breakdowns and
+    the session's account of which tier settled each unit."""
+    with engine.session(1) as sess:
+        out = simulate_breakdowns(*args, **kwargs)
+    return out, sess.stats
+
+
 class TestSimsweepDiskTier:
     def _workload(self):
         return default_workloads(0.03)["kmeans"]
@@ -196,10 +202,9 @@ class TestSimsweepDiskTier:
     def test_disk_hit_restores_equal_breakdown(self, isolated_store):
         wl = self._workload()
         a = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        clear_memo()  # restart the counters
-        b = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        assert memo_info()["disk_hits"] == 1
-        assert memo_info()["executed"] == 0  # served, not re-simulated
+        b, stats = _settle(wl, (1,), n_cores=2, mem_scale=8)
+        assert stats["cache_hits"] == 1
+        assert stats["executed"] == 0  # served, not re-simulated
         assert asdict(a[1]) == asdict(b[1])
 
     def test_corrupt_disk_entry_falls_back_to_simulation(self, isolated_store):
@@ -207,27 +212,25 @@ class TestSimsweepDiskTier:
         a = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
         for f in isolated_store.root.glob("*.json"):
             f.write_text("{ truncated")
-        clear_memo()
-        b = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        assert memo_info()["misses"] == 1  # re-simulated
+        b, stats = _settle(wl, (1,), n_cores=2, mem_scale=8)
+        assert (stats["cache_hits"], stats["executed"]) == (0, 1)  # re-simulated
         assert asdict(a[1]) == asdict(b[1])
 
     def test_clear_cache_clears_disk_tier(self, isolated_store):
         wl = self._workload()
         simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        assert memo_info()["disk_entries"] == 1
-        clear_memo()
+        assert len(isolated_store) == 1
         isolated_store.clear()
-        assert memo_info()["disk_entries"] == 0
-        simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
-        assert memo_info()["misses"] == 1  # nothing survived
+        assert len(isolated_store) == 0
+        _, stats = _settle(wl, (1,), n_cores=2, mem_scale=8)
+        assert (stats["cache_hits"], stats["executed"]) == (0, 1)  # nothing survived
 
     def test_disabled_disk_tier_still_simulates(self, isolated_store):
         pipeline.set_disk_store(None)
         wl = self._workload()
         out = simulate_breakdowns(wl, (1,), n_cores=2, mem_scale=8)
         assert out[1].total > 0
-        assert memo_info()["disk_entries"] == 0
+        assert len(isolated_store) == 0
 
     def test_kmeanspp_init_gets_its_own_breakdown(self, isolated_store):
         ds = make_blobs(400, 4, 6, seed=3)
@@ -236,23 +239,24 @@ class TestSimsweepDiskTier:
         # the two inits converge after different iteration counts ...
         assert random_init.execute(1).n_iterations != plusplus.execute(1).n_iterations
         a = simulate_breakdowns(random_init, (2,), n_cores=2, mem_scale=8)
-        b = simulate_breakdowns(plusplus, (2,), n_cores=2, mem_scale=8)
+        b, stats = _settle(plusplus, (2,), n_cores=2, mem_scale=8)
         # ... so each is simulated, and their breakdowns differ
-        assert memo_info()["executed"] == 2
+        assert (stats["cache_hits"], stats["executed"]) == (0, 1)
+        assert len(isolated_store) == 2
         assert asdict(a[2]) != asdict(b[2])
 
     def test_machine_config_is_part_of_the_memo_key(self, isolated_store):
         wl = self._workload()
-        a = simulate_breakdowns(
+        simulate_breakdowns(
             wl, (1,), n_cores=2, mem_scale=8,
             config=MachineConfig.baseline(n_cores=2),
         )
-        b = simulate_breakdowns(
+        _, stats = _settle(
             wl, (1,), n_cores=2, mem_scale=8,
             config=replace(MachineConfig.baseline(n_cores=2), coherence_protocol="msi"),
         )
-        assert memo_info()["misses"] == 2  # no cross-config hit
-        assert memo_info()["executed"] == 2
+        assert (stats["cache_hits"], stats["executed"]) == (0, 1)  # no cross-config hit
+        assert len(isolated_store) == 2
 
 
 class TestMalformedPayloadIsAMiss:
@@ -265,10 +269,9 @@ class TestMalformedPayloadIsAMiss:
         broken = {k: v for k, v in payload.items() if k != "serial"}
         store.put(unit.key, broken)
         assert store.get(unit.key) == broken  # a valid envelope
-        clear_memo()
-        again = pipeline.resolve_units([unit])[unit.key]
-        info = memo_info()
-        assert (info["disk_hits"], info["misses"], info["executed"]) == (0, 1, 1)
+        with engine.session(1) as sess:
+            again = pipeline.resolve_units([unit])[unit.key]
+        assert (sess.stats["cache_hits"], sess.stats["executed"]) == (0, 1)
         assert pipeline.breakdown_from_payload(again) == good
         assert store.get(unit.key) == payload  # repaired on the way
 

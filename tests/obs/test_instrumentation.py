@@ -82,11 +82,10 @@ def test_cli_metrics_out_covers_all_layers(tmp_path, capsys, fresh_store):
     assert {"simx_runs_total", "simx_ops_total", "simx_cycles_total",
             "simx_run_seconds"} <= families
     # engine/pool layer
-    assert {"engine_units_total", "engine_unit_seconds",
-            "engine_events_total"} <= families
+    assert {"engine_unit_seconds", "engine_events_total",
+            "engine_queue_depth"} <= families
     # cache layer
-    assert {"sweep_cache_lookups_total", "sweep_store_reads_total",
-            "sweep_store_writes_total"} <= families
+    assert "sweep_store_writes_total" in families
     # experiment layer
     assert "experiment_seconds" in families
 
@@ -100,8 +99,9 @@ def test_cli_metrics_out_covers_all_layers(tmp_path, capsys, fresh_store):
     # counted once
     runs = next(m for m in data["metrics"] if m["name"] == "simx_runs_total")
     total_runs = sum(s["value"] for s in runs["series"])
-    units = next(m for m in data["metrics"] if m["name"] == "engine_units_total")
-    total_units = sum(s["value"] for s in units["series"])
+    events = next(m for m in data["metrics"] if m["name"] == "engine_events_total")
+    [total_units] = [s["value"] for s in events["series"]
+                     if s["labels"] == {"kind": "unit_done"}]
     assert total_runs == total_units > 0
 
     # and `repro stats` renders the same file without error
@@ -125,9 +125,52 @@ def test_engine_session_serial_also_instruments(fresh_store):
     obs.set_enabled(True)
     with engine.session(1) as sess:
         run_experiment("table2", scale=0.03, thread_counts=(1, 2))
-    units = obs.REGISTRY.get("engine_units_total")
-    assert units.value(pool="serial") == 6.0
+    events = obs.REGISTRY.get("engine_events_total")
+    assert events.value(kind="unit_done") == sess.stats["executed"] == 6
     snap_events = [e for e in sess.events.events if e.kind == "metrics_snapshot"]
     assert len(snap_events) == 1
     assert any(f["name"] == "simx_ops_total" for f in snap_events[0].data["metrics"])
     assert "simx.run" in snap_events[0].data["spans"]
+
+
+#: the engine and disk-store families: each records something no engine
+#: event does (a queue depth, a latency distribution, a live worker count,
+#: a swallowed write failure)
+_ENGINE_AND_STORE_FAMILIES = {
+    "engine_events_total", "engine_queue_depth", "engine_unit_seconds",
+    "engine_remote_workers", "sweep_store_writes_total",
+}
+
+
+def test_each_settlement_is_counted_once(fresh_store):
+    """The session's stats and its event stream are the one account of
+    which tier settled a unit: a cold parallel run's executions and a warm
+    run's disk hits each show once, and no other family re-counts them."""
+    import asyncio
+
+    from repro import engine
+    from repro.experiments.registry import run_experiment
+    from repro.serve import ServeApp
+
+    obs.set_enabled(True)
+    options = dict(scale=0.03, thread_counts=(1, 2))
+    with engine.session(2) as cold:
+        run_experiment("table2", **options)
+    with engine.session(1) as warm:
+        run_experiment("table2", **options)
+
+    events = obs.REGISTRY.get("engine_events_total")
+    [runs] = [sum(s["value"] for s in f["series"]) for f in obs.snapshot()
+              if f["name"] == "simx_runs_total"]
+    assert cold.stats["executed"] == 6
+    assert events.value(kind="unit_done") == cold.stats["executed"] == runs
+    assert warm.stats["cache_hits"] == 6
+    assert events.value(kind="cache_hit") == warm.stats["cache_hits"]
+
+    # a scrape registers nothing that mirrors the pipeline's tiers, and
+    # the engine and store keep only the families events cannot replace
+    asyncio.run(ServeApp().handle("GET", "/metrics", {}, b""))
+    names = set(obs.REGISTRY._families)
+    assert {n for n in names if n.startswith(("engine_", "sweep_"))} \
+        == _ENGINE_AND_STORE_FAMILIES
+    assert not [n for n in names if "pipeline" in n]

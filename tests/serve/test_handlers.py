@@ -8,10 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import engine, obs, pipeline
 from repro.core import gridkernels
 from repro.experiments.registry import run_experiment
-from repro.pipeline import memo_info
 from repro.serve import ServeApp, queries
 
 _EVAL_BODY = {"model": "merging-symmetric", "f": 0.99, "fcon_share": 0.6,
@@ -198,19 +197,21 @@ class TestCacheTier:
         look up and store no pipeline unit, so --cache-size bounds their
         memory."""
         app = ServeApp(cache_size=8)
-        tiers = ("lookups", "disk_entries", "executed")
-        before = {k: memo_info()[k] for k in tiers}
-        for i in range(12):
-            f = 0.9 + i / 1000
-            for path, body in (
-                    ("/v1/eval", {**_EVAL_BODY, "f": f}),
-                    ("/v1/sweep", {"model": "hm-symmetric",
-                                   "points": [{"f": f}]}),
-                    ("/v1/optimize", {"points": [{"f": f, "fcon_share": 0.6,
-                                                  "fored_share": 0.8}]})):
-                status, _, _ = _request(app, "POST", path, body=body)
-                assert status == 200
-        assert {k: memo_info()[k] for k in tiers} == before
+        disk = pipeline.get_disk_store()
+        entries = len(disk) if disk is not None else 0
+        with engine.session(1) as sess:
+            for i in range(12):
+                f = 0.9 + i / 1000
+                for path, body in (
+                        ("/v1/eval", {**_EVAL_BODY, "f": f}),
+                        ("/v1/sweep", {"model": "hm-symmetric",
+                                       "points": [{"f": f}]}),
+                        ("/v1/optimize", {"points": [{"f": f, "fcon_share": 0.6,
+                                                      "fored_share": 0.8}]})):
+                    status, _, _ = _request(app, "POST", path, body=body)
+                    assert status == 200
+        assert sess.stats["units"] == 0  # no unit declared, none settled
+        assert (len(disk) if disk is not None else 0) == entries
         assert len(app.lru) <= 8
 
     def test_cache_size_zero_disables_the_tier(self):
@@ -262,4 +263,10 @@ class TestMetricsEndpoint:
         text = payload.decode()
         assert "serve_requests_total" in text
         assert "serve_cache_lookups_total" in text
-        assert "serve_pipeline_tier" in text
+        # a report's unit settlements show as engine events: executed on
+        # a cold disk tier, read from it on a warm one
+        _request(app, "GET", "/v1/report/table2",
+                 params={"scale": "0.03", "threads": "1,2"})
+        text = _request(app, "GET", "/metrics")[2].decode()
+        assert any(f'engine_events_total{{kind="{kind}"}}' in text
+                   for kind in ("unit_done", "cache_hit"))

@@ -66,7 +66,7 @@ def test_sweep_cache_timing_helpers(run_bench, tmp_path):
     from repro import obs, pipeline
 
     restore = pipeline.get_disk_store()
-    entries = pipeline.memo_info()["disk_entries"]
+    entries = len(restore)
     row = run_bench.time_sweep_cache(scale=0.03, threads=(1, 2))
     # counters cover the warm pass: served from disk, nothing simulated
     assert row["disk_hits"] == 2 and row["misses"] == 0
@@ -76,7 +76,7 @@ def test_sweep_cache_timing_helpers(run_bench, tmp_path):
     out = tmp_path / "metrics.jsonl"
     run_bench.collect_metrics(out)
     families = {m["name"] for m in obs.read_jsonl(out)["metrics"]}
-    assert {"sweep_cache_lookups_total", "simx_runs_total"} <= families
+    assert {"engine_events_total", "simx_runs_total"} <= families
 
     assert pipeline.get_disk_store() is restore
-    assert pipeline.memo_info()["disk_entries"] == entries
+    assert len(restore) == entries
