@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import os
 import sys
@@ -68,9 +69,11 @@ __all__ = ["main", "entry", "build_parser", "version_string"]
 log = get_logger("cli")
 
 
+@functools.cache
 def version_string() -> str:
     """The installed package version (falls back to ``repro.__version__``
-    for PYTHONPATH-only checkouts that were never pip-installed)."""
+    for PYTHONPATH-only checkouts that were never pip-installed).  Looked
+    up once per process: ``/healthz`` reports it on every request."""
     try:
         from importlib.metadata import PackageNotFoundError, version
 

@@ -11,7 +11,9 @@ the smallest local clock), while ``round-robin`` and ``acmp`` time-multiplex
 run queues over the cores with quantum preemption and migration, allowing
 oversubscription (``n_threads > n_cores``).
 
-That op-at-a-time loop is the *reference* engine.  Whenever the
+That op-at-a-time loop is the *reference* engine; it steps over each
+thread's trace columns (:meth:`repro.simx.trace.ThreadTrace.columns`) by
+kind code, the input the batch engine reads too.  Whenever the
 configuration allows it (:func:`repro.simx.batch.supports_batch_path`),
 :meth:`Machine.run` executes on the lockstep batch engine instead, which
 is cycle- and stats-identical by construction.
@@ -41,15 +43,14 @@ from repro.simx.core_model import CoreModel
 from repro.simx.sched import ThreadContext, ThreadState, build_scheduler
 from repro.simx.stats import PhaseStats, SchedStats
 from repro.simx.trace import (
-    Barrier,
-    Compute,
-    Load,
-    Lock,
-    PhaseBegin,
-    PhaseEnd,
-    Store,
+    BARRIER,
+    COMPUTE,
+    LOAD,
+    LOCK,
+    PHASE_BEGIN,
+    PHASE_END,
+    STORE,
     TraceProgram,
-    Unlock,
 )
 
 __all__ = ["Machine", "SimulationResult", "DeadlockError", "TraceError"]
@@ -252,9 +253,11 @@ class Machine:
                 self.config.n_cores if scheduled else program.n_threads
             )
         ]
-        threads = [
-            ThreadContext(tid=t.thread_id, ops=iter(t)) for t in program.threads
-        ]
+        threads = []
+        for t in program.threads:
+            kinds, args, labels = t.columns()
+            threads.append(ThreadContext(tid=t.thread_id, kinds=kinds.tolist(),
+                                         args=args.tolist(), labels=labels))
         ops_executed = 0
         stats = PhaseStats()
         scheduler = build_scheduler(self.config)
@@ -282,9 +285,10 @@ class Machine:
 
         def step(ctx: ThreadContext) -> None:
             nonlocal ops_executed
+            i = ctx.ip
             try:
-                op = next(ctx.ops)
-            except StopIteration:
+                kind = ctx.kinds[i]
+            except IndexError:
                 if ctx.held_locks:
                     raise TraceError(
                         f"thread {ctx.tid} finished holding locks {sorted(ctx.held_locks)}"
@@ -297,91 +301,87 @@ class Machine:
                 scheduler.on_done(ctx)
                 return
 
+            arg = ctx.args[i]
+            ctx.ip = i + 1
             ops_executed += 1
-            if isinstance(op, Compute):
-                cycles = cores[ctx.core].compute_cycles(op.instructions)
+            if kind == COMPUTE:
+                cycles = cores[ctx.core].compute_cycles(arg)
                 stats.add_busy(ctx.current_phase(), ctx.tid, cycles)
                 ctx.clock += cycles
                 if scheduled:
-                    ctx.instructions += op.instructions
+                    ctx.instructions += arg
                     scheduler.on_charge(ctx, cycles)
-            elif isinstance(op, Load):
+            elif kind == LOAD or kind == STORE:
                 # the access's protocol events land in its phase's bucket
                 coherence.stats = phase_coherence.setdefault(
                     ctx.current_phase(), CoherenceStats())
-                cycles = cores[ctx.core].load_cycles(op.addr, ctx.clock)
+                core = cores[ctx.core]
+                access = core.load_cycles if kind == LOAD else core.store_cycles
+                cycles = access(arg, ctx.clock)
                 stats.add_busy(ctx.current_phase(), ctx.tid, cycles)
                 ctx.clock += cycles
                 if scheduled:
                     ctx.instructions += 1
                     scheduler.on_charge(ctx, cycles)
-            elif isinstance(op, Store):
-                # the access's protocol events land in its phase's bucket
-                coherence.stats = phase_coherence.setdefault(
-                    ctx.current_phase(), CoherenceStats())
-                cycles = cores[ctx.core].store_cycles(op.addr, ctx.clock)
-                stats.add_busy(ctx.current_phase(), ctx.tid, cycles)
-                ctx.clock += cycles
-                if scheduled:
-                    ctx.instructions += 1
-                    scheduler.on_charge(ctx, cycles)
-            elif isinstance(op, PhaseBegin):
-                ctx.phase_stack.append(op.phase)
-                stats.note_begin(op.phase, ctx.clock)
+            elif kind == PHASE_BEGIN:
+                phase = ctx.labels[arg]
+                ctx.phase_stack.append(phase)
+                stats.note_begin(phase, ctx.clock)
                 if scheduled:
                     scheduler.on_phase_change(ctx)
-            elif isinstance(op, PhaseEnd):
-                if not ctx.phase_stack or ctx.phase_stack[-1] != op.phase:
+            elif kind == PHASE_END:
+                phase = ctx.labels[arg]
+                if not ctx.phase_stack or ctx.phase_stack[-1] != phase:
                     raise TraceError(
-                        f"thread {ctx.tid}: PhaseEnd({op.phase!r}) does not match "
+                        f"thread {ctx.tid}: PhaseEnd({phase!r}) does not match "
                         f"open phases {ctx.phase_stack}"
                     )
                 ctx.phase_stack.pop()
-                stats.note_end(op.phase, ctx.clock)
+                stats.note_end(phase, ctx.clock)
                 if scheduled:
                     scheduler.on_phase_change(ctx)
-            elif isinstance(op, Barrier):
-                arrivals = barrier_arrivals.setdefault(op.barrier_id, {})
+            elif kind == BARRIER:
+                arrivals = barrier_arrivals.setdefault(arg, {})
                 if ctx.tid in arrivals:
                     raise TraceError(
-                        f"thread {ctx.tid} hit barrier {op.barrier_id} twice "
+                        f"thread {ctx.tid} hit barrier {arg} twice "
                         "before release"
                     )
                 arrivals[ctx.tid] = ctx.clock
                 ctx.state = ThreadState.AT_BARRIER
-                ctx.barrier_id = op.barrier_id
+                ctx.barrier_id = arg
                 scheduler.on_block(ctx)
                 if len(arrivals) == program.n_threads:
-                    release_barrier(op.barrier_id)
-            elif isinstance(op, Lock):
-                if op.lock_id not in lock_holder:
-                    lock_holder[op.lock_id] = ctx.tid
-                    ctx.held_locks.add(op.lock_id)
+                    release_barrier(arg)
+            elif kind == LOCK:
+                if arg not in lock_holder:
+                    lock_holder[arg] = ctx.tid
+                    ctx.held_locks.add(arg)
                     cycles = self.config.lock_acquire_latency
                     stats.add_busy(ctx.current_phase(), ctx.tid, cycles)
                     ctx.clock += cycles
                     if scheduled:
                         scheduler.on_charge(ctx, cycles)
                 else:
-                    lock_waiters.setdefault(op.lock_id, []).append(ctx.tid)
+                    lock_waiters.setdefault(arg, []).append(ctx.tid)
                     ctx.state = ThreadState.WAIT_LOCK
                     scheduler.on_block(ctx)
-            elif isinstance(op, Unlock):
-                if lock_holder.get(op.lock_id) != ctx.tid:
+            else:  # UNLOCK: the columns hold no other kind
+                if lock_holder.get(arg) != ctx.tid:
                     raise TraceError(
-                        f"thread {ctx.tid} unlocked lock {op.lock_id} it does not hold"
+                        f"thread {ctx.tid} unlocked lock {arg} it does not hold"
                     )
-                del lock_holder[op.lock_id]
-                ctx.held_locks.discard(op.lock_id)
-                waiters = lock_waiters.get(op.lock_id)
+                del lock_holder[arg]
+                ctx.held_locks.discard(arg)
+                waiters = lock_waiters.get(arg)
                 if waiters:
                     next_tid = waiters.pop(0)
                     w = threads[next_tid]
                     wait = max(w.clock, ctx.clock) - w.clock
                     stats.add_wait(w.current_phase(), next_tid, wait)
                     w.clock = max(w.clock, ctx.clock)
-                    lock_holder[op.lock_id] = next_tid
-                    w.held_locks.add(op.lock_id)
+                    lock_holder[arg] = next_tid
+                    w.held_locks.add(arg)
                     cycles = self.config.lock_acquire_latency
                     stats.add_busy(w.current_phase(), next_tid, cycles)
                     w.clock += cycles
@@ -389,8 +389,6 @@ class Machine:
                     # the handover acquire is charged before the waiter is
                     # re-dispatched, so it never counts against a quantum
                     scheduler.on_unblock(w)
-            else:  # pragma: no cover - exhaustive over Op
-                raise TraceError(f"unknown op {op!r}")
 
         # main loop: the scheduler names the next thread to advance (for
         # pinned dispatch this is the pre-refactor rule — the earliest

@@ -1,11 +1,11 @@
 """Scheduler interface and the thread context it dispatches.
 
 :class:`ThreadContext` carries both the trace-execution state the machine
-owns (ops cursor, clock, phase stack, held locks) and the dispatch state
-the scheduler owns (current core,
-quantum budget, run-queue position).  The machine drives the event loop and
-notifies the scheduler at every state transition; the scheduler decides
-placement and ordering.
+owns (the thread's trace columns and a cursor into them, clock, phase
+stack, held locks) and the dispatch state the scheduler owns (current
+core, quantum budget, run-queue position).  The machine drives the event
+loop and notifies the scheduler at every state transition; the scheduler
+decides placement and ordering.
 
 Event-flow contract between machine and scheduler::
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.simx.config import MachineConfig
 from repro.simx.stats import SchedStats
@@ -59,7 +59,13 @@ class ThreadContext:
     """Execution and dispatch bookkeeping for one thread."""
 
     tid: int
-    ops: Iterator
+    #: the thread's trace columns as lists (see
+    #: :meth:`repro.simx.trace.ThreadTrace.columns`); ``ip`` indexes the
+    #: next op
+    kinds: list[int]
+    args: list[int]
+    labels: tuple[str, ...]
+    ip: int = 0
     clock: int = 0
     state: ThreadState = ThreadState.RUNNABLE
     phase_stack: list[str] = field(default_factory=list)

@@ -12,15 +12,16 @@ A workload compiles each thread's execution into a sequence of operations:
   cycle a thread spends between the markers is attributed to that phase
   (the simulator equivalent of SESC's per-section cycle counters).
 
-A :class:`ThreadTrace` holds one thread's sequence in either of two forms:
-op objects (any iterable; a generator is listed on first use), or
-integer columns (:meth:`ThreadTrace.from_columns`): an ``int8`` kind code
-per op (:data:`COMPUTE` … :data:`PHASE_END`, in :data:`OP_TYPES` order)
-and an ``int64`` argument — the instruction count, byte address, barrier
-id, lock id or phase-label index.  Each form is derived from the other
-once, on first use, and cached on the trace: the batch engine reads
-columns, the reference engine and :mod:`repro.simx.traceio` read ops.  A
-trace is therefore materialised whole; a generator does not bound memory.
+A :class:`ThreadTrace` stores one thread's sequence in one form, integer
+columns: an ``int8`` kind code per op (:data:`COMPUTE` … :data:`PHASE_END`,
+in :data:`OP_TYPES` order), an ``int64`` argument — the instruction count,
+byte address, barrier id, lock id or phase-label index — and the tuple of
+phase labels.  :meth:`ThreadTrace.from_columns` takes the columns as they
+are; ``ThreadTrace(tid, ops)`` lowers any iterable of op objects once, at
+construction, and keeps no reference to it.  Both engines read the
+columns; :attr:`ThreadTrace.ops` and iteration build op objects on
+demand, for tools and tests, and cache nothing, so a held program costs
+9 bytes per op.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compute:
     """A burst of ``instructions`` non-memory instructions."""
 
@@ -65,7 +66,7 @@ class Compute:
             raise ValueError(f"instructions must be >= 0, got {self.instructions}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Load:
     """A read of the cache line containing byte address ``addr``."""
 
@@ -76,7 +77,7 @@ class Load:
             raise ValueError(f"addr must be >= 0, got {self.addr}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Store:
     """A write to the cache line containing byte address ``addr``."""
 
@@ -87,35 +88,35 @@ class Store:
             raise ValueError(f"addr must be >= 0, got {self.addr}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Barrier:
     """A named all-thread barrier; every thread must reach it."""
 
     barrier_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lock:
     """Acquire the named lock (blocks while another thread holds it)."""
 
     lock_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unlock:
     """Release the named lock; must be held by this thread."""
 
     lock_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseBegin:
     """Start attributing this thread's cycles to ``phase``."""
 
     phase: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseEnd:
     """Stop attributing this thread's cycles to ``phase``."""
 
@@ -144,22 +145,50 @@ def _reject(mask: np.ndarray, values: np.ndarray, message: str) -> None:
         raise ValueError(message.format(values[mask][0]))
 
 
-class ThreadTrace:
-    """One thread's operation sequence, as op objects or as columns.
+def _lower(ops: Iterable[Op]) -> "tuple[np.ndarray, np.ndarray, tuple[str, ...]]":
+    """``(kinds, args, labels)`` for an op stream, in one pass.  Raises
+    :class:`ValueError` for an object that is not an op and for an
+    argument that is not an integer int64 holds."""
+    kinds: list[int] = []
+    args: list[int] = []
+    labels: dict[str, int] = {}
+    for op in ops:
+        t = type(op)
+        if t is Compute:
+            kinds.append(COMPUTE)
+            args.append(op.instructions)
+        elif t is Load or t is Store:
+            kinds.append(LOAD if t is Load else STORE)
+            args.append(op.addr)
+        elif t is Barrier:
+            kinds.append(BARRIER)
+            args.append(op.barrier_id)
+        elif t is Lock or t is Unlock:
+            kinds.append(LOCK if t is Lock else UNLOCK)
+            args.append(op.lock_id)
+        elif t is PhaseBegin or t is PhaseEnd:
+            kinds.append(PHASE_BEGIN if t is PhaseBegin else PHASE_END)
+            args.append(labels.setdefault(op.phase, len(labels)))
+        else:
+            raise ValueError(f"unknown op {op!r}")
+    return (np.array(kinds, dtype=np.int8), _int64(args, "op arguments"),
+            tuple(labels))
 
-    ``ThreadTrace(tid, ops)`` takes any iterable of ops and lists it on
-    first use, so a generator-backed trace runs the same every time.
-    :meth:`from_columns` takes the columnar form.  :attr:`ops` and
-    :meth:`columns` each derive their form from the other once and cache
-    it, so a trace must not be mutated after its first use.
+
+class ThreadTrace:
+    """One thread's operation sequence, stored as integer columns.
+
+    ``ThreadTrace(tid, ops)`` lowers any iterable of ops at construction
+    (a generator is consumed there); :meth:`from_columns` takes the
+    columns directly.  Either way the trace owns its columns: changing
+    the list or arrays it was built from does not change it.
     """
 
-    __slots__ = ("thread_id", "_ops", "_columns")
+    __slots__ = ("thread_id", "_columns")
 
     def __init__(self, thread_id: int, ops: Iterable[Op]):
         self.thread_id = thread_id
-        self._ops = ops
-        self._columns = None
+        self._columns = _lower(ops)
 
     @classmethod
     def from_columns(
@@ -194,68 +223,25 @@ class ThreadTrace:
                 f"phase label index {{}} outside the {len(labels)} labels")
         trace = cls.__new__(cls)
         trace.thread_id = thread_id
-        trace._ops = None
         trace._columns = (kinds, args, labels)
         return trace
 
     @property
-    def materialised(self) -> bool:
-        """Whether the trace holds op objects (given, or built by :attr:`ops`)."""
-        return self._ops is not None
-
-    @property
     def ops(self) -> list[Op]:
-        """The op objects, built from the columns on first access."""
-        ops = self._ops
-        if ops is None:
-            kinds, args, labels = self._columns
-            ops = self._ops = [
-                OP_TYPES[k](labels[a] if k >= PHASE_BEGIN else a)
-                for k, a in zip(kinds.tolist(), args.tolist())
-            ]
-        elif not isinstance(ops, list):
-            ops = self._ops = list(ops)
-        return ops
+        """The op objects, built from the columns on every access."""
+        return list(self)
 
     def columns(self) -> "tuple[np.ndarray, np.ndarray, tuple[str, ...]]":
-        """``(kinds, args, labels)``, derived from the ops in one pass on
-        first call."""
-        if self._columns is None:
-            kinds: list[int] = []
-            args: list[int] = []
-            labels: dict[str, int] = {}
-            for op in self.ops:
-                t = type(op)
-                if t is Compute:
-                    kinds.append(COMPUTE)
-                    args.append(op.instructions)
-                elif t is Load or t is Store:
-                    kinds.append(LOAD if t is Load else STORE)
-                    args.append(op.addr)
-                elif t is Barrier:
-                    kinds.append(BARRIER)
-                    args.append(op.barrier_id)
-                elif t is Lock or t is Unlock:
-                    kinds.append(LOCK if t is Lock else UNLOCK)
-                    args.append(op.lock_id)
-                elif t is PhaseBegin or t is PhaseEnd:
-                    kinds.append(PHASE_BEGIN if t is PhaseBegin else PHASE_END)
-                    args.append(labels.setdefault(op.phase, len(labels)))
-                else:
-                    raise ValueError(f"unknown op {op!r}")
-            self._columns = (
-                np.array(kinds, dtype=np.int8),
-                _int64(args, "op arguments"),
-                tuple(labels),
-            )
+        """``(kinds, args, labels)``: the trace's one stored form."""
         return self._columns
 
     def __iter__(self) -> Iterator[Op]:
-        return iter(self.ops)
+        kinds, args, labels = self._columns
+        for k, a in zip(kinds.tolist(), args.tolist()):
+            yield OP_TYPES[k](labels[a] if k >= PHASE_BEGIN else a)
 
     def __repr__(self) -> str:
-        form = "ops" if self.materialised else "columns"
-        return f"ThreadTrace(thread_id={self.thread_id}, form={form!r})"
+        return f"ThreadTrace(thread_id={self.thread_id}, n_ops={len(self._columns[0])})"
 
 
 @dataclass

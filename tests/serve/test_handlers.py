@@ -44,6 +44,29 @@ class TestRouting:
         assert health["status"] == "ok"
         assert health["lru"]["maxsize"] == 4096
 
+    def test_healthz_looks_the_version_up_once(self, monkeypatch):
+        import importlib.metadata
+
+        from repro.cli import version_string
+
+        lookups = []
+        real_version = importlib.metadata.version
+
+        def counting(name):
+            lookups.append(name)
+            return real_version(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", counting)
+        version_string.cache_clear()
+        try:
+            app = ServeApp()
+            first = json.loads(_request(app, "GET", "/healthz")[2])
+            second = json.loads(_request(app, "GET", "/healthz")[2])
+        finally:
+            version_string.cache_clear()
+        assert lookups == ["repro"]
+        assert first["version"] == second["version"]
+
     def test_unknown_route_is_404(self):
         status, _, payload = _request(ServeApp(), "GET", "/nope")
         assert status == 404

@@ -1,14 +1,21 @@
-"""The columnar trace form: validation, caching and both engines on it.
+"""The columnar trace form: validation, ownership and both engines on it.
 
-A :class:`~repro.simx.trace.ThreadTrace` holds op objects or integer
-columns and derives the other form once, on first use.  These tests pin
-what that promises: ``from_columns`` rejects what the op constructors
-reject, a generator-backed program runs the same every time, the batch
-engine's hazard bail works on a columnar program, and a simulated
-experiment builds no ``Compute``/``Load``/``Store`` objects at all.
+A :class:`~repro.simx.trace.ThreadTrace` stores integer columns and
+nothing else: ``ThreadTrace(tid, ops)`` lowers its ops at construction
+and ``.ops`` builds op objects on demand.  These tests pin what that
+promises: ``from_columns`` rejects what the op constructors reject, a
+trace owns its columns (mutating the list it was built from changes
+neither engine's run, and a held program costs a few bytes per op), a
+generator-backed program runs the same every time, the batch engine's
+hazard bail works on a columnar program, and a simulated experiment
+builds no ``Compute``/``Load``/``Store`` objects at all.
 """
 
+import gc
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +57,15 @@ def columnar(threads) -> TraceProgram:
     return TraceProgram("columnar", out)
 
 
+def assert_columns_only(trace: ThreadTrace) -> None:
+    """The trace holds its thread id and its columns, and nothing else."""
+    kinds, args, labels = trace.columns()
+    assert kinds.dtype == np.int8 and args.dtype == np.int64
+    assert type(labels) is tuple
+    held = {id(r) for r in gc.get_referents(trace)} - {id(ThreadTrace)}
+    assert held == {id(trace.thread_id), id(trace.columns())}
+
+
 def private(tid, idx):
     return (0x1000 + tid * 0x100 + idx) * LINE
 
@@ -62,13 +78,13 @@ class TestFromColumns:
         kinds = [COMPUTE, LOAD, STORE, BARRIER, 4, 5, PHASE_BEGIN, PHASE_END]
         args = [7, 64, 128, 3, 1, 1, 1, 0]
         trace = ThreadTrace.from_columns(0, kinds, args, ("a", "b"))
-        assert not trace.materialised
         assert trace.ops == [
             Compute(7), Load(64), Store(128), Barrier(3), OP_TYPES[4](1),
             OP_TYPES[5](1), PhaseBegin("b"), PhaseEnd("a"),
         ]
-        assert trace.materialised
-        assert trace.ops is trace.ops  # built once
+        assert list(trace) == trace.ops
+        assert trace.ops is not trace.ops  # built on every access
+        assert_columns_only(trace)
 
     def test_object_columns_round_trip(self):
         ops = [PhaseBegin("x"), Compute(3), Load(640), Barrier(0), PhaseEnd("x")]
@@ -114,9 +130,65 @@ class TestFromColumns:
         # the batch engine reads int64 columns: a fractional count must
         # not be truncated silently
         with pytest.raises(ValueError, match="integers"):
-            ThreadTrace(0, [Compute(2.5)]).columns()
+            ThreadTrace(0, [Compute(2.5)])
         with pytest.raises(ValueError, match="integers"):
-            ThreadTrace(0, [Load(2**64)]).columns()
+            ThreadTrace(0, [Load(2**64)])
+
+
+# ── one stored form ───────────────────────────────────────────────────────
+
+
+class TestOneStoredForm:
+    def test_an_object_trace_stores_only_its_columns(self):
+        ops = [PhaseBegin("x"), Compute(3), Load(640), Barrier(0), PhaseEnd("x")]
+        trace = ThreadTrace(0, ops)
+        assert_columns_only(trace)
+        assert trace.ops == ops and trace.ops is not ops
+
+    def test_mutating_the_source_list_changes_neither_engine(self):
+        ops = [Load(0), Compute(20)]
+        program = TraceProgram("own", [ThreadTrace(0, ops)])
+        ops.append(Store(LINE))
+        ref, bat = run_two(tiny_config(n_cores=1), program)
+        assert ref.n_ops == bat.n_ops == 2
+        assert_identical(bat, ref)
+        # and after a run has read the columns
+        ops.append(Load(2 * LINE))
+        ref_again, bat_again = run_two(tiny_config(n_cores=1), program)
+        assert_identical(ref_again, ref)
+        assert_identical(bat_again, ref)
+
+    def test_a_malformed_stream_raises_at_construction(self):
+        with pytest.raises(ValueError, match="unknown op"):
+            ThreadTrace(0, [Compute(1), "not an op"])
+
+    def test_a_generator_is_consumed_at_construction(self):
+        ops = iter([Compute(1), Load(0)])
+        trace = ThreadTrace(0, ops)
+        assert next(ops, None) is None
+        assert trace.ops == [Compute(1), Load(0)]
+
+    def test_a_held_program_costs_a_few_bytes_per_op(self):
+        """The 16-thread simx-merge program (57,696 ops) built from op
+        objects: what it retains once built is its columns, 9 B per op,
+        where holding the op list cost about 120."""
+        sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"))
+        try:
+            import wl_simx
+        finally:
+            sys.path.pop(0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            program = wl_simx.build_program(1, 0)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n_ops = sum(len(t.columns()[0]) for t in program.threads)
+        assert n_ops > 50_000
+        assert held / n_ops <= 16
 
 
 # ── generator-backed programs ─────────────────────────────────────────────
@@ -165,10 +237,10 @@ class TestColumnarBail:
             [Compute(50), Load(0), Load(4 * LINE)],
         ]
         cfg = tiny_config()
-        # the batch engine lowers the columns before anything materialises
         program = columnar(threads)
         bat = Machine(replace(cfg, batch_path=True)).run(program)
-        assert not any(t.materialised for t in program.threads)
+        for t in program.threads:
+            assert_columns_only(t)
         ref, bat_again = run_two(cfg, columnar(threads))
         assert bat.n_burst_fallbacks >= 1
         assert_identical(bat, ref)

@@ -1,4 +1,6 @@
-"""Unit tests for trace serialisation."""
+"""Unit tests for trace serialisation: JSONL records and pickled ops."""
+
+import pickle
 
 import pytest
 
@@ -17,7 +19,13 @@ from repro.simx import (
     Unlock,
 )
 from repro.simx.config import CacheConfig
+from repro.simx.trace import OP_TYPES
 from repro.simx.traceio import dump_program, load_program, op_from_record, op_to_record
+
+ONE_OF_EACH = [
+    Compute(42), Load(640), Store(0), Barrier(3), Lock(1), Unlock(1),
+    PhaseBegin("x"), PhaseEnd("x"),
+]
 
 
 def sample_program() -> TraceProgram:
@@ -36,11 +44,22 @@ def sample_program() -> TraceProgram:
     )
 
 
+class TestOpValues:
+    def test_one_of_each_kind(self):
+        assert [type(op) for op in ONE_OF_EACH] == list(OP_TYPES)
+
+    @pytest.mark.parametrize("op", ONE_OF_EACH)
+    def test_pickle_roundtrip_each_kind(self, op):
+        back = pickle.loads(pickle.dumps(op))
+        assert back == op and type(back) is type(op)
+
+    @pytest.mark.parametrize("op", ONE_OF_EACH)
+    def test_ops_are_slotted(self, op):
+        assert not hasattr(op, "__dict__")
+
+
 class TestOpRecords:
-    @pytest.mark.parametrize("op", [
-        Compute(42), Load(640), Store(0), Barrier(3), Lock(1), Unlock(1),
-        PhaseBegin("x"), PhaseEnd("x"),
-    ])
+    @pytest.mark.parametrize("op", ONE_OF_EACH)
     def test_roundtrip_each_kind(self, op):
         tid, back = op_from_record(op_to_record(5, op))
         assert tid == 5
@@ -107,6 +126,25 @@ class TestFileRoundtrip:
             '{"t": 5, "op": "C", "n": 1}\n'
         )
         with pytest.raises(ValueError):
+            load_program(p)
+
+    def test_loading_and_dumping_build_no_op_objects(self, tmp_path, monkeypatch):
+        path = dump_program(sample_program(), tmp_path / "demo.jsonl")
+        built = []
+        for cls in OP_TYPES:
+            monkeypatch.setattr(cls, "__init__", lambda self, *a: built.append(a))
+        loaded = load_program(path)
+        dump_program(loaded, tmp_path / "again.jsonl")
+        assert built == []
+        assert (tmp_path / "again.jsonl").read_text() == path.read_text()
+
+    def test_a_negative_address_is_rejected(self, tmp_path):
+        p = tmp_path / "neg.jsonl"
+        p.write_text(
+            '{"kind": "program", "name": "x", "n_threads": 1, "metadata": {}}\n'
+            '{"t": 0, "op": "L", "a": -64}\n'
+        )
+        with pytest.raises(ValueError, match=r"neg\.jsonl: thread 0: addr must be >= 0"):
             load_program(p)
 
     def test_bad_op_record_names_its_line(self, tmp_path):
