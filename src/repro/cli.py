@@ -60,6 +60,8 @@ from repro.experiments.registry import (
     EXPERIMENTS,
     describe_experiment,
     filter_options,
+    get_spec,
+    parse_options,
     run_experiments,
 )
 from repro.util.logging import configure, get_logger
@@ -357,7 +359,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro import obs
 
-    data = obs.read_jsonl(args.metrics_file)
+    try:
+        data = obs.read_jsonl(args.metrics_file)
+    except (OSError, ValueError) as exc:
+        print(f"stats: {exc}", file=sys.stderr)
+        return 2
     if args.prometheus:
         reg = obs.MetricsRegistry(enabled=True)
         reg.merge_snapshot(data["metrics"])
@@ -365,16 +371,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     else:
         print(obs.render_stats(data))
     return 0
-
-
-def _gather_options(args: argparse.Namespace) -> dict:
-    """Driver options from the CLI flags (filtered per driver later)."""
-    options: dict = {}
-    if args.scale is not None:
-        options["scale"] = args.scale
-    if args.threads:
-        options["thread_counts"] = [int(t) for t in args.threads.split(",") if t]
-    return options
 
 
 def _resolve_run(args: argparse.Namespace, options: dict) -> "str | None":
@@ -490,10 +486,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     assembles from them."""
     from repro import engine
 
-    options = _gather_options(args)
     try:
+        # driver options from the flags, filtered per driver later
+        options = parse_options(args.scale, args.threads)
         run_id = _resolve_run(args, options)
-    except FileNotFoundError as exc:
+        if args.experiment not in (None, "all"):
+            get_spec(args.experiment)
+    except (FileNotFoundError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     if args.experiment is None:
@@ -610,7 +609,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.experiments.diffing import diff_reports
     from repro.experiments.store import load_report
 
-    diff = diff_reports(load_report(args.old), load_report(args.new))
+    try:
+        old, new = load_report(args.old), load_report(args.new)
+    except (OSError, ValueError) as exc:
+        print(f"diff: {exc}", file=sys.stderr)
+        return 2
+    diff = diff_reports(old, new)
     print(diff.render())
     return 0 if diff.is_clean or not diff.flipped_claims else 1
 

@@ -33,6 +33,7 @@ __all__ = [
     "run_experiments",
     "validate_options",
     "filter_options",
+    "parse_options",
     "describe_experiment",
     "listing",
     "declare_units",
@@ -107,6 +108,44 @@ def filter_options(experiment_id: str,
     knobs it understands.
     """
     return get_spec(experiment_id).filter_options(options)
+
+
+def parse_options(scale=None, threads=None, n=None) -> dict:
+    """Driver options from an interface's raw values: ``repro
+    run``/``runall`` flags or serve's ``/v1/report`` query parameters.
+
+    ``scale`` is a number in (0, 1], ``threads`` a comma-separated list
+    of positive thread counts (``thread_counts``), ``n`` an integer >= 1;
+    ``None`` leaves an option out.  Raises :class:`ValueError` with a
+    one-line message naming the bad value.
+    """
+    options: dict = {}
+    if scale is not None:
+        try:
+            value = float(scale)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value <= 1:
+            raise ValueError(f"scale must be a number in (0, 1], got {scale!r}")
+        options["scale"] = value
+    if threads is not None:
+        try:
+            counts = tuple(int(t) for t in threads.split(",") if t)
+        except ValueError:
+            counts = ()
+        if not counts or min(counts) < 1:
+            raise ValueError(f"threads must be a comma-separated list of "
+                             f"positive integers, got {threads!r}")
+        options["thread_counts"] = counts
+    if n is not None:
+        try:
+            value = int(n)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        options["n"] = value
+    return options
 
 
 _EXPERIMENT_SECONDS = obs.histogram(

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 
 from repro import obs
@@ -80,10 +81,17 @@ def json_response(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number: ``NaN`` and ``Infinity`` parse as floats but
+    have no JSON encoding to answer with."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _require_number(body: dict, name: str) -> float:
     value = body.get(name)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise HttpError(400, f"field {name!r} must be a number")
+    if not _is_number(value):
+        raise HttpError(400, f"field {name!r} must be a finite number")
     return float(value)
 
 
@@ -223,10 +231,10 @@ class ServeApp:
         }
         choices = body.get("r_choices")
         if choices is not None:
-            if (not isinstance(choices, list) or not choices or not all(
-                    isinstance(c, (int, float)) and not isinstance(c, bool)
-                    for c in choices)):
-                raise HttpError(400, "field 'r_choices' must be a list of numbers")
+            if (not isinstance(choices, list) or not choices
+                    or not all(_is_number(c) for c in choices)):
+                raise HttpError(400, "field 'r_choices' must be a list of "
+                                     "finite numbers")
             kwargs["r_choices"] = [float(c) for c in choices]
 
         async def factory():
@@ -241,26 +249,15 @@ class ServeApp:
 
     @staticmethod
     def _report_options(params: dict) -> dict:
-        """Driver options from query parameters (CLI-flag shaped)."""
-        options: dict = {}
-        if "scale" in params:
-            try:
-                options["scale"] = float(params["scale"])
-            except ValueError:
-                raise HttpError(400, "query parameter 'scale' must be a number")
-        if "threads" in params:
-            try:
-                options["thread_counts"] = tuple(
-                    int(t) for t in params["threads"].split(",") if t)
-            except ValueError:
-                raise HttpError(400, "query parameter 'threads' must be a "
-                                     "comma-separated list of integers")
-        if "n" in params:
-            try:
-                options["n"] = int(params["n"])
-            except ValueError:
-                raise HttpError(400, "query parameter 'n' must be an integer")
-        return options
+        """Driver options from query parameters (CLI-flag shaped); a bad
+        value is a 400."""
+        from repro.experiments.registry import parse_options
+
+        try:
+            return parse_options(params.get("scale"), params.get("threads"),
+                                 params.get("n"))
+        except ValueError as exc:
+            raise HttpError(400, f"query parameter {exc}") from None
 
     async def report(self, experiment_id: str, params: dict) -> dict:
         from repro.experiments.registry import (

@@ -29,7 +29,6 @@ from repro.simx.sched import (
     RoundRobinScheduler,
     Scheduler,
     build_scheduler,
-    supports_scheduling,
 )
 from repro.simx.stats import PhaseStats, SchedStats
 from repro.simx.trace import (
@@ -69,5 +68,4 @@ __all__ = [
     "AcmpScheduler",
     "build_scheduler",
     "supports_batch_path",
-    "supports_scheduling",
 ]

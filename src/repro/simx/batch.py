@@ -127,16 +127,15 @@ def supports_batch_path(config: MachineConfig) -> bool:
     order-independence gate: flat DRAM (the banked model's open-row
     state couples cores), no bus arbitration (a contended bus serialises
     transactions in global arrival order), and pinned dispatch
-    (:func:`repro.simx.sched.supports_scheduling` — lockstep epochs
-    assume one thread per core).
+    (private runs execute without a scheduler pass, so lockstep epochs
+    assume one thread per core; every time-multiplexing policy runs on
+    the reference engine).
     """
-    from repro.simx.sched import supports_scheduling
-
     return (
         config.batch_path
         and config.dram == "flat"
         and not (config.interconnect == "bus" and config.bus_occupancy > 0)
-        and supports_scheduling(config)
+        and config.scheduler == "pinned"
     )
 
 

@@ -32,6 +32,7 @@ detected and raised rather than hanging the simulation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -39,7 +40,6 @@ from repro import obs
 from repro.simx.batch import run_batch, supports_batch_path
 from repro.simx.coherence import CoherenceController, CoherenceStats
 from repro.simx.config import MachineConfig
-from repro.simx.core_model import CoreModel
 from repro.simx.sched import ThreadContext, ThreadState, build_scheduler
 from repro.simx.stats import PhaseStats, SchedStats
 from repro.simx.trace import (
@@ -241,18 +241,14 @@ class Machine:
         # pinned: thread i owns core i, so only n_threads cores are live.
         # time-multiplexed: threads move, so all n_cores are live and a
         # thread's L1/perf identity follows the physical core under it.
+        config = self.config
         coherence = CoherenceController(
-            self.config, live_cores=None if scheduled else program.n_threads
+            config, live_cores=None if scheduled else program.n_threads
         )
-        cores = [
-            CoreModel(
-                i, self.config.core, coherence,
-                perf_factor=self.config.perf_factor(i),
-            )
-            for i in range(
-                self.config.n_cores if scheduled else program.n_threads
-            )
-        ]
+        # compute is priced by the core the thread runs on; memory
+        # latencies are not scaled (bigger cores don't speed up the wires)
+        denoms = [config.core.effective_ipc * config.perf_factor(i)
+                  for i in range(config.n_cores)]
         threads = []
         for t in program.threads:
             kinds, args, labels = t.columns()
@@ -260,7 +256,7 @@ class Machine:
                                          args=args.tolist(), labels=labels))
         ops_executed = 0
         stats = PhaseStats()
-        scheduler = build_scheduler(self.config)
+        scheduler = build_scheduler(config)
 
         def charge_wait(ctx: ThreadContext, cycles: int) -> None:
             """Attribute run-queue delay to the thread's current phase."""
@@ -274,13 +270,12 @@ class Machine:
 
         def release_barrier(bid: int) -> None:
             arrivals = barrier_arrivals.pop(bid)
-            release = max(arrivals.values()) + self.config.barrier_release_latency
+            release = max(arrivals.values()) + config.barrier_release_latency
             for tid, arrived_at in arrivals.items():
                 ctx = threads[tid]
                 stats.add_wait(ctx.current_phase(), tid, release - arrived_at)
                 ctx.clock = release
                 ctx.state = ThreadState.RUNNABLE
-                ctx.barrier_id = None
                 scheduler.on_unblock(ctx)
 
         def step(ctx: ThreadContext) -> None:
@@ -289,9 +284,11 @@ class Machine:
             try:
                 kind = ctx.kinds[i]
             except IndexError:
-                if ctx.held_locks:
+                held = sorted(lock for lock, holder in lock_holder.items()
+                              if holder == ctx.tid)
+                if held:
                     raise TraceError(
-                        f"thread {ctx.tid} finished holding locks {sorted(ctx.held_locks)}"
+                        f"thread {ctx.tid} finished holding locks {held}"
                     ) from None
                 if ctx.phase_stack:
                     raise TraceError(
@@ -305,30 +302,21 @@ class Machine:
             ctx.ip = i + 1
             ops_executed += 1
             if kind == COMPUTE:
-                cycles = cores[ctx.core].compute_cycles(arg)
-                stats.add_busy(ctx.current_phase(), ctx.tid, cycles)
-                ctx.clock += cycles
-                if scheduled:
-                    ctx.instructions += arg
-                    scheduler.on_charge(ctx, cycles)
+                cycles = math.ceil(arg / denoms[ctx.core])
+                ctx.instructions += arg
             elif kind == LOAD or kind == STORE:
                 # the access's protocol events land in its phase's bucket
                 coherence.stats = phase_coherence.setdefault(
                     ctx.current_phase(), CoherenceStats())
-                core = cores[ctx.core]
-                access = core.load_cycles if kind == LOAD else core.store_cycles
-                cycles = access(arg, ctx.clock)
-                stats.add_busy(ctx.current_phase(), ctx.tid, cycles)
-                ctx.clock += cycles
-                if scheduled:
-                    ctx.instructions += 1
-                    scheduler.on_charge(ctx, cycles)
+                access = coherence.read if kind == LOAD else coherence.write
+                cycles = access(ctx.core, arg, ctx.clock)
+                ctx.instructions += 1
             elif kind == PHASE_BEGIN:
                 phase = ctx.labels[arg]
                 ctx.phase_stack.append(phase)
                 stats.note_begin(phase, ctx.clock)
-                if scheduled:
-                    scheduler.on_phase_change(ctx)
+                scheduler.on_phase_change(ctx)
+                return
             elif kind == PHASE_END:
                 phase = ctx.labels[arg]
                 if not ctx.phase_stack or ctx.phase_stack[-1] != phase:
@@ -338,8 +326,8 @@ class Machine:
                     )
                 ctx.phase_stack.pop()
                 stats.note_end(phase, ctx.clock)
-                if scheduled:
-                    scheduler.on_phase_change(ctx)
+                scheduler.on_phase_change(ctx)
+                return
             elif kind == BARRIER:
                 arrivals = barrier_arrivals.setdefault(arg, {})
                 if ctx.tid in arrivals:
@@ -349,30 +337,24 @@ class Machine:
                     )
                 arrivals[ctx.tid] = ctx.clock
                 ctx.state = ThreadState.AT_BARRIER
-                ctx.barrier_id = arg
                 scheduler.on_block(ctx)
                 if len(arrivals) == program.n_threads:
                     release_barrier(arg)
+                return
             elif kind == LOCK:
-                if arg not in lock_holder:
-                    lock_holder[arg] = ctx.tid
-                    ctx.held_locks.add(arg)
-                    cycles = self.config.lock_acquire_latency
-                    stats.add_busy(ctx.current_phase(), ctx.tid, cycles)
-                    ctx.clock += cycles
-                    if scheduled:
-                        scheduler.on_charge(ctx, cycles)
-                else:
+                if arg in lock_holder:
                     lock_waiters.setdefault(arg, []).append(ctx.tid)
                     ctx.state = ThreadState.WAIT_LOCK
                     scheduler.on_block(ctx)
+                    return
+                lock_holder[arg] = ctx.tid
+                cycles = config.lock_acquire_latency
             else:  # UNLOCK: the columns hold no other kind
                 if lock_holder.get(arg) != ctx.tid:
                     raise TraceError(
                         f"thread {ctx.tid} unlocked lock {arg} it does not hold"
                     )
                 del lock_holder[arg]
-                ctx.held_locks.discard(arg)
                 waiters = lock_waiters.get(arg)
                 if waiters:
                     next_tid = waiters.pop(0)
@@ -381,14 +363,19 @@ class Machine:
                     stats.add_wait(w.current_phase(), next_tid, wait)
                     w.clock = max(w.clock, ctx.clock)
                     lock_holder[arg] = next_tid
-                    w.held_locks.add(arg)
-                    cycles = self.config.lock_acquire_latency
+                    cycles = config.lock_acquire_latency
                     stats.add_busy(w.current_phase(), next_tid, cycles)
                     w.clock += cycles
                     w.state = ThreadState.RUNNABLE
                     # the handover acquire is charged before the waiter is
                     # re-dispatched, so it never counts against a quantum
                     scheduler.on_unblock(w)
+                return
+            # compute, an access or a free lock's acquire: the one place
+            # an op's busy cycles are charged
+            stats.add_busy(ctx.current_phase(), ctx.tid, cycles)
+            ctx.clock += cycles
+            scheduler.on_charge(ctx, cycles)
 
         # main loop: the scheduler names the next thread to advance (for
         # pinned dispatch this is the pre-refactor rule — the earliest
@@ -416,11 +403,7 @@ class Machine:
             thread_cycles=tuple(t.clock for t in threads),
             phase_stats=stats,
             coherence=CoherenceStats.total(phase_coherence.values()),
-            instructions=(
-                tuple(t.instructions for t in threads)
-                if scheduled
-                else tuple(c.instructions_retired for c in cores)
-            ),
+            instructions=tuple(t.instructions for t in threads),
             coherence_by_phase=phase_coherence,
             sched=scheduler.stats,
             engine="reference",

@@ -14,11 +14,14 @@ runnable thread advances next, and on *which* core, is delegated to a
 * :class:`AcmpScheduler` — round-robin plus a big-core ownership policy for
   asymmetric machines (who gets core 0 during the serial/merge phases).
 
-The batch engine (:mod:`repro.simx.batch`) interleaves work without
-consulting a scheduler, so it is only safe under pinned dispatch —
-:func:`supports_scheduling` is the seam it gates on, and any
-time-multiplexing policy falls back to the op-at-a-time reference engine
-(differentially tested in ``tests/sched/``).
+Every policy runs through the same op-at-a-time loop: the machine charges
+each op's cycles in one place and calls every scheduler hook under every
+policy (a hook a policy does not override is a no-op).  The batch engine
+(:mod:`repro.simx.batch`) interleaves work without consulting a
+scheduler, so it is only safe under pinned dispatch: its one gate,
+:func:`~repro.simx.batch.supports_batch_path`, sends any
+time-multiplexing policy to the reference engine (differentially tested
+in ``tests/sched/``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from repro.simx.sched.base import (
     ThreadContext,
     ThreadState,
     build_scheduler,
-    supports_scheduling,
 )
 from repro.simx.sched.pinned import PinnedScheduler
 from repro.simx.sched.roundrobin import RoundRobinScheduler
@@ -43,5 +45,4 @@ __all__ = [
     "ThreadContext",
     "ThreadState",
     "build_scheduler",
-    "supports_scheduling",
 ]

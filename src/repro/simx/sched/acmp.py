@@ -47,7 +47,6 @@ def _in_serial_phase(ctx: ThreadContext) -> bool:
 
 class AcmpScheduler(RoundRobinScheduler):
     name = "acmp"
-    wants_phase_events = True
 
     def __init__(self, config: MachineConfig):
         super().__init__(config)

@@ -2,10 +2,12 @@
 
 :class:`ThreadContext` carries both the trace-execution state the machine
 owns (the thread's trace columns and a cursor into them, clock, phase
-stack, held locks) and the dispatch state the scheduler owns (current
-core, quantum budget, run-queue position).  The machine drives the event
-loop and notifies the scheduler at every state transition; the scheduler
-decides placement and ordering.
+stack, retired instructions) and the dispatch state the scheduler owns
+(current core, quantum budget, run-queue position).  Lock ownership is
+the machine's ``lock_holder`` map alone.  The machine drives the event
+loop and notifies the scheduler at every state transition, under every
+policy; the scheduler decides placement and ordering, and a hook a
+policy does not override is a no-op.
 
 Event-flow contract between machine and scheduler::
 
@@ -16,10 +18,9 @@ Event-flow contract between machine and scheduler::
     on_unblock(ctx)      -> ctx is RUNNABLE again at ctx.clock; re-enters
                             the run queue
     on_done(ctx)         -> ctx finished its trace; frees its core
-    on_charge(ctx, c)    -> ctx consumed c busy cycles (quantum accounting;
-                            only called when ``uses_quantum``)
-    on_phase_change(ctx) -> ctx pushed/popped a phase (only called when
-                            ``wants_phase_events``)
+    on_charge(ctx, c)    -> ctx consumed c busy cycles (compute, an access
+                            or a lock acquire; quantum accounting)
+    on_phase_change(ctx) -> ctx pushed/popped a phase
 
 Preemption and migration are decided at *operation boundaries*: trace ops
 are atomic, so a quantum expires after the op that crossed it, and a
@@ -43,7 +44,6 @@ __all__ = [
     "ThreadState",
     "WaitCharge",
     "build_scheduler",
-    "supports_scheduling",
 ]
 
 
@@ -69,8 +69,9 @@ class ThreadContext:
     clock: int = 0
     state: ThreadState = ThreadState.RUNNABLE
     phase_stack: list[str] = field(default_factory=list)
-    held_locks: set[int] = field(default_factory=set)
-    barrier_id: "int | None" = None
+    #: instructions retired (a compute burst's count, 1 per access),
+    #: whichever cores the thread ran on
+    instructions: int = 0
     # ── scheduler-owned state ────────────────────────────────────────────
     #: core currently (or most recently) hosting the thread; None before
     #: the first dispatch.  Affinity and migration cost key off this.
@@ -83,9 +84,6 @@ class ThreadContext:
     ready_at: int = 0
     #: tie-break for threads queued at the same simulated time
     ready_seq: int = 0
-    #: per-thread retire counter — under time-multiplexing the per-core
-    #: counters mix threads, so the machine accounts retirement here
-    instructions: int = 0
 
     def current_phase(self) -> str:
         return self.phase_stack[-1] if self.phase_stack else "(unattributed)"
@@ -100,11 +98,6 @@ class Scheduler:
     """Dispatch policy: which runnable thread advances next, on which core."""
 
     name = "?"
-    #: whether the machine should report busy cycles via :meth:`on_charge`
-    uses_quantum = False
-    #: whether the machine should report phase pushes/pops via
-    #: :meth:`on_phase_change`
-    wants_phase_events = False
 
     def __init__(self, config: MachineConfig):
         self.config = config
@@ -133,17 +126,6 @@ class Scheduler:
 
     def on_phase_change(self, ctx: ThreadContext) -> None:
         pass
-
-
-def supports_scheduling(config: MachineConfig) -> bool:
-    """Whether the batch engine's dispatch assumption holds.
-
-    The batch engine executes private runs without a scheduler pass,
-    which is only equivalent to the event loop under pinned
-    one-thread-per-core dispatch.  Any time-multiplexing policy must fall
-    back to the op-at-a-time reference engine.
-    """
-    return config.scheduler == "pinned"
 
 
 def build_scheduler(config: MachineConfig) -> Scheduler:

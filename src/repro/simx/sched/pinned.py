@@ -6,18 +6,16 @@ run, and the event loop always advances the runnable thread with the
 smallest local clock (ties to the lowest thread id).  Nothing is ever
 preempted, queued, or migrated, so every :class:`~repro.simx.stats.SchedStats`
 counter stays zero and the batch engine remains safe
-(:func:`~repro.simx.sched.base.supports_scheduling`).
+(:func:`~repro.simx.batch.supports_batch_path`).
 """
 
 from __future__ import annotations
-
-from operator import attrgetter
 
 from repro.simx.sched.base import Scheduler, ThreadContext, ThreadState, WaitCharge
 
 __all__ = ["PinnedScheduler"]
 
-_by_clock = attrgetter("clock")
+_RUNNABLE = ThreadState.RUNNABLE
 
 
 class PinnedScheduler(Scheduler):
@@ -32,9 +30,10 @@ class PinnedScheduler(Scheduler):
             ctx.dispatched = True
 
     def next_thread(self) -> "ThreadContext | None":
-        runnable = [
-            t for t in self._threads if t.state is ThreadState.RUNNABLE
-        ]
-        if not runnable:
-            return None
-        return min(runnable, key=_by_clock)
+        # threads are in tid order, so the strict < keeps the lowest tid
+        # among equal clocks
+        best = None
+        for t in self._threads:
+            if t.state is _RUNNABLE and (best is None or t.clock < best.clock):
+                best = t
+        return best

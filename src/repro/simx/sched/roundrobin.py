@@ -41,7 +41,6 @@ _INF = float("inf")
 
 class RoundRobinScheduler(Scheduler):
     name = "round-robin"
-    uses_quantum = True
 
     def __init__(self, config: MachineConfig):
         super().__init__(config)

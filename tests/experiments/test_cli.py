@@ -155,9 +155,27 @@ class TestCommands:
         assert proc.stderr == b""  # no BrokenPipeError traceback
         assert proc.returncode == 1
 
-    def test_run_unknown_experiment(self):
-        with pytest.raises(ValueError):
-            main(["run", "fig99"])
+    def test_run_unknown_experiment(self, capsys):
+        assert main(["run", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'fig99'" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--scale", "0"], ["--scale", "1.5"], ["--scale", "nan"],
+        ["--threads", "0,2"], ["--threads", "2,-4"], ["--threads", ""],
+        ["--threads", "two"],
+    ], ids=["scale-0", "scale-above-1", "scale-nan", "threads-0",
+            "threads-negative", "threads-empty", "threads-not-int"])
+    @pytest.mark.parametrize("command", [["run", "table2"], ["runall"]])
+    def test_bad_option_value_is_a_usage_error(self, capsys, command, flags):
+        """A bad value is one line on stderr and exit 2, before any
+        experiment runs; exit 1 means a paper comparison failed."""
+        assert main(command + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"{command[0]}: ")
 
     def test_run_without_experiment_or_manifest_is_an_error(
             self, capsys, tmp_path, monkeypatch):
@@ -240,6 +258,18 @@ class TestCommands:
         ])
         assert rc == 0
         assert "no differences" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["diff", "{tmp}/also-missing.json"],
+    ], ids=["stats", "diff"])
+    def test_missing_input_file_is_a_usage_error(self, capsys, tmp_path,
+                                                 command):
+        argv = [command[0], str(tmp_path / "missing.json")]
+        argv += [a.format(tmp=tmp_path) for a in command[1:]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command[0]}: ") and "missing.json" in err
+        assert len(err.splitlines()) == 1
 
     def test_simulate_trace_file(self, capsys, tmp_path):
         from repro.simx import Compute, ThreadTrace, TraceProgram

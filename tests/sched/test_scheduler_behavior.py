@@ -20,7 +20,6 @@ from repro.simx import (
     TraceProgram,
     build_scheduler,
     supports_batch_path,
-    supports_scheduling,
 )
 from repro.simx.sched import (
     SERIAL_PHASES,
@@ -172,14 +171,45 @@ class TestAcmpPolicies:
         assert "acmp" in res.summary()
 
 
+class TestComputeFollowsTheCore:
+    """A compute burst is priced by the core the thread runs on at that
+    op, not by its thread id or its first core."""
+
+    def test_migrating_thread_pays_each_cores_factor(self):
+        # core 0 is the 4-BCE big core (perf 2), core 1 a 1-BCE small core
+        # (perf 1); at IPC 2 a 100-instruction burst costs 25 and 50 cycles
+        cfg = replace(MachineConfig.asymmetric(rl=4, n_small=1),
+                      scheduler="acmp", acmp_policy="migrate-on-phase",
+                      migration_cost=7)
+        prog = TraceProgram("chase", [ThreadTrace(0, [
+            Compute(100), PhaseBegin("merge"), Compute(100),
+            PhaseEnd("merge"), Compute(100),
+        ])])
+        res = Machine(cfg).run(prog)
+        # small core 0-50; entering the merge moves it to the big core
+        # (start 50 + 7), 57-82; leaving it moves it back, 89-139
+        assert res.total_cycles == 139
+        assert res.phase_cycles("merge") == 25
+        assert res.phase_cycles("(unattributed)") == 100
+        assert res.phase_stats.wait_cycles("merge") == 7
+        assert res.phase_stats.wait_cycles("(unattributed)") == 7
+        assert res.phase_wall_cycles("merge") == 32
+        assert res.instructions == (300,)
+        assert (res.sched.dispatches, res.sched.migrations,
+                res.sched.preemptions, res.sched.involuntary_wait_cycles) == (3, 2, 0, 14)
+
+
 class TestFallbackSeam:
     """Non-pinned dispatch must force the reference engine: the lockstep
     batch engine assumes one thread per core.  Which engine a pinned
     config takes is pinned by ``tests/simx/test_engine_selection.py``."""
 
     def test_supports_scheduling_gate(self):
-        assert supports_scheduling(MachineConfig.baseline(n_cores=2))
-        assert not supports_scheduling(rr_config(2))
+        # the one engine-selection gate: only pinned dispatch may leave
+        # the reference engine, whatever the policy
+        assert supports_batch_path(MachineConfig.baseline(n_cores=2))
+        assert not supports_batch_path(rr_config(2))
+        assert not supports_batch_path(acmp_config("first-come"))
 
     def test_fast_and_batch_paths_refuse_scheduled_configs(self):
         cfg = rr_config(2, batch_path=True)

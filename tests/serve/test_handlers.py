@@ -109,6 +109,39 @@ class TestRouting:
         assert status == 400
         assert "error" in json.loads(payload)
 
+    @pytest.mark.parametrize("path,body", [
+        ("/v1/eval", b'{"model": "merging-symmetric", "f": NaN, '
+                     b'"fcon_share": 0.6, "fored_share": 0.8, "r": 32}'),
+        ("/v1/eval", b'{"model": "amdahl", "f": 0.9, "p": Infinity}'),
+        ("/v1/sweep", b'{"model": "merging-symmetric", "points": [{"f": 0.9, '
+                      b'"fcon_share": -Infinity, "fored_share": 0.8}]}'),
+        ("/v1/optimize", b'{"points": [{"f": 0.9, "fcon_share": 0.6, '
+                         b'"fored_share": NaN}]}'),
+        ("/v1/optimize", b'{"points": [{"f": 0.9, "fcon_share": 0.6, '
+                         b'"fored_share": 0.8}], "r_choices": [1, Infinity]}'),
+    ], ids=["eval-nan", "eval-inf", "sweep", "optimize", "r_choices"])
+    def test_non_finite_number_is_400(self, path, body):
+        """``NaN`` and ``Infinity`` parse as JSON numbers but have no
+        valid JSON answer: the request is the client's error."""
+        status, _, payload = _request(ServeApp(), "POST", path, body=body)
+        assert status == 400
+        assert "finite" in json.loads(payload)["error"]
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("table2", {"scale": "0"}),
+        ("table2", {"scale": "nan"}),
+        ("table2", {"threads": ""}),
+        ("table2", {"threads": "0"}),
+        ("table2", {"threads": "2,-1"}),
+        ("fig4", {"n": "0"}),
+    ], ids=["scale-0", "scale-nan", "threads-empty", "threads-0",
+            "threads-negative", "n-0"])
+    def test_bad_report_option_is_400(self, experiment, params):
+        status, _, payload = _request(
+            ServeApp(), "GET", f"/v1/report/{experiment}", params=params)
+        assert status == 400
+        assert "query parameter" in json.loads(payload)["error"]
+
     def test_unknown_report_is_404(self):
         status, _, _ = _request(ServeApp(), "GET", "/v1/report/nope")
         assert status == 404
